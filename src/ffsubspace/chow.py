@@ -14,6 +14,7 @@ variety.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import comb
 
@@ -25,11 +26,27 @@ from .function_field import (
     support,
 )
 from .linalg import Echelon
-from .multipoly import HomogeneousPoly, monomial_degree
+from .multipoly import (
+    HomogeneousPoly,
+    collect,
+    monomial_degree,
+    monomial_mul,
+    mul_terms,
+)
+from .upoly import power
 
 
 def _coerce(c):
     return c if isinstance(c, RationalFunction) else RationalFunction(c)
+
+
+def _block_mul(k1, k2):
+    return tuple(monomial_mul(b1, b2) for b1, b2 in zip(k1, k2))
+
+
+def _bump(exps: tuple, j: int) -> tuple:
+    """The exponent tuple with entry j raised by one."""
+    return exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
 
 
 class MultiHomForm:
@@ -86,14 +103,7 @@ class MultiHomForm:
         if not isinstance(other, MultiHomForm):
             return NotImplemented
         self._check_shape(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            s = out.get(k)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+        out = collect(other.terms.items(), dict(self.terms))
         return MultiHomForm(self.blocks, self.vars_per_block, out)
 
     def __neg__(self):
@@ -112,19 +122,7 @@ class MultiHomForm:
         if not isinstance(other, MultiHomForm):
             return NotImplemented
         self._check_shape(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                key = tuple(
-                    tuple(x + y for x, y in zip(b1, b2)) for b1, b2 in zip(k1, k2)
-                )
-                c = c1 * c2
-                s = out.get(key)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+        out = mul_terms(self.terms, other.terms, _block_mul)
         return MultiHomForm(self.blocks, self.vars_per_block, out)
 
     __rmul__ = __mul__
@@ -138,18 +136,12 @@ class MultiHomForm:
         )
 
     def __pow__(self, n: int):
-        result = MultiHomForm(
+        one = MultiHomForm(
             self.blocks,
             self.vars_per_block,
             {tuple((0,) * self.vars_per_block for _ in range(self.blocks)): 1},
         )
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return power(self, n, one, operator.mul)
 
     def _check_shape(self, other):
         if self.blocks != other.blocks or self.vars_per_block != other.vars_per_block:
@@ -225,29 +217,13 @@ def chow_of_linear(span_points) -> MultiHomForm:
         partial = {tuple(zero_block for _ in range(k)): RationalFunction(sign)}
         for i in range(k):
             b = points[perm[i]]
-            nxt = {}
-            for key, c in partial.items():
-                for j, bj in enumerate(b):
-                    if bj.is_zero():
-                        continue
-                    block = list(key[i])
-                    block[j] += 1
-                    nk = key[:i] + (tuple(block),) + key[i + 1 :]
-                    s = nxt.get(nk)
-                    v = c * bj
-                    s = v if s is None else s + v
-                    if s.is_zero():
-                        nxt.pop(nk, None)
-                    else:
-                        nxt[nk] = s
-            partial = nxt
-        for key, c in partial.items():
-            s = terms.get(key)
-            s = c if s is None else s + c
-            if s.is_zero():
-                terms.pop(key, None)
-            else:
-                terms[key] = s
+            partial = collect(
+                (key[:i] + (_bump(key[i], j),) + key[i + 1 :], c * bj)
+                for key, c in partial.items()
+                for j, bj in enumerate(b)
+                if not bj.is_zero()
+            )
+        collect(partial.items(), terms)
     return MultiHomForm(k, nv, terms)
 
 
@@ -361,6 +337,14 @@ def apply_skew_to_point(pairs, skew_values, x):
     return u
 
 
+def _times_row(partial: dict, i: int, row_entries):
+    """The terms of partial * (S^(i) x)_row, one (key, coefficient) at a time."""
+    for (sigma, mono), c in partial.items():
+        for p, xi, sign in row_entries:
+            nsigma = sigma[:i] + (_bump(sigma[i], p),) + sigma[i + 1 :]
+            yield (nsigma, _bump(mono, xi)), (c if sign == 1 else -c)
+
+
 def expand_skew(form: MultiHomForm) -> SkewExpansion:
     """Expand the skew-symmetric substitution of a Chow form.
 
@@ -394,33 +378,9 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
         for i in range(blocks):
             for row, e in enumerate(key[i]):
                 for _ in range(e):
-                    nxt = {}
-                    for (sigma, mono), c in partial.items():
-                        for p, xi, sign in linear[row]:
-                            block = list(sigma[i])
-                            block[p] += 1
-                            nsigma = sigma[:i] + (tuple(block),) + sigma[i + 1 :]
-                            nmono = tuple(
-                                m + (1 if idx == xi else 0)
-                                for idx, m in enumerate(mono)
-                            )
-                            v = c if sign == 1 else -c
-                            slot = (nsigma, nmono)
-                            s = nxt.get(slot)
-                            s = v if s is None else s + v
-                            if s.is_zero():
-                                nxt.pop(slot, None)
-                            else:
-                                nxt[slot] = s
-                    partial = nxt
+                    partial = collect(_times_row(partial, i, linear[row]))
         for (sigma, mono), c in partial.items():
-            bucket = collected.setdefault(sigma, {})
-            s = bucket.get(mono)
-            s = c if s is None else s + c
-            if s.is_zero():
-                bucket.pop(mono, None)
-            else:
-                bucket[mono] = s
+            collect([(mono, c)], collected.setdefault(sigma, {}))
 
     degree = blocks * delta
     entries = {}

@@ -43,11 +43,13 @@ from .graded_ideal import (
     quotient_monomial_basis,
 )
 from .harness import (
+    constants_rows,
     emit_report,
     fmt_q,
     has_violation,
     load_scenario,
     load_scenario_dict,
+    position_to_dict,
     run_check,
 )
 from .hilbert_bounds import scan_ratio_window, threshold_a_eps
@@ -205,18 +207,7 @@ def _cmd_constants(args) -> int:
     )
     table = {int(k): v for k, v in data.get("H_table", {}).items()}
     constants = assemble_constants(inputs, table, a_eps=a_eps)
-    rows = [
-        ("a_eps", a_eps),
-        ("m", constants.m),
-        ("b", constants.b),
-        ("excess_const", fmt_q(constants.excess_const)),
-        ("b1", fmt_q(constants.b1)),
-        ("b2", fmt_q(constants.b2)),
-        ("b3", fmt_q(constants.b3)),
-        ("S_sum", constants.S_sum),
-        ("c_eps", fmt_q(constants.c_eps)),
-        ("c_prime_eps", fmt_q(constants.c_prime_eps)),
-    ]
+    rows = constants_rows(a_eps, constants)
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k.rjust(width)} = {v}")
@@ -280,22 +271,7 @@ def _cmd_position(args) -> int:
     )
     for sub in report.subsets:
         print(f"  subset {list(sub.indices)}: {sub.verdict}")
-    _emit(
-        {
-            "N": n_value,
-            "degree_cap": cap,
-            "in_position": report.in_position,
-            "subsets": [
-                {
-                    "indices": list(sub.indices),
-                    "empty_certified": sub.verdict.certified_empty,
-                    "certified_degree": sub.verdict.certified_degree,
-                }
-                for sub in report.subsets
-            ],
-        },
-        args,
-    )
+    _emit(position_to_dict(report), args)
     return 0
 
 

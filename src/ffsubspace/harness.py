@@ -47,7 +47,6 @@ from .multipoly import parse_poly
 from .parsing import parse_rational
 
 DEFAULT_POSITION_CAP = 6
-DEFAULT_NULLSTELLENSATZ_CAP = 12
 DEFAULT_EXACT_HILBERT_CUTOFF = 12
 
 C1_CAVEAT = (
@@ -109,7 +108,6 @@ SCENARIO_SCHEMA = {
                 "c1": {"type": "string"},
                 "c1_prime": {"type": "string"},
                 "m": {"type": "integer", "minimum": 2},
-                "nullstellensatz_cap": {"type": "integer", "minimum": 1},
                 "position_cap": {"type": "integer", "minimum": 1},
                 "hilbert_exact_cutoff": {"type": "integer", "minimum": 1},
             },
@@ -136,7 +134,6 @@ class Scenario:
     c1_prime: Fraction
     m_override: int | None
     position_cap: int
-    nullstellensatz_cap: int
     hilbert_exact_cutoff: int
 
 
@@ -250,9 +247,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         c1_prime=c1_prime,
         m_override=overrides.get("m"),
         position_cap=overrides.get("position_cap", DEFAULT_POSITION_CAP),
-        nullstellensatz_cap=overrides.get(
-            "nullstellensatz_cap", DEFAULT_NULLSTELLENSATZ_CAP
-        ),
         hilbert_exact_cutoff=overrides.get(
             "hilbert_exact_cutoff", DEFAULT_EXACT_HILBERT_CUTOFF
         ),
@@ -401,15 +395,6 @@ def run_check(scenario: Scenario) -> Report:
             ),
             Fraction(0),
         )
-        transposed = sum(
-            (
-                row[i] / scenario.divisor_degrees[i]
-                for i in range(len(scenario.divisors))
-                for _, row in weil_rows
-            ),
-            Fraction(0),
-        )
-        assert lhs == transposed, "Weil double sum disagrees when transposed"
         h = height_point(x)
         rhs_main = factor * h
         rhs_full = rhs_main + constants.c_prime_eps
@@ -449,6 +434,40 @@ def fmt_q(x) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
+def position_to_dict(position) -> dict:
+    """The JSON block of a position check, as in reports and the CLI."""
+    return {
+        "N": position.N,
+        "degree_cap": position.degree_cap,
+        "in_position": position.in_position,
+        "subsets": [
+            {
+                "indices": list(sub.indices),
+                "empty_certified": sub.verdict.certified_empty,
+                "certified_degree": sub.verdict.certified_degree,
+            }
+            for sub in position.subsets
+        ],
+    }
+
+
+def constants_rows(a_eps: int, constants: EffectiveConstants) -> list:
+    """The (name, value) rows of the constants ledger shown to users."""
+    c = constants
+    return [
+        ("a_eps", a_eps),
+        ("m", c.m),
+        ("b", c.b),
+        ("excess_const", fmt_q(c.excess_const)),
+        ("b1", fmt_q(c.b1)),
+        ("b2", fmt_q(c.b2)),
+        ("b3", fmt_q(c.b3)),
+        ("S_sum", c.S_sum),
+        ("c_eps", fmt_q(c.c_eps)),
+        ("c_prime_eps", fmt_q(c.c_prime_eps)),
+    ]
+
+
 def report_to_dict(report: Report) -> dict:
     s = report.scenario
     c = report.constants
@@ -467,19 +486,7 @@ def report_to_dict(report: Report) -> dict:
             "epsilon": fmt_q(s.epsilon),
             "num_points": len(s.points),
         },
-        "position": {
-            "N": report.position.N,
-            "degree_cap": report.position.degree_cap,
-            "in_position": report.position.in_position,
-            "subsets": [
-                {
-                    "indices": list(sub.indices),
-                    "empty_certified": sub.verdict.certified_empty,
-                    "certified_degree": sub.verdict.certified_degree,
-                }
-                for sub in report.position.subsets
-            ],
-        },
+        "position": position_to_dict(report.position),
         "constants": {
             "a_eps": report.a_eps,
             "m": c.m,
@@ -542,7 +549,6 @@ def _text_table(rows, header) -> str:
 
 def report_to_text(report: Report) -> str:
     s = report.scenario
-    c = report.constants
     lines = []
     lines.append(
         f"variety: {s.variety_kind} in P^{s.ambient_dim} "
@@ -557,18 +563,7 @@ def report_to_text(report: Report) -> str:
     for sub in report.position.subsets:
         lines.append(f"  subset {list(sub.indices)}: {sub.verdict}")
     lines.append("constants:")
-    for k, v in [
-        ("a_eps", report.a_eps),
-        ("m", c.m),
-        ("b", c.b),
-        ("excess_const", fmt_q(c.excess_const)),
-        ("b1", fmt_q(c.b1)),
-        ("b2", fmt_q(c.b2)),
-        ("b3", fmt_q(c.b3)),
-        ("S_sum", c.S_sum),
-        ("c_eps", fmt_q(c.c_eps)),
-        ("c_prime_eps", fmt_q(c.c_prime_eps)),
-    ]:
+    for k, v in constants_rows(report.a_eps, report.constants):
         lines.append(f"  {k:>12} = {v}")
     lines.append(f"  note: {C1_CAVEAT}")
     evaluated = [r for r in report.points if r.status == "evaluated"]

@@ -18,6 +18,7 @@ from math import gcd as int_gcd, lcm as int_lcm
 
 from . import upoly
 from .function_field import RationalFunction
+from .multipoly import collect
 
 
 def _row_to_primitive(field_row: dict) -> dict:
@@ -122,15 +123,12 @@ class Echelon:
                     for c, p in self._pivots[col].items()
                 }
                 for c in sorted(k for k in frow if k != col and k in reduced):
-                    coeff = frow.pop(c)
-                    for cc, v in reduced[c].items():
-                        if cc == c:
-                            continue  # pivot entry cancels exactly
-                        s = frow.get(cc, RationalFunction(0)) - coeff * v
-                        if s.is_zero():
-                            frow.pop(cc, None)
-                        else:
-                            frow[cc] = s
+                    coeff = -frow.pop(c)
+                    # the pivot entry cancels exactly and is already popped
+                    collect(
+                        ((cc, coeff * v) for cc, v in reduced[c].items() if cc != c),
+                        frow,
+                    )
                 frow[col] = RationalFunction(1)
                 reduced[col] = frow
             self._rref = reduced
@@ -144,12 +142,8 @@ class Echelon:
             coeff = v.get(col)
             if coeff is None or coeff.is_zero():
                 continue
-            for cc, rv in rref[col].items():
-                s = v.get(cc, RationalFunction(0)) - coeff * rv
-                if s.is_zero():
-                    v.pop(cc, None)
-                else:
-                    v[cc] = s
+            coeff = -coeff
+            collect(((cc, coeff * rv) for cc, rv in rref[col].items()), v)
         return v
 
     def contains(self, field_row: dict) -> bool:

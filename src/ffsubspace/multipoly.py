@@ -8,10 +8,12 @@ comparison within a fixed degree, largest first.
 
 from __future__ import annotations
 
+import operator
 from functools import lru_cache
 
 from .errors import DegreeMismatch, NotHomogeneous, VarCountMismatch, ZeroPolynomial
 from .function_field import K_ONE, ProjectivePoint, RationalFunction
+from .upoly import power
 
 
 def monomial_degree(mono) -> int:
@@ -20,6 +22,31 @@ def monomial_degree(mono) -> int:
 
 def monomial_mul(a, b):
     return tuple(x + y for x, y in zip(a, b))
+
+
+def collect(items, out=None) -> dict:
+    """Sum (key, coefficient) pairs into a term map, dropping zero sums.
+
+    This is the one place where sparse polynomials over K are added.  `out`,
+    when given, is updated in place.  A key whose sum cancels is removed, and
+    re-inserted at the end if it comes back.
+    """
+    out = {} if out is None else out
+    for key, c in items:
+        s = out.get(key)
+        s = c if s is None else s + c
+        if s.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = s
+    return out
+
+
+def mul_terms(a: dict, b: dict, key_mul=monomial_mul) -> dict:
+    """Product of two term maps; `key_mul` combines a pair of keys."""
+    return collect(
+        (key_mul(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
+    )
 
 
 def format_monomial(mono) -> str:
@@ -157,14 +184,7 @@ class HomogeneousPoly:
             raise VarCountMismatch(f"{self.num_vars} vs {other.num_vars} variables")
         if self.degree != other.degree and self.terms and other.terms:
             raise DegreeMismatch(f"degree {self.degree} + degree {other.degree}")
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
+        out = collect(other.terms.items(), dict(self.terms))
         return HomogeneousPoly(
             self.num_vars, self.degree if self.terms else other.degree, out
         )
@@ -186,17 +206,7 @@ class HomogeneousPoly:
             return NotImplemented
         if self.num_vars != other.num_vars:
             raise VarCountMismatch(f"{self.num_vars} vs {other.num_vars} variables")
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        out = mul_terms(self.terms, other.terms)
         return HomogeneousPoly(self.num_vars, self.degree + other.degree, out)
 
     def __rmul__(self, other):
@@ -213,16 +223,8 @@ class HomogeneousPoly:
         )
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise ValueError("negative exponent")
-        result = HomogeneousPoly(self.num_vars, 0, {(0,) * self.num_vars: 1})
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        one = HomogeneousPoly(self.num_vars, 0, {(0,) * self.num_vars: 1})
+        return power(self, n, one, operator.mul)
 
     def evaluate(self, point) -> RationalFunction:
         """Exact substitution; accepts a ProjectivePoint or a coordinate list."""
@@ -291,15 +293,10 @@ class SparsePoly:
 
 def dehomogenize(q: HomogeneousPoly, axis: int) -> SparsePoly:
     """Substitute X_axis = 1."""
-    out = {}
-    for mono, c in q.terms.items():
-        m = tuple(0 if i == axis else e for i, e in enumerate(mono))
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
+    out = collect(
+        (tuple(0 if i == axis else e for i, e in enumerate(mono)), c)
+        for mono, c in q.terms.items()
+    )
     return SparsePoly(q.num_vars, out)
 
 
@@ -308,16 +305,12 @@ def homogenize(p: SparsePoly, axis: int) -> HomogeneousPoly:
     if not p.terms:
         return HomogeneousPoly.zero(p.num_vars)
     target = max(monomial_degree(m) for m in p.terms)
-    out = {}
-    for mono, c in p.terms.items():
+
+    def lift(mono):
         gap = target - monomial_degree(mono)
-        m = tuple(e + gap if i == axis else e for i, e in enumerate(mono))
-        s = out.get(m)
-        s = c if s is None else s + c
-        if not s.is_zero():
-            out[m] = s
-        else:
-            out.pop(m, None)
+        return tuple(e + gap if i == axis else e for i, e in enumerate(mono))
+
+    out = collect((lift(mono), c) for mono, c in p.terms.items())
     return HomogeneousPoly(p.num_vars, target, out)
 
 

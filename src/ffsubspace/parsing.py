@@ -6,7 +6,10 @@ coefficient level no X variables are allowed; at the polynomial level
 division is only legal when the divisor is a constant of K.
 
 Values during parsing are sparse term maps {exponent tuple: RationalFunction};
-a map whose only key is the zero tuple is a constant.
+a map whose only key is the zero tuple is a constant.  They are added with
+`multipoly.collect`, multiplied with `multipoly.mul_terms` and raised to
+powers with `upoly.power`, the same kernel every polynomial type uses, so the
+parser has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import re
 
 from .errors import ParseError
 from .function_field import RationalFunction
-from .upoly import T
+from .multipoly import collect, mul_terms
+from .upoly import T, power
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
@@ -76,8 +80,10 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term()
-                terms = _add(terms, rhs if val == "+" else _neg(rhs))
+                rhs = self.term().items()
+                if val == "-":
+                    rhs = ((m, -c) for m, c in rhs)
+                terms = collect(rhs, dict(terms))
             else:
                 return terms
 
@@ -89,7 +95,7 @@ class _Parser:
                 self.advance()
                 rhs = self.unary()
                 if val == "*":
-                    terms = _mul(terms, rhs, self.num_vars)
+                    terms = mul_terms(terms, rhs)
                 else:
                     c = _as_constant(rhs, pos)
                     if c.is_zero():
@@ -102,7 +108,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return _neg(self.unary())
+            return {m: -c for m, c in self.unary().items()}
         if kind == "op" and val == "+":
             self.advance()
             return self.unary()
@@ -116,7 +122,8 @@ class _Parser:
             kind, e, pos = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            return _pow(base, e, self.num_vars)
+            one = {(0,) * self.num_vars: RationalFunction(1)}
+            return power(base, e, one, mul_terms)
         return base
 
     def atom(self) -> dict:
@@ -145,48 +152,6 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
-
-
-def _add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        s = out.get(m)
-        s = c if s is None else s + c
-        if s.is_zero():
-            out.pop(m, None)
-        else:
-            out[m] = s
-    return out
-
-
-def _neg(a: dict) -> dict:
-    return {m: -c for m, c in a.items()}
-
-
-def _mul(a: dict, b: dict, num_vars: int) -> dict:
-    out = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            c = c1 * c2
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-    return out
-
-
-def _pow(a: dict, n: int, num_vars: int) -> dict:
-    result = {(0,) * num_vars: RationalFunction(1)}
-    base = a
-    while n:
-        if n & 1:
-            result = _mul(result, base, num_vars)
-        base = _mul(base, base, num_vars)
-        n >>= 1
-    return result
 
 
 def _as_constant(terms: dict, pos: int) -> RationalFunction:

@@ -88,17 +88,24 @@ def scale(a, c) -> tuple:
     return tuple(x * c for x in a)
 
 
-def pow_(a, n: int) -> tuple:
+def power(base, n: int, one, mul):
+    """base ** n by square-and-multiply, for any `mul` with identity `one`.
+
+    Shared by every polynomial type of the package and by the parser.
+    """
     if n < 0:
         raise ValueError("negative exponent")
-    result = ONE
-    base = a
+    result = one
     while n:
         if n & 1:
             result = mul(result, base)
         base = mul(base, base)
         n >>= 1
     return result
+
+
+def pow_(a, n: int) -> tuple:
+    return power(a, n, ONE, mul)
 
 
 def divmod_(a, b) -> tuple:

@@ -65,6 +65,11 @@ def test_chow_of_hypersurface_conic():
     assert not fx.evaluate([[1, 0, 0], [0, 0, 1]]).is_zero()
 
 
+def test_multihom_negative_power():
+    with pytest.raises(ValueError):
+        chow_of_hypersurface(CONIC_F) ** -1
+
+
 def test_hypersurface_linear_agrees_with_linear_constructor():
     by_cross = chow_of_hypersurface(parse_poly("X0", 3))
     by_det = chow_of_linear([e(1, 3), e(2, 3)])

@@ -102,8 +102,14 @@ def test_filtration_command(capsys):
     assert "lhs 10 >= rhs 9: ok" in out
 
 
-def test_position_command(capsys):
+def test_position_command(capsys, tmp_path):
     assert main(["position", "--file", SCENARIO, "--N", "1"]) == 0
     out = capsys.readouterr().out
     assert "NOT certified" in out
     assert "[0, 1]: NonemptyAtCap" in out
+    report = tmp_path / "position.json"
+    assert main(["position", "--file", SCENARIO, "--report", str(report)]) == 0
+    capsys.readouterr()
+    assert main(["check", SCENARIO, "--format", "json"]) == 0
+    check = json.loads(capsys.readouterr().out)
+    assert json.loads(report.read_text()) == check["position"]

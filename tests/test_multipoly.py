@@ -85,9 +85,11 @@ def test_parse_examples():
 
 def test_parse_format_round_trip():
     rng = random.Random(6)
-    for _ in range(30):
-        q = rand_homog(rng, 3, rng.randint(1, 4))
-        assert parse_poly(str(q), 3) == q
+    forms = [rand_homog(rng, 3, rng.randint(1, 4)) for _ in range(30)]
+    for a, b in zip(forms, forms[1:] + forms[:1]):
+        assert parse_poly(str(a), 3) == a
+        assert parse_poly(f"({a})*({b})", 3) == a * b
+        assert parse_poly(f"({a})^3", 3) == a**3
 
 
 def test_ring_axioms_random():
