@@ -16,6 +16,7 @@ from .function_field import (
     height_poly_family,
     order_at,
     weil,
+    weil_table,
 )
 from .graded_ideal import (
     IdealGenerators,
@@ -59,6 +60,7 @@ __all__ = [
     "reduce_to_quotient_basis",
     "run_check",
     "weil",
+    "weil_table",
 ]
 
 __version__ = "0.1.0"

@@ -20,9 +20,10 @@ from math import comb
 
 from .errors import DependentSpan, DegreeMismatch, VarCountMismatch, ZeroPolynomial
 from .function_field import (
+    ProjectivePoint,
     RationalFunction,
     gauss_order_coeffs,
-    height_coeffs,
+    height_point,
     support,
 )
 from .linalg import Echelon
@@ -446,7 +447,7 @@ def chow_height(form: MultiHomForm):
     """h(X) := h(F_X), the height of the coefficient family of the Chow form."""
     if form.is_zero():
         raise ZeroPolynomial("zero Chow form")
-    return height_coeffs(form.coefficients())
+    return height_point(ProjectivePoint(form.coefficients()))
 
 
 def multihomform_to_json(form: MultiHomForm) -> dict:

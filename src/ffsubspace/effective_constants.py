@@ -100,22 +100,14 @@ class EffectiveConstants:
     S_sum: int
 
 
-def _h_upper(H_table, degree: int, n: int, delta: int, strict: bool) -> int:
+def _h_value(H_table, degree: int, n: int, delta: int, strict: bool, bound) -> int:
+    """H(degree) from the table, else `bound(degree, n, delta)` unless strict."""
     value = H_table.get(degree)
     if value is not None:
         return value
     if strict:
         raise MissingTableEntry(f"H table has no entry at degree {degree}")
-    return chardin_upper(degree, n, delta)
-
-
-def _h_lower(H_table, degree: int, n: int, delta: int, strict: bool) -> int:
-    value = H_table.get(degree)
-    if value is not None:
-        return value
-    if strict:
-        raise MissingTableEntry(f"H table has no entry at degree {degree}")
-    return sombra_lower(degree, n, delta)
+    return bound(degree, n, delta)
 
 
 def assemble_constants(
@@ -143,11 +135,14 @@ def assemble_constants(
     b = b_const(m, n, M, delta)
     a = excess_vanishing_const(n, M, N, delta, d, inputs.h_fx, inputs.h_q_family)
 
-    h_m = _h_upper(H_table, m, n, delta, strict)
+    h_m = _h_value(H_table, m, n, delta, strict, chardin_upper)
     steps = m // d
     if steps < 2:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
-    s_sum = sum(_h_lower(H_table, i * d, n, delta, strict) for i in range(1, steps))
+    s_sum = sum(
+        _h_value(H_table, i * d, n, delta, strict, sombra_lower)
+        for i in range(1, steps)
+    )
 
     b1 = (m + 1) * h_m * b * (inputs.h_fx + inputs.h_q_family)
     b2 = inputs.s_card * b1

@@ -4,11 +4,16 @@ Places are the monic irreducibles of Q[t] plus the place at infinity; a place
 of degree e weighs its valuation by e, which makes the sum formula
 sum_p ord_p(f) * deg(p) = 0 hold exactly for every nonzero f.  Everything
 here is exact rational arithmetic; no floats anywhere.
+
+Heights and Weil values come from primitive coordinates (coprime in Q[t]),
+where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
+Only divisor, support and height_elem factor, through sympy.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 
 from . import upoly
 from .errors import ParseError, PointOnDivisor, ZeroElement, ZeroPolynomial
@@ -85,8 +90,16 @@ class RationalFunction:
 
     __radd__ = __add__
 
+    @classmethod
+    def _canonical(cls, num, den=upoly.ONE) -> "RationalFunction":
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
     def __neg__(self):
-        return RationalFunction(upoly.neg(self.num), self.den)
+        return RationalFunction._canonical(upoly.neg(self.num), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -127,9 +140,6 @@ class RationalFunction:
             return RationalFunction(upoly.pow_(self.den, -n), upoly.pow_(self.num, -n))
         return RationalFunction(upoly.pow_(self.num, n), upoly.pow_(self.den, n))
 
-    def inverse(self) -> "RationalFunction":
-        return self ** -1
-
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -148,8 +158,18 @@ class RationalFunction:
         return f"RationalFunction({self})"
 
 
-K_ZERO = RationalFunction(0)
 K_ONE = RationalFunction(1)
+
+
+def clear_denominators(elements) -> list:
+    """The polynomials f * D for D the lcm of the denominators of the f."""
+    if all(f.den == upoly.ONE for f in elements):
+        return [f.num for f in elements]
+    den = upoly.ONE
+    for f in elements:
+        g = upoly.gcd(den, f.den)
+        den = upoly.divmod_(upoly.mul(den, f.den), g)[0]
+    return [upoly.mul(f.num, upoly.divmod_(den, f.den)[0]) for f in elements]
 
 
 class Place:
@@ -174,11 +194,6 @@ class Place:
         if not upoly.is_irreducible(p):
             raise ValueError(f"finite place must be irreducible: {upoly.format_poly(p)}")
         return cls(p)
-
-    @classmethod
-    def _finite_trusted(cls, poly) -> "Place":
-        # Internal: factor output is already monic irreducible.
-        return cls(poly)
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -230,7 +245,7 @@ class ProjectivePoint:
     quantity e_p itself is not, and says so in its docstring.
     """
 
-    __slots__ = ("coordinates",)
+    __slots__ = ("coordinates", "_primitive")
 
     def __init__(self, coordinates):
         coords = tuple(
@@ -240,6 +255,7 @@ class ProjectivePoint:
         if not coords or all(c.is_zero() for c in coords):
             raise ZeroElement("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coordinates", coords)
+        object.__setattr__(self, "_primitive", None)
 
     def __setattr__(self, *a):
         raise AttributeError("ProjectivePoint is immutable")
@@ -250,6 +266,18 @@ class ProjectivePoint:
 
     def scaled(self, alpha: RationalFunction) -> "ProjectivePoint":
         return ProjectivePoint([c * alpha for c in self.coordinates])
+
+    def primitive(self) -> "ProjectivePoint":
+        """The same point with coprime coordinates in Q[t]; computed once."""
+        if self._primitive is None:
+            polys = clear_denominators(self.coordinates)
+            g = reduce(upoly.gcd, polys, upoly.ZERO)
+            if upoly.degree(g) > 0:
+                polys = [upoly.divmod_(p, g)[0] for p in polys]
+            prim = ProjectivePoint([RationalFunction._canonical(p) for p in polys])
+            object.__setattr__(prim, "_primitive", prim)
+            object.__setattr__(self, "_primitive", prim)
+        return self._primitive
 
     def __eq__(self, other):
         return (
@@ -315,11 +343,11 @@ def divisor(f: RationalFunction) -> dict:
     orders = {}
     _, num_factors = upoly.factor_monic(f.num)
     for g, m in num_factors:
-        pl = Place._finite_trusted(g)
+        pl = Place(g)  # factor output is already monic irreducible
         orders[pl] = orders.get(pl, 0) + m
     _, den_factors = upoly.factor_monic(f.den)
     for g, m in den_factors:
-        pl = Place._finite_trusted(g)
+        pl = Place(g)  # factor output is already monic irreducible
         orders[pl] = orders.get(pl, 0) - m
     inf_order = upoly.degree(f.den) - upoly.degree(f.num)
     if inf_order:
@@ -354,23 +382,26 @@ def gauss_order_coeffs(p: Place, coeffs) -> int:
     return min(vals)
 
 
-def gauss_order_poly(p: Place, qs) -> int:
-    """e_p(Q_1,...,Q_q): min of ord_p over all coefficients of all the forms."""
+def _family_coefficients(qs) -> list:
     coeffs = []
     for q in qs:
         if q.is_zero():
             raise ZeroPolynomial("zero polynomial in family")
         coeffs.extend(q.coefficients())
-    return gauss_order_coeffs(p, coeffs)
+    return coeffs
+
+
+def gauss_order_poly(p: Place, qs) -> int:
+    """e_p(Q_1,...,Q_q): min of ord_p over all coefficients of all the forms."""
+    return gauss_order_coeffs(p, _family_coefficients(qs))
 
 
 def height_point(x: ProjectivePoint) -> Fraction:
-    """h(x) = -sum_p e_p(x) deg p; nonnegative and scaling-invariant."""
-    places = support(x.coordinates)
-    total = 0
-    for p in places:
-        total -= gauss_order_point(p, x) * p.degree
-    return Fraction(total)
+    """h(x) = -sum_p e_p(x) deg p, the largest degree of x's primitive coordinates.
+
+    Nonnegative and scaling-invariant.
+    """
+    return Fraction(max(upoly.degree(c.num) for c in x.primitive().coordinates))
 
 
 def height_elem(f: RationalFunction) -> Fraction:
@@ -388,38 +419,35 @@ def height_elem(f: RationalFunction) -> Fraction:
     return Fraction(pos)
 
 
-def height_coeffs(coeffs) -> Fraction:
-    """Height of a coefficient family: -sum_p min ord_p over the family."""
-    coeffs = [c for c in coeffs if not c.is_zero()]
-    if not coeffs:
-        raise ZeroPolynomial("height of an all-zero coefficient family")
-    total = 0
-    for p in support(coeffs):
-        total -= gauss_order_coeffs(p, coeffs) * p.degree
-    return Fraction(total)
-
-
 def height_poly_family(qs) -> Fraction:
-    """h(Q_1,...,Q_q) = -sum_p e_p(family) deg p over the joint support."""
-    coeffs = []
-    for q in qs:
-        if q.is_zero():
-            raise ZeroPolynomial("zero polynomial in family")
-        coeffs.extend(q.coefficients())
-    return height_coeffs(coeffs)
+    """h(Q_1,...,Q_q): the height of all their coefficients as one point."""
+    return height_point(ProjectivePoint(_family_coefficients(qs)))
+
+
+def weil_table(places, qs, x: ProjectivePoint) -> tuple:
+    """Rows (p, (lambda_{p,Q}(x) for Q in qs)) for x off every divisor {Q = 0}.
+
+    lambda_{p,Q}(x) = (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p, nonnegative and
+    invariant under scaling Q and x by K*.  Each Q is evaluated once, at the
+    primitive coordinates of x: e_p(x) is 0 at finite p and -h(x) at infinity.
+    """
+    x = x.primitive()
+    values = [q.evaluate(x) for q in qs]
+    for i, value in enumerate(values):
+        if value.is_zero():
+            raise PointOnDivisor(f"point lies on divisor {qs[i]}", index=i)
+    h = height_point(x)
+    rows = []
+    for p in places:
+        e_x = -h if p.is_infinite else 0
+        rows.append((p, tuple(
+            Fraction(order_at(value, p) - q.degree * e_x - gauss_order_poly(p, [q]))
+            * p.degree
+            for q, value in zip(qs, values)
+        )))
+    return tuple(rows)
 
 
 def weil(p: Place, q, x: ProjectivePoint) -> Fraction:
-    """Weil function lambda_{p,Q}(x) for x off the divisor {Q = 0}.
-
-    (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p; nonnegative, invariant under
-    scaling Q and x separately by K*.
-    """
-    value = q.evaluate(x)
-    if value.is_zero():
-        raise PointOnDivisor(f"point lies on divisor {q}")
-    d = q.degree
-    lam = (
-        order_at(value, p) - d * gauss_order_point(p, x) - gauss_order_poly(p, [q])
-    ) * p.degree
-    return Fraction(lam)
+    """Weil function lambda_{p,Q}(x) for x off the divisor {Q = 0}; see weil_table."""
+    return weil_table([p], [q], x)[0][1][0]

@@ -77,13 +77,6 @@ class GradedPieceBasis:
             )
         return {self._col_of[m]: c for m, c in poly.terms.items()}
 
-    def poly_of(self, vector: dict) -> HomogeneousPoly:
-        return HomogeneousPoly(
-            len(self.monomials[0]) if self.monomials else 0,
-            self.degree,
-            {self.monomials[c]: v for c, v in vector.items()},
-        )
-
     def contains(self, poly: HomogeneousPoly) -> bool:
         return self.echelon.contains(self.vector_of(poly))
 

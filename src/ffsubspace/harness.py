@@ -30,7 +30,7 @@ from .effective_constants import (
     choose_m,
     lcm_reduction,
 )
-from .errors import SchemaError
+from .errors import PointOnDivisor, SchemaError
 from .function_field import (
     PlaceSet,
     Place,
@@ -39,7 +39,7 @@ from .function_field import (
     gauss_order_poly,
     height_point,
     height_poly_family,
-    weil,
+    weil_table,
 )
 from .graded_ideal import IdealGenerators, check_subgeneral_position, hilbert_function
 from .hilbert_bounds import hypersurface_hilbert, threshold_a_eps
@@ -253,13 +253,6 @@ def load_scenario_dict(data: dict) -> Scenario:
     )
 
 
-def bundled_scenario_path(name: str = "conic"):
-    """Filesystem path of a scenario shipped with the package."""
-    from importlib.resources import files
-
-    return files("ffsubspace") / "scenarios" / f"{name}.json"
-
-
 def load_scenario(path) -> Scenario:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -366,36 +359,29 @@ def run_check(scenario: Scenario) -> Report:
     factor = scenario.N * (n + 1) + scenario.epsilon
     records = []
     for idx, x in enumerate(scenario.points):
-        offenders = [
-            g for g in scenario.x_gens.generators if not g.evaluate(x).is_zero()
-        ]
-        if offenders:
+        # Checks and values use primitive coordinates; records keep x as given.
+        prim = x.primitive()
+        if any(not g.evaluate(prim).is_zero() for g in scenario.x_gens.generators):
             warnings.append(f"NotOnVariety: point {idx} skipped")
             records.append(PointRecord(idx, x, "not_on_variety"))
             continue
-        vanishing = tuple(
-            i for i, q in enumerate(scenario.divisors) if q.evaluate(x).is_zero()
-        )
-        if vanishing:
+        try:
+            weil_rows = weil_table(scenario.places, scenario.divisors, prim)
+        except PointOnDivisor:
+            vanishing = tuple(
+                i for i, q in enumerate(scenario.divisors)
+                if q.evaluate(prim).is_zero()
+            )
             records.append(
                 PointRecord(idx, x, "on_divisor", vanishing_divisors=vanishing,
                             verdict="OnDivisor")
             )
             continue
-        weil_rows = []
-        for p in scenario.places:
-            weil_rows.append(
-                (p, tuple(weil(p, q, x) for q in scenario.divisors))
-            )
+        degrees = scenario.divisor_degrees
         lhs = sum(
-            (
-                row[i] / scenario.divisor_degrees[i]
-                for _, row in weil_rows
-                for i in range(len(scenario.divisors))
-            ),
-            Fraction(0),
+            (lam / d for _, row in weil_rows for lam, d in zip(row, degrees)), Fraction(0)
         )
-        h = height_point(x)
+        h = height_point(prim)
         rhs_main = factor * h
         rhs_full = rhs_main + constants.c_prime_eps
         if lhs <= rhs_full:
@@ -410,7 +396,7 @@ def run_check(scenario: Scenario) -> Report:
                 x,
                 "evaluated",
                 height=h,
-                weil_table=tuple(weil_rows),
+                weil_table=weil_rows,
                 lhs=lhs,
                 rhs_main=rhs_main,
                 rhs_full=rhs_full,

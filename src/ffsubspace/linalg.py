@@ -17,26 +17,14 @@ from fractions import Fraction
 from math import gcd as int_gcd, lcm as int_lcm
 
 from . import upoly
-from .function_field import RationalFunction
+from .function_field import RationalFunction, clear_denominators
 from .multipoly import collect
 
 
 def _row_to_primitive(field_row: dict) -> dict:
     """Clear denominators and strip content: {col: RationalFunction} -> {col: poly}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
-    if not entries:
-        return {}
-    if all(f.den == upoly.ONE for f in entries.values()):
-        return _strip_content({c: f.num for c, f in entries.items()})
-    den = upoly.ONE
-    for f in entries.values():
-        g = upoly.gcd(den, f.den)
-        den = upoly.divmod_(upoly.mul(den, f.den), g)[0]
-    polys = {}
-    for c, f in entries.items():
-        cof = upoly.divmod_(den, f.den)[0]
-        polys[c] = upoly.mul(f.num, cof)
-    return _strip_content(polys)
+    return _strip_content(dict(zip(entries, clear_denominators(entries.values()))))
 
 
 def _strip_content(polys: dict) -> dict:
@@ -90,9 +78,7 @@ class Echelon:
     def _add_primitive(self, row: dict):
         self._last_grew = False
         while row:
-            lead = min(c for c in row if c < self.pivot_limit) if any(
-                c < self.pivot_limit for c in row
-            ) else None
+            lead = min((c for c in row if c < self.pivot_limit), default=None)
             if lead is None:
                 return  # no pivotable support left
             piv = self._pivots.get(lead)

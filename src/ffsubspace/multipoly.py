@@ -248,7 +248,7 @@ class HomogeneousPoly:
         return hash((self.num_vars, frozenset(self.terms.items())))
 
     def __str__(self):
-        return format_homogeneous(self)
+        return _format_terms(self.terms)
 
     def __repr__(self):
         return f"HomogeneousPoly({self})"
@@ -340,10 +340,6 @@ def _format_terms(terms) -> str:
     for sign, body in parts[1:]:
         text += f" {sign} {body}"
     return text
-
-
-def format_homogeneous(q: HomogeneousPoly) -> str:
-    return _format_terms(q.terms)
 
 
 def parse_poly(text: str, num_vars: int) -> HomogeneousPoly:

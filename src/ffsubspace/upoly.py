@@ -95,12 +95,17 @@ def power(base, n: int, one, mul):
     """
     if n < 0:
         raise ValueError("negative exponent")
-    result = one
-    while n:
-        if n & 1:
-            result = mul(result, base)
+    if n == 0:
+        return one
+    while not n & 1:
         base = mul(base, base)
         n >>= 1
+    result = base
+    while n > 1:
+        base = mul(base, base)
+        n >>= 1
+        if n & 1:
+            result = mul(result, base)
     return result
 
 
@@ -154,13 +159,6 @@ def multiplicity(a, p) -> int:
             return k
         a = q
         k += 1
-
-
-def eval_at(a, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
 
 
 def _to_sympy(p):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ffsubspace.errors import PointOnDivisor, ZeroElement, ZeroPolynomial
+from ffsubspace import upoly
 from ffsubspace.function_field import (
     INFINITY,
     Place,
@@ -17,10 +18,15 @@ from ffsubspace.function_field import (
     height_point,
     height_poly_family,
     order_at,
+    support,
     weil,
+    weil_table,
 )
+from ffsubspace.harness import load_scenario, load_scenario_dict, run_check
 from ffsubspace.multipoly import parse_poly
-from helpers import rand_k, rand_point
+from helpers import rand_homog, rand_k, rand_point, rand_qpoly
+from test_harness import SCENARIO_PATH
+from test_twisted_cubic import ideal_scenario_dict
 
 T = RationalFunction.t()
 
@@ -223,3 +229,115 @@ def test_place_validation_and_set():
 def test_projective_point_needs_nonzero():
     with pytest.raises(ZeroElement):
         ProjectivePoint([0, 0])
+
+
+# --- heights and Weil values from primitive coordinates, against the
+# factoring formulas at the raw coordinates
+
+KERNEL_PLACES = [Place.parse("t"), Place.parse("t-1"), Place.parse("t^2+1"), INFINITY]
+
+
+def _raw_point(rng, num_vars):
+    """Coordinates with denominators, a shared factor and sometimes zeros."""
+    shared = RationalFunction(rand_qpoly(rng, 2)) * (T - 1) ** rng.randint(0, 2)
+    shared = shared / RationalFunction(rand_qpoly(rng, 2)) / T ** rng.randint(0, 1)
+    coords = [rand_k(rng, 3) * shared for _ in range(num_vars)]
+    for i in rng.sample(range(num_vars), rng.randint(0, num_vars - 1)):
+        coords[i] = RationalFunction(0)
+    return ProjectivePoint(coords)
+
+
+def _height_oracle(coeffs):
+    return -sum(
+        min(order_at(c, p) for c in coeffs if c) * p.degree for p in support(coeffs)
+    )
+
+
+def _weil_oracle(p, q, x):
+    value = q.evaluate(x)
+    return (
+        order_at(value, p) - q.degree * gauss_order_point(p, x) - gauss_order_poly(p, [q])
+    ) * p.degree
+
+
+def test_primitive_coordinates():
+    rng = random.Random(18)
+    for _ in range(40):
+        x = _raw_point(rng, 3)
+        prim = x.primitive()
+        assert all(c.den == upoly.ONE for c in prim.coordinates)
+        g = upoly.ZERO
+        for c in prim.coordinates:
+            g = upoly.gcd(g, c.num)
+        assert g == upoly.ONE
+        for a, b in zip(x.coordinates, prim.coordinates):
+            assert a * prim.coordinates[0] == b * x.coordinates[0]
+        assert prim.primitive() is prim and x.primitive() is prim
+
+
+def test_height_point_matches_factoring_formula():
+    rng = random.Random(19)
+    for _ in range(40):
+        x = _raw_point(rng, rng.randint(2, 4))
+        assert height_point(x) == -sum(
+            gauss_order_point(p, x) * p.degree for p in support(x.coordinates)
+        )
+
+
+def test_height_poly_family_matches_factoring_formula():
+    rng = random.Random(20)
+    for _ in range(25):
+        qs = [rand_homog(rng, 3, rng.randint(1, 2), 4) for _ in range(rng.randint(1, 3))]
+        coeffs = [c for q in qs for c in q.coefficients()]
+        assert height_poly_family(qs) == _height_oracle(coeffs)
+
+
+def test_weil_matches_raw_coordinate_formula():
+    rng = random.Random(21)
+    for _ in range(30):
+        x = _raw_point(rng, 3)
+        qs = [rand_homog(rng, 3, rng.randint(1, 2), 4) for _ in range(3)]
+        qs = [q for q in qs if not q.evaluate(x).is_zero()]
+        rows = weil_table(KERNEL_PLACES, qs, x)
+        assert [p for p, _ in rows] == KERNEL_PLACES
+        for p, row in rows:
+            assert row == tuple(weil(p, q, x) for q in qs)
+            assert row == tuple(_weil_oracle(p, q, x) for q in qs)
+
+
+def test_weil_table_names_the_vanishing_divisor():
+    qs = [parse_poly("X0", 2), parse_poly("X1", 2)]
+    with pytest.raises(PointOnDivisor) as err:
+        weil_table(KERNEL_PLACES, qs, ProjectivePoint([T, 0]))
+    assert err.value.index == 1
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    fn = getattr(upoly, name)
+
+    def counting(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(upoly, name, counting)
+    return calls
+
+
+def test_run_check_does_not_factor(monkeypatch):
+    scenarios = [load_scenario(SCENARIO_PATH), load_scenario_dict(ideal_scenario_dict())]
+    calls = _count_calls(monkeypatch, "factor_monic")
+    for scenario in scenarios:
+        run_check(scenario)
+        assert not calls
+    divisor(T * T - 1)  # the counter does see the factoring formulas
+    assert calls
+
+
+def test_negation_skips_the_gcd(monkeypatch):
+    rng = random.Random(22)
+    fs = [rand_k(rng) for _ in range(20)] + [RationalFunction(0)]
+    calls = _count_calls(monkeypatch, "gcd")
+    negated = [-f for f in fs]
+    assert not calls
+    assert negated == [RationalFunction(upoly.neg(f.num), f.den) for f in fs]

@@ -41,6 +41,33 @@ def conic_scenario_dict(points=None, **overrides):
     return data
 
 
+GOLDEN_DIR = Path(__file__).resolve().parent / "data"
+
+
+def golden_scenario_dict():
+    """Points [a^2 r : a b r : b^2 r] on the conic whose coordinates carry
+    denominators and a shared factor, one point on divisor 2, one off the
+    variety; a divisor with Q(t) coefficients; places of degree 1 and 2."""
+    return conic_scenario_dict(
+        points=[
+            ["(t + 1)^2*(t - 3)/(2*t)", "(t + 1)*(t^2 - 2)*(t - 3)/(2*t)",
+             "(t^2 - 2)^2*(t - 3)/(2*t)"],
+            ["(t^2 + 1)/(t - 1)", "t*(t^2 + 1)/(t - 1)", "t^2*(t^2 + 1)/(t - 1)"],
+            ["t^2/3", "t*(t - 1)/3", "(t - 1)^2/3"],
+            ["(t^2 + 1)/t", "0", "0"],
+            ["4*(t - 1)/(t^2 + 1)", "2*(t - 1)/(t^2 + 1)", "(t - 1)/(t^2 + 1)"],
+            ["1", "1", "2"],
+        ],
+        divisors=[
+            {"poly": "t*X0 + (t - 1)*X1 + X2/(t^2 + 1)", "degree": 1},
+            {"poly": "X0 + X1 + X2", "degree": 1},
+            {"poly": "X0 - 2*X1", "degree": 1},
+            {"poly": "X0 + t*X2", "degree": 1},
+        ],
+        places=["t", "t - 1", "t^2 + 1", "inf"],
+    )
+
+
 def test_load_bundled_scenario():
     sc = load_scenario(SCENARIO_PATH)
     assert sc.ambient_dim == 2 and sc.variety_kind == "hypersurface"
@@ -258,6 +285,12 @@ def test_byte_stable_reports(tmp_path):
     b = emit_report(run_check(load_scenario(SCENARIO_PATH)), "json", tmp_path / "b.json")
     assert a == b
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+
+@pytest.mark.parametrize("fmt, name", [("json", "golden_report.json"), ("text", "golden_report.txt")])
+def test_golden_report_bytes(fmt, name):
+    report = run_check(load_scenario_dict(golden_scenario_dict()))
+    assert emit_report(report, fmt).encode() == (GOLDEN_DIR / name).read_bytes()
 
 
 def test_fmt_q():

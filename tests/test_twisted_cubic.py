@@ -102,8 +102,8 @@ def test_curve_hilbert_function():
         assert hilbert_function(gens, m) == 3 * m + 1
 
 
-def test_ideal_scenario_end_to_end():
-    scenario = {
+def ideal_scenario_dict():
+    return {
         "ambient_dim": 3,
         "variety": {
             "kind": "ideal",
@@ -120,7 +120,10 @@ def test_ideal_scenario_end_to_end():
         "epsilon": "1",
         "points": [["1", "t", "t^2", "t^3"], ["1", "t^2", "t^4", "t^6"]],
     }
-    report = run_check(load_scenario_dict(scenario))
+
+
+def test_ideal_scenario_end_to_end():
+    report = run_check(load_scenario_dict(ideal_scenario_dict()))
     assert report.scenario.dimension == 1 and report.scenario.degree == 3
     assert report.position.in_position
     k1, k2 = report.points

@@ -83,3 +83,23 @@ def test_parser_edges():
         parse_rational("(t + 1")
     with pytest.raises(ParseError):
         parse_rational("")
+
+
+def test_power_product_count():
+    # square-and-multiply from the first needed factor: x^4 = (x^2)^2 is two
+    # products, x^1 none; n = 0 gives the identity
+    calls = []
+
+    def mul(a, b):
+        calls.append(1)
+        return upoly.mul(a, b)
+
+    base = upoly.qp([1, 1])
+    naive = upoly.ONE
+    for n, expected_calls in enumerate([0, 0, 1, 2, 2, 3, 3]):
+        calls.clear()
+        assert upoly.power(base, n, upoly.ONE, mul) == naive
+        assert len(calls) == expected_calls, n
+        naive = upoly.mul(naive, base)
+    with pytest.raises(ValueError):
+        upoly.power(base, -1, upoly.ONE, mul)
