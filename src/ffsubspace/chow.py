@@ -10,12 +10,18 @@ The skew expansion substitutes u_i = S^(i) x for generic skew-symmetric
 matrices S^(i) and collects the result as sum_sigma P_sigma(x) * sigma over
 s-monomials sigma; the P_sigma generate an ideal whose radical cuts out the
 variety.
+
+The form arithmetic (`SparseForm`) and every evaluation (`eval_terms`) come
+from `multipoly`; this module adds the block structure, the determinant and
+the skew table.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
+from functools import reduce
 from math import comb
 
 from .errors import DependentSpan, DegreeMismatch, VarCountMismatch, ZeroPolynomial
@@ -29,16 +35,15 @@ from .function_field import (
 from .linalg import Echelon
 from .multipoly import (
     HomogeneousPoly,
+    SparseForm,
+    _coerce_coeff,
     collect,
+    eval_terms,
     monomial_degree,
     monomial_mul,
     mul_terms,
+    power_table,
 )
-from .upoly import power
-
-
-def _coerce(c):
-    return c if isinstance(c, RationalFunction) else RationalFunction(c)
 
 
 def _block_mul(k1, k2):
@@ -50,7 +55,7 @@ def _bump(exps: tuple, j: int) -> tuple:
     return exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
 
 
-class MultiHomForm:
+class MultiHomForm(SparseForm):
     """A multihomogeneous form in `blocks` blocks of `vars_per_block` variables.
 
     terms maps a tuple of per-block exponent tuples to a K coefficient.
@@ -64,7 +69,7 @@ class MultiHomForm:
         clean = {}
         profile = None
         for key, c in terms.items():
-            c = _coerce(c)
+            c = _coerce_coeff(c)
             if c.is_zero():
                 continue
             key = tuple(tuple(b) for b in key)
@@ -83,9 +88,6 @@ class MultiHomForm:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "block_degrees", profile or (0,) * blocks)
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiHomForm is immutable")
-
     @property
     def block_degree(self) -> int:
         """The common degree in each block; the Chow-form case."""
@@ -94,8 +96,14 @@ class MultiHomForm:
             raise DegreeMismatch(f"block degrees differ: {self.block_degrees}")
         return degs.pop()
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _shape(self):
+        return self.blocks, self.vars_per_block
+
+    def _with_terms(self, terms) -> "MultiHomForm":
+        return MultiHomForm(self.blocks, self.vars_per_block, terms)
+
+    def _one(self) -> "MultiHomForm":
+        return self._with_terms({((0,) * self.vars_per_block,) * self.blocks: 1})
 
     def coefficients(self):
         return [c for _, c in sorted(self.terms.items())]
@@ -107,16 +115,6 @@ class MultiHomForm:
         out = collect(other.terms.items(), dict(self.terms))
         return MultiHomForm(self.blocks, self.vars_per_block, out)
 
-    def __neg__(self):
-        return MultiHomForm(
-            self.blocks, self.vars_per_block, {k: -c for k, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, MultiHomForm):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, RationalFunction)):
             return self.scale(other)
@@ -126,52 +124,20 @@ class MultiHomForm:
         out = mul_terms(self.terms, other.terms, _block_mul)
         return MultiHomForm(self.blocks, self.vars_per_block, out)
 
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "MultiHomForm":
-        c = _coerce(c)
-        if c.is_zero():
-            return MultiHomForm(self.blocks, self.vars_per_block, {})
-        return MultiHomForm(
-            self.blocks, self.vars_per_block, {k: v * c for k, v in self.terms.items()}
-        )
-
-    def __pow__(self, n: int):
-        one = MultiHomForm(
-            self.blocks,
-            self.vars_per_block,
-            {tuple((0,) * self.vars_per_block for _ in range(self.blocks)): 1},
-        )
-        return power(self, n, one, operator.mul)
-
     def _check_shape(self, other):
         if self.blocks != other.blocks or self.vars_per_block != other.vars_per_block:
             raise VarCountMismatch("mismatched block shapes")
 
     def evaluate(self, block_vectors) -> RationalFunction:
         """Substitute concrete coefficient vectors, one per block."""
-        vectors = [[_coerce(v) for v in vec] for vec in block_vectors]
+        vectors = [[_coerce_coeff(v) for v in vec] for vec in block_vectors]
         if len(vectors) != self.blocks or any(
             len(v) != self.vars_per_block for v in vectors
         ):
             raise VarCountMismatch("bad block vector shape")
-        total = RationalFunction(0)
-        for key, c in self.terms.items():
-            term = c
-            for vec, bm in zip(vectors, key):
-                for j, e in enumerate(bm):
-                    if e:
-                        term = term * vec[j] ** e
-            total = total + term
-        return total
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MultiHomForm)
-            and self.blocks == other.blocks
-            and self.vars_per_block == other.vars_per_block
-            and self.terms == other.terms
-        )
+        flat = {sum(key, ()): c for key, c in self.terms.items()}
+        powers = power_table([v for vec in vectors for v in vec])
+        return eval_terms(flat, powers, RationalFunction(0))
 
     def __repr__(self):
         return (
@@ -180,52 +146,35 @@ class MultiHomForm:
         )
 
 
-def _permutations_with_sign(n):
-    import itertools
+def _determinant(vectors) -> MultiHomForm:
+    """det(u_i . b_j) for k vectors b_j: degree 1 in each of k blocks u_i."""
+    k, nv = len(vectors), len(vectors[0])
+    zero = (0,) * nv
 
-    base = list(range(n))
-    for perm in itertools.permutations(base):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        yield perm, sign
+    def dot(i, b):  # u_i . b
+        keys = (
+            tuple(_bump(zero, j) if r == i else zero for r in range(k)) for j in range(nv)
+        )
+        return MultiHomForm(k, nv, dict(zip(keys, b)))
+
+    dots = [[dot(i, b) for b in vectors] for i in range(k)]
+    det = MultiHomForm(k, nv, {})
+    for perm in itertools.permutations(range(k)):
+        term = reduce(operator.mul, (dots[i][j] for i, j in enumerate(perm)))
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = det + (-term if inversions % 2 else term)
+    return det
 
 
 def chow_of_linear(span_points) -> MultiHomForm:
     """Chow form of the linear span of n+1 independent points: det(u_i . b_j)."""
     points = [p.coordinates for p in span_points]
-    k = len(points)
-    nv = len(points[0])
-    ech = Echelon(nv)
+    ech = Echelon(len(points[0]))
     for coords in points:
         ech.add_row({i: c for i, c in enumerate(coords) if not c.is_zero()})
-    if ech.rank != k:
+    if ech.rank != len(points):
         raise DependentSpan("span points are linearly dependent")
-    terms = {}
-    zero_block = (0,) * nv
-    for perm, sign in _permutations_with_sign(k):
-        # expand prod_i (u_i . b_perm(i)) over the choices of one variable per block
-        partial = {tuple(zero_block for _ in range(k)): RationalFunction(sign)}
-        for i in range(k):
-            b = points[perm[i]]
-            partial = collect(
-                (key[:i] + (_bump(key[i], j),) + key[i + 1 :], c * bj)
-                for key, c in partial.items()
-                for j, bj in enumerate(b)
-                if not bj.is_zero()
-            )
-        collect(partial.items(), terms)
-    return MultiHomForm(k, nv, terms)
+    return _determinant(points)
 
 
 def generalized_cross_product(blocks: int, nv: int) -> list:
@@ -236,20 +185,9 @@ def generalized_cross_product(blocks: int, nv: int) -> list:
     """
     if nv != blocks + 1:
         raise VarCountMismatch("cross product needs one more variable than blocks")
-    out = []
-    for drop in range(nv):
-        cols = [j for j in range(nv) if j != drop]
-        terms = {}
-        for perm, sign in _permutations_with_sign(blocks):
-            key = []
-            for i in range(blocks):
-                block = [0] * nv
-                block[cols[perm[i]]] = 1
-                key.append(tuple(block))
-            coeff = sign if drop % 2 == 0 else -sign
-            terms[tuple(key)] = RationalFunction(coeff)
-        out.append(MultiHomForm(blocks, nv, terms))
-    return out
+    units = [[int(i == j) for i in range(nv)] for j in range(nv)]
+    minors = [_determinant(units[:d] + units[d + 1 :]) for d in range(nv)]
+    return [-w if d % 2 else w for d, w in enumerate(minors)]
 
 
 def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
@@ -263,17 +201,8 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     nv = f.num_vars
     if nv < 3:
         raise VarCountMismatch("hypersurface constructor needs M >= 2")
-    blocks = nv - 1
-    w = generalized_cross_product(blocks, nv)
-    result = MultiHomForm(blocks, nv, {})
-    for mono, c in sorted(f.terms.items(), reverse=True):
-        term = None
-        for j, e in enumerate(mono):
-            if e:
-                factor = w[j] ** e
-                term = factor if term is None else term * factor
-        result = result + term.scale(c)
-    return result
+    w = generalized_cross_product(nv - 1, nv)
+    return eval_terms(f.terms, power_table(w), MultiHomForm(nv - 1, nv, {}))
 
 
 @dataclass(frozen=True)
@@ -297,45 +226,43 @@ class SkewExpansion:
 
     def values_at(self, x) -> dict:
         """Evaluate every P_sigma at one point, sharing the power table."""
-        from .multipoly import eval_terms, power_table
-
-        coords = [
-            _coerce(c)
-            for c in (x.coordinates if hasattr(x, "coordinates") else x)
-        ]
-        powers = power_table(coords)
+        coords = x.coordinates if hasattr(x, "coordinates") else x
+        powers = power_table([_coerce_coeff(c) for c in coords])
+        zero = RationalFunction(0)
         return {
-            sigma: eval_terms(p.terms, coords, powers)
+            sigma: eval_terms(p.terms, powers, zero)
             for sigma, p in self.entries.items()
         }
 
     def reconstruct(self, skew_values, x) -> RationalFunction:
         """Evaluate sum P_sigma(x) * sigma at concrete skew entries."""
-        total = RationalFunction(0)
-        for sigma, p in self.entries.items():
-            term = p.evaluate(x)
-            for block_vals, exps in zip(skew_values, sigma):
-                for v, e in zip(block_vals, exps):
-                    if e:
-                        term = term * v**e
-            total = total + term
-        return total
+        flat = {sum(sigma, ()): v for sigma, v in self.values_at(x).items()}
+        skew = [_coerce_coeff(v) for block in skew_values for v in block]
+        return eval_terms(flat, power_table(skew), RationalFunction(0))
 
 
 def skew_pairs(nv: int) -> tuple:
     return tuple((j, k) for j in range(nv) for k in range(j + 1, nv))
 
 
+def _skew_rows(pairs, nv: int) -> list:
+    """Row r of S x as (pair index p, column, sign) triples:
+    (Sx)_r = sum sign * s_p * x_column, with s_p the entry of S at pairs[p]."""
+    rows = [[] for _ in range(nv)]
+    for p, (j, k) in enumerate(pairs):
+        rows[j].append((p, k, 1))
+        rows[k].append((p, j, -1))
+    return rows
+
+
 def apply_skew_to_point(pairs, skew_values, x):
     """u = Sx for one skew matrix with the given upper-triangle entries."""
-    coords = x.coordinates if hasattr(x, "coordinates") else [_coerce(c) for c in x]
-    nv = len(coords)
-    u = [RationalFunction(0)] * nv
-    for (j, k), s in zip(pairs, skew_values):
-        s = _coerce(s)
-        u[j] = u[j] + s * coords[k]
-        u[k] = u[k] - s * coords[j]
-    return u
+    coords = x.coordinates if hasattr(x, "coordinates") else [_coerce_coeff(c) for c in x]
+    s = [_coerce_coeff(v) for v in skew_values]
+    return [
+        sum((sign * s[p] * coords[col] for p, col, sign in row), RationalFunction(0))
+        for row in _skew_rows(pairs, len(coords))
+    ]
 
 
 def _times_row(partial: dict, i: int, row_entries):
@@ -358,20 +285,9 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     blocks = form.blocks
     delta = form.block_degree
     pairs = skew_pairs(nv)
-    np = len(pairs)
-    zero_sigma = tuple((0,) * np for _ in range(blocks))
+    zero_sigma = ((0,) * len(pairs),) * blocks
     zero_mono = (0,) * nv
-
-    # (Sx)_row = sum_{k>row} s_(row,k) x_k - sum_{j<row} s_(j,row) x_j
-    linear = {}
-    for row in range(nv):
-        entries = []
-        for p, (j, k) in enumerate(pairs):
-            if j == row:
-                entries.append((p, k, 1))
-            elif k == row:
-                entries.append((p, j, -1))
-        linear[row] = entries
+    linear = _skew_rows(pairs, nv)
 
     collected = {}
     for key, coeff in form.terms.items():
@@ -398,20 +314,19 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
 
 
 def _assert_coefficient_bound(form: MultiHomForm, expansion: SkewExpansion):
-    places = support(form.coefficients())
-    for p in places:
-        e_form = gauss_order_coeffs(p, form.coefficients())
-        for sigma, poly in expansion.entries.items():
-            assert gauss_order_coeffs(p, poly.coefficients()) >= e_form, (
-                f"coefficient bound violated at place {p} for sigma {sigma}"
-            )
+    for p, e_form, e_min, ok in coefficient_bound_report(form, expansion):
+        assert ok, (
+            f"coefficient bound violated at place {p}: "
+            f"min_sigma e_p(P_sigma) = {e_min} < e_p(F_X) = {e_form}"
+        )
 
 
 def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:
     """Per-place e_p(F_X) vs min_sigma e_p(P_sigma) over the support of F_X."""
+    coeffs = form.coefficients()
     out = []
-    for p in support(form.coefficients()):
-        e_form = gauss_order_coeffs(p, form.coefficients())
+    for p in support(coeffs):
+        e_form = gauss_order_coeffs(p, coeffs)
         e_min = min(
             gauss_order_coeffs(p, poly.coefficients())
             for poly in expansion.entries.values()

@@ -42,10 +42,11 @@ class RationalFunction:
             object.__setattr__(self, "num", ())
             object.__setattr__(self, "den", upoly.ONE)
             return
-        g = upoly.gcd(num, den)
-        if upoly.degree(g) > 0:
-            num = upoly.divmod_(num, g)[0]
-            den = upoly.divmod_(den, g)[0]
+        if len(den) > 1:
+            g = upoly.gcd(num, den)
+            if upoly.degree(g) > 0:
+                num = upoly.divmod_(num, g)[0]
+                den = upoly.divmod_(den, g)[0]
         lead = upoly.leading(den)
         if lead != 1:
             num = upoly.scale(num, Fraction(1) / lead)
@@ -156,9 +157,6 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RationalFunction({self})"
-
-
-K_ONE = RationalFunction(1)
 
 
 def clear_denominators(elements) -> list:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 from .errors import NoCertificateWithinCap, NotHomogeneous, ZeroPolynomial
@@ -92,17 +93,11 @@ class GradedPieceBasis:
         return out
 
 
-_piece_cache: dict = {}
-
-
+@lru_cache(maxsize=128)
 def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     """The degree-m slice of the ideal as an echelonized row space."""
     if m < 0:
         raise ValueError("degree must be >= 0")
-    key = (gens, m)
-    hit = _piece_cache.get(key)
-    if hit is not None:
-        return hit
     cols = monomial_basis(gens.num_vars, m)
     col_of = {mono: i for i, mono in enumerate(cols)}
     ech = Echelon(len(cols))
@@ -112,9 +107,7 @@ def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
         for gamma in monomial_basis(gens.num_vars, m - g.degree):
             row = {col_of[monomial_mul(gamma, mono)]: c for mono, c in g.terms.items()}
             ech.add_row(row)
-    piece = GradedPieceBasis(m, cols, ech)
-    _piece_cache[key] = piece
-    return piece
+    return GradedPieceBasis(m, cols, ech)
 
 
 def hilbert_function(gens: IdealGenerators, m: int) -> int:

@@ -12,7 +12,7 @@ import operator
 from functools import lru_cache
 
 from .errors import DegreeMismatch, NotHomogeneous, VarCountMismatch, ZeroPolynomial
-from .function_field import K_ONE, ProjectivePoint, RationalFunction
+from .function_field import ProjectivePoint, RationalFunction
 from .upoly import power
 
 
@@ -80,27 +80,82 @@ def _coerce_coeff(c) -> RationalFunction:
     return c if isinstance(c, RationalFunction) else RationalFunction(c)
 
 
-def power_table(coords) -> list:
-    """Growable per-coordinate power lists shared across many evaluations."""
-    return [[K_ONE, c] for c in coords]
+def power_table(values) -> list:
+    """Growable power lists [v, v^2, ...], one per value, shared across many
+    evaluations at the same values."""
+    return [[v] for v in values]
 
 
-def eval_terms(terms, coords, powers) -> RationalFunction:
-    for mono in terms:
-        for i, e in enumerate(mono):
-            while len(powers[i]) <= e:
-                powers[i].append(powers[i][-1] * coords[i])
-    total = RationalFunction(0)
+def eval_terms(terms, powers, zero):
+    """Substitute the values of a power table into a term map.
+
+    The one substitution routine of the package: the values may lie in any
+    ring whose elements multiply with the coefficients, `zero` included.
+    """
+    total = zero
     for mono, c in terms.items():
         term = c
         for i, e in enumerate(mono):
             if e:
-                term = term * powers[i][e]
+                p = powers[i]
+                while len(p) < e:
+                    p.append(p[-1] * p[0])
+                term = term * p[e - 1]
         total = total + term
     return total
 
 
-class HomogeneousPoly:
+class SparseForm:
+    """The arithmetic shared by the immutable form types over K.
+
+    A subclass holds a term map `terms` without zero coefficients, validates
+    it in its constructor, and defines `+` and `*` (which fix the degree),
+    `evaluate`, `_shape()` (compared by `==`), `_with_terms(terms)` (same
+    shape, new terms) and `_one()` (the identity of `*`).
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._with_terms({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, RationalFunction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        c = _coerce_coeff(c)
+        if c.is_zero():
+            return self._with_terms({})
+        return self._with_terms({k: v * c for k, v in self.terms.items()})
+
+    def __pow__(self, n: int):
+        return power(self, n, self._one(), operator.mul)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self._shape() == other._shape()
+            and self.terms == other.terms
+        )
+
+
+class HomogeneousPoly(SparseForm):
     """A homogeneous form of fixed degree; zero coefficients never stored.
 
     The zero form of a given degree is allowed (empty term map) so that
@@ -129,9 +184,6 @@ class HomogeneousPoly:
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
 
-    def __setattr__(self, *a):
-        raise AttributeError("HomogeneousPoly is immutable")
-
     @classmethod
     def zero(cls, num_vars: int, degree: int = 0) -> "HomogeneousPoly":
         return cls(num_vars, degree, {})
@@ -157,11 +209,15 @@ class HomogeneousPoly:
             raise NotHomogeneous(f"mixed term degrees {sorted(degrees)}")
         return cls(num_vars, degrees.pop(), terms)
 
-    def is_zero(self) -> bool:
-        return not self.terms
+    def _shape(self):
+        # Zero forms compare equal regardless of their declared degree.
+        return self.num_vars
 
-    def __bool__(self) -> bool:
-        return bool(self.terms)
+    def _with_terms(self, terms) -> "HomogeneousPoly":
+        return HomogeneousPoly(self.num_vars, self.degree, terms)
+
+    def _one(self) -> "HomogeneousPoly":
+        return HomogeneousPoly.monomial(self.num_vars, (0,) * self.num_vars)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -189,16 +245,6 @@ class HomogeneousPoly:
             self.num_vars, self.degree if self.terms else other.degree, out
         )
 
-    def __neg__(self):
-        return HomogeneousPoly(
-            self.num_vars, self.degree, {m: -c for m, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        if not isinstance(other, HomogeneousPoly):
-            return NotImplemented
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, (int, RationalFunction)):
             return self.scale(other)
@@ -209,23 +255,6 @@ class HomogeneousPoly:
         out = mul_terms(self.terms, other.terms)
         return HomogeneousPoly(self.num_vars, self.degree + other.degree, out)
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, RationalFunction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c) -> "HomogeneousPoly":
-        c = _coerce_coeff(c)
-        if c.is_zero():
-            return HomogeneousPoly.zero(self.num_vars, self.degree)
-        return HomogeneousPoly(
-            self.num_vars, self.degree, {m: v * c for m, v in self.terms.items()}
-        )
-
-    def __pow__(self, n: int):
-        one = HomogeneousPoly(self.num_vars, 0, {(0,) * self.num_vars: 1})
-        return power(self, n, one, operator.mul)
-
     def evaluate(self, point) -> RationalFunction:
         """Exact substitution; accepts a ProjectivePoint or a coordinate list."""
         coords = point.coordinates if isinstance(point, ProjectivePoint) else tuple(point)
@@ -233,16 +262,8 @@ class HomogeneousPoly:
             raise VarCountMismatch(
                 f"point has {len(coords)} coordinates, poly has {self.num_vars} vars"
             )
-        coords = [_coerce_coeff(c) for c in coords]
-        return eval_terms(self.terms, coords, power_table(coords))
-
-    def __eq__(self, other):
-        # Zero forms compare equal regardless of their declared degree.
-        return (
-            isinstance(other, HomogeneousPoly)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
+        powers = power_table([_coerce_coeff(c) for c in coords])
+        return eval_terms(self.terms, powers, RationalFunction(0))
 
     def __hash__(self):
         return hash((self.num_vars, frozenset(self.terms.items())))

@@ -142,9 +142,9 @@ def monic(a) -> tuple:
 
 
 def gcd(a, b) -> tuple:
-    """Monic gcd."""
+    """Monic gcd; every remainder is made monic so coefficients stay small."""
     while b:
-        a, b = b, divmod_(a, b)[1]
+        a, b = b, monic(divmod_(a, b)[1])
     return monic(a)
 
 

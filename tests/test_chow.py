@@ -1,4 +1,6 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,17 +12,21 @@ from ffsubspace.chow import (
     chow_of_linear,
     coefficient_bound_report,
     expand_skew,
+    generalized_cross_product,
     multihomform_from_json,
     multihomform_to_json,
     psigma_count_report,
+    skew_pairs,
 )
 from ffsubspace.errors import DependentSpan
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import parse_poly
+from ffsubspace.parsing import parse_rational
 from helpers import rand_k
 
 T = RationalFunction.t()
 CONIC_F = parse_poly("X0*X2 - X1^2", 3)
+GOLDEN_CHOW = Path(__file__).resolve().parent / "data" / "golden_chow.json"
 
 
 def e(i, n):
@@ -136,12 +142,17 @@ def test_count_report():
     assert psigma_count_report(point).stated_bound == 1
 
 
-def test_coefficient_bound_with_t_scaled_entry():
+def t_scaled_conic():
+    """The conic's Chow form with one coefficient pulled out of Z."""
     fx = chow_of_hypersurface(CONIC_F)
     key = max(fx.terms)
     terms = dict(fx.terms)
-    terms[key] = terms[key] * T  # pull one coefficient out of Z
-    scaled = MultiHomForm(fx.blocks, fx.vars_per_block, terms)
+    terms[key] = terms[key] * T
+    return MultiHomForm(fx.blocks, fx.vars_per_block, terms)
+
+
+def test_coefficient_bound_with_t_scaled_entry():
+    scaled = t_scaled_conic()
     expansion = expand_skew(scaled)  # asserts e_p(P_sigma) >= e_p(F_X) internally
     report = coefficient_bound_report(scaled, expansion)
     assert report and all(ok for _, _, _, ok in report)
@@ -162,3 +173,41 @@ def test_chow_height_examples():
 def test_json_round_trip():
     fx = chow_of_hypersurface(CONIC_F)
     assert multihomform_from_json(multihomform_to_json(fx)) == fx
+
+
+def golden_chow_dict():
+    """The Chow layer's outputs on fixed inputs with Q(t) coefficients;
+    `tests/data/golden_chow.json` holds them as recorded before `chow.py`
+    moved onto the `multipoly` kernel, one top-level key per line."""
+    span = [
+        ProjectivePoint([parse_rational(c) for c in coords])
+        for coords in (["1", "t", "0", "2"], ["0", "1", "t^2 + 1", "1/t"], ["3", "0", "1", "t"])
+    ]
+    scaled = t_scaled_conic()
+    expansion = expand_skew(scaled)
+    x = ProjectivePoint([parse_rational(c) for c in ("1", "t", "t^2 + 1/t")])
+    skew = [parse_rational(c) for c in ("2", "t", "-1/(t + 1)")]
+    return {
+        "hypersurface_conic": multihomform_to_json(
+            chow_of_hypersurface(parse_poly("t*X0*X2 - X1^2", 3))
+        ),
+        "hypersurface_cubic": multihomform_to_json(
+            chow_of_hypersurface(parse_poly("X0^3 + t*X1^3 - X2^2*X3 + X3^3/(t - 1)", 4))
+        ),
+        "linear_line": multihomform_to_json(chow_of_linear(span[:2])),
+        "linear_plane": multihomform_to_json(chow_of_linear(span)),
+        "cross_products": [
+            [multihomform_to_json(w) for w in generalized_cross_product(b, b + 1)]
+            for b in (1, 2, 3)
+        ],
+        "skew_entries": {str(sigma): str(p) for sigma, p in expansion.entries.items()},
+        "coefficient_bound": [
+            [str(p), e_form, e_min, ok]
+            for p, e_form, e_min, ok in coefficient_bound_report(scaled, expansion)
+        ],
+        "skew_point": [str(u) for u in apply_skew_to_point(skew_pairs(3), skew, x)],
+    }
+
+
+def test_golden_chow():
+    assert golden_chow_dict() == json.loads(GOLDEN_CHOW.read_text())

@@ -341,3 +341,14 @@ def test_negation_skips_the_gcd(monkeypatch):
     negated = [-f for f in fs]
     assert not calls
     assert negated == [RationalFunction(upoly.neg(f.num), f.den) for f in fs]
+
+
+def test_polynomials_skip_the_gcd(monkeypatch):
+    calls = _count_calls(monkeypatch, "gcd")
+    f = RationalFunction.parse("(t + 1)^3*(2*t - 5) - 7*t")
+    g = RationalFunction.parse("3*t^4 - 2*t + 1")
+    total, product = f + g, f * g
+    assert not calls
+    assert {f.den, g.den, total.den, product.den} == {upoly.ONE}
+    assert total.num == upoly.add(f.num, g.num)
+    assert product.num == upoly.mul(f.num, g.num)

@@ -31,6 +31,15 @@ def test_graded_piece_examples():
     assert full.rank == 2 and len(full.monomials) == 2
 
 
+def test_graded_piece_cache_is_bounded():
+    assert graded_piece.cache_info().maxsize is not None
+    gens = IdealGenerators.parse(3, ["X0*X1 - X2^2"])
+    first = graded_piece(gens, 5)
+    hits = graded_piece.cache_info().hits
+    assert graded_piece(gens, 5) is first
+    assert graded_piece.cache_info().hits == hits + 1
+
+
 def test_hilbert_examples():
     assert hilbert_function(CONIC, 3) == 7
     assert hilbert_function(IdealGenerators.of(3, ()), 2) == 6

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
@@ -103,3 +104,28 @@ def test_power_product_count():
         naive = upoly.mul(naive, base)
     with pytest.raises(ValueError):
         upoly.power(base, -1, upoly.ONE, mul)
+
+
+def test_gcd_matches_sympy():
+    # seeded polynomials of degree 8-12 over Q with a planted common factor
+    rng = random.Random(41)
+    t = sympy.Symbol("t")
+
+    def rand(degree):
+        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
+        return upoly.qp(coeffs + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
+
+    def to_sympy(p):
+        return sympy.Poly(list(reversed(p)), t, domain="QQ")
+
+    for _ in range(12):
+        common = rand(rng.randint(1, 4))
+        a = upoly.mul(common, rand(rng.randint(8, 12) - upoly.degree(common)))
+        b = upoly.mul(common, rand(rng.randint(8, 12) - upoly.degree(common)))
+        expected = to_sympy(a).gcd(to_sympy(b)).monic()
+        g = upoly.gcd(a, b)
+        assert to_sympy(g) == expected
+        assert upoly.leading(g) == 1 and upoly.degree(g) >= upoly.degree(common)
+        assert upoly.gcd(b, a) == g
+    assert upoly.gcd(a, upoly.ZERO) == upoly.monic(a)
+    assert upoly.gcd(upoly.ZERO, upoly.ZERO) == upoly.ZERO
