@@ -68,6 +68,10 @@ class PreconditionViolated(ToolkitError):
     pass
 
 
+class InvariantViolated(ToolkitError):
+    """A check on a computed result failed; the result must not be used."""
+
+
 class SchemaError(ToolkitError):
     """Scenario file violates the JSON schema; points at the bad node."""
 

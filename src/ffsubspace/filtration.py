@@ -18,6 +18,7 @@ from .errors import (
     BaseLocusPoint,
     DegreeMismatch,
     DivisorInIdeal,
+    InvariantViolated,
     PointOnDivisor,
     ZeroPolynomial,
 )
@@ -93,7 +94,7 @@ def build_filtration(
     Level i runs from m/d down to 0; candidate monomials g of degree m - i*d
     are scanned in glex order and accepted when Q^i * g extends the current
     independent set modulo the ideal slice.  Level dimensions are asserted
-    against H_X(m - i*d) as they complete.
+    against H_X(m - i*d) as they complete; a mismatch raises InvariantViolated.
     """
     if q_poly.is_zero():
         raise ZeroPolynomial("divisor form must be nonzero")
@@ -129,11 +130,13 @@ def build_filtration(
                 entries.append((i, g))
         dim_w_i = ech.rank - ideal_rank
         level_dims[i] = dim_w_i
-        assert dim_w_i == hilbert_function(x_gens, m - i * d), (
-            f"dim W_{i} = {dim_w_i} != H({m - i * d})"
-        )
+        if dim_w_i != hilbert_function(x_gens, m - i * d):
+            raise InvariantViolated(f"dim W_{i} = {dim_w_i} != H({m - i * d})")
 
-    assert len(entries) == hilbert_function(x_gens, m)
+    if len(entries) != hilbert_function(x_gens, m):
+        raise InvariantViolated(
+            f"basis has {len(entries)} elements != H({m}) = {hilbert_function(x_gens, m)}"
+        )
     dims = tuple(level_dims[i] for i in range(m // d + 1))
     return FiltrationBasis(m, d, q_poly, tuple(entries), dims)
 
@@ -166,7 +169,8 @@ def exponent_sum(basis: FiltrationBasis, x_gens: IdealGenerators) -> ExponentSum
     stated = sum(
         hilbert_function(x_gens, i * basis.divisor_degree) for i in range(1, steps)
     )
-    assert total == level_sum, f"exponent sum {total} != level sum {level_sum}"
+    if total != level_sum:
+        raise InvariantViolated(f"exponent sum {total} != level sum {level_sum}")
     return ExponentSumReport(total, level_sum, stated, total - stated)
 
 

@@ -13,7 +13,7 @@ Only divisor, support and height_elem factor, through sympy.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce
 
 from . import upoly
 from .errors import ParseError, PointOnDivisor, ZeroElement, ZeroPolynomial
@@ -422,12 +422,19 @@ def height_poly_family(qs) -> Fraction:
     return height_point(ProjectivePoint(_family_coefficients(qs)))
 
 
+@lru_cache(maxsize=256)
+def _divisor_order(p: Place, q) -> int:
+    """e_p(Q); it depends on no point, so a run computes it once per (p, Q)."""
+    return gauss_order_poly(p, [q])
+
+
 def weil_table(places, qs, x: ProjectivePoint) -> tuple:
     """Rows (p, (lambda_{p,Q}(x) for Q in qs)) for x off every divisor {Q = 0}.
 
     lambda_{p,Q}(x) = (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p, nonnegative and
     invariant under scaling Q and x by K*.  Each Q is evaluated once, at the
     primitive coordinates of x: e_p(x) is 0 at finite p and -h(x) at infinity.
+    e_p(Q) is kept across points and calls.
     """
     x = x.primitive()
     values = [q.evaluate(x) for q in qs]
@@ -439,7 +446,7 @@ def weil_table(places, qs, x: ProjectivePoint) -> tuple:
     for p in places:
         e_x = -h if p.is_infinite else 0
         rows.append((p, tuple(
-            Fraction(order_at(value, p) - q.degree * e_x - gauss_order_poly(p, [q]))
+            Fraction(order_at(value, p) - q.degree * e_x - _divisor_order(p, q))
             * p.degree
             for q, value in zip(qs, values)
         )))

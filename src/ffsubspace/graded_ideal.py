@@ -15,7 +15,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .errors import NoCertificateWithinCap, NotHomogeneous, ZeroPolynomial
+from .errors import (
+    InvariantViolated,
+    NoCertificateWithinCap,
+    NotHomogeneous,
+    ZeroPolynomial,
+)
 from .function_field import RationalFunction
 from .linalg import Echelon, solve_combination
 from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
@@ -159,7 +164,8 @@ def reduce_to_quotient_basis(
     combo = HomogeneousPoly.zero(gens.num_vars, q.degree)
     for mono, c in zip(basis.monomials, coeffs):
         combo = combo + HomogeneousPoly.monomial(gens.num_vars, mono, 1).scale(c)
-    assert piece.contains(q - combo), "reduction residual escaped the ideal"
+    if not piece.contains(q - combo):
+        raise InvariantViolated("reduction residual escaped the ideal")
     return ReductionResult(RationalFunction(1), coeffs, basis)
 
 
@@ -237,7 +243,8 @@ def nullstellensatz_certificate(
                 HomogeneousPoly(nv, target_degree - g.degree, terms)
             )
         cert = NullstellensatzCertificate(u, RationalFunction(1), tuple(cofactors))
-        assert cert.verify(p0, gens), "certificate failed re-verification"
+        if not cert.verify(p0, gens):
+            raise InvariantViolated("certificate failed re-verification")
         return cert
     raise NoCertificateWithinCap(
         f"no certificate with exponent <= {exponent_cap}; "

@@ -195,6 +195,11 @@ def load_scenario_dict(data: dict) -> Scenario:
                 "chow_form vars_per_block must equal ambient_dim + 1",
                 "/variety/chow_form/vars_per_block",
             )
+        if chow.blocks > M:
+            raise SchemaError(
+                "chow_form blocks (dimension + 1) must be at most ambient_dim",
+                "/variety/chow_form/blocks",
+            )
         dimension, degree = chow.blocks - 1, chow.block_degree
 
     divisors = []

@@ -1,20 +1,21 @@
 """Exact sparse echelon forms over K = Q(t).
 
 Rows live in sparse dicts {column index: entry}.  Forward elimination is
-fraction-free: incoming rows are scaled to primitive integer-polynomial
-rows (denominators cleared, content stripped) and eliminated by
-cross-multiplication against the stored pivot rows, stripping content after
-every combination to keep coefficients small.  Pivoting is deterministic:
-rows in input order, the leftmost nonzero column pivots.  The reduced
-row-echelon form over K is recovered at the end by exact division, and is
-the canonical RREF of the row space, so every basis choice downstream is
-reproducible.
+fraction-free and runs over Z[t]: an incoming row is scaled to a primitive
+row (denominators cleared, content stripped) whose entries are tuples of
+ints, lowest degree first, and is eliminated by cross-multiplication
+against the stored pivot rows with `upoly.int_mul`/`upoly.int_sub`,
+stripping the integer content after every combination to keep coefficients
+small.  Pivoting is deterministic: rows in input order, the leftmost
+nonzero column pivots.  Entries become elements of Q(t) only in
+`rref_rows`, which recovers the reduced row-echelon form over K by exact
+division; it is the canonical RREF of the row space, so every basis choice
+downstream is reproducible.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd as int_gcd, lcm as int_lcm
+from math import gcd
 
 from . import upoly
 from .function_field import RationalFunction, clear_denominators
@@ -22,32 +23,28 @@ from .multipoly import collect
 
 
 def _row_to_primitive(field_row: dict) -> dict:
-    """Clear denominators and strip content: {col: RationalFunction} -> {col: poly}."""
+    """Clear denominators and strip content: {col: RationalFunction} -> {col: ints}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
-    return _strip_content(dict(zip(entries, clear_denominators(entries.values()))))
+    ints, _ = upoly.numerators(clear_denominators(entries.values()))
+    return _strip_content(dict(zip(entries, ints)))
 
 
-def _strip_content(polys: dict) -> dict:
-    """Scale a polynomial row to integer coefficients with content 1.
+def _strip_content(row: dict) -> dict:
+    """Divide an integer-polynomial row by its content, dropping zero entries.
 
     Sign convention: the leading coefficient of the leftmost entry is positive.
     """
-    polys = {c: p for c, p in polys.items() if p}
-    if not polys:
+    row = {c: p for c, p in row.items() if p}
+    if not row:
         return {}
-    num_gcd = 0
-    den_lcm = 1
-    for p in polys.values():
-        for coeff in p:
-            if coeff:
-                num_gcd = int_gcd(num_gcd, coeff.numerator)
-                den_lcm = int_lcm(den_lcm, coeff.denominator)
-    scale = Fraction(den_lcm, num_gcd)
-    if upoly.leading(polys[min(polys)]) < 0:
-        scale = -scale
-    if scale == 1:
-        return polys
-    return {c: upoly.scale(p, scale) for c, p in polys.items()}
+    content = 0
+    for p in row.values():
+        content = gcd(content, *p)
+    if row[min(row)][-1] < 0:
+        content = -content
+    if content == 1:
+        return row
+    return {c: tuple(x // content for x in p) for c, p in row.items()}
 
 
 class Echelon:
@@ -60,7 +57,7 @@ class Echelon:
     def __init__(self, ncols: int, pivot_limit: int | None = None):
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
-        self._pivots = {}  # pivot col -> primitive integer-poly row
+        self._pivots = {}  # pivot col -> primitive row over Z[t]
         self._rref = None
 
     @property
@@ -88,26 +85,20 @@ class Echelon:
                 self._last_grew = True
                 return
             a, b = piv[lead], row[lead]
-            combined = {}
-            for c in set(row) | set(piv):
-                val = upoly.sub(
-                    upoly.mul(a, row.get(c, upoly.ZERO)),
-                    upoly.mul(b, piv.get(c, upoly.ZERO)),
+            row = _strip_content({
+                c: upoly.int_sub(
+                    upoly.int_mul(a, row.get(c, ())), upoly.int_mul(b, piv.get(c, ()))
                 )
-                if val:
-                    combined[c] = val
-            row = _strip_content(combined)
+                for c in set(row) | set(piv)
+            })
 
     def rref_rows(self) -> dict:
         """{pivot col: fully reduced row over K with pivot entry 1}."""
         if self._rref is None:
             reduced = {}
             for col in sorted(self._pivots, reverse=True):
-                inv = RationalFunction(upoly.ONE, self._pivots[col][col])
-                frow = {
-                    c: RationalFunction(p) * inv
-                    for c, p in self._pivots[col].items()
-                }
+                row = {c: upoly.qp(p) for c, p in self._pivots[col].items()}
+                frow = {c: RationalFunction(p, row[col]) for c, p in row.items()}
                 for c in sorted(k for k in frow if k != col and k in reduced):
                     coeff = -frow.pop(c)
                     # the pivot entry cancels exactly and is already popped

@@ -5,12 +5,19 @@ trailing zeros stripped; the empty tuple is the zero polynomial.  This flat
 representation keeps the field arithmetic of Q(t) and the matrix kernels
 cheap; factorization into monic irreducibles is delegated to sympy and
 cached, since that is the one genuinely hard primitive here.
+
+`mul` works over a common denominator: it scales both operands to integer
+coefficients (`numerators`), convolves them with `int_mul` and divides once
+per output coefficient.  `int_mul` and `int_sub` act on tuples of ints in
+the same layout; they are also the kernel of the fraction-free elimination
+in `linalg`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 import sympy
 
@@ -63,22 +70,56 @@ def neg(a) -> tuple:
     return tuple(-c for c in a)
 
 
-def sub(a, b) -> tuple:
-    return add(a, neg(b))
+def int_mul(a, b) -> tuple:
+    """Product of integer coefficient tuples; the package's one convolution."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def int_sub(a, b) -> tuple:
+    """Difference of integer coefficient tuples, trailing zeros stripped."""
+    if len(a) >= len(b):
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] -= c
+    else:
+        out = [-c for c in b]
+        for i, c in enumerate(a):
+            out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def numerators(polys) -> tuple:
+    """([integer coefficient tuple of D*p for p in polys], D), D the lcm of
+    all their coefficient denominators."""
+    den = lcm(*(c.denominator for p in polys for c in p))
+    if den == 1:
+        return [tuple(c.numerator for c in p) for p in polys], 1
+    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in polys], den
 
 
 def mul(a, b) -> tuple:
     if not a or not b:
         return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    if len(a) == 1:
+        return scale(b, a[0])
+    if len(b) == 1:
+        return scale(a, b[0])
+    (na, nb), den = numerators((a, b))
+    if den == 1:
+        return tuple(Fraction(x) for x in int_mul(na, nb))
+    den *= den
+    return tuple(Fraction(x, den) for x in int_mul(na, nb))
 
 
 def scale(a, c) -> tuple:

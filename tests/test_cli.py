@@ -113,3 +113,30 @@ def test_position_command(capsys, tmp_path):
     assert main(["check", SCENARIO, "--format", "json"]) == 0
     check = json.loads(capsys.readouterr().out)
     assert json.loads(report.read_text()) == check["position"]
+
+
+def test_chow_form_with_too_many_blocks(capsys, tmp_path):
+    # t * det(u0, u1, u2): three blocks would be a surface, all of P^2.
+    terms = [
+        {"exponents": [[int(i == s[b]) for i in range(3)] for b in range(3)],
+         "coeff": "t" if sign > 0 else "-t"}
+        for s, sign in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
+                        ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]
+    ]
+    scenario = {
+        "ambient_dim": 2,
+        "variety": {
+            "kind": "ideal",
+            "generators": ["X0"],
+            "chow_form": {"blocks": 3, "vars_per_block": 3, "terms": terms},
+        },
+        "divisors": [{"poly": "X1", "degree": 1}],
+        "N": 1,
+        "places": ["t", "inf"],
+        "epsilon": "1",
+        "points": [],
+    }
+    path = tmp_path / "three_blocks.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["chow", "--input", str(path)]) == 2
+    assert "/variety/chow_form/blocks" in capsys.readouterr().err

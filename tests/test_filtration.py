@@ -1,6 +1,10 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -176,3 +180,28 @@ def test_height_sandwich_conic():
         assert rep.ok
         assert rep.height_value <= rep.height_upper
         assert all(row.ok for row in rep.per_place)
+
+
+INVARIANT_UNDER_O = """
+import ffsubspace.filtration as filtration
+from ffsubspace.errors import InvariantViolated
+from ffsubspace.graded_ideal import IdealGenerators
+from ffsubspace.multipoly import parse_poly
+
+assert not __debug__, "asserts are live"
+filtration.hilbert_function = lambda gens, k: -1
+try:
+    filtration.build_filtration(IdealGenerators.of(2, ()), 4, parse_poly("X0", 2))
+except InvariantViolated as exc:
+    print("InvariantViolated:", exc)
+"""
+
+
+def test_dimension_check_survives_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANT_UNDER_O],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out == "InvariantViolated: dim W_4 = 1 != H(0)\n"

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from ffsubspace.errors import PointOnDivisor, ZeroElement, ZeroPolynomial
-from ffsubspace import upoly
+from ffsubspace import function_field, upoly
 from ffsubspace.function_field import (
     INFINITY,
     Place,
@@ -176,7 +176,7 @@ def test_gauss_order_family_identities():
 def test_height_elem_matches_degree_oracle():
     # independent oracle: for coprime p, q the height of p/q is max(deg p, deg q)
     rng = random.Random(16)
-    from ffsubspace import upoly
+    from ffsubspace import function_field, upoly
 
     for _ in range(60):
         p = rand_k(rng, 4).num or upoly.ONE
@@ -191,7 +191,7 @@ def test_height_elem_matches_degree_oracle():
 
 def test_height_point_matches_degree_oracle():
     rng = random.Random(17)
-    from ffsubspace import upoly
+    from ffsubspace import function_field, upoly
 
     for _ in range(60):
         a = rand_k(rng, 4).num or upoly.ONE
@@ -312,15 +312,15 @@ def test_weil_table_names_the_vanishing_divisor():
     assert err.value.index == 1
 
 
-def _count_calls(monkeypatch, name):
+def _count_calls(monkeypatch, name, module=upoly):
     calls = []
-    fn = getattr(upoly, name)
+    fn = getattr(module, name)
 
     def counting(*args):
         calls.append(args)
         return fn(*args)
 
-    monkeypatch.setattr(upoly, name, counting)
+    monkeypatch.setattr(module, name, counting)
     return calls
 
 
@@ -332,6 +332,17 @@ def test_run_check_does_not_factor(monkeypatch):
         assert not calls
     divisor(T * T - 1)  # the counter does see the factoring formulas
     assert calls
+
+
+def test_divisor_orders_are_computed_once(monkeypatch):
+    # e_p(Q) depends only on (p, Q): one computation per pair for the whole run
+    function_field._divisor_order.cache_clear()
+    calls = _count_calls(monkeypatch, "gauss_order_poly", function_field)
+    scenario = load_scenario(SCENARIO_PATH)
+    report = run_check(scenario)
+    assert sum(r.status == "evaluated" for r in report.points) > 1
+    pairs = {(p, qs[0]) for p, qs in calls}
+    assert len(calls) == len(pairs) == len(scenario.places) * len(scenario.divisors)
 
 
 def test_negation_skips_the_gcd(monkeypatch):

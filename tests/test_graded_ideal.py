@@ -3,7 +3,8 @@ from math import comb
 
 import pytest
 
-from ffsubspace.errors import NoCertificateWithinCap, ZeroPolynomial
+from ffsubspace import graded_ideal
+from ffsubspace.errors import InvariantViolated, NoCertificateWithinCap, ZeroPolynomial
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.graded_ideal import (
     certificate_exponent_bound,
@@ -102,6 +103,16 @@ def test_certificate_examples():
     with pytest.raises(NoCertificateWithinCap):
         nullstellensatz_certificate(
             parse_poly("X0", 2), IdealGenerators.parse(2, ["X1"]), exponent_cap=5
+        )
+
+
+def test_failed_re_verification_raises(monkeypatch):
+    monkeypatch.setattr(
+        graded_ideal.NullstellensatzCertificate, "verify", lambda self, p0, gens: False
+    )
+    with pytest.raises(InvariantViolated, match="re-verification"):
+        nullstellensatz_certificate(
+            parse_poly("X0", 2), IdealGenerators.parse(2, ["X0 - X1", "X1"])
         )
 
 

@@ -1,10 +1,46 @@
 import random
 
+from hypothesis import given, settings, strategies as st
+
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.linalg import Echelon, solve_combination
-from helpers import rand_k
+from helpers import rand_k, rand_qpoly
 
 T = RationalFunction.t()
+ZERO = RationalFunction(0)
+
+
+def gauss_jordan(rows, ncols):
+    """Reference: plain Gauss-Jordan over Q(t) on dense rows.
+
+    Returns (rank, pivot columns, {pivot col: sparse reduced row}).
+    """
+    dense = [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
+    pivots = []
+    for col in range(ncols):
+        rank = len(pivots)
+        piv = next((i for i in range(rank, len(dense)) if dense[i][col]), None)
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        inv = RationalFunction(1) / dense[rank][col]
+        dense[rank] = [v * inv for v in dense[rank]]
+        for i in range(len(dense)):
+            if i != rank and dense[i][col]:
+                f = dense[i][col]
+                dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
+        pivots.append(col)
+    rref = {
+        col: {j: v for j, v in enumerate(dense[i]) if v} for i, col in enumerate(pivots)
+    }
+    return len(pivots), pivots, rref
+
+
+def echelon_of(rows, ncols):
+    ech = Echelon(ncols)
+    for r in rows:
+        ech.add_row(dict(r))
+    return ech
 
 
 def row(*vals):
@@ -86,25 +122,77 @@ def test_random_rank_agrees_with_field_elimination():
             {j: rand_k(rng, 1) for j in range(ncols) if rng.random() < 0.7}
             for _ in range(nrows)
         ]
-        ech = Echelon(ncols)
-        for r in rows:
-            ech.add_row(dict(r))
-        # naive field-arithmetic elimination as the oracle
-        dense = [[r.get(j, RationalFunction(0)) for j in range(ncols)] for r in rows]
-        rank = 0
-        for col in range(ncols):
-            piv = next(
-                (i for i in range(rank, len(dense)) if not dense[i][col].is_zero()),
-                None,
-            )
-            if piv is None:
-                continue
-            dense[rank], dense[piv] = dense[piv], dense[rank]
-            inv = RationalFunction(1) / dense[rank][col]
-            dense[rank] = [v * inv for v in dense[rank]]
-            for i in range(len(dense)):
-                if i != rank and not dense[i][col].is_zero():
-                    f = dense[i][col]
-                    dense[i] = [a - f * b for a, b in zip(dense[i], dense[rank])]
-            rank += 1
-        assert ech.rank == rank
+        assert echelon_of(rows, ncols).rank == gauss_jordan(rows, ncols)[0]
+
+
+def _seeded_rows(rng, ncols):
+    """Rows over Q(t) with denominators, t-polynomial and zero entries, and
+    duplicate, scaled and dependent rows."""
+
+    def entry():
+        kind = rng.random()
+        if kind < 0.3:
+            return ZERO
+        if kind < 0.55:
+            return RationalFunction(rand_qpoly(rng, 3))
+        if kind < 0.7:
+            return RationalFunction(rng.randint(-4, 4))
+        return rand_k(rng, 2)
+
+    rows = [{j: entry() for j in range(ncols)} for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 4)):
+        a, b = rng.choice(rows), rng.choice(rows)
+        kind = rng.random()
+        if kind < 0.3:
+            rows.append(dict(a))
+        elif kind < 0.6:
+            c = rand_k(rng, 1)
+            rows.append({j: c * v for j, v in a.items()})
+        else:
+            c, e = rand_k(rng, 1), rand_k(rng, 1)
+            rows.append({j: c * a.get(j, ZERO) + e * b.get(j, ZERO) for j in range(ncols)})
+    rng.shuffle(rows)
+    return rows
+
+
+def test_echelon_matches_gauss_jordan_reference():
+    rng = random.Random(17)
+    ranks = set()
+    for _ in range(40):
+        ncols = rng.randint(1, 6)
+        rows = _seeded_rows(rng, ncols)
+        ech = echelon_of(rows, ncols)
+        rank, pivots, rref = gauss_jordan(rows, ncols)
+        assert (ech.rank, ech.pivot_cols(), ech.rref_rows()) == (rank, pivots, rref)
+        ranks.add((rank, len(rows)))
+    assert any(rank < nrows for rank, nrows in ranks)  # dependent rows were seen
+
+
+_polys = st.lists(st.integers(-4, 4), max_size=3)
+_entries = st.builds(
+    lambda num, den: RationalFunction(num, den) if any(den) else RationalFunction(num),
+    _polys,
+    _polys,
+)
+
+
+@st.composite
+def _row_sets(draw, ncols=4):
+    rows = draw(st.lists(
+        st.lists(_entries, min_size=ncols, max_size=ncols), min_size=1, max_size=3
+    ))
+    rows = [dict(enumerate(r)) for r in rows]
+    for _ in range(draw(st.integers(0, 2))):
+        a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        c = draw(_entries)
+        rows.append({j: a[j] + c * b[j] for j in range(ncols)})
+    return rows
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=_row_sets(), data=st.data())
+def test_rref_does_not_depend_on_row_order(rows, data):
+    shuffled = data.draw(st.permutations(rows))
+    ech = echelon_of(shuffled, 4)
+    assert ech.rref_rows() == echelon_of(rows, 4).rref_rows()
+    assert ech.rref_rows() == gauss_jordan(rows, 4)[2]

@@ -129,3 +129,52 @@ def test_gcd_matches_sympy():
         assert upoly.gcd(b, a) == g
     assert upoly.gcd(a, upoly.ZERO) == upoly.monic(a)
     assert upoly.gcd(upoly.ZERO, upoly.ZERO) == upoly.ZERO
+
+
+def schoolbook_mul(a, b):
+    """Reference product: the plain Fraction convolution."""
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return upoly.qp(out)
+
+
+def test_mul_matches_schoolbook():
+    # seeded operands with denominators, zero inner coefficients, length-1
+    # operands and the zero polynomial
+    rng = random.Random(5)
+
+    def rand():
+        length = rng.choice([0, 1, 1, 2, 3, 5, 8])
+        coeffs = [
+            Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 12]))
+            if rng.random() < 0.7 else Fraction(0)
+            for _ in range(length)
+        ]
+        if coeffs:
+            coeffs[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
+        return upoly.qp(coeffs)
+
+    seen = set()
+    for _ in range(300):
+        a, b = rand(), rand()
+        product = upoly.mul(a, b)
+        assert product == schoolbook_mul(a, b)
+        assert all(type(c) is Fraction for c in product)
+        seen.add((min(len(a), 2), min(len(b), 2)))
+    assert seen == {(i, j) for i in range(3) for j in range(3)}
+    a = upoly.qp([Fraction(1, 2), 0, 0, 3])
+    b = upoly.qp([0, 0, Fraction(2, 3)])
+    assert upoly.mul(a, b) == upoly.qp([0, 0, Fraction(1, 3), 0, 0, 2])
+
+
+def test_integer_kernels():
+    rng = random.Random(6)
+    for _ in range(100):
+        a = upoly.qp(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
+        b = upoly.qp(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
+        ia, ib = tuple(map(int, a)), tuple(map(int, b))
+        assert upoly.int_mul(ia, ib) == tuple(map(int, schoolbook_mul(a, b)))
+        assert upoly.int_sub(ia, ib) == tuple(map(int, upoly.add(a, upoly.neg(b))))
+        assert upoly.int_sub(ia, ia) == ()
