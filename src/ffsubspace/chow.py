@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from functools import reduce
 from math import comb
 
-from .errors import DependentSpan, DegreeMismatch, VarCountMismatch, ZeroPolynomial
+from .errors import (
+    DegreeMismatch,
+    DependentSpan,
+    InvariantViolated,
+    VarCountMismatch,
+    ZeroPolynomial,
+)
 from .function_field import (
     ProjectivePoint,
     RationalFunction,
@@ -279,7 +285,7 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     Substitutes u_i = S^(i) x with symbolic skew entries s^(i)_{jk},
     0 <= j < k <= M, expands exactly over K, and collects the coefficient
     form P_sigma of every s-monomial sigma.  The coefficient inequality
-    e_p(P_sigma) >= e_p(F_X) is asserted on the support of F_X.
+    e_p(P_sigma) >= e_p(F_X) is checked on the support of F_X.
     """
     nv = form.vars_per_block
     blocks = form.blocks
@@ -305,20 +311,24 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
         terms = collected[sigma]
         if not terms:
             continue
-        assert all(monomial_degree(b) == delta for b in sigma)
+        if any(monomial_degree(b) != delta for b in sigma):
+            raise InvariantViolated(
+                f"s-monomial {sigma} is not of degree {delta} in every block"
+            )
         entries[sigma] = HomogeneousPoly(nv, degree, terms)
 
     expansion = SkewExpansion(blocks, nv, delta, pairs, entries)
-    _assert_coefficient_bound(form, expansion)
+    _check_coefficient_bound(form, expansion)
     return expansion
 
 
-def _assert_coefficient_bound(form: MultiHomForm, expansion: SkewExpansion):
+def _check_coefficient_bound(form: MultiHomForm, expansion: SkewExpansion):
     for p, e_form, e_min, ok in coefficient_bound_report(form, expansion):
-        assert ok, (
-            f"coefficient bound violated at place {p}: "
-            f"min_sigma e_p(P_sigma) = {e_min} < e_p(F_X) = {e_form}"
-        )
+        if not ok:
+            raise InvariantViolated(
+                f"coefficient bound violated at place {p}: "
+                f"min_sigma e_p(P_sigma) = {e_min} < e_p(F_X) = {e_form}"
+            )
 
 
 def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:

@@ -49,8 +49,10 @@ from .harness import (
     has_violation,
     load_scenario,
     load_scenario_dict,
+    parse_fraction,
     position_to_dict,
     run_check,
+    schema_validate,
 )
 from .hilbert_bounds import scan_ratio_window, threshold_a_eps
 from .multipoly import format_monomial, parse_poly
@@ -73,6 +75,25 @@ def _parse_gens(arg: str, num_vars) -> IdealGenerators:
     texts = [s for s in (part.strip() for part in arg.split(";")) if s]
     nv = _infer_num_vars(texts, num_vars)
     return IdealGenerators.parse(nv, texts)
+
+
+_RATIONAL = {"type": ["string", "integer"]}
+_COUNT = {"type": "integer"}
+CONSTANTS_SCHEMA = {
+    "type": "object",
+    "required": ["n", "delta", "M", "N", "q", "d_i", "epsilon", "s_card", "s_degree"],
+    "properties": {
+        **{key: _COUNT for key in ("n", "delta", "M", "N", "q", "s_card", "s_degree", "m")},
+        "d_i": {"type": "array", "items": _COUNT},
+        **{key: _RATIONAL for key in ("epsilon", "h_fx", "h_q_family", "e_s_term", "c1", "c1_prime")},
+        "h_q_i": {"type": "array", "items": _RATIONAL},
+        "H_table": {
+            "type": "object",
+            "propertyNames": {"pattern": "^[0-9]+$"},
+            "additionalProperties": _COUNT,
+        },
+    },
+}
 
 
 def _emit(payload: dict, args) -> None:
@@ -114,7 +135,7 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_bounds_a_eps(args) -> int:
-    eps = Fraction(args.eps)
+    eps = args.eps
     a = threshold_a_eps(args.n, args.delta, args.d, eps)
     ok = scan_ratio_window(args.n, args.delta, args.d, eps, a, args.window)
     print(f"a_eps = {a}")
@@ -133,7 +154,7 @@ def _cmd_chow(args) -> int:
         # bare variety file: {"ambient_dim": M, "kind": ..., ...}
         variety = {k: v for k, v in data.items() if k != "ambient_dim"}
         data = {
-            "ambient_dim": data["ambient_dim"],
+            "ambient_dim": data.get("ambient_dim"),
             "variety": variety,
             "divisors": [{"poly": "X0", "degree": 1}],
             "N": 1,
@@ -180,9 +201,14 @@ def _cmd_chow(args) -> int:
 def _cmd_constants(args) -> int:
     with open(args.inputs, "r", encoding="utf-8") as fh:
         data = json.load(fh)
+    schema_validate(data, CONSTANTS_SCHEMA)
+
+    def rational(key, default="0"):
+        return parse_fraction(data.get(key, default), f"/{key}")
+
     d_i = tuple(data["d_i"])
     d = lcm(*d_i)
-    eps = Fraction(data["epsilon"])
+    eps = rational("epsilon")
     n, delta = data["n"], data["delta"]
     a_eps = threshold_a_eps(n, delta, d, eps / data["N"])
     m = data.get("m") or choose_m(a_eps, d, n, delta)
@@ -197,12 +223,15 @@ def _cmd_constants(args) -> int:
         epsilon=eps,
         s_card=data["s_card"],
         s_degree=data["s_degree"],
-        h_fx=Fraction(data.get("h_fx", "0")),
-        h_q_family=Fraction(data.get("h_q_family", "0")),
-        h_q_i=tuple(Fraction(h) for h in data.get("h_q_i", ["0"] * data["q"])),
-        e_s_term=Fraction(data.get("e_s_term", "0")),
-        c1=Fraction(data.get("c1", "0")),
-        c1_prime=Fraction(data.get("c1_prime", "0")),
+        h_fx=rational("h_fx"),
+        h_q_family=rational("h_q_family"),
+        h_q_i=tuple(
+            parse_fraction(h, f"/h_q_i/{i}")
+            for i, h in enumerate(data.get("h_q_i", ["0"] * data["q"]))
+        ),
+        e_s_term=rational("e_s_term"),
+        c1=rational("c1"),
+        c1_prime=rational("c1_prime"),
         m=m,
     )
     table = {int(k): v for k, v in data.get("H_table", {}).items()}
@@ -302,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--n", type=int, required=True)
     pa.add_argument("--delta", type=int, required=True)
     pa.add_argument("--d", type=int, required=True)
-    pa.add_argument("--eps", required=True)
+    pa.add_argument("--eps", type=Fraction, required=True)
     pa.add_argument("--window", type=int, default=100)
     pa.add_argument("--report")
     pa.set_defaults(func=_cmd_bounds_a_eps)
@@ -342,7 +371,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ToolkitError, OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
+    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,11 +28,14 @@ class NotHomogeneous(ToolkitError):
 class ParseError(ToolkitError):
     """Syntax error in polynomial / rational-function / place text.
 
-    Carries the 0-based character position of the offending token.
+    Carries the 0-based character position of the offending token, or None
+    when the text as a whole is at fault (say, a place that is not monic).
     """
 
-    def __init__(self, message, position):
-        super().__init__(f"{message} (at position {position})")
+    def __init__(self, message, position=None):
+        if position is not None:
+            message = f"{message} (at position {position})"
+        super().__init__(message)
         self.position = position
 
 
@@ -73,8 +76,11 @@ class InvariantViolated(ToolkitError):
 
 
 class SchemaError(ToolkitError):
-    """Scenario file violates the JSON schema; points at the bad node."""
+    """Scenario file violates the JSON schema; points at the bad node when
+    one is given (json_pointer None: the scenario as a whole)."""
 
-    def __init__(self, message, json_pointer):
-        super().__init__(f"{message} (at {json_pointer or '/'})")
+    def __init__(self, message, json_pointer=None):
+        if json_pointer is not None:
+            message = f"{message} (at {json_pointer or '/'})"
+        super().__init__(message)
         self.json_pointer = json_pointer

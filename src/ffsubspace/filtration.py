@@ -93,7 +93,7 @@ def build_filtration(
 
     Level i runs from m/d down to 0; candidate monomials g of degree m - i*d
     are scanned in glex order and accepted when Q^i * g extends the current
-    independent set modulo the ideal slice.  Level dimensions are asserted
+    independent set modulo the ideal slice.  Level dimensions are checked
     against H_X(m - i*d) as they complete; a mismatch raises InvariantViolated.
     """
     if q_poly.is_zero():

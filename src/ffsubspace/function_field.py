@@ -3,9 +3,16 @@
 Places are the monic irreducibles of Q[t] plus the place at infinity; a place
 of degree e weighs its valuation by e, which makes the sum formula
 sum_p ord_p(f) * deg(p) = 0 hold exactly for every nonzero f.  Everything
-here is exact rational arithmetic; no floats anywhere.
+here is exact; no floats anywhere.
 
-Heights and Weil values come from primitive coordinates (coprime in Q[t]),
+K is the fraction field of Z[t].  An element is a pair of `upoly` integer
+tuples, coprime in Z[t] (no common factor and no common integer content)
+with a positive leading denominator coefficient, so equality and hashing
+are structural and every kernel runs over the integers.  A place keeps the
+primitive integer form of its monic polynomial (2t + 3 for t + 3/2); its
+text and sort order are those of the monic form.
+
+Heights and Weil values come from primitive coordinates (coprime in Z[t]),
 where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
 Only divisor, support and height_elem factor, through sympy.
 """
@@ -14,43 +21,49 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache, reduce
+from math import lcm
 
 from . import upoly
-from .errors import ParseError, PointOnDivisor, ZeroElement, ZeroPolynomial
+from .errors import (
+    InvariantViolated,
+    ParseError,
+    PointOnDivisor,
+    SchemaError,
+    ZeroElement,
+    ZeroPolynomial,
+)
+
+_ONE = upoly.ONE
+
+
+def _integer_pair(num, den) -> tuple:
+    """(num, den), given as ints, Fractions or coefficient sequences of them,
+    as integer polynomials over a common denominator."""
+    num = (num,) if isinstance(num, (int, Fraction)) else tuple(num)
+    den = (den,) if isinstance(den, (int, Fraction)) else tuple(den)
+    scale = lcm(*(c.denominator for c in num + den if type(c) is not int))
+    if scale == 1:
+        return upoly.strip(map(int, num)), upoly.strip(map(int, den))
+    return (
+        upoly.strip(int(c * scale) for c in num),
+        upoly.strip(int(c * scale) for c in den),
+    )
 
 
 class RationalFunction:
     """An element of Q(t) in canonical form.
 
-    num/den are upoly tuples; den is monic and coprime to num; zero is
-    represented as num=(), den=(1,).  Canonical form makes equality and
-    hashing structural.
+    num/den are integer upoly tuples, coprime in Z[t], with lc(den) > 0; zero
+    is num=(), den=(1,).  The constructor accepts ints, Fractions and
+    coefficient sequences of them and canonicalizes; the arithmetic keeps
+    the form and runs only the gcds its result needs.
     """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=upoly.ONE):
-        if isinstance(num, (int, Fraction)):
-            num = upoly.const(num)
-        if isinstance(den, (int, Fraction)):
-            den = upoly.const(den)
-        num = upoly.qp(num)
-        den = upoly.qp(den)
-        if upoly.is_zero(den):
-            raise ZeroDivisionError("zero denominator in Q(t)")
-        if upoly.is_zero(num):
-            object.__setattr__(self, "num", ())
-            object.__setattr__(self, "den", upoly.ONE)
-            return
-        if len(den) > 1:
-            g = upoly.gcd(num, den)
-            if upoly.degree(g) > 0:
-                num = upoly.divmod_(num, g)[0]
-                den = upoly.divmod_(den, g)[0]
-        lead = upoly.leading(den)
-        if lead != 1:
-            num = upoly.scale(num, Fraction(1) / lead)
-            den = upoly.scale(den, Fraction(1) / lead)
+    def __init__(self, num, den=1):
+        num, den = _integer_pair(num, den)
+        num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -58,8 +71,21 @@ class RationalFunction:
         raise AttributeError("RationalFunction is immutable")
 
     @classmethod
+    def _canonical(cls, num, den=_ONE) -> "RationalFunction":
+        """Wrap a pair already in canonical form, skipping the gcd."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num", num)
+        object.__setattr__(f, "den", den)
+        return f
+
+    @classmethod
+    def reduced(cls, num, den=_ONE) -> "RationalFunction":
+        """num/den for integer upoly tuples, den nonzero, brought to canonical form."""
+        return cls._canonical(*_reduce(num, den))
+
+    @classmethod
     def t(cls) -> "RationalFunction":
-        return cls(upoly.T)
+        return cls._canonical(upoly.T)
 
     @classmethod
     def parse(cls, text: str) -> "RationalFunction":
@@ -84,20 +110,29 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(
-            upoly.add(upoly.mul(self.num, o.den), upoly.mul(o.num, self.den)),
-            upoly.mul(self.den, o.den),
+        a, b, c, d = self.num, self.den, o.num, o.den
+        # a/b + c/d with b, d coprime (one of them 1, say) is already in
+        # lowest terms; otherwise only g = gcd(b, d) can share a factor with
+        # the new numerator.
+        if b == d:
+            if b == _ONE:
+                return RationalFunction._canonical(upoly.add(a, c))
+            return RationalFunction.reduced(upoly.add(a, c), b)
+        if d == _ONE:
+            return RationalFunction._canonical(upoly.add(a, upoly.mul(c, b)), b)
+        if b == _ONE:
+            return RationalFunction._canonical(upoly.add(upoly.mul(a, d), c), d)
+        g = upoly.gcd(b, d)
+        b_g, d_g = upoly.quo(b, g), upoly.quo(d, g)
+        num = upoly.add(upoly.mul(a, d_g), upoly.mul(c, b_g))
+        if not num:
+            return RationalFunction._canonical((), _ONE)
+        h = upoly.gcd(num, g)
+        return RationalFunction._canonical(
+            upoly.quo(num, h), upoly.mul(upoly.mul(b_g, d_g), upoly.quo(g, h))
         )
 
     __radd__ = __add__
-
-    @classmethod
-    def _canonical(cls, num, den=upoly.ONE) -> "RationalFunction":
-        """Wrap a pair already in canonical form, skipping the gcd."""
-        f = object.__new__(cls)
-        object.__setattr__(f, "num", num)
-        object.__setattr__(f, "den", den)
-        return f
 
     def __neg__(self):
         return RationalFunction._canonical(upoly.neg(self.num), self.den)
@@ -115,9 +150,7 @@ class RationalFunction:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return RationalFunction(
-            upoly.mul(self.num, o.num), upoly.mul(self.den, o.den)
-        )
+        return _times(self.num, self.den, o.num, o.den)
 
     __rmul__ = __mul__
 
@@ -127,19 +160,23 @@ class RationalFunction:
             return o
         if not o.num:
             raise ZeroDivisionError("division by zero in Q(t)")
-        return RationalFunction(
-            upoly.mul(self.num, o.den), upoly.mul(self.den, o.num)
-        )
+        c, d = o.den, o.num
+        if d[-1] < 0:
+            c, d = upoly.neg(c), upoly.neg(d)
+        return _times(self.num, self.den, c, d)
 
     def __rtruediv__(self, other):
         return RationalFunction(other) / self
 
     def __pow__(self, n: int):
+        num, den = self.num, self.den
         if n < 0:
-            if not self.num:
+            if not num:
                 raise ZeroDivisionError("0 ** negative in Q(t)")
-            return RationalFunction(upoly.pow_(self.den, -n), upoly.pow_(self.num, -n))
-        return RationalFunction(upoly.pow_(self.num, n), upoly.pow_(self.den, n))
+            num, den, n = den, num, -n
+            if den[-1] < 0:
+                num, den = upoly.neg(num), upoly.neg(den)
+        return RationalFunction._canonical(upoly.pow_(num, n), upoly.pow_(den, n))
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -151,27 +188,64 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __str__(self):
-        if self.den == upoly.ONE:
-            return upoly.format_poly(self.num)
-        return f"({upoly.format_poly(self.num)})/({upoly.format_poly(self.den)})"
+        # The monic-denominator form: num and den both divided by lc(den).
+        lead = self.den[-1]
+        num = upoly.format_poly(self.num, den=lead)
+        if len(self.den) == 1:
+            return num
+        return f"({num})/({upoly.format_poly(self.den, den=lead)})"
 
     def __repr__(self):
         return f"RationalFunction({self})"
 
 
+def _reduce(num, den) -> tuple:
+    """The canonical pair of num/den: divided by their gcd, lc(den) > 0."""
+    if not den:
+        raise ZeroDivisionError("zero denominator in Q(t)")
+    if not num:
+        return (), _ONE
+    if den != _ONE:
+        g = upoly.gcd(num, den)
+        if g != _ONE:
+            num, den = upoly.quo(num, g), upoly.quo(den, g)
+        if den[-1] < 0:
+            num, den = upoly.neg(num), upoly.neg(den)
+    return num, den
+
+
+def _times(a, b, c, d) -> RationalFunction:
+    """(a/b) * (c/d) for canonical pairs: cancel a against d and c against b."""
+    if not a or not c:
+        return RationalFunction._canonical((), _ONE)
+    if d != _ONE:
+        g = upoly.gcd(a, d)
+        if g != _ONE:
+            a, d = upoly.quo(a, g), upoly.quo(d, g)
+    if b != _ONE:
+        g = upoly.gcd(c, b)
+        if g != _ONE:
+            c, b = upoly.quo(c, g), upoly.quo(b, g)
+    den = b if d == _ONE else d if b == _ONE else upoly.mul(b, d)
+    return RationalFunction._canonical(upoly.mul(a, c), den)
+
+
 def clear_denominators(elements) -> list:
-    """The polynomials f * D for D the lcm of the denominators of the f."""
-    if all(f.den == upoly.ONE for f in elements):
+    """The integer polynomials f * D for D the lcm in Z[t] of the denominators."""
+    if all(f.den == _ONE for f in elements):
         return [f.num for f in elements]
-    den = upoly.ONE
+    den = _ONE
     for f in elements:
-        g = upoly.gcd(den, f.den)
-        den = upoly.divmod_(upoly.mul(den, f.den), g)[0]
-    return [upoly.mul(f.num, upoly.divmod_(den, f.den)[0]) for f in elements]
+        den = upoly.mul(den, upoly.quo(f.den, upoly.gcd(den, f.den)))
+    return [upoly.mul(f.num, upoly.quo(den, f.den)) for f in elements]
 
 
 class Place:
-    """A place of Q(t): a monic irreducible of Q[t], or infinity."""
+    """A place of Q(t): a monic irreducible of Q[t], or infinity.
+
+    `poly` is the primitive integer form (positive leading coefficient) of
+    the monic polynomial, None at infinity.
+    """
 
     __slots__ = ("poly",)
 
@@ -184,14 +258,20 @@ class Place:
 
     @classmethod
     def finite(cls, poly) -> "Place":
-        p = upoly.qp(poly)
-        if upoly.degree(p) < 1:
-            raise ValueError(f"not a valid finite place: {upoly.format_poly(p)}")
-        if upoly.leading(p) != 1:
-            raise ValueError(f"finite place must be monic: {upoly.format_poly(p)}")
-        if not upoly.is_irreducible(p):
-            raise ValueError(f"finite place must be irreducible: {upoly.format_poly(p)}")
-        return cls(p)
+        """The place of a monic irreducible given by its coefficients (ints
+        or Fractions, lowest degree first)."""
+        return cls._of_polynomial(RationalFunction(poly))
+
+    @classmethod
+    def _of_polynomial(cls, f: RationalFunction) -> "Place":
+        # f has a constant denominator: it is the polynomial f.num / f.den[0].
+        if upoly.degree(f.num) < 1:
+            raise ParseError(f"not a valid finite place: {f}")
+        if f.num[-1] != f.den[0]:
+            raise ParseError(f"finite place must be monic: {f}")
+        if not upoly.is_irreducible(f.num):
+            raise ParseError(f"finite place must be irreducible: {f}")
+        return cls(f.num)
 
     @classmethod
     def infinity(cls) -> "Place":
@@ -202,9 +282,9 @@ class Place:
         if text.strip() in ("inf", "infty", "infinity", "oo"):
             return cls.infinity()
         f = RationalFunction.parse(text)
-        if f.den != upoly.ONE:
+        if len(f.den) != 1:
             raise ParseError(f"place must be a polynomial: {text}", 0)
-        return cls.finite(f.num)
+        return cls._of_polynomial(f)
 
     @property
     def is_infinite(self) -> bool:
@@ -215,9 +295,12 @@ class Place:
         return 1 if self.poly is None else upoly.degree(self.poly)
 
     def sort_key(self):
+        """Finite places by degree, then by the coefficients of the monic
+        polynomial (lowest degree first); infinity last."""
         if self.poly is None:
             return (1, 0, ())
-        return (0, upoly.degree(self.poly), self.poly)
+        lead = self.poly[-1]
+        return (0, upoly.degree(self.poly), tuple(Fraction(c, lead) for c in self.poly))
 
     def __eq__(self, other):
         return isinstance(other, Place) and self.poly == other.poly
@@ -226,7 +309,9 @@ class Place:
         return hash(self.poly)
 
     def __str__(self):
-        return "inf" if self.poly is None else upoly.format_poly(self.poly)
+        if self.poly is None:
+            return "inf"
+        return upoly.format_poly(self.poly, den=self.poly[-1])
 
     def __repr__(self):
         return f"Place({self})"
@@ -266,12 +351,12 @@ class ProjectivePoint:
         return ProjectivePoint([c * alpha for c in self.coordinates])
 
     def primitive(self) -> "ProjectivePoint":
-        """The same point with coprime coordinates in Q[t]; computed once."""
+        """The same point with coprime coordinates in Z[t]; computed once."""
         if self._primitive is None:
             polys = clear_denominators(self.coordinates)
             g = reduce(upoly.gcd, polys, upoly.ZERO)
-            if upoly.degree(g) > 0:
-                polys = [upoly.divmod_(p, g)[0] for p in polys]
+            if g != upoly.ONE:
+                polys = [upoly.quo(p, g) for p in polys]
             prim = ProjectivePoint([RationalFunction._canonical(p) for p in polys])
             object.__setattr__(prim, "_primitive", prim)
             object.__setattr__(self, "_primitive", prim)
@@ -301,7 +386,7 @@ class PlaceSet:
     def __init__(self, places):
         places = tuple(places)
         if len(set(places)) != len(places):
-            raise ValueError("duplicate places in place set")
+            raise SchemaError("duplicate places in place set")
         object.__setattr__(self, "places", places)
 
     def __setattr__(self, *a):
@@ -334,24 +419,25 @@ def order_at(f: RationalFunction, p: Place) -> int:
 def divisor(f: RationalFunction) -> dict:
     """The divisor of f as an ordered {place: order} map with finite support.
 
-    The sum formula sum ord*deg = 0 is asserted on every call.
+    The sum formula sum ord*deg = 0 is checked on every call.
     """
     if f.is_zero():
         raise ZeroElement("divisor of the zero element is undefined")
     orders = {}
     _, num_factors = upoly.factor_monic(f.num)
     for g, m in num_factors:
-        pl = Place(g)  # factor output is already monic irreducible
+        pl = Place(g)  # factor output is already primitive irreducible
         orders[pl] = orders.get(pl, 0) + m
     _, den_factors = upoly.factor_monic(f.den)
     for g, m in den_factors:
-        pl = Place(g)  # factor output is already monic irreducible
+        pl = Place(g)  # factor output is already primitive irreducible
         orders[pl] = orders.get(pl, 0) - m
     inf_order = upoly.degree(f.den) - upoly.degree(f.num)
     if inf_order:
         orders[INFINITY] = inf_order
     out = {p: o for p, o in sorted(orders.items(), key=lambda kv: kv[0].sort_key()) if o}
-    assert sum(o * p.degree for p, o in out.items()) == 0, "sum formula violated"
+    if sum(o * p.degree for p, o in out.items()) != 0:
+        raise InvariantViolated("sum formula violated")
     return out
 
 
@@ -405,7 +491,7 @@ def height_point(x: ProjectivePoint) -> Fraction:
 def height_elem(f: RationalFunction) -> Fraction:
     """h(f) = sum_p max(0, ord_p f) deg p for nonzero f in K.
 
-    Computes both the zero-part and the pole-part formulas and asserts they
+    Computes both the zero-part and the pole-part formulas and checks they
     agree, which is the sum formula in disguise.
     """
     if f.is_zero():
@@ -413,7 +499,8 @@ def height_elem(f: RationalFunction) -> Fraction:
     div = divisor(f)
     pos = sum(o * p.degree for p, o in div.items() if o > 0)
     negated = -sum(o * p.degree for p, o in div.items() if o < 0)
-    assert pos == negated, "sum formula violated in height_elem"
+    if pos != negated:
+        raise InvariantViolated("sum formula violated in height_elem")
     return Fraction(pos)
 
 

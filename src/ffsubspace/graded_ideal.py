@@ -19,6 +19,7 @@ from .errors import (
     InvariantViolated,
     NoCertificateWithinCap,
     NotHomogeneous,
+    PreconditionViolated,
     ZeroPolynomial,
 )
 from .function_field import RationalFunction
@@ -102,7 +103,7 @@ class GradedPieceBasis:
 def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     """The degree-m slice of the ideal as an echelonized row space."""
     if m < 0:
-        raise ValueError("degree must be >= 0")
+        raise PreconditionViolated("degree must be >= 0")
     cols = monomial_basis(gens.num_vars, m)
     col_of = {mono: i for i, mono in enumerate(cols)}
     ech = Echelon(len(cols))
@@ -272,7 +273,7 @@ def has_common_projective_zero(gens: IdealGenerators, degree_cap: int) -> Emptin
     certificate was found up to the cap.
     """
     if degree_cap < 1:
-        raise ValueError("degree cap must be >= 1")
+        raise PreconditionViolated("degree cap must be >= 1")
     M = gens.num_vars - 1
     for m in range(1, degree_cap + 1):
         if graded_piece(gens, m).rank == comb(m + M, M):

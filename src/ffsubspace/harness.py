@@ -76,7 +76,23 @@ SCENARIO_SCHEMA = {
                     "properties": {
                         "blocks": {"type": "integer", "minimum": 1},
                         "vars_per_block": {"type": "integer", "minimum": 2},
-                        "terms": {"type": "array"},
+                        "terms": {
+                            "type": "array",
+                            "items": {
+                                "type": "object",
+                                "required": ["exponents", "coeff"],
+                                "properties": {
+                                    "exponents": {
+                                        "type": "array",
+                                        "items": {
+                                            "type": "array",
+                                            "items": {"type": "integer", "minimum": 0},
+                                        },
+                                    },
+                                    "coeff": {"type": "string"},
+                                },
+                            },
+                        },
                     },
                 },
             },
@@ -137,8 +153,9 @@ class Scenario:
     hilbert_exact_cutoff: int
 
 
-def _schema_validate(data):
-    validator = jsonschema.Draft202012Validator(SCENARIO_SCHEMA)
+def schema_validate(data, schema=SCENARIO_SCHEMA):
+    """Raise SchemaError at the first violation of `schema`, in path order."""
+    validator = jsonschema.Draft202012Validator(schema)
     errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
     if not errors:
         return
@@ -150,7 +167,7 @@ def _schema_validate(data):
     raise SchemaError(err.message, pointer)
 
 
-def _parse_fraction(text: str, pointer: str) -> Fraction:
+def parse_fraction(text: str, pointer: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -159,7 +176,7 @@ def _parse_fraction(text: str, pointer: str) -> Fraction:
 
 def load_scenario_dict(data: dict) -> Scenario:
     """Validate and parse an in-memory scenario object."""
-    _schema_validate(data)
+    schema_validate(data)
     M = data["ambient_dim"]
     nv = M + 1
 
@@ -217,7 +234,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         divisor_degrees.append(poly.degree)
 
     places = PlaceSet([Place.parse(s) for s in data["places"]])
-    epsilon = _parse_fraction(data["epsilon"], "/epsilon")
+    epsilon = parse_fraction(data["epsilon"], "/epsilon")
     if epsilon <= 0:
         raise SchemaError("epsilon must be positive", "/epsilon")
 
@@ -230,8 +247,8 @@ def load_scenario_dict(data: dict) -> Scenario:
         points.append(ProjectivePoint([parse_rational(c) for c in coords]))
 
     overrides = data.get("constants_overrides", {})
-    c1 = _parse_fraction(overrides.get("c1", "0"), "/constants_overrides/c1")
-    c1_prime = _parse_fraction(
+    c1 = parse_fraction(overrides.get("c1", "0"), "/constants_overrides/c1")
+    c1_prime = parse_fraction(
         overrides.get("c1_prime", "0"), "/constants_overrides/c1_prime"
     )
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .errors import MissingTableEntry, PreconditionViolated
+from .errors import InvariantViolated, MissingTableEntry, PreconditionViolated
 
 
 def binom0(a: int, b: int) -> int:
@@ -104,7 +104,8 @@ def _cauchy_positive_bound(coeffs: dict) -> Fraction:
     """A bound B with poly(m) > 0 for all real m >= B (positive leading coeff)."""
     top = max(p for p, c in coeffs.items() if c != 0)
     lead = coeffs[top]
-    assert lead > 0, "Cauchy bound needs a positive leading coefficient"
+    if lead <= 0:
+        raise InvariantViolated("Cauchy bound needs a positive leading coefficient")
     worst = max(
         (abs(c) / lead for p, c in coeffs.items() if p != top and c != 0),
         default=Fraction(0),

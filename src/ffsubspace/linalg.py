@@ -1,16 +1,17 @@
 """Exact sparse echelon forms over K = Q(t).
 
 Rows live in sparse dicts {column index: entry}.  Forward elimination is
-fraction-free and runs over Z[t]: an incoming row is scaled to a primitive
-row (denominators cleared, content stripped) whose entries are tuples of
-ints, lowest degree first, and is eliminated by cross-multiplication
-against the stored pivot rows with `upoly.int_mul`/`upoly.int_sub`,
-stripping the integer content after every combination to keep coefficients
-small.  Pivoting is deterministic: rows in input order, the leftmost
-nonzero column pivots.  Entries become elements of Q(t) only in
-`rref_rows`, which recovers the reduced row-echelon form over K by exact
-division; it is the canonical RREF of the row space, so every basis choice
-downstream is reproducible.
+fraction-free and runs over Z[t], where every element of K already keeps
+its numerator and denominator: an incoming row is scaled to a primitive
+row (the Z[t] lcm of its denominators cleared, content stripped) whose
+entries are integer `upoly` tuples, and is eliminated by cross-multiplication
+against the stored pivot rows with `upoly.mul`/`upoly.sub`, stripping the
+integer content after every combination to keep coefficients small.
+Pivoting is deterministic: rows in input order, the leftmost nonzero column
+pivots.  Entries become elements of Q(t) only in `rref_rows`, which
+recovers the reduced row-echelon form over K as the canonical pairs
+(entry, pivot entry); it is the canonical RREF of the row space, so every
+basis choice downstream is reproducible.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from .multipoly import collect
 def _row_to_primitive(field_row: dict) -> dict:
     """Clear denominators and strip content: {col: RationalFunction} -> {col: ints}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
-    ints, _ = upoly.numerators(clear_denominators(entries.values()))
-    return _strip_content(dict(zip(entries, ints)))
+    return _strip_content(dict(zip(entries, clear_denominators(entries.values()))))
 
 
 def _strip_content(row: dict) -> dict:
@@ -86,9 +86,7 @@ class Echelon:
                 return
             a, b = piv[lead], row[lead]
             row = _strip_content({
-                c: upoly.int_sub(
-                    upoly.int_mul(a, row.get(c, ())), upoly.int_mul(b, piv.get(c, ()))
-                )
+                c: upoly.sub(upoly.mul(a, row.get(c, ())), upoly.mul(b, piv.get(c, ())))
                 for c in set(row) | set(piv)
             })
 
@@ -97,8 +95,8 @@ class Echelon:
         if self._rref is None:
             reduced = {}
             for col in sorted(self._pivots, reverse=True):
-                row = {c: upoly.qp(p) for c, p in self._pivots[col].items()}
-                frow = {c: RationalFunction(p, row[col]) for c, p in row.items()}
+                row = self._pivots[col]
+                frow = {c: RationalFunction.reduced(p, row[col]) for c, p in row.items()}
                 for c in sorted(k for k in frow if k != col and k in reduced):
                     coeff = -frow.pop(c)
                     # the pivot entry cancels exactly and is already popped

@@ -11,7 +11,13 @@ from __future__ import annotations
 import operator
 from functools import lru_cache
 
-from .errors import DegreeMismatch, NotHomogeneous, VarCountMismatch, ZeroPolynomial
+from .errors import (
+    DegreeMismatch,
+    NotHomogeneous,
+    PreconditionViolated,
+    VarCountMismatch,
+    ZeroPolynomial,
+)
 from .function_field import ProjectivePoint, RationalFunction
 from .upoly import power
 
@@ -63,7 +69,7 @@ def format_monomial(mono) -> str:
 def monomial_basis(num_vars: int, degree: int) -> tuple:
     """All degree-`degree` monomials in num_vars variables, glex descending."""
     if num_vars < 1 or degree < 0:
-        raise ValueError("need num_vars >= 1 and degree >= 0")
+        raise PreconditionViolated("need num_vars >= 1 and degree >= 0")
 
     def gen(rest, d):
         if rest == 1:

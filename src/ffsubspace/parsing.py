@@ -3,23 +3,34 @@
 One grammar serves both levels: integer literals, `t`, variables X0..XM,
 the operators + - * / ^ and parentheses, whitespace insignificant.  At the
 coefficient level no X variables are allowed; at the polynomial level
-division is only legal when the divisor is a constant of K.
+division is only legal when the divisor is a constant of K.  An exponent
+above MAX_EXPONENT is refused before any power is built.
 
-Values during parsing are sparse term maps {exponent tuple: RationalFunction};
-a map whose only key is the zero tuple is a constant.  They are added with
-`multipoly.collect`, multiplied with `multipoly.mul_terms` and raised to
-powers with `upoly.power`, the same kernel every polynomial type uses, so the
-parser has no arithmetic of its own.
+`_Parser` walks the grammar once for both levels; what a value is depends
+on the level:
+
+* Coefficients (`parse_rational`) are pairs (num, den) of integer `upoly`
+  tuples, combined by the fraction rules with no gcd at all; the pair is
+  brought to canonical form once, at the end.
+* Polynomials (`parse_terms`) are sparse term maps {exponent tuple:
+  RationalFunction}; a map whose only key is the zero tuple is a constant.
+  They are added with `multipoly.collect`, multiplied with
+  `multipoly.mul_terms` and raised to powers with `upoly.power`, the same
+  kernel every polynomial type uses.
 """
 
 from __future__ import annotations
 
 import re
 
+from . import upoly
 from .errors import ParseError
 from .function_field import RationalFunction
 from .multipoly import collect, mul_terms
-from .upoly import T, power
+
+# Largest exponent `^` accepts.  Far above the degrees of any real input, and
+# small enough that t^MAX_EXPONENT is built in well under a second.
+MAX_EXPONENT = 1000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
@@ -46,9 +57,11 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, num_vars: int):
+    """The grammar.  Subclasses give the values: constants, t, variables,
+    and add/neg/mul/div/pow on them."""
+
+    def __init__(self, text: str):
         self.text = text
-        self.num_vars = num_vars
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -67,54 +80,46 @@ class _Parser:
         self.advance()
 
     # ------------------------------------------------------------------
-    def parse(self) -> dict:
-        terms = self.expr()
+    def parse(self):
+        value = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected trailing {val!r}", pos)
-        return terms
+        return value
 
-    def expr(self) -> dict:
-        terms = self.term()
+    def expr(self):
+        value = self.term()
         while True:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.advance()
-                rhs = self.term().items()
-                if val == "-":
-                    rhs = ((m, -c) for m, c in rhs)
-                terms = collect(rhs, dict(terms))
+                rhs = self.term()
+                value = self.add(value, self.neg(rhs) if val == "-" else rhs)
             else:
-                return terms
+                return value
 
-    def term(self) -> dict:
-        terms = self.unary()
+    def term(self):
+        value = self.unary()
         while True:
             kind, val, pos = self.peek()
             if kind == "op" and val in "*/":
                 self.advance()
                 rhs = self.unary()
-                if val == "*":
-                    terms = mul_terms(terms, rhs)
-                else:
-                    c = _as_constant(rhs, pos)
-                    if c.is_zero():
-                        raise ParseError("division by zero", pos)
-                    terms = {m: v / c for m, v in terms.items()}
+                value = self.mul(value, rhs) if val == "*" else self.div(value, rhs, pos)
             else:
-                return terms
+                return value
 
-    def unary(self) -> dict:
+    def unary(self):
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return {m: -c for m, c in self.unary().items()}
+            return self.neg(self.unary())
         if kind == "op" and val == "+":
             self.advance()
             return self.unary()
         return self.power()
 
-    def power(self) -> dict:
+    def power(self):
         base = self.atom()
         kind, val, pos = self.peek()
         if kind == "op" and val == "^":
@@ -122,36 +127,103 @@ class _Parser:
             kind, e, pos = self.advance()
             if kind != "int":
                 raise ParseError("exponent must be a nonnegative integer", pos)
-            one = {(0,) * self.num_vars: RationalFunction(1)}
-            return power(base, e, one, mul_terms)
+            if e > MAX_EXPONENT:
+                raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", pos)
+            return self.pow(base, e)
         return base
 
-    def atom(self) -> dict:
+    def atom(self):
         kind, val, pos = self.advance()
-        zero = (0,) * self.num_vars
         if kind == "int":
-            return {zero: RationalFunction(val)}
+            return self.const(val)
         if kind == "name":
             if val == "t":
-                return {zero: RationalFunction(T)}
+                return self.t()
             m = re.fullmatch(r"X(\d+)", val)
             if m:
-                idx = int(m.group(1))
-                if self.num_vars == 0:
-                    raise ParseError("variables not allowed here", pos)
-                if idx >= self.num_vars:
-                    raise ParseError(
-                        f"variable X{idx} out of range (have X0..X{self.num_vars - 1})",
-                        pos,
-                    )
-                mono = tuple(1 if i == idx else 0 for i in range(self.num_vars))
-                return {mono: RationalFunction(1)}
+                return self.var(int(m.group(1)), pos)
             raise ParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+class _TermParser(_Parser):
+    """Polynomial level: term maps {exponents: RationalFunction}."""
+
+    def __init__(self, text: str, num_vars: int):
+        super().__init__(text)
+        self.num_vars = num_vars
+        self.zero = (0,) * num_vars
+
+    def const(self, value):
+        return {self.zero: RationalFunction(value)}
+
+    def t(self):
+        return {self.zero: RationalFunction.t()}
+
+    def var(self, idx, pos):
+        if self.num_vars == 0:
+            raise ParseError("variables not allowed here", pos)
+        if idx >= self.num_vars:
+            raise ParseError(
+                f"variable X{idx} out of range (have X0..X{self.num_vars - 1})", pos
+            )
+        mono = tuple(1 if i == idx else 0 for i in range(self.num_vars))
+        return {mono: RationalFunction(1)}
+
+    def add(self, a, b):
+        return collect(b.items(), dict(a))
+
+    def neg(self, a):
+        return {m: -c for m, c in a.items()}
+
+    def mul(self, a, b):
+        return mul_terms(a, b)
+
+    def div(self, a, b, pos):
+        c = _as_constant(b, pos)
+        if c.is_zero():
+            raise ParseError("division by zero", pos)
+        return {m: v / c for m, v in a.items()}
+
+    def pow(self, base, e):
+        return upoly.power(base, e, self.const(1), mul_terms)
+
+
+class _RationalParser(_Parser):
+    """Coefficient level: (num, den) pairs over Z[t], never reduced."""
+
+    def const(self, value):
+        return upoly.strip((value,)), upoly.ONE
+
+    def t(self):
+        return upoly.T, upoly.ONE
+
+    def var(self, idx, pos):
+        raise ParseError("variables not allowed here", pos)
+
+    def add(self, x, y):
+        (a, b), (c, d) = x, y
+        if b == d:
+            return upoly.add(a, c), b
+        return upoly.add(upoly.mul(a, d), upoly.mul(c, b)), upoly.mul(b, d)
+
+    def neg(self, x):
+        return upoly.neg(x[0]), x[1]
+
+    def mul(self, x, y):
+        return upoly.mul(x[0], y[0]), upoly.mul(x[1], y[1])
+
+    def div(self, x, y, pos):
+        if not y[0]:
+            raise ParseError("division by zero", pos)
+        return upoly.mul(x[0], y[1]), upoly.mul(x[1], y[0])
+
+    def pow(self, x, e):
+        return upoly.pow_(x[0], e), upoly.pow_(x[1], e)
 
 
 def _as_constant(terms: dict, pos: int) -> RationalFunction:
@@ -165,12 +237,10 @@ def _as_constant(terms: dict, pos: int) -> RationalFunction:
 
 def parse_terms(text: str, num_vars: int) -> dict:
     """Parse into a sparse {exponents: coefficient} map (possibly mixed degree)."""
-    return _Parser(text, num_vars).parse()
+    return _TermParser(text, num_vars).parse()
 
 
 def parse_rational(text: str) -> RationalFunction:
     """Parse a coefficient-level expression into an element of Q(t)."""
-    terms = parse_terms(text, 0)
-    if not terms:
-        return RationalFunction(0)
-    return terms[()]
+    num, den = _RationalParser(text).parse()
+    return RationalFunction.reduced(num, den)

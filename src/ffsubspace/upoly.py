@@ -1,58 +1,54 @@
-"""Exact univariate polynomial arithmetic over Q in the variable t.
+"""Exact univariate polynomial arithmetic over Z in the variable t.
 
-Polynomials are immutable tuples of Fractions, lowest degree first, with
-trailing zeros stripped; the empty tuple is the zero polynomial.  This flat
-representation keeps the field arithmetic of Q(t) and the matrix kernels
-cheap; factorization into monic irreducibles is delegated to sympy and
-cached, since that is the one genuinely hard primitive here.
+Polynomials are immutable tuples of ints, lowest degree first, with trailing
+zeros stripped; the empty tuple is the zero polynomial.  Q(t) is the
+fraction field of Z[t], so this one representation serves every element of
+K (a coprime numerator/denominator pair, see `function_field`) and the
+fraction-free elimination in `linalg`.  No kernel here touches a Fraction;
+`format_poly` builds one per coefficient only to render a denominator.
 
-`mul` works over a common denominator: it scales both operands to integer
-coefficients (`numerators`), convolves them with `int_mul` and divides once
-per output coefficient.  `int_mul` and `int_sub` act on tuples of ints in
-the same layout; they are also the kernel of the fraction-free elimination
-in `linalg`.
+Division over Z comes in two forms: `divmod_` is pseudo-division
+(lc(b)^k * a = q*b + r), which drives the primitive remainder sequence, and
+`quo` is exact division, which answers whether b divides a.  By Gauss's
+lemma a primitive p divides a in Q[t] exactly when it divides it in Z[t],
+so `multiplicity` at a place needs only `quo`.  `gcd` is the heuristic GCD
+of Char, Geddes and Gonnet (one integer gcd at an evaluation point, then
+two exact divisions), with the primitive PRS as its fallback.
+Factorization into irreducibles is delegated to sympy and cached, since
+that is the one genuinely hard primitive here.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd as igcd, isqrt
 
 import sympy
+
+from .errors import InvariantViolated
 
 _T = sympy.Symbol("t")
 
 ZERO = ()
-ONE = (Fraction(1),)
-T = (Fraction(0), Fraction(1))
+ONE = (1,)
+T = (0, 1)
+
+# Evaluation points tried by the heuristic gcd before it falls back to the PRS.
+_HEU_GCD_TRIES = 6
 
 
-def qp(coeffs) -> tuple:
-    """Normalize a coefficient iterable (lowest degree first) to a poly."""
-    out = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-    while out and out[-1] == 0:
+def strip(coeffs) -> tuple:
+    """Normalize an iterable of ints (lowest degree first) to a polynomial."""
+    out = list(coeffs)
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
-
-
-def const(c) -> tuple:
-    return qp([c])
 
 
 def degree(p) -> int:
     """Degree; -1 for the zero polynomial."""
     return len(p) - 1
-
-
-def is_zero(p) -> bool:
-    return not p
-
-
-def leading(p) -> Fraction:
-    if not p:
-        raise ZeroDivisionError("leading coefficient of zero polynomial")
-    return p[-1]
 
 
 def add(a, b) -> tuple:
@@ -61,7 +57,7 @@ def add(a, b) -> tuple:
     out = list(a)
     for i, c in enumerate(b):
         out[i] += c
-    while out and out[-1] == 0:
+    while out and not out[-1]:
         out.pop()
     return tuple(out)
 
@@ -70,22 +66,8 @@ def neg(a) -> tuple:
     return tuple(-c for c in a)
 
 
-def int_mul(a, b) -> tuple:
-    """Product of integer coefficient tuples; the package's one convolution."""
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                out[j] += ca * cb
-    while out and not out[-1]:
-        out.pop()
-    return tuple(out)
-
-
-def int_sub(a, b) -> tuple:
-    """Difference of integer coefficient tuples, trailing zeros stripped."""
+def sub(a, b) -> tuple:
+    """a - b, trailing zeros stripped."""
     if len(a) >= len(b):
         out = list(a)
         for i, c in enumerate(b):
@@ -99,34 +81,40 @@ def int_sub(a, b) -> tuple:
     return tuple(out)
 
 
-def numerators(polys) -> tuple:
-    """([integer coefficient tuple of D*p for p in polys], D), D the lcm of
-    all their coefficient denominators."""
-    den = lcm(*(c.denominator for p in polys for c in p))
-    if den == 1:
-        return [tuple(c.numerator for c in p) for p in polys], 1
-    return [tuple(c.numerator * (den // c.denominator) for c in p) for p in polys], den
-
-
 def mul(a, b) -> tuple:
+    """Product; the package's one convolution."""
     if not a or not b:
         return ()
     if len(a) == 1:
         return scale(b, a[0])
     if len(b) == 1:
         return scale(a, b[0])
-    (na, nb), den = numerators((a, b))
-    if den == 1:
-        return tuple(Fraction(x) for x in int_mul(na, nb))
-    den *= den
-    return tuple(Fraction(x, den) for x in int_mul(na, nb))
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b, i):
+                out[j] += ca * cb
+    return tuple(out)  # leading coefficients multiply to a nonzero int
 
 
-def scale(a, c) -> tuple:
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    if c == 0:
+def scale(a, c: int) -> tuple:
+    if not c:
         return ()
+    if c == 1:
+        return a
     return tuple(x * c for x in a)
+
+
+def primitive(a) -> tuple:
+    """a divided by its content, with a positive leading coefficient."""
+    if not a:
+        return ()
+    c = igcd(*a)
+    if a[-1] < 0:
+        c = -c
+    if c == 1:
+        return a
+    return tuple(x // c for x in a)
 
 
 def power(base, n: int, one, mul):
@@ -155,67 +143,150 @@ def pow_(a, n: int) -> tuple:
 
 
 def divmod_(a, b) -> tuple:
-    """Euclidean division: a = q*b + r with deg r < deg b."""
+    """Pseudo-division: (q, r) with lc(b)^k * a = q*b + r and deg r < deg b,
+    where k = max(deg a - deg b + 1, 0)."""
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
-    r = list(a)
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
+    k = len(a) - len(b) + 1
+    if k <= 0:
+        return (), a
     lb = b[-1]
     db = len(b) - 1
-    while len(r) >= len(b):
-        c = r[-1] / lb
-        k = len(r) - 1 - db
-        q[k] = c
-        for i, cb in enumerate(b):
-            r[k + i] -= c * cb
-        while r and r[-1] == 0:
-            r.pop()
-    return tuple(q), tuple(r)
+    r = list(a)
+    q = [0] * k
+    # Step i multiplies what is left by lb and cancels the coefficient of
+    # t^(i+db); the quotient digits of earlier steps pick up one lb each.
+    for i in range(k - 1, -1, -1):
+        c = r[i + db]
+        if lb != 1:
+            for j in range(i + db):
+                r[j] *= lb
+            for j in range(i + 1, k):
+                q[j] *= lb
+        q[i] = c
+        if c:
+            for j, cb in enumerate(b[:-1]):
+                r[i + j] -= c * cb
+        r[i + db] = 0
+    return tuple(q), strip(r[:db])
 
 
-def monic(a) -> tuple:
+def quo(a, b):
+    """The quotient a / b when b divides a in Z[t], else None."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
     if not a:
         return ()
-    l = a[-1]
-    if l == 1:
-        return a
-    return tuple(c / l for c in a)
+    db = len(b) - 1
+    k = len(a) - db
+    if k <= 0:
+        return None
+    lb = b[-1]
+    if db == 0:
+        if any(x % lb for x in a):
+            return None
+        return tuple(x // lb for x in a)
+    r = list(a)
+    q = [0] * k
+    for i in range(k - 1, -1, -1):
+        c, rem = divmod(r[i + db], lb)
+        if rem:
+            return None
+        if c:
+            q[i] = c
+            for j, cb in enumerate(b):
+                r[i + j] -= c * cb
+    if any(r[:db]):
+        return None
+    return tuple(q)
+
+
+def _evaluate(a, x: int) -> int:
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _interpolate(h: int, x: int) -> tuple:
+    """The polynomial whose value at x is h, digits in (-x/2, x/2]."""
+    out = []
+    while h:
+        g = h % x
+        if g > x // 2:
+            g -= x
+        out.append(g)
+        h = (h - g) // x
+    return tuple(out)
+
+
+def _prs_gcd(a, b) -> tuple:
+    """gcd of primitive polynomials by the primitive remainder sequence."""
+    while b:
+        a, b = b, primitive(divmod_(a, b)[1])
+    return primitive(a)
 
 
 def gcd(a, b) -> tuple:
-    """Monic gcd; every remainder is made monic so coefficients stay small."""
-    while b:
-        a, b = b, monic(divmod_(a, b)[1])
-    return monic(a)
+    """The gcd in Z[t]: content gcd times primitive gcd, leading coefficient > 0.
+
+    Heuristic GCD (Char, Geddes and Gonnet, 1989): the integer gcd of a(x)
+    and b(x), read back in balanced base x, is the gcd as soon as its
+    primitive part divides both, for any x > 2 * min(|a|, |b|) + 1 in the
+    max norm.  After a few evaluation points it gives way to the PRS.
+    """
+    if not a:
+        return b if not b or b[-1] > 0 else neg(b)
+    if not b:
+        return a if a[-1] > 0 else neg(a)
+    ca, cb = igcd(*a), igcd(*b)
+    c = igcd(ca, cb)
+    if len(a) == 1 or len(b) == 1:
+        return (c,)
+    a = tuple(v // ca for v in a)
+    b = tuple(v // cb for v in b)
+    if a == b or a == neg(b):
+        return scale(primitive(a), c)
+    x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_GCD_TRIES):
+        va, vb = _evaluate(a, x), _evaluate(b, x)
+        if va and vb:
+            g = primitive(_interpolate(igcd(va, vb), x))
+            if len(g) == 1:
+                return (c,)
+            if quo(a, g) is not None and quo(b, g) is not None:
+                return scale(g, c)
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    if len(a) < len(b):
+        a, b = b, a
+    return scale(_prs_gcd(primitive(a), primitive(b)), c)
 
 
 def multiplicity(a, p) -> int:
-    """Largest k with p^k | a; a nonzero, deg p >= 1."""
+    """Largest k with p^k | a; a nonzero, p primitive of degree >= 1."""
     if not a:
         raise ZeroDivisionError("multiplicity in zero polynomial")
     k = 0
     while True:
-        q, r = divmod_(a, p)
-        if r:
+        q = quo(a, p)
+        if q is None:
             return k
         a = q
         k += 1
 
 
 def _to_sympy(p):
-    return sympy.Poly(list(reversed(p)) or [0], _T, domain="QQ")
-
-
-def _from_sympy(f) -> tuple:
-    return qp(Fraction(c.p, c.q) for c in reversed(f.all_coeffs()))
+    return sympy.Poly(list(reversed(p)) or [0], _T, domain="ZZ")
 
 
 @lru_cache(maxsize=8192)
 def factor_monic(p) -> tuple:
-    """Factor p into (unit, ((monic irreducible, multiplicity), ...)).
+    """Factor p into (unit, ((irreducible factor, multiplicity), ...)).
 
-    unit * prod(f^m) == p exactly.  Factors are sorted by (degree,
-    coefficient tuple) so the output is deterministic.
+    Each factor is primitive with a positive leading coefficient, so it is
+    the integer form of a monic irreducible of Q[t]; the unit is the signed
+    content, and unit * prod(f^m) == p exactly.  Factors are sorted by
+    (degree, coefficient tuple) so the output is deterministic.
     """
     if not p:
         raise ZeroDivisionError("factor of zero polynomial")
@@ -225,25 +296,30 @@ def factor_monic(p) -> tuple:
     k = 0
     while p[k] == 0:
         k += 1
-    unit = p[-1]
-    core = tuple(c / unit for c in p[k:])
+    core = primitive(p[k:])
+    unit = p[-1] // core[-1]
     factors = [(T, k)] if k else []
     if len(core) > 1:
-        # sympy may hand back primitive integer factors with rational content;
-        # re-monicize and fold every leading coefficient into the unit check.
         c0, fl = _to_sympy(core).factor_list()
-        check = Fraction(c0.p, c0.q)
+        unit *= int(c0)
         for f, m in fl:
-            g = _from_sympy(f)
-            check *= leading(g) ** m
-            factors.append((monic(g), m))
-        assert check == 1, "factor normalization lost the unit"
+            g = strip(int(c) for c in reversed(f.all_coeffs()))
+            if g[-1] < 0:
+                g = neg(g)
+                unit *= (-1) ** m
+            factors.append((g, m))
     factors.sort(key=lambda fm: (len(fm[0]), fm[0]))
+    rebuilt = (unit,)
+    for g, m in factors:
+        rebuilt = mul(rebuilt, pow_(g, m))
+    if rebuilt != p:
+        raise InvariantViolated("factor normalization lost the unit")
     return unit, tuple(factors)
 
 
 @lru_cache(maxsize=8192)
 def is_irreducible(p) -> bool:
+    """Irreducibility over Q of a nonzero polynomial."""
     if len(p) < 2:
         return False
     if len(p) == 2:
@@ -251,8 +327,9 @@ def is_irreducible(p) -> bool:
     return bool(_to_sympy(p).is_irreducible)
 
 
-def format_poly(p, var: str = "t") -> str:
-    """Render in the input grammar, highest degree first: '2*t^3 - t + 1/2'."""
+def format_poly(p, var: str = "t", den: int = 1) -> str:
+    """Render p / den in the input grammar, highest degree first:
+    '2*t^3 - t + 1/2'.  den is a positive int."""
     if not p:
         return "0"
     parts = []
@@ -261,7 +338,7 @@ def format_poly(p, var: str = "t") -> str:
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
-        c = abs(c)
+        c = Fraction(abs(c), den)
         if e == 0:
             body = str(c)
         else:

@@ -1,17 +1,15 @@
 """Shared sampling helpers for the test suite; everything is seeded."""
 
-from fractions import Fraction
-
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
 
 
 def rand_qpoly(rng, max_degree=3, nonzero=True):
-    """Random Q[t] coefficient tuple with small integer coefficients."""
+    """Random Z[t] coefficient tuple with small integer coefficients."""
     degree = rng.randint(0, max_degree)
-    coeffs = [Fraction(rng.randint(-9, 9)) for _ in range(degree)]
+    coeffs = [rng.randint(-9, 9) for _ in range(degree)]
     lead = rng.randint(1, 9) * rng.choice([1, -1])
-    coeffs.append(Fraction(lead))
+    coeffs.append(lead)
     if not nonzero and rng.random() < 0.1:
         return ()
     return tuple(coeffs)

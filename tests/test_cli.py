@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
+from ffsubspace import cli
 from ffsubspace.cli import main
 
 SCENARIO = str(
@@ -140,3 +146,83 @@ def test_chow_form_with_too_many_blocks(capsys, tmp_path):
     path.write_text(json.dumps(scenario))
     assert main(["chow", "--input", str(path)]) == 2
     assert "/variety/chow_form/blocks" in capsys.readouterr().err
+
+
+def _conic_with(tmp_path, **changes):
+    scenario = json.loads(Path(SCENARIO).read_text())
+    scenario.update(changes)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    return str(path)
+
+
+@pytest.mark.parametrize("places, message", [
+    (["2*t"], "finite place must be monic: 2*t"),
+    (["t/2"], "finite place must be monic: 1/2*t"),
+    (["t^2 - 1"], "finite place must be irreducible: t^2 - 1"),
+    (["3"], "not a valid finite place: 3"),
+    (["t", "inf", "t"], "duplicate places in place set"),
+])
+def test_bad_places_exit_2(capsys, tmp_path, places, message):
+    assert main(["check", _conic_with(tmp_path, places=places)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_internal_value_error_is_not_an_input_error(monkeypatch):
+    # only input errors become exit code 2; a bug inside the run propagates
+    def broken(scenario):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    with pytest.raises(ValueError, match="internal"):
+        main(["check", SCENARIO])
+
+
+def test_malformed_inputs_exit_2(capsys, tmp_path):
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"n": 1, "delta": 2}))
+    assert main(["constants", "--inputs", str(path)]) == 2
+    assert "/M" in capsys.readouterr().err
+    path.write_text(json.dumps({
+        "n": 1, "delta": 2, "M": 2, "N": 2, "q": 4, "d_i": [1, 1, 1, 1],
+        "epsilon": "one", "s_card": 2, "s_degree": 2,
+    }))
+    assert main(["constants", "--inputs", str(path)]) == 2
+    assert "(at /epsilon)" in capsys.readouterr().err
+    assert main(["hilbert", "--gens", "X0*X2 - X1^2", "--m", "-1"]) == 2
+    assert "degree must be >= 0" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", "x"])
+    assert exit_info.value.code == 2
+    terms = [{"exponents": [[1, 0, 0]]}]
+    path = _conic_with(tmp_path, variety={
+        "kind": "ideal", "generators": ["X0"],
+        "chow_form": {"blocks": 1, "vars_per_block": 3, "terms": terms},
+    })
+    assert main(["check", path]) == 2
+    assert "/variety/chow_form/terms/0" in capsys.readouterr().err
+
+
+HUGE_EXPONENT_CHECK = """
+import resource, sys, time
+resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+from ffsubspace.cli import main
+start = time.perf_counter()
+code = main(["check", sys.argv[1]])
+print(code, time.perf_counter() - start)
+"""
+
+
+def test_huge_exponent_exits_fast(tmp_path):
+    # t^1000000000 would be a 10^9-term polynomial; the parser refuses the
+    # exponent before building anything.  The child's address space is
+    # capped so that a regression fails instead of exhausting memory.
+    path = _conic_with(tmp_path, points=[["1", "t^1000000000", "t"]])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_EXPONENT_CHECK, path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 1.0
+    assert "exceeds the limit 1000 (at position 2)" in proc.stderr

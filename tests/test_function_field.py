@@ -1,9 +1,19 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from ffsubspace.errors import PointOnDivisor, ZeroElement, ZeroPolynomial
+from ffsubspace.errors import (
+    ParseError,
+    PointOnDivisor,
+    SchemaError,
+    ZeroElement,
+    ZeroPolynomial,
+)
 from ffsubspace import function_field, upoly
 from ffsubspace.function_field import (
     INFINITY,
@@ -183,8 +193,8 @@ def test_height_elem_matches_degree_oracle():
         q = rand_k(rng, 4).num or upoly.ONE
         g = upoly.gcd(p, q)
         if upoly.degree(g) > 0:
-            p = upoly.divmod_(p, g)[0]
-            q = upoly.divmod_(q, g)[0]
+            p = upoly.quo(p, g)
+            q = upoly.quo(q, g)
         f = RationalFunction(p, q)
         assert height_elem(f) == max(upoly.degree(p), upoly.degree(q))
 
@@ -198,8 +208,8 @@ def test_height_point_matches_degree_oracle():
         b = rand_k(rng, 4).num or upoly.ONE
         g = upoly.gcd(a, b)
         if upoly.degree(g) > 0:
-            a = upoly.divmod_(a, g)[0]
-            b = upoly.divmod_(b, g)[0]
+            a = upoly.quo(a, g)
+            b = upoly.quo(b, g)
         x = ProjectivePoint([RationalFunction(a), RationalFunction(b)])
         h = height_point(x)
         assert h == max(upoly.degree(a), upoly.degree(b))
@@ -214,16 +224,31 @@ def test_family_height_nonnegative_with_unit_coefficient():
 
 
 def test_place_validation_and_set():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match="^finite place must be monic: 2[*]t$"):
         Place.finite([0, 2])  # 2t is not monic
-    with pytest.raises(ValueError):
+    with pytest.raises(ParseError, match=r"^finite place must be irreducible: t\^2 - 1$"):
         Place.finite([-1, 0, 1])  # t^2 - 1 reducible
+    with pytest.raises(ParseError, match="^not a valid finite place: 3$"):
+        Place.parse("3")
     assert Place.parse("t^2+2").degree == 2
     assert Place.parse("inf") == INFINITY
     s = PlaceSet([Place.parse("t"), INFINITY])
     assert s.cardinality == 2 and s.total_degree == 2
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError, match="^duplicate places in place set$"):
         PlaceSet([INFINITY, INFINITY])
+
+
+def test_place_with_rational_coefficients():
+    # t + 3/2 is kept as the primitive 2t + 3; its text and order are monic
+    p = Place.parse("t + 3/2")
+    assert p.poly == (3, 2) and str(p) == "t + 3/2"
+    assert p == Place.finite([Fraction(3, 2), 1]) == Place.parse("(2*t + 3)/2")
+    places = [Place.parse(s) for s in ["t + 2", "t^2 + 1/3", "t + 3/2", "t - 5", "inf"]]
+    ordered = sorted(places, key=Place.sort_key)
+    assert [str(q) for q in ordered] == ["t - 5", "t + 3/2", "t + 2", "t^2 + 1/3", "inf"]
+    f = (2 * T + 3) ** 2 * (T - 1) / (4 * T + 6) ** 3
+    assert order_at(f, p) == -1 and order_at(f, Place.parse("t - 1")) == 1
+    assert divisor(f) == {Place.parse("t - 1"): 1, p: -1}
 
 
 def test_projective_point_needs_nonzero():
@@ -363,3 +388,71 @@ def test_polynomials_skip_the_gcd(monkeypatch):
     assert {f.den, g.den, total.den, product.den} == {upoly.ONE}
     assert total.num == upoly.add(f.num, g.num)
     assert product.num == upoly.mul(f.num, g.num)
+
+
+INVARIANTS_UNDER_O = """
+from fractions import Fraction
+
+import ffsubspace.chow as chow
+import ffsubspace.function_field as ff
+import ffsubspace.hilbert_bounds as hb
+import ffsubspace.upoly as upoly
+from ffsubspace.errors import InvariantViolated
+from ffsubspace.multipoly import parse_poly
+
+assert not __debug__, "asserts are live"
+conic = chow.chow_of_hypersurface(parse_poly("X0*X2 - X1^2", 3))
+degree = chow.monomial_degree
+
+
+class WrongFactors:
+    def factor_list(self):
+        return 1, []
+
+
+def sympy_drops_factors(p):
+    return WrongFactors()
+
+
+def run(name, patch, call):
+    patch()
+    try:
+        call()
+        print(name, "passed")
+    except InvariantViolated as exc:
+        print(name, "InvariantViolated:", exc)
+
+
+T = ff.RationalFunction.t()
+run("factor_monic", lambda: setattr(upoly, "_to_sympy", sympy_drops_factors),
+    lambda: upoly.factor_monic((1, 0, 1)))
+run("divisor", lambda: setattr(upoly, "factor_monic", lambda p: (p[-1], ())),
+    lambda: ff.divisor(T))
+run("height_elem", lambda: setattr(ff, "divisor", lambda f: {ff.INFINITY: -1}),
+    lambda: ff.height_elem(T))
+run("P_sigma degree", lambda: setattr(chow, "monomial_degree", lambda b: -1),
+    lambda: chow.expand_skew(conic))
+run("coefficient bound", lambda: (
+    setattr(chow, "monomial_degree", degree),
+    setattr(chow, "coefficient_bound_report", lambda f, e: [("t", 1, 0, False)]),
+), lambda: chow.expand_skew(conic))
+run("Cauchy bound", lambda: None, lambda: hb._cauchy_positive_bound({1: Fraction(-1)}))
+"""
+
+
+def test_invariant_checks_survive_optimize_flag():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", INVARIANTS_UNDER_O],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.splitlines() == [
+        "factor_monic InvariantViolated: factor normalization lost the unit",
+        "divisor InvariantViolated: sum formula violated",
+        "height_elem InvariantViolated: sum formula violated in height_elem",
+        "P_sigma degree InvariantViolated: s-monomial "
+        "((0, 0, 2), (0, 2, 0)) is not of degree 2 in every block",
+        "coefficient bound InvariantViolated: coefficient bound violated at place t: "
+        "min_sigma e_p(P_sigma) = 0 < e_p(F_X) = 1",
+        "Cauchy bound InvariantViolated: Cauchy bound needs a positive leading coefficient",
+    ]

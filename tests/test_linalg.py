@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ffsubspace.function_field import RationalFunction
-from ffsubspace.linalg import Echelon, solve_combination
+from ffsubspace.linalg import Echelon, _row_to_primitive, solve_combination
 from helpers import rand_k, rand_qpoly
 
 T = RationalFunction.t()
@@ -196,3 +196,19 @@ def test_rref_does_not_depend_on_row_order(rows, data):
     ech = echelon_of(shuffled, 4)
     assert ech.rref_rows() == echelon_of(rows, 4).rref_rows()
     assert ech.rref_rows() == gauss_jordan(rows, 4)[2]
+
+
+def test_row_to_primitive_reads_numerators_and_denominators():
+    # (2t+3)/6, t/(4t+6), 0, -3/2: the Z[t] lcm of the denominators is
+    # 6(2t+3), and the scaled row has content 1 and a positive leading entry
+    row = {
+        0: RationalFunction.parse("(2*t + 3)/6"),
+        2: RationalFunction.parse("t/(4*t + 6)"),
+        3: ZERO,
+        5: RationalFunction.parse("-3/2"),
+    }
+    prim = _row_to_primitive(row)
+    assert prim == {0: (9, 12, 4), 2: (0, 3), 5: (-27, -18)}
+    ratio = RationalFunction.reduced(prim[0]) / row[0]
+    assert all(RationalFunction.reduced(p) == ratio * row[c] for c, p in prim.items())
+    assert _row_to_primitive({1: RationalFunction(-2), 4: -T}) == {1: (2,), 4: (0, 1)}

@@ -6,60 +6,79 @@ import sympy
 
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
-from ffsubspace.parsing import parse_rational
+from ffsubspace.function_field import RationalFunction
+from ffsubspace.parsing import MAX_EXPONENT, parse_rational
+
+_t = sympy.Symbol("t")
+
+
+def to_sympy(p):
+    return sympy.Poly(list(reversed(p)) or [0], _t, domain="ZZ")
+
+
+def rand_zpoly(rng, degree, bound=9):
+    """Integer polynomial of exactly this degree."""
+    coeffs = [rng.randint(-bound, bound) for _ in range(degree)]
+    return upoly.strip(coeffs + [rng.choice([-1, 1]) * rng.randint(1, bound)])
 
 
 def test_normalization():
-    assert upoly.qp([1, 2, 0, 0]) == (Fraction(1), Fraction(2))
-    assert upoly.qp([0, 0]) == ()
+    assert upoly.strip([1, 2, 0, 0]) == (1, 2)
+    assert upoly.strip([0, 0]) == ()
     assert upoly.degree(()) == -1
     assert upoly.degree(upoly.T) == 1
+    assert upoly.primitive((4, -6)) == (-2, 3)
+    assert upoly.primitive((-4, -6)) == (2, 3)
 
 
 def test_divmod_gcd():
-    a = upoly.qp([-1, 0, 1])  # t^2 - 1
-    b = upoly.qp([1, 1])      # t + 1
+    a = (-1, 0, 1)  # t^2 - 1
+    b = (1, 1)      # t + 1
     q, r = upoly.divmod_(a, b)
-    assert q == upoly.qp([-1, 1]) and r == ()
-    assert upoly.gcd(a, b) == upoly.qp([1, 1])
-    assert upoly.gcd(a, upoly.qp([2])) == upoly.ONE
+    assert q == (-1, 1) and r == ()
+    assert upoly.quo(a, b) == (-1, 1)
+    assert upoly.gcd(a, b) == (1, 1)
+    assert upoly.gcd(a, (2,)) == upoly.ONE
     with pytest.raises(ZeroDivisionError):
         upoly.divmod_(a, ())
+    with pytest.raises(ZeroDivisionError):
+        upoly.quo(a, ())
 
 
 def test_multiplicity():
-    p = upoly.mul(upoly.qp([-1, 1]), upoly.mul(upoly.qp([-1, 1]), upoly.qp([1, 1])))
-    assert upoly.multiplicity(p, upoly.qp([-1, 1])) == 2
-    assert upoly.multiplicity(p, upoly.qp([1, 1])) == 1
-    assert upoly.multiplicity(p, upoly.qp([2, 1])) == 0
+    p = upoly.mul((-1, 1), upoly.mul((-1, 1), (1, 1)))
+    assert upoly.multiplicity(p, (-1, 1)) == 2
+    assert upoly.multiplicity(p, (1, 1)) == 1
+    assert upoly.multiplicity(p, (2, 1)) == 0
 
 
 def test_factor_monic_reconstructs():
     rng = random.Random(41)
     for _ in range(40):
-        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rng.randint(1, 6))]
-        coeffs.append(Fraction(rng.randint(1, 5)))
-        p = upoly.qp(coeffs)
+        coeffs = [rng.randint(-6, 6) for _ in range(rng.randint(1, 6))]
+        coeffs.append(rng.randint(1, 5))
+        p = upoly.strip(coeffs)
         unit, factors = upoly.factor_monic(p)
-        rebuilt = upoly.const(unit)
+        rebuilt = (unit,)
         for g, m in factors:
-            assert upoly.leading(g) == 1
+            assert g[-1] > 0 and upoly.primitive(g) == g
             assert upoly.is_irreducible(g)
             rebuilt = upoly.mul(rebuilt, upoly.pow_(g, m))
         assert rebuilt == p
 
 
 def test_factor_monic_fractional_content():
-    # monic input whose factors are not integer-primitive
-    p = upoly.qp([Fraction(3, 2), 1])  # t + 3/2
+    # the monic t + 3/2 is the primitive 2t + 3 over Z
+    p = (3, 2)
     unit, factors = upoly.factor_monic(p)
     assert unit == 1 and factors == ((p, 1),)
+    assert upoly.factor_monic((6, 4)) == (2, ((p, 1),))
 
 
 def test_is_irreducible():
-    assert upoly.is_irreducible(upoly.qp([2, 0, 1]))       # t^2 + 2
-    assert not upoly.is_irreducible(upoly.qp([-1, 0, 1]))  # t^2 - 1
-    assert not upoly.is_irreducible(upoly.qp([5]))         # constants
+    assert upoly.is_irreducible((2, 0, 1))       # t^2 + 2
+    assert not upoly.is_irreducible((-1, 0, 1))  # t^2 - 1
+    assert not upoly.is_irreducible((5,))        # constants
 
 
 def test_format_round_trip():
@@ -67,14 +86,14 @@ def test_format_round_trip():
     for _ in range(30):
         coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(rng.randint(0, 5))]
         coeffs.append(Fraction(rng.randint(1, 9)))
-        p = upoly.qp(coeffs)
-        f = parse_rational(upoly.format_poly(p))
-        assert f.num == p and f.den == upoly.ONE
+        f = RationalFunction(coeffs)  # a polynomial over Q: constant denominator
+        assert len(f.den) == 1
+        assert parse_rational(upoly.format_poly(f.num, den=f.den[0])) == f
 
 
 def test_parser_edges():
-    assert parse_rational(" ( t + 1 ) ^ 2 / ( t - 1 ) ").num == upoly.qp([1, 2, 1])
-    assert parse_rational("-t^2").num == upoly.qp([0, 0, -1])
+    assert parse_rational(" ( t + 1 ) ^ 2 / ( t - 1 ) ").num == (1, 2, 1)
+    assert parse_rational("-t^2").num == (0, 0, -1)
     assert parse_rational("2/4") == Fraction(1, 2)
     with pytest.raises(ParseError):
         parse_rational("t^-1")
@@ -86,6 +105,14 @@ def test_parser_edges():
         parse_rational("")
 
 
+def test_exponent_bound():
+    assert upoly.degree(parse_rational(f"t^{MAX_EXPONENT}").num) == MAX_EXPONENT
+    text = f"1 + (t - 1)^{MAX_EXPONENT + 1}"
+    with pytest.raises(ParseError) as err:
+        parse_rational(text)
+    assert err.value.position == text.index("^") + 1
+
+
 def test_power_product_count():
     # square-and-multiply from the first needed factor: x^4 = (x^2)^2 is two
     # products, x^1 none; n = 0 gives the identity
@@ -95,7 +122,7 @@ def test_power_product_count():
         calls.append(1)
         return upoly.mul(a, b)
 
-    base = upoly.qp([1, 1])
+    base = (1, 1)
     naive = upoly.ONE
     for n, expected_calls in enumerate([0, 0, 1, 2, 2, 3, 3]):
         calls.clear()
@@ -106,75 +133,118 @@ def test_power_product_count():
         upoly.power(base, -1, upoly.ONE, mul)
 
 
+def _sympy_gcd(a, b):
+    g = to_sympy(a).gcd(to_sympy(b))
+    return -g if g.LC() < 0 else g
+
+
 def test_gcd_matches_sympy():
-    # seeded polynomials of degree 8-12 over Q with a planted common factor
+    # seeded polynomials of degree 8-12 over Z with a planted common factor
+    # and integer content
     rng = random.Random(41)
-    t = sympy.Symbol("t")
-
-    def rand(degree):
-        coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(degree)]
-        return upoly.qp(coeffs + [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 6))])
-
-    def to_sympy(p):
-        return sympy.Poly(list(reversed(p)), t, domain="QQ")
-
     for _ in range(12):
-        common = rand(rng.randint(1, 4))
-        a = upoly.mul(common, rand(rng.randint(8, 12) - upoly.degree(common)))
-        b = upoly.mul(common, rand(rng.randint(8, 12) - upoly.degree(common)))
-        expected = to_sympy(a).gcd(to_sympy(b)).monic()
+        common = upoly.scale(rand_zpoly(rng, rng.randint(1, 4)), rng.randint(1, 6))
+        a = upoly.mul(common, rand_zpoly(rng, rng.randint(8, 12) - upoly.degree(common)))
+        b = upoly.mul(common, rand_zpoly(rng, rng.randint(8, 12) - upoly.degree(common)))
         g = upoly.gcd(a, b)
-        assert to_sympy(g) == expected
-        assert upoly.leading(g) == 1 and upoly.degree(g) >= upoly.degree(common)
+        assert to_sympy(g) == _sympy_gcd(a, b)
+        assert g[-1] > 0 and upoly.degree(g) >= upoly.degree(common)
+        assert upoly.quo(g, common) is not None
         assert upoly.gcd(b, a) == g
-    assert upoly.gcd(a, upoly.ZERO) == upoly.monic(a)
+    assert upoly.gcd(a, upoly.ZERO) == (a if a[-1] > 0 else upoly.neg(a))
     assert upoly.gcd(upoly.ZERO, upoly.ZERO) == upoly.ZERO
 
 
+def test_gcd_prs_fallback_matches_sympy(monkeypatch):
+    # with no heuristic evaluation point the primitive PRS answers alone
+    monkeypatch.setattr(upoly, "_HEU_GCD_TRIES", 0)
+    rng = random.Random(42)
+    for _ in range(30):
+        common = rand_zpoly(rng, rng.randint(0, 3))
+        a = upoly.mul(common, rand_zpoly(rng, rng.randint(1, 6)))
+        b = upoly.scale(upoly.mul(common, rand_zpoly(rng, rng.randint(1, 6))), 4)
+        assert to_sympy(upoly.gcd(a, b)) == _sympy_gcd(a, b)
+
+
+def test_gcd_and_multiplicity_match_sympy_over_zz():
+    # seeded pairs sharing powers of a few places, one of them t + 3/2,
+    # whose primitive form over Z is 2t + 3
+    rng = random.Random(43)
+    places = [(0, 1), (-1, 1), (1, 0, 1), (3, 2)]
+    seen = set()
+    for _ in range(60):
+        a, b = rand_zpoly(rng, rng.randint(0, 4)), rand_zpoly(rng, rng.randint(0, 4))
+        for p in places:
+            ea, eb = rng.randint(0, 3), rng.randint(0, 3)
+            a = upoly.mul(a, upoly.pow_(p, ea))
+            b = upoly.mul(b, upoly.pow_(p, eb))
+        a = upoly.scale(a, rng.choice([1, 2, 6, -3]))
+        assert to_sympy(upoly.gcd(a, b)) == _sympy_gcd(a, b)
+        for p in places:
+            k = upoly.multiplicity(a, p)
+            qa = to_sympy(a).to_field()
+            assert qa.rem(to_sympy(upoly.pow_(p, k)).to_field()).is_zero
+            assert not qa.rem(to_sympy(upoly.pow_(p, k + 1)).to_field()).is_zero
+            seen.add((p, min(k, 2)))
+    assert {(3, 2)} <= {p for p, k in seen if k == 2}
+    # t + 3/2 divides 2t^2 + 5t + 3 = (2t + 3)(t + 1) in Q[t] and in Z[t]
+    assert upoly.multiplicity((3, 5, 2), (3, 2)) == 1
+    assert upoly.multiplicity((9, 12, 4), (3, 2)) == 2
+
+
+def test_pseudo_division_identity():
+    # lc(b)^k * a = q*b + r with deg r < deg b and k = max(deg a - deg b + 1, 0)
+    rng = random.Random(44)
+    for _ in range(200):
+        a = rand_zpoly(rng, rng.randint(0, 9)) if rng.random() < 0.95 else ()
+        b = rand_zpoly(rng, rng.randint(0, 5))
+        q, r = upoly.divmod_(a, b)
+        k = max(len(a) - len(b) + 1, 0)
+        assert upoly.scale(a, b[-1] ** k) == upoly.add(upoly.mul(q, b), r)
+        assert upoly.degree(r) < upoly.degree(b)
+        # exact division finds a multiple and refuses a remainder
+        assert upoly.quo(upoly.mul(a, b), b) == a
+        if upoly.degree(b) > 0 and a:
+            assert upoly.quo(upoly.add(upoly.mul(a, b), (1,)), b) is None
+
+
 def schoolbook_mul(a, b):
-    """Reference product: the plain Fraction convolution."""
-    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    """Reference product: the plain convolution."""
+    out = [0] * max(len(a) + len(b) - 1, 0)
     for i, ca in enumerate(a):
         for j, cb in enumerate(b):
             out[i + j] += ca * cb
-    return upoly.qp(out)
+    return upoly.strip(out)
 
 
 def test_mul_matches_schoolbook():
-    # seeded operands with denominators, zero inner coefficients, length-1
-    # operands and the zero polynomial
+    # seeded operands with zero inner coefficients, length-1 operands and the
+    # zero polynomial
     rng = random.Random(5)
 
     def rand():
         length = rng.choice([0, 1, 1, 2, 3, 5, 8])
-        coeffs = [
-            Fraction(rng.randint(-9, 9), rng.choice([1, 1, 2, 3, 12]))
-            if rng.random() < 0.7 else Fraction(0)
-            for _ in range(length)
-        ]
+        coeffs = [rng.randint(-99, 99) if rng.random() < 0.7 else 0 for _ in range(length)]
         if coeffs:
-            coeffs[-1] = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 4))
-        return upoly.qp(coeffs)
+            coeffs[-1] = rng.choice([-1, 1]) * rng.randint(1, 99)
+        return upoly.strip(coeffs)
 
     seen = set()
     for _ in range(300):
         a, b = rand(), rand()
         product = upoly.mul(a, b)
         assert product == schoolbook_mul(a, b)
-        assert all(type(c) is Fraction for c in product)
+        assert all(type(c) is int for c in product)
         seen.add((min(len(a), 2), min(len(b), 2)))
     assert seen == {(i, j) for i in range(3) for j in range(3)}
-    a = upoly.qp([Fraction(1, 2), 0, 0, 3])
-    b = upoly.qp([0, 0, Fraction(2, 3)])
-    assert upoly.mul(a, b) == upoly.qp([0, 0, Fraction(1, 3), 0, 0, 2])
+    assert upoly.mul((1, 0, 0, 3), (0, 0, 2)) == (0, 0, 2, 0, 0, 6)
 
 
 def test_integer_kernels():
     rng = random.Random(6)
     for _ in range(100):
-        a = upoly.qp(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
-        b = upoly.qp(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
-        ia, ib = tuple(map(int, a)), tuple(map(int, b))
-        assert upoly.int_mul(ia, ib) == tuple(map(int, schoolbook_mul(a, b)))
-        assert upoly.int_sub(ia, ib) == tuple(map(int, upoly.add(a, upoly.neg(b))))
-        assert upoly.int_sub(ia, ia) == ()
+        a = upoly.strip(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
+        b = upoly.strip(rng.randint(-5, 5) for _ in range(rng.randint(0, 4)))
+        assert upoly.mul(a, b) == schoolbook_mul(a, b)
+        assert upoly.sub(a, b) == upoly.add(a, upoly.neg(b))
+        assert upoly.sub(a, a) == ()
