@@ -83,7 +83,8 @@ CONSTANTS_SCHEMA = {
     "type": "object",
     "required": ["n", "delta", "M", "N", "q", "d_i", "epsilon", "s_card", "s_degree"],
     "properties": {
-        **{key: _COUNT for key in ("n", "delta", "M", "N", "q", "s_card", "s_degree", "m")},
+        **{key: _COUNT for key in ("n", "delta", "M", "q", "s_card", "s_degree", "m")},
+        "N": {"type": "integer", "minimum": 1},
         "d_i": {"type": "array", "items": _COUNT},
         **{key: _RATIONAL for key in ("epsilon", "h_fx", "h_q_family", "e_s_term", "c1", "c1_prime")},
         "h_q_i": {"type": "array", "items": _RATIONAL},
@@ -211,7 +212,7 @@ def _cmd_constants(args) -> int:
     eps = rational("epsilon")
     n, delta = data["n"], data["delta"]
     a_eps = threshold_a_eps(n, delta, d, eps / data["N"])
-    m = data.get("m") or choose_m(a_eps, d, n, delta)
+    m = data["m"] if "m" in data else choose_m(a_eps, d, n, delta)
     inputs = ConstantInputs(
         n=n,
         delta=delta,

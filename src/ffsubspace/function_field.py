@@ -14,7 +14,9 @@ text and sort order are those of the monic form.
 
 Heights and Weil values come from primitive coordinates (coprime in Z[t]),
 where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
-Only divisor, support and height_elem factor, through sympy.
+Only divisor, support and height_elem factor, through `upoly.factor_monic`,
+which imports sympy on its first real factorization; a place of degree <= 3
+is checked for irreducibility without sympy.
 """
 
 from __future__ import annotations

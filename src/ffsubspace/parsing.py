@@ -3,8 +3,10 @@
 One grammar serves both levels: integer literals, `t`, variables X0..XM,
 the operators + - * / ^ and parentheses, whitespace insignificant.  At the
 coefficient level no X variables are allowed; at the polynomial level
-division is only legal when the divisor is a constant of K.  An exponent
-above MAX_EXPONENT is refused before any power is built.
+division is only legal when the divisor is a constant of K.  A power is
+refused before it is built when its exponent, or the degree of its result
+(in t, or in total in the X variables), exceeds MAX_EXPONENT, or when its
+coefficients could exceed MAX_COEFFICIENT_BITS bits.
 
 `_Parser` walks the grammar once for both levels; what a value is depends
 on the level:
@@ -28,9 +30,14 @@ from .errors import ParseError
 from .function_field import RationalFunction
 from .multipoly import collect, mul_terms
 
-# Largest exponent `^` accepts.  Far above the degrees of any real input, and
-# small enough that t^MAX_EXPONENT is built in well under a second.
+# Largest exponent `^` accepts, and the largest degree its result may have.
+# Far above the degrees of any real input, and small enough that
+# t^MAX_EXPONENT is built in well under a second.
 MAX_EXPONENT = 1000
+
+# Largest bit length `^` may give a coefficient, as estimated from the base by
+# `_bits_per_factor`.  10^1000 and (7*t + 7)^1000 pass; (2^1000)^5 does not.
+MAX_COEFFICIENT_BITS = 4000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
@@ -129,6 +136,16 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", pos)
+            degree, bits = self.size(base)
+            if degree * e > MAX_EXPONENT:
+                raise ParseError(
+                    f"power of degree {degree * e} exceeds the limit {MAX_EXPONENT}", pos
+                )
+            if bits * e > MAX_COEFFICIENT_BITS:
+                raise ParseError(
+                    f"power with coefficients of up to {bits * e} bits exceeds "
+                    f"the limit {MAX_COEFFICIENT_BITS}", pos
+                )
             return self.pow(base, e)
         return base
 
@@ -148,6 +165,13 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+
+def _bits_per_factor(coeffs) -> int:
+    """ceil(log2 ||p||_1) for the integer coefficients of p.  Every
+    coefficient of p^e is at most ||p||_1^e, so it has about e times this
+    many bits."""
+    return (max(sum(map(abs, coeffs)), 1) - 1).bit_length()
 
 
 class _TermParser(_Parser):
@@ -189,6 +213,19 @@ class _TermParser(_Parser):
             raise ParseError("division by zero", pos)
         return {m: v / c for m, v in a.items()}
 
+    def size(self, base):
+        coeffs = base.values()
+        degree = max(
+            [sum(m) for m in base]
+            + [upoly.degree(c.num) for c in coeffs]
+            + [upoly.degree(c.den) for c in coeffs],
+            default=0,
+        )
+        return degree, max(
+            _bits_per_factor(x for c in coeffs for x in c.num),
+            _bits_per_factor(x for c in coeffs for x in c.den),
+        )
+
     def pow(self, base, e):
         return upoly.power(base, e, self.const(1), mul_terms)
 
@@ -221,6 +258,9 @@ class _RationalParser(_Parser):
         if not y[0]:
             raise ParseError("division by zero", pos)
         return upoly.mul(x[0], y[1]), upoly.mul(x[1], y[0])
+
+    def size(self, x):
+        return max(map(upoly.degree, x)), max(map(_bits_per_factor, x))
 
     def pow(self, x, e):
         return upoly.pow_(x[0], e), upoly.pow_(x[1], e)

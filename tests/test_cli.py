@@ -8,6 +8,8 @@ import pytest
 
 from ffsubspace import cli
 from ffsubspace.cli import main
+from test_harness import golden_scenario_dict
+from test_twisted_cubic import ideal_scenario_dict
 
 SCENARIO = str(
     Path(__file__).resolve().parents[1] / "src/ffsubspace/scenarios/conic.json"
@@ -96,6 +98,29 @@ def test_constants_command(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "10240000002304" in out  # b(12, 1, 2, 2) = 48^2 + 20^10
     assert "c_prime_eps" in out
+
+
+def _constants_inputs(tmp_path, **changes):
+    inputs = {
+        "n": 1, "delta": 2, "M": 2, "N": 2, "q": 4, "d_i": [1, 1, 1, 1],
+        "epsilon": "1", "s_card": 2, "s_degree": 2, **changes,
+    }
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps(inputs))
+    return str(path)
+
+
+def test_constants_with_n_zero_is_a_schema_error(capsys, tmp_path):
+    # epsilon / N was computed before any check: a ZeroDivisionError, exit 1
+    assert main(["constants", "--inputs", _constants_inputs(tmp_path, N=0)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(at /N)" in err
+
+
+def test_constants_checks_an_explicit_m_zero(capsys, tmp_path):
+    # m = 0 is checked like any other m, not replaced by a chosen one
+    assert main(["constants", "--inputs", _constants_inputs(tmp_path, m=0)]) == 2
+    assert "need d | m and m >= max(3, (n+1)delta), got m=0" in capsys.readouterr().err
 
 
 def test_filtration_command(capsys):
@@ -226,3 +251,66 @@ def test_huge_exponent_exits_fast(tmp_path):
     code, seconds = proc.stdout.split()
     assert code == "2" and float(seconds) < 1.0
     assert "exceeds the limit 1000 (at position 2)" in proc.stderr
+
+
+@pytest.mark.parametrize("coordinate, message", [
+    ("(t^1000)^1000", "power of degree 1000000 exceeds the limit 1000 (at position 9)"),
+    ("((2^1000)^1000)^1000",
+     "power with coefficients of up to 1000000 bits exceeds the limit 4000 (at position 10)"),
+])
+def test_huge_nested_power_exits_fast(tmp_path, coordinate, message):
+    # each exponent is within MAX_EXPONENT, but the result of the inner power
+    # would have degree 10^6 (or 10^6-bit coefficients, and 10^9 one level up)
+    path = _conic_with(tmp_path, points=[["1", coordinate, "t"]])
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_EXPONENT_CHECK, path],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
+    )
+    code, seconds = proc.stdout.split()
+    assert code == "2" and float(seconds) < 1.0
+    assert message in proc.stderr
+
+
+SYMPY_MODULES = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import ffsubspace.cli
+print(" ".join(m for m in ("sympy", "mpmath") if m in sys.modules) or "none")
+"""
+
+SYMPY_MODULES_AFTER_RUNS = """
+import contextlib, io, sys
+sys.path.insert(0, sys.argv[1])
+from ffsubspace.cli import main
+for path in sys.argv[2:]:
+    for args in (["check", path, "--format", "json"], ["check", path, "--format", "text"],
+                 ["chow", "--input", path]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            print(args[0], main(args), file=sys.stderr)
+print(" ".join(m for m in ("sympy", "mpmath") if m in sys.modules) or "none")
+"""
+
+
+def _isolated(script, *args):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run(
+        [sys.executable, "-I", "-c", script, src, *args],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+
+
+def test_import_does_not_load_sympy():
+    assert _isolated(SYMPY_MODULES).stdout == "none\n"
+
+
+def test_check_and_chow_do_not_load_sympy(tmp_path):
+    # places of degree <= 3 (t^2 + 1 among them) are checked without sympy,
+    # and constant Chow-form coefficients need no factoring
+    paths = [SCENARIO]
+    for name, scenario in [("golden", golden_scenario_dict()), ("ideal", ideal_scenario_dict())]:
+        paths.append(str(tmp_path / f"{name}.json"))
+        Path(paths[-1]).write_text(json.dumps(scenario))
+    proc = _isolated(SYMPY_MODULES_AFTER_RUNS, *paths)
+    assert proc.stdout == "none\n"
+    assert proc.stderr.split() == ["check", "0", "check", "0", "chow", "0"] * 3

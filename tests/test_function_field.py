@@ -6,6 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffsubspace.errors import (
     ParseError,
@@ -33,7 +34,7 @@ from ffsubspace.function_field import (
     weil_table,
 )
 from ffsubspace.harness import load_scenario, load_scenario_dict, run_check
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog, rand_k, rand_point, rand_qpoly
 from test_harness import SCENARIO_PATH
 from test_twisted_cubic import ideal_scenario_dict
@@ -388,6 +389,69 @@ def test_polynomials_skip_the_gcd(monkeypatch):
     assert {f.den, g.den, total.den, product.den} == {upoly.ONE}
     assert total.num == upoly.add(f.num, g.num)
     assert product.num == upoly.mul(f.num, g.num)
+
+
+# --- hypothesis properties: Weil functions and divisors
+
+_zpoly = st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any)
+
+
+@st.composite
+def _nonzero_elements(draw):
+    return RationalFunction(draw(_zpoly), draw(_zpoly))
+
+
+@st.composite
+def _points(draw):
+    coords = draw(st.lists(_nonzero_elements() | st.just(RationalFunction(0)),
+                           min_size=3, max_size=3))
+    assume(any(coords))
+    return ProjectivePoint(coords)
+
+
+@st.composite
+def _forms(draw):
+    degree = draw(st.integers(1, 2))
+    basis = monomial_basis(3, degree)
+    monos = draw(st.lists(st.sampled_from(basis), min_size=1, max_size=3, unique=True))
+    return HomogeneousPoly(3, degree, {m: draw(_nonzero_elements()) for m in monos})
+
+
+PROPERTY_PLACES = KERNEL_PLACES[:3] + [Place.parse("t^3 - 2"), INFINITY]
+
+
+def _rows_off_divisors(qs, x):
+    try:
+        return weil_table(PROPERTY_PLACES, qs, x)
+    except PointOnDivisor:
+        assume(False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qs=st.lists(_forms(), min_size=1, max_size=3), x=_points())
+def test_weil_rows_are_nonnegative(qs, x):
+    for _, row in _rows_off_divisors(qs, x):
+        assert all(value >= 0 for value in row)
+
+
+@settings(max_examples=60, deadline=None)
+@given(qs=st.lists(_forms(), min_size=1, max_size=3), x=_points(),
+       alpha=_nonzero_elements(), betas=st.lists(_nonzero_elements(), min_size=3, max_size=3))
+def test_weil_rows_are_gauge_invariant(qs, x, alpha, betas):
+    rows = _rows_off_divisors(qs, x)
+    assert weil_table(PROPERTY_PLACES, qs, x.scaled(alpha)) == rows
+    scaled = [q.scale(beta) for q, beta in zip(qs, betas)]
+    assert weil_table(PROPERTY_PLACES, scaled, x) == rows
+    assert weil_table(PROPERTY_PLACES, scaled, x.scaled(alpha)) == rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=_nonzero_elements(), g=_nonzero_elements())
+def test_divisor_satisfies_the_sum_formula(f, g):
+    for h in (f, f * g, f / g):
+        div = divisor(h)
+        assert sum(o * p.degree for p, o in div.items()) == 0
+        assert all(order_at(h, p) == o for p, o in div.items())
 
 
 INVARIANTS_UNDER_O = """

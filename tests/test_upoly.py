@@ -81,6 +81,48 @@ def test_is_irreducible():
     assert not upoly.is_irreducible((5,))        # constants
 
 
+def _low_degree_cases():
+    """Seeded quadratics and cubics over Z, reducible and irreducible."""
+    mul = upoly.mul
+    fixed = [
+        mul((3, 2), (-5, 1)),                        # (2t + 3)(t - 5)
+        mul((-2, 3), (1, 0, 1)),                     # (3t - 2)(t^2 + 1)
+        mul((3, 2), (-7, 5)),                        # non-monic, two rational roots
+        (-4, 4, -1), (1, 6, 9), mul((-1, 1), (-1, 1)),  # repeated roots
+        upoly.pow_((-1, 2), 3), mul(mul((-1, 1), (-1, 1)), (4, 1)),
+        (0, 1, 1), (0, 3, 0, 2), (0, 0, 5), (0, 0, 0, 7),  # zero constant term
+        (1, -3, 0, 1), (1, -4, 0, 1), (-1, -9, 0, 10),   # irreducible, three real roots
+        (2, 0, 1), (-2, 0, 0, 1), (1, 1, 1, 1), (10**30 + 1, 0, 0, 10**30),
+        upoly.scale((1, -3, 0, 1), 6), upoly.scale(mul((3, 2), (-5, 1)), -10),  # not primitive
+    ]
+    rng = random.Random(7)
+    random_cases = []
+    for i in range(400):
+        degree = 2 + i % 2
+        bound = (9, 10**6, 10**30)[i % 3]
+        if i % 4 < 2:  # a linear factor times a random one: reducible
+            p = upoly.mul(rand_zpoly(rng, 1, bound), rand_zpoly(rng, degree - 1, bound))
+        else:
+            p = rand_zpoly(rng, degree, bound)
+        random_cases.append(upoly.scale(p, rng.choice([1, 1, -1, 2, -6, 10**12])))
+    return fixed + random_cases
+
+
+def test_is_irreducible_matches_sympy_without_calling_it(monkeypatch):
+    cases = _low_degree_cases()
+    expected = [to_sympy(p).is_irreducible for p in cases]
+    assert len(cases) >= 300 and 100 < sum(expected) < len(cases) - 100
+
+    def no_sympy(p):
+        raise AssertionError(f"degree {upoly.degree(p)} reached sympy")
+
+    monkeypatch.setattr(upoly, "_to_sympy", no_sympy)
+    upoly.is_irreducible.cache_clear()
+    assert [upoly.is_irreducible(p) for p in cases] == expected
+    with pytest.raises(AssertionError, match="degree 4 reached sympy"):
+        upoly.is_irreducible((1, 0, 0, 0, 1))
+
+
 def test_format_round_trip():
     rng = random.Random(42)
     for _ in range(30):
