@@ -65,7 +65,8 @@ def _tokenize(text: str):
 
 class _Parser:
     """The grammar.  Subclasses give the values: constants, t, variables,
-    and add/neg/mul/div/pow on them."""
+    and add/neg/mul/div/pow on them, and the `size` of a power's base: its
+    degree and `_bits_per_factor`."""
 
     def __init__(self, text: str):
         self.text = text

@@ -111,7 +111,7 @@ def _constants_inputs(tmp_path, **changes):
 
 
 def test_constants_with_n_zero_is_a_schema_error(capsys, tmp_path):
-    # epsilon / N was computed before any check: a ZeroDivisionError, exit 1
+    # epsilon / N is the first use of N, so the schema must refuse N = 0
     assert main(["constants", "--inputs", _constants_inputs(tmp_path, N=0)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "(at /N)" in err
@@ -238,19 +238,26 @@ print(code, time.perf_counter() - start)
 """
 
 
-def test_huge_exponent_exits_fast(tmp_path):
-    # t^1000000000 would be a 10^9-term polynomial; the parser refuses the
-    # exponent before building anything.  The child's address space is
-    # capped so that a regression fails instead of exhausting memory.
-    path = _conic_with(tmp_path, points=[["1", "t^1000000000", "t"]])
+def _check_in_capped_child(tmp_path, coordinate):
+    """(exit code, seconds inside main, stderr) of `check` on the conic with
+    one point that has this coordinate, in a child with 2 GB of address space."""
+    path = _conic_with(tmp_path, points=[["1", coordinate, "t"]])
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", HUGE_EXPONENT_CHECK, path],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     code, seconds = proc.stdout.split()
-    assert code == "2" and float(seconds) < 1.0
-    assert "exceeds the limit 1000 (at position 2)" in proc.stderr
+    return int(code), float(seconds), proc.stderr
+
+
+def test_huge_exponent_exits_fast(tmp_path):
+    # t^1000000000 would be a 10^9-term polynomial; the parser refuses the
+    # exponent before building anything.  The child's address space is
+    # capped so that a regression fails instead of exhausting memory.
+    code, seconds, stderr = _check_in_capped_child(tmp_path, "t^1000000000")
+    assert code == 2 and seconds < 1.0
+    assert "exceeds the limit 1000 (at position 2)" in stderr
 
 
 @pytest.mark.parametrize("coordinate, message", [
@@ -261,15 +268,9 @@ def test_huge_exponent_exits_fast(tmp_path):
 def test_huge_nested_power_exits_fast(tmp_path, coordinate, message):
     # each exponent is within MAX_EXPONENT, but the result of the inner power
     # would have degree 10^6 (or 10^6-bit coefficients, and 10^9 one level up)
-    path = _conic_with(tmp_path, points=[["1", coordinate, "t"]])
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    proc = subprocess.run(
-        [sys.executable, "-c", HUGE_EXPONENT_CHECK, path],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
-    )
-    code, seconds = proc.stdout.split()
-    assert code == "2" and float(seconds) < 1.0
-    assert message in proc.stderr
+    code, seconds, stderr = _check_in_capped_child(tmp_path, coordinate)
+    assert code == 2 and seconds < 1.0
+    assert message in stderr
 
 
 SYMPY_MODULES = """
