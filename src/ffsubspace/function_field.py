@@ -15,7 +15,7 @@ text and sort order are those of the monic form.
 Heights and Weil values come from primitive coordinates (coprime in Z[t]),
 where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
 Only divisor, support and height_elem factor, through `upoly.factor_monic`,
-which imports sympy on its first real factorization; a place of degree <= 3
+which imports sympy on its first real factorization; a place of degree <= 2
 is checked for irreducibility without sympy.
 """
 

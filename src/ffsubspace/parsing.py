@@ -12,8 +12,9 @@ coefficients could exceed MAX_COEFFICIENT_BITS bits.
 on the level:
 
 * Coefficients (`parse_rational`) are pairs (num, den) of integer `upoly`
-  tuples, combined by the fraction rules with no gcd at all; the pair is
-  brought to canonical form once, at the end.
+  tuples, combined by the fraction rules with no gcd; a pair is brought to
+  canonical form only as the base of a power, so the power limits see the
+  base's value and not how it is written, and once at the end.
 * Polynomials (`parse_terms`) are sparse term maps {exponent tuple:
   RationalFunction}; a map whose only key is the zero tuple is a constant.
   They are added with `multipoly.collect`, multiplied with
@@ -66,7 +67,8 @@ def _tokenize(text: str):
 class _Parser:
     """The grammar.  Subclasses give the values: constants, t, variables,
     and add/neg/mul/div/pow on them, and the `size` of a power's base: its
-    degree and `_bits_per_factor`."""
+    degree and `_bits_per_factor`.  `canonical` brings a base to the form
+    `size` and `pow` see; term maps are canonical already."""
 
     def __init__(self, text: str):
         self.text = text
@@ -137,6 +139,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", pos)
+            base = self.canonical(base)
             degree, bits = self.size(base)
             if degree * e > MAX_EXPONENT:
                 raise ParseError(
@@ -166,6 +169,9 @@ class _Parser:
             self.expect_op(")")
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
+
+    def canonical(self, base):
+        return base
 
 
 def _bits_per_factor(coeffs) -> int:
@@ -232,7 +238,8 @@ class _TermParser(_Parser):
 
 
 class _RationalParser(_Parser):
-    """Coefficient level: (num, den) pairs over Z[t], never reduced."""
+    """Coefficient level: (num, den) pairs over Z[t], reduced only as the
+    base of a power."""
 
     def const(self, value):
         return upoly.strip((value,)), upoly.ONE
@@ -259,6 +266,10 @@ class _RationalParser(_Parser):
         if not y[0]:
             raise ParseError("division by zero", pos)
         return upoly.mul(x[0], y[1]), upoly.mul(x[1], y[0])
+
+    def canonical(self, x):
+        f = RationalFunction.reduced(*x)
+        return f.num, f.den
 
     def size(self, x):
         return max(map(upoly.degree, x)), max(map(_bits_per_factor, x))

@@ -18,9 +18,8 @@ Factorization into irreducibles is delegated to sympy and cached, since
 that is the one genuinely hard primitive here.  sympy is imported on the
 first call that needs it: a factorization with a factor of degree >= 2
 left after the content and the powers of t, or the irreducibility of a
-polynomial of degree >= 4.  Irreducibility up to degree 3 is decided
-exactly with integer arithmetic (a discriminant, or an integer root of a
-monic cubic), so a run whose places have degree <= 3 never loads sympy.
+polynomial of degree >= 3.  A quadratic is decided from its discriminant,
+so a run whose places have degree <= 2 never loads sympy.
 """
 
 from __future__ import annotations
@@ -331,50 +330,7 @@ def is_irreducible(p) -> bool:
     if len(p) == 3:
         disc = p[1] * p[1] - 4 * p[0] * p[2]
         return disc < 0 or isqrt(disc) ** 2 != disc
-    if len(p) == 4:
-        return not _has_rational_root(primitive(p))
     return bool(_to_sympy(p).is_irreducible)
-
-
-def _has_rational_root(p) -> bool:
-    """Whether the primitive cubic p (lc > 0) has a root in Q.
-
-    With a = lc(p), g(y) = a^2 * p(y / a) is a monic integer cubic, and p has
-    a rational root exactly when g has an integer root (a rational root of a
-    monic integer polynomial is an integer).  g is monotone between its
-    critical points, which are bracketed by consecutive integers through
-    isqrt; each monotone piece is bisected inside the Cauchy bound.
-    """
-    a0, a1, a2, a = p
-    g = (a0 * a * a, a1 * a, a2, 1)
-    bound = 1 + max(map(abs, g[:3]))
-    # g'(y) = 3y^2 + 2*a2*y + a1*a vanishes at c1, c2 = (-a2 -+ sqrt(s)) / 3.
-    s = a2 * a2 - 3 * a1 * a
-    if s <= 0:
-        return _root_in(g, -bound, bound, 1)
-    # With r = isqrt(s) <= sqrt(s) < r + 1: lo1 <= c1 <= lo1 + 1 and
-    # lo2 <= c2 <= lo2 + 1, so the three pieces hold every integer.
-    r = isqrt(s)
-    lo1, lo2 = (-a2 - r - 1) // 3, (r - a2) // 3
-    return (
-        _root_in(g, -bound, lo1, 1)
-        or _root_in(g, lo1 + 1, lo2, -1)
-        or _root_in(g, lo2 + 1, bound, 1)
-    )
-
-
-def _root_in(g, lo: int, hi: int, sign: int) -> bool:
-    """Whether g has an integer root in [lo, hi], on which sign * g is
-    nondecreasing: bisect for the first y with sign * g(y) >= 0."""
-    if lo > hi:
-        return False
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sign * _evaluate(g, mid) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return _evaluate(g, lo) == 0
 
 
 def format_poly(p, var: str = "t", den: int = 1) -> str:

@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
+import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
@@ -198,3 +199,22 @@ def test_field_operations_stay_canonical_and_agree_with_sympy(f, g):
         assert upoly.degree(h.den) == q.degree()
         if h:
             assert upoly.degree(h.num) == p.degree()
+
+
+def test_power_limits_see_the_reduced_base():
+    # the degree and bit limits of `^` apply to the base's value, not to how
+    # it is written
+    one = RationalFunction(1)
+    assert parse_rational("(t^600/t^600)^2") == one
+    assert parse_rational("(1000/1000)^1000") == one
+    n = 60  # written as a sum, the base has degree 60; its value n/t has degree 1
+    assert parse_rational("(" + " + ".join(["1/t"] * n) + f")^20") == RationalFunction.reduced(
+        (n**20,), upoly.pow_(upoly.T, 20)
+    )
+    for text, message in [
+        ("(t^900/t^300)^2", "power of degree 1200"),
+        ("(2*t^1000/(3*t^1000))^5000", "exponent 5000 exceeds"),
+        ("(2^1000/3)^5", "power with coefficients of up to 5000 bits"),
+    ]:
+        with pytest.raises(ParseError, match=message):
+            parse_rational(text)

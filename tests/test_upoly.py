@@ -97,7 +97,7 @@ def _low_degree_cases():
     ]
     rng = random.Random(7)
     random_cases = []
-    for i in range(400):
+    for i in range(600):
         degree = 2 + i % 2
         bound = (9, 10**6, 10**30)[i % 3]
         if i % 4 < 2:  # a linear factor times a random one: reducible
@@ -108,19 +108,23 @@ def _low_degree_cases():
     return fixed + random_cases
 
 
-def test_is_irreducible_matches_sympy_without_calling_it(monkeypatch):
+def test_is_irreducible_matches_sympy_and_skips_it_for_quadratics(monkeypatch):
     cases = _low_degree_cases()
     expected = [to_sympy(p).is_irreducible for p in cases]
-    assert len(cases) >= 300 and 100 < sum(expected) < len(cases) - 100
+    assert sum(len(p) == 3 for p in cases) >= 300
+    assert 100 < sum(expected) < len(cases) - 100
 
-    def no_sympy(p):
-        raise AssertionError(f"degree {upoly.degree(p)} reached sympy")
+    reached = []
+    real = upoly._to_sympy
 
-    monkeypatch.setattr(upoly, "_to_sympy", no_sympy)
+    def recording(p):
+        reached.append(upoly.degree(p))
+        return real(p)
+
+    monkeypatch.setattr(upoly, "_to_sympy", recording)
     upoly.is_irreducible.cache_clear()
     assert [upoly.is_irreducible(p) for p in cases] == expected
-    with pytest.raises(AssertionError, match="degree 4 reached sympy"):
-        upoly.is_irreducible((1, 0, 0, 0, 1))
+    assert set(reached) == {3}  # every cubic asks sympy, no quadratic does
 
 
 def test_format_round_trip():
