@@ -78,13 +78,14 @@ def _parse_gens(arg: str, num_vars) -> IdealGenerators:
 
 
 _RATIONAL = {"type": ["string", "integer"]}
-_COUNT = {"type": "integer"}
+# Every count is at least 1, H values too: H_X(k) >= 1 for a nonempty X.
+_COUNT = {"type": "integer", "minimum": 1}
 CONSTANTS_SCHEMA = {
     "type": "object",
     "required": ["n", "delta", "M", "N", "q", "d_i", "epsilon", "s_card", "s_degree"],
     "properties": {
-        **{key: _COUNT for key in ("n", "delta", "M", "q", "s_card", "s_degree", "m")},
-        "N": {"type": "integer", "minimum": 1},
+        **{key: _COUNT for key in ("n", "delta", "M", "N", "q", "s_card", "s_degree")},
+        "m": {"type": "integer"},  # ConstantInputs checks m against its floor
         "d_i": {"type": "array", "items": _COUNT},
         **{key: _RATIONAL for key in ("epsilon", "h_fx", "h_q_family", "e_s_term", "c1", "c1_prime")},
         "h_q_i": {"type": "array", "items": _RATIONAL},
@@ -236,7 +237,7 @@ def _cmd_constants(args) -> int:
         m=m,
     )
     table = {int(k): v for k, v in data.get("H_table", {}).items()}
-    constants = assemble_constants(inputs, table, a_eps=a_eps)
+    constants = assemble_constants(inputs, table.get, a_eps=a_eps)
     rows = constants_rows(a_eps, constants)
     width = max(len(k) for k, _ in rows)
     for k, v in rows:

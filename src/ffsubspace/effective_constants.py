@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .errors import MissingTableEntry, PreconditionViolated, ZeroPolynomial
+from .errors import PreconditionViolated, ZeroPolynomial
 from .function_field import RationalFunction
 from .hilbert_bounds import chardin_upper, sombra_lower
 
@@ -100,28 +100,16 @@ class EffectiveConstants:
     S_sum: int
 
 
-def _h_value(H_table, degree: int, n: int, delta: int, strict: bool, bound) -> int:
-    """H(degree) from the table, else `bound(degree, n, delta)` unless strict."""
-    value = H_table.get(degree)
-    if value is not None:
-        return value
-    if strict:
-        raise MissingTableEntry(f"H table has no entry at degree {degree}")
-    return bound(degree, n, delta)
-
-
 def assemble_constants(
-    inputs: ConstantInputs,
-    H_table,
-    a_eps: int | None = None,
-    strict: bool = False,
+    inputs: ConstantInputs, hilbert, a_eps: int | None = None
 ) -> EffectiveConstants:
     """Evaluate b, the per-place constant, b1..b3, c_eps and c'_eps exactly.
 
-    H_table supplies Hilbert values by degree.  Missing entries fall back to
-    the Chardin bound where the value multiplies (the H_X(m) factor) and to
-    the Sombra bound where it divides (the S(m/d - 1) sum), keeping every
-    reported constant a valid upper bound; strict=True forbids fallbacks.
+    hilbert(k) gives H_X(k), or None where the value is not known.  A None
+    falls back to the Chardin bound where the value multiplies (the H_X(m)
+    factor) and to the Sombra bound where it divides (the S(m/d - 1) sum),
+    keeping every reported constant a valid upper bound.  hilbert is asked
+    once at each degree, in ascending order.
     """
     n, delta, M, N, q, d, m = (
         inputs.n,
@@ -135,14 +123,15 @@ def assemble_constants(
     b = b_const(m, n, M, delta)
     a = excess_vanishing_const(n, M, N, delta, d, inputs.h_fx, inputs.h_q_family)
 
-    h_m = _h_value(H_table, m, n, delta, strict, chardin_upper)
-    steps = m // d
-    if steps < 2:
+    if m < 2 * d:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
-    s_sum = sum(
-        _h_value(H_table, i * d, n, delta, strict, sombra_lower)
-        for i in range(1, steps)
-    )
+    s_sum = 0
+    for k in range(d, m, d):
+        h = hilbert(k)
+        s_sum += sombra_lower(k, n, delta) if h is None else h
+    h_m = hilbert(m)
+    if h_m is None:
+        h_m = chardin_upper(m, n, delta)
 
     b1 = (m + 1) * h_m * b * (inputs.h_fx + inputs.h_q_family)
     b2 = inputs.s_card * b1

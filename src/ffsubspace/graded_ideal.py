@@ -99,6 +99,18 @@ class GradedPieceBasis:
         return out
 
 
+def _macaulay_rows(gens: IdealGenerators, m: int, col_of: dict):
+    """(i, gamma, row) for each multiple x^gamma * g_i of degree m, by i and
+    then gamma in glex order; row is sparse over the columns `col_of`."""
+    for i, g in enumerate(gens.generators):
+        if g.degree > m:
+            continue
+        for gamma in monomial_basis(gens.num_vars, m - g.degree):
+            yield i, gamma, {
+                col_of[monomial_mul(gamma, mono)]: c for mono, c in g.terms.items()
+            }
+
+
 @lru_cache(maxsize=128)
 def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     """The degree-m slice of the ideal as an echelonized row space."""
@@ -107,12 +119,8 @@ def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     cols = monomial_basis(gens.num_vars, m)
     col_of = {mono: i for i, mono in enumerate(cols)}
     ech = Echelon(len(cols))
-    for g in gens.generators:
-        if g.degree > m:
-            continue
-        for gamma in monomial_basis(gens.num_vars, m - g.degree):
-            row = {col_of[monomial_mul(gamma, mono)]: c for mono, c in g.terms.items()}
-            ech.add_row(row)
+    for _, _, row in _macaulay_rows(gens, m, col_of):
+        ech.add_row(row)
     return GradedPieceBasis(m, cols, ech)
 
 
@@ -219,25 +227,16 @@ def nullstellensatz_certificate(
         target_degree = u * p0.degree
         cols = monomial_basis(nv, target_degree)
         col_of = {mono: i for i, mono in enumerate(cols)}
-        rows = []
-        row_tags = []
-        for i, g in enumerate(gens.generators):
-            if g.degree > target_degree:
-                continue
-            for gamma in monomial_basis(nv, target_degree - g.degree):
-                rows.append(
-                    {col_of[monomial_mul(gamma, mono)]: c for mono, c in g.terms.items()}
-                )
-                row_tags.append((i, gamma))
+        tagged = list(_macaulay_rows(gens, target_degree, col_of))
         power = p0 ** u
         target = {col_of[mono]: c for mono, c in power.terms.items()}
-        solution = solve_combination(rows, target, len(cols))
+        solution = solve_combination([row for _, _, row in tagged], target, len(cols))
         if solution is None:
             continue
         cofactors = []
         for i, g in enumerate(gens.generators):
             terms = {}
-            for y, (gi, gamma) in zip(solution, row_tags):
+            for y, (gi, gamma, _) in zip(solution, tagged):
                 if gi == i and not y.is_zero():
                     terms[gamma] = terms.get(gamma, RationalFunction(0)) + y
             cofactors.append(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import jsonschema
@@ -309,18 +310,16 @@ class Report:
     warnings: tuple
 
 
-def _hilbert_table(scenario: Scenario, degrees) -> dict:
-    """Exact Hilbert values where a closed form or a cheap rank exists."""
-    table = {}
+def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
+    """H_X(k) where a closed form or a cheap rank gives it, else None."""
     M = scenario.ambient_dim
-    for k in sorted(set(degrees)):
-        if scenario.variety_kind == "projective_space":
-            table[k] = comb(k + M, M)
-        elif scenario.variety_kind == "hypersurface":
-            table[k] = hypersurface_hilbert(k, M, scenario.degree)
-        elif k <= scenario.hilbert_exact_cutoff:
-            table[k] = hilbert_function(scenario.x_gens, k)
-    return table
+    if scenario.variety_kind == "projective_space":
+        return comb(k + M, M)
+    if scenario.variety_kind == "hypersurface":
+        return hypersurface_hilbert(k, M, scenario.degree)
+    if k <= scenario.hilbert_exact_cutoff:
+        return hilbert_function(scenario.x_gens, k)
+    return None
 
 
 def run_check(scenario: Scenario) -> Report:
@@ -374,9 +373,9 @@ def run_check(scenario: Scenario) -> Report:
         c1_prime=scenario.c1_prime,
         m=m,
     )
-    needed = [i * d for i in range(1, m // d)] + [m]
-    table = _hilbert_table(scenario, needed)
-    constants = assemble_constants(inputs, table, a_eps=a_eps)
+    constants = assemble_constants(
+        inputs, partial(_exact_hilbert, scenario), a_eps=a_eps
+    )
 
     factor = scenario.N * (n + 1) + scenario.epsilon
     records = []

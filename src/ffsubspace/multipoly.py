@@ -281,64 +281,26 @@ class HomogeneousPoly(SparseForm):
         return f"HomogeneousPoly({self})"
 
 
-class SparsePoly:
-    """A possibly-inhomogeneous sparse polynomial; the dehomogenized side
-    of the dehomogenize/homogenize round trip."""
-
-    __slots__ = ("num_vars", "terms")
-
-    def __init__(self, num_vars: int, terms):
-        clean = {}
-        for mono, c in terms.items():
-            c = _coerce_coeff(c)
-            if c.is_zero():
-                continue
-            if len(mono) != num_vars:
-                raise VarCountMismatch(
-                    f"monomial {mono} has {len(mono)} vars, expected {num_vars}"
-                )
-            clean[tuple(mono)] = c
-        object.__setattr__(self, "num_vars", num_vars)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, *a):
-        raise AttributeError("SparsePoly is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SparsePoly)
-            and self.num_vars == other.num_vars
-            and self.terms == other.terms
-        )
-
-    def __str__(self):
-        return _format_terms(self.terms)
-
-    def __repr__(self):
-        return f"SparsePoly({self})"
-
-
-def dehomogenize(q: HomogeneousPoly, axis: int) -> SparsePoly:
-    """Substitute X_axis = 1."""
-    out = collect(
+def dehomogenize(q: HomogeneousPoly, axis: int) -> dict:
+    """Substitute X_axis = 1; the result is a term map, possibly inhomogeneous."""
+    return collect(
         (tuple(0 if i == axis else e for i, e in enumerate(mono)), c)
         for mono, c in q.terms.items()
     )
-    return SparsePoly(q.num_vars, out)
 
 
-def homogenize(p: SparsePoly, axis: int) -> HomogeneousPoly:
+def homogenize(terms: dict, num_vars: int, axis: int) -> HomogeneousPoly:
     """Restore homogeneity with the minimal power of X_axis per term."""
-    if not p.terms:
-        return HomogeneousPoly.zero(p.num_vars)
-    target = max(monomial_degree(m) for m in p.terms)
+    if not terms:
+        return HomogeneousPoly.zero(num_vars)
+    target = max(monomial_degree(m) for m in terms)
 
     def lift(mono):
         gap = target - monomial_degree(mono)
         return tuple(e + gap if i == axis else e for i, e in enumerate(mono))
 
-    out = collect((lift(mono), c) for mono, c in p.terms.items())
-    return HomogeneousPoly(p.num_vars, target, out)
+    out = collect((lift(mono), c) for mono, c in terms.items())
+    return HomogeneousPoly(num_vars, target, out)
 
 
 def _format_terms(terms) -> str:

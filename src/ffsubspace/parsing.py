@@ -5,8 +5,9 @@ the operators + - * / ^ and parentheses, whitespace insignificant.  At the
 coefficient level no X variables are allowed; at the polynomial level
 division is only legal when the divisor is a constant of K.  A power is
 refused before it is built when its exponent, or the degree of its result
-(in t, or in total in the X variables), exceeds MAX_EXPONENT, or when its
-coefficients could exceed MAX_COEFFICIENT_BITS bits.
+(in t, or in total in the X variables), exceeds MAX_EXPONENT, when its
+coefficients could exceed MAX_COEFFICIENT_BITS bits, or when it could have
+more than MAX_POWER_TERMS terms.
 
 `_Parser` walks the grammar once for both levels; what a value is depends
 on the level:
@@ -25,6 +26,7 @@ on the level:
 from __future__ import annotations
 
 import re
+from math import comb
 
 from . import upoly
 from .errors import ParseError
@@ -35,6 +37,11 @@ from .multipoly import collect, mul_terms
 # Far above the degrees of any real input, and small enough that
 # t^MAX_EXPONENT is built in well under a second.
 MAX_EXPONENT = 1000
+
+# Largest number of terms `^` may give a polynomial, as estimated from the
+# base by `_TermParser.terms`.  (X0 + X1)^499 has 500 terms and is built in
+# under a second; (X0 + X1 + X2 + X3)^30 would have 5,456.
+MAX_POWER_TERMS = 500
 
 # Largest bit length `^` may give a coefficient, as estimated from the base by
 # `_bits_per_factor`.  10^1000 and (7*t + 7)^1000 pass; (2^1000)^5 does not.
@@ -66,9 +73,10 @@ def _tokenize(text: str):
 
 class _Parser:
     """The grammar.  Subclasses give the values: constants, t, variables,
-    and add/neg/mul/div/pow on them, and the `size` of a power's base: its
-    degree and `_bits_per_factor`.  `canonical` brings a base to the form
-    `size` and `pow` see; term maps are canonical already."""
+    and add/neg/mul/div/pow on them, the `size` of a power's base: its
+    degree and `_bits_per_factor`, and a bound on the number of `terms` of a
+    power.  `canonical` brings a base to the form `size` and `pow` see; term
+    maps are canonical already."""
 
     def __init__(self, text: str):
         self.text = text
@@ -150,6 +158,11 @@ class _Parser:
                     f"power with coefficients of up to {bits * e} bits exceeds "
                     f"the limit {MAX_COEFFICIENT_BITS}", pos
                 )
+            terms = self.terms(base, e)
+            if terms > MAX_POWER_TERMS:
+                raise ParseError(
+                    f"power with up to {terms} terms exceeds the limit {MAX_POWER_TERMS}", pos
+                )
             return self.pow(base, e)
         return base
 
@@ -172,6 +185,9 @@ class _Parser:
 
     def canonical(self, base):
         return base
+
+    def terms(self, base, e):
+        return 1  # a coefficient is one term
 
 
 def _bits_per_factor(coeffs) -> int:
@@ -232,6 +248,18 @@ class _TermParser(_Parser):
             _bits_per_factor(x for c in coeffs for x in c.num),
             _bits_per_factor(x for c in coeffs for x in c.den),
         )
+
+    def terms(self, base, e):
+        """At most as many terms as multisets of e terms of the base, and as
+        monomials in the base's variables of a degree that base^e can have."""
+        if not base or e == 0:
+            return 1
+        multisets = comb(len(base) + e - 1, e)
+        v = sum(1 for exponents in zip(*base) if any(exponents))
+        degrees = [sum(m) for m in base]
+        lo, hi = min(degrees) * e, max(degrees) * e
+        monomials = comb(hi + v, v) - (comb(lo - 1 + v, v) if lo else 0)
+        return min(multisets, monomials)
 
     def pow(self, base, e):
         return upoly.power(base, e, self.const(1), mul_terms)

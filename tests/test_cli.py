@@ -117,6 +117,22 @@ def test_constants_with_n_zero_is_a_schema_error(capsys, tmp_path):
     assert err.startswith("error: ") and "(at /N)" in err
 
 
+@pytest.mark.parametrize("changes, pointer", [
+    ({"n": 0}, "/n"),
+    ({"delta": 0}, "/delta"),
+    ({"M": -1}, "/M"),
+    ({"q": 0}, "/q"),
+    ({"s_card": -1}, "/s_card"),
+    ({"s_degree": 0}, "/s_degree"),
+    ({"d_i": [1, 1, 1, -1]}, "/d_i/3"),
+    ({"H_table": {"1": 3, "2": 0}}, "/H_table/2"),
+])
+def test_constants_counts_are_at_least_one(capsys, tmp_path, changes, pointer):
+    assert main(["constants", "--inputs", _constants_inputs(tmp_path, **changes)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"(at {pointer})" in err
+
+
 def test_constants_checks_an_explicit_m_zero(capsys, tmp_path):
     # m = 0 is checked like any other m, not replaced by a chosen one
     assert main(["constants", "--inputs", _constants_inputs(tmp_path, m=0)]) == 2
@@ -228,27 +244,32 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
     assert "/variety/chow_form/terms/0" in capsys.readouterr().err
 
 
-HUGE_EXPONENT_CHECK = """
+CAPPED_MAIN = """
 import resource, sys, time
 resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
 from ffsubspace.cli import main
 start = time.perf_counter()
-code = main(["check", sys.argv[1]])
+code = main(sys.argv[1:])
 print(code, time.perf_counter() - start)
 """
 
 
-def _check_in_capped_child(tmp_path, coordinate):
-    """(exit code, seconds inside main, stderr) of `check` on the conic with
-    one point that has this coordinate, in a child with 2 GB of address space."""
-    path = _conic_with(tmp_path, points=[["1", coordinate, "t"]])
+def _main_in_capped_child(*args):
+    """(exit code, seconds inside main, stderr) of the CLI on these arguments,
+    in a child with 2 GB of address space."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", HUGE_EXPONENT_CHECK, path],
+        [sys.executable, "-c", CAPPED_MAIN, *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
     code, seconds = proc.stdout.split()
     return int(code), float(seconds), proc.stderr
+
+
+def _check_in_capped_child(tmp_path, coordinate):
+    """`_main_in_capped_child` of `check` on the conic with one point that
+    has this coordinate."""
+    return _main_in_capped_child("check", _conic_with(tmp_path, points=[["1", coordinate, "t"]]))
 
 
 def test_huge_exponent_exits_fast(tmp_path):
@@ -269,6 +290,18 @@ def test_huge_nested_power_exits_fast(tmp_path, coordinate, message):
     # each exponent is within MAX_EXPONENT, but the result of the inner power
     # would have degree 10^6 (or 10^6-bit coefficients, and 10^9 one level up)
     code, seconds, stderr = _check_in_capped_child(tmp_path, coordinate)
+    assert code == 2 and seconds < 1.0
+    assert message in stderr
+
+
+@pytest.mark.parametrize("gens, message", [
+    ("(X0+X1+X2+X3)^30", "power with up to 5456 terms exceeds the limit 500 (at position 14)"),
+    ("(X0+X1)^1000", "power with up to 1001 terms exceeds the limit 500 (at position 8)"),
+])
+def test_power_with_many_terms_exits_fast(gens, message):
+    # within the exponent, degree and coefficient limits, but built term by
+    # term these powers would take seconds
+    code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
     assert code == 2 and seconds < 1.0
     assert message in stderr
 

@@ -13,7 +13,7 @@ from ffsubspace.effective_constants import (
     excess_vanishing_const,
     excess_vanishing_power,
 )
-from ffsubspace.errors import MissingTableEntry, PreconditionViolated, ZeroPolynomial
+from ffsubspace.errors import PreconditionViolated, ZeroPolynomial
 from ffsubspace.function_field import (
     INFINITY,
     Place,
@@ -60,7 +60,7 @@ def test_choose_m():
 
 
 def test_assemble_zero_heights():
-    out = assemble_constants(ConstantInputs(**CONIC_INPUTS), CONIC_H)
+    out = assemble_constants(ConstantInputs(**CONIC_INPUTS), CONIC_H.get)
     assert (out.b1, out.b2, out.b3) == (0, 0, 0)
     assert out.c_eps == 0 and out.c_prime_eps == 0
     assert out.S_sum == sum(2 * i + 1 for i in range(1, 12))
@@ -68,10 +68,10 @@ def test_assemble_zero_heights():
 
 def test_assemble_c1_prime_passthrough():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "c1_prime": Fraction(7)})
-    out = assemble_constants(inputs, CONIC_H)
+    out = assemble_constants(inputs, CONIC_H.get)
     assert out.c_prime_eps == Fraction(2 * 7, out.S_sum)
     ten = ConstantInputs(**{**CONIC_INPUTS, "c1_prime": Fraction(70)})
-    assert assemble_constants(ten, CONIC_H).c_prime_eps == 10 * out.c_prime_eps
+    assert assemble_constants(ten, CONIC_H.get).c_prime_eps == 10 * out.c_prime_eps
 
 
 def test_assemble_monotone_in_heights():
@@ -81,7 +81,7 @@ def test_assemble_monotone_in_heights():
         inputs = ConstantInputs(
             **{**CONIC_INPUTS, "h_fx": h, "h_q_family": h, "h_q_i": (h,) * 4}
         )
-        out = assemble_constants(inputs, CONIC_H)
+        out = assemble_constants(inputs, CONIC_H.get)
         if last_c is not None:
             assert out.c_eps >= last_c and out.c_prime_eps >= last_cp
         last_c, last_cp = out.c_eps, out.c_prime_eps
@@ -91,25 +91,37 @@ def test_assemble_monotone_in_c1():
     last = None
     for c1 in (Fraction(0), Fraction(1), Fraction(5)):
         inputs = ConstantInputs(**{**CONIC_INPUTS, "c1": c1, "h_fx": Fraction(1)})
-        out = assemble_constants(inputs, CONIC_H)
+        out = assemble_constants(inputs, CONIC_H.get)
         if last is not None:
             assert out.c_eps > last
         last = out.c_eps
 
 
-def test_assemble_fallbacks_and_strict():
+def test_assemble_fallbacks():
     inputs = ConstantInputs(**CONIC_INPUTS)
-    loose = assemble_constants(inputs, {})
+    loose = assemble_constants(inputs, {}.get)
     # Sombra equals the conic's H exactly, Chardin is an overestimate
     assert loose.S_sum == sum(2 * i + 1 for i in range(1, 12))
-    with pytest.raises(MissingTableEntry):
-        assemble_constants(inputs, {}, strict=True)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_assemble_asks_each_degree_once(d):
+    # S(m/d - 1) needs H at i*d for 1 <= i < m/d, and b1 needs H(m); m = 12
+    inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (d,) * 4, "d": d})
+    asked = []
+
+    def hilbert(k):
+        asked.append(k)
+        return CONIC_H.get(k)
+
+    assemble_constants(inputs, hilbert)
+    assert asked == list(range(d, 13, d))
 
 
 def test_assemble_determinism():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "h_fx": Fraction(2, 3)})
-    a = assemble_constants(inputs, CONIC_H, a_eps=11)
-    b = assemble_constants(inputs, CONIC_H, a_eps=11)
+    a = assemble_constants(inputs, CONIC_H.get, a_eps=11)
+    b = assemble_constants(inputs, CONIC_H.get, a_eps=11)
     assert a == b and isinstance(a, EffectiveConstants)
 
 

@@ -198,6 +198,19 @@ def test_rref_does_not_depend_on_row_order(rows, data):
     assert ech.rref_rows() == gauss_jordan(rows, 4)[2]
 
 
+@settings(max_examples=40, deadline=None)
+@given(rows=_row_sets(), data=st.data())
+def test_rref_depends_only_on_the_row_space(rows, data):
+    # rescaled by nonzero elements of K, with duplicates, in any order
+    nonzero = _entries.filter(lambda f: not f.is_zero())
+    scales = data.draw(st.lists(nonzero, min_size=len(rows), max_size=len(rows)))
+    scaled = [{j: s * v for j, v in r.items()} for s, r in zip(scales, rows)]
+    duplicates = data.draw(st.lists(st.sampled_from(scaled), max_size=3))
+    other = echelon_of(data.draw(st.permutations(scaled + duplicates)), 4)
+    ech = echelon_of(rows, 4)
+    assert (other.pivot_cols(), other.rref_rows()) == (ech.pivot_cols(), ech.rref_rows())
+
+
 def test_row_to_primitive_reads_numerators_and_denominators():
     # (2t+3)/6, t/(4t+6), 0, -3/2: the Z[t] lcm of the denominators is
     # 6(2t+3), and the scaled row has content 1 and a positive leading entry

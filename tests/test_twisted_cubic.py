@@ -130,3 +130,18 @@ def test_ideal_scenario_end_to_end():
     assert (k1.height, k1.lhs, k1.rhs_main) == (3, 6, 9)
     assert (k2.height, k2.lhs, k2.rhs_main) == (6, 12, 18)
     assert all(r.verdict == "InequalityHolds" for r in report.points)
+
+
+def test_ideal_scenario_ranks_up_to_the_cutoff_and_bounds_above():
+    # m = 578, d = 1, cutoff 12: S(m - 1) takes H(k) = 3k + 1 from ranks for
+    # k <= 12 and Sombra's 3k above; H(m) is Chardin's 3(m + 1).  A divisor
+    # with a t coefficient makes h(Q) and so b1 nonzero.
+    scenario = ideal_scenario_dict()
+    scenario["divisors"][2]["poly"] = "X0 + X1 + X2 + t*X3"
+    report = run_check(load_scenario_dict(scenario))
+    c, inputs = report.constants, report.inputs
+    assert (c.m, inputs.d, report.scenario.hilbert_exact_cutoff) == (578, 1, 12)
+    exact = sum(3 * k + 1 for k in range(1, 13))
+    assert c.S_sum == exact + sum(3 * k for k in range(13, 578)) == 500271
+    assert inputs.h_fx + inputs.h_q_family > 0
+    assert c.b1 == (c.m + 1) * 3 * (c.m + 1) * c.b * (inputs.h_fx + inputs.h_q_family)
