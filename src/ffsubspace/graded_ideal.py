@@ -124,10 +124,53 @@ def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     return GradedPieceBasis(m, cols, ech)
 
 
+def macaulay_upper(a: int, k: int) -> int:
+    """Macaulay's bound a^<k>, for k >= 1.
+
+    With a = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_j, j), a_k > ... >
+    a_j >= j >= 1 (the k-th Macaulay representation), a^<k> is
+    C(a_k + 1, k + 1) + ... + C(a_j + 1, j + 1).  H(k+1) <= H(k)^<k> for
+    the Hilbert function of every homogeneous ideal.
+    """
+    total = 0
+    i = k
+    while a > 0:
+        top = i  # the largest top with C(top, i) <= a
+        while comb(top + 1, i) <= a:
+            top += 1
+        a -= comb(top, i)
+        total += comb(top + 1, i + 1)
+        i -= 1
+    return total
+
+
 def hilbert_function(gens: IdealGenerators, m: int) -> int:
-    """H(m) = dim of degree-m forms modulo the ideal slice."""
+    """H(m) = dim of degree-m forms modulo the ideal slice.
+
+    Ranks are computed from degree D = max(1, largest generator degree)
+    upwards only until Gotzmann's persistence theorem (Gotzmann 1978;
+    Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) applies: if the ideal is
+    generated in degrees <= D and H(k+1) = H(k)^<k> for some k >= D, then
+    H(j+1) = H(j)^<j> for every j >= k.  The higher values are then
+    Macaulay's bound iterated up to m, which that theorem makes an equality,
+    so the result is the rank value, exactly.  Without such a k below m the
+    result is the rank at m; no piece above degree m is built.
+    """
     M = gens.num_vars - 1
-    return comb(m + M, M) - graded_piece(gens, m).rank
+
+    def rank_value(k):
+        return comb(k + M, M) - graded_piece(gens, k).rank
+
+    k = max([1] + [g.degree for g in gens.generators])
+    if m <= k + 1:
+        return rank_value(m)
+    h, persists = rank_value(k), False
+    while k < m:
+        upper = macaulay_upper(h, k)
+        h = upper if persists else rank_value(k + 1)
+        persists = h == upper
+        k += 1
+    return h
 
 
 @dataclass(frozen=True)

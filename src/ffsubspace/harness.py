@@ -43,7 +43,12 @@ from .function_field import (
     weil_table,
 )
 from .graded_ideal import IdealGenerators, check_subgeneral_position, hilbert_function
-from .hilbert_bounds import hypersurface_hilbert, threshold_a_eps
+from .hilbert_bounds import (
+    chardin_upper,
+    hypersurface_hilbert,
+    sombra_lower,
+    threshold_a_eps,
+)
 from .multipoly import parse_poly
 from .parsing import parse_rational
 
@@ -311,15 +316,30 @@ class Report:
 
 
 def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
-    """H_X(k) where a closed form or a cheap rank gives it, else None."""
+    """H_X(k) where a closed form or a cheap rank gives it, else None.
+
+    An ideal's exact value must lie within the Sombra and Chardin bounds of
+    the dimension and degree its Chow form gives, or the bounds put in above
+    the cutoff would not bound the same X: a SchemaError at the chow_form.
+    """
     M = scenario.ambient_dim
     if scenario.variety_kind == "projective_space":
         return comb(k + M, M)
     if scenario.variety_kind == "hypersurface":
         return hypersurface_hilbert(k, M, scenario.degree)
-    if k <= scenario.hilbert_exact_cutoff:
-        return hilbert_function(scenario.x_gens, k)
-    return None
+    if k > scenario.hilbert_exact_cutoff:
+        return None
+    h = hilbert_function(scenario.x_gens, k)
+    n, delta = scenario.dimension, scenario.degree
+    low, high = sombra_lower(k, n, delta), chardin_upper(k, n, delta)
+    if not low <= h <= high:
+        raise SchemaError(
+            f"H({k}) = {h} of the generators is outside [{low}, {high}], the "
+            f"Sombra and Chardin bounds for the chow_form's dimension {n} and "
+            f"degree {delta}",
+            "/variety/chow_form",
+        )
+    return h
 
 
 def run_check(scenario: Scenario) -> Report:

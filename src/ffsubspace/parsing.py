@@ -6,8 +6,9 @@ coefficient level no X variables are allowed; at the polynomial level
 division is only legal when the divisor is a constant of K.  A power is
 refused before it is built when its exponent, or the degree of its result
 (in t, or in total in the X variables), exceeds MAX_EXPONENT, when its
-coefficients could exceed MAX_COEFFICIENT_BITS bits, or when it could have
-more than MAX_POWER_TERMS terms.
+coefficients could exceed MAX_COEFFICIENT_BITS bits, when it could have
+more than MAX_POWER_TERMS terms, or when building it could cost more than
+MAX_POWER_COST.
 
 `_Parser` walks the grammar once for both levels; what a value is depends
 on the level:
@@ -47,6 +48,13 @@ MAX_POWER_TERMS = 500
 # `_bits_per_factor`.  10^1000 and (7*t + 7)^1000 pass; (2^1000)^5 does not.
 MAX_COEFFICIENT_BITS = 4000
 
+# Largest cost of a power in the X variables: its terms times the
+# `_TermParser.coefficient_cost` of each.  (X0 + X1)^499 costs 249,500 and
+# (7*X0 + 8*X1)^499 998,000; both build in under 0.7 s.  (127*X0 + 128*X1)^499,
+# within the three limits above, costs 1,996,000 and takes over a second;
+# (X0 + t*X1)^499 costs 6.2e10 and takes seconds.
+MAX_POWER_COST = 1_000_000
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
 
@@ -74,9 +82,10 @@ def _tokenize(text: str):
 class _Parser:
     """The grammar.  Subclasses give the values: constants, t, variables,
     and add/neg/mul/div/pow on them, the `size` of a power's base: its
-    degree and `_bits_per_factor`, and a bound on the number of `terms` of a
-    power.  `canonical` brings a base to the form `size` and `pow` see; term
-    maps are canonical already."""
+    degree and `_bits_per_factor`, a bound on the number of `terms` of a
+    power and the `coefficient_cost` of each of them.  `canonical` brings a
+    base to the form `size` and `pow` see; term maps are canonical
+    already."""
 
     def __init__(self, text: str):
         self.text = text
@@ -163,6 +172,12 @@ class _Parser:
                 raise ParseError(
                     f"power with up to {terms} terms exceeds the limit {MAX_POWER_TERMS}", pos
                 )
+            cost = terms * self.coefficient_cost(base, e, bits)
+            if cost > MAX_POWER_COST:
+                raise ParseError(
+                    f"power with an estimated cost of {cost} exceeds the limit "
+                    f"{MAX_POWER_COST}", pos
+                )
             return self.pow(base, e)
         return base
 
@@ -189,12 +204,22 @@ class _Parser:
     def terms(self, base, e):
         return 1  # a coefficient is one term
 
+    def coefficient_cost(self, base, e, bits):
+        return 0  # one coefficient: the degree and bit limits bound it
+
 
 def _bits_per_factor(coeffs) -> int:
     """ceil(log2 ||p||_1) for the integer coefficients of p.  Every
     coefficient of p^e is at most ||p||_1^e, so it has about e times this
     many bits."""
     return (max(sum(map(abs, coeffs)), 1) - 1).bit_length()
+
+
+def _t_degree(terms: dict) -> int:
+    """The largest degree in t of a numerator or denominator of a term."""
+    return max(
+        (upoly.degree(p) for c in terms.values() for p in (c.num, c.den)), default=0
+    )
 
 
 class _TermParser(_Parser):
@@ -238,12 +263,7 @@ class _TermParser(_Parser):
 
     def size(self, base):
         coeffs = base.values()
-        degree = max(
-            [sum(m) for m in base]
-            + [upoly.degree(c.num) for c in coeffs]
-            + [upoly.degree(c.den) for c in coeffs],
-            default=0,
-        )
+        degree = max([sum(m) for m in base] + [_t_degree(base)])
         return degree, max(
             _bits_per_factor(x for c in coeffs for x in c.num),
             _bits_per_factor(x for c in coeffs for x in c.den),
@@ -260,6 +280,13 @@ class _TermParser(_Parser):
         lo, hi = min(degrees) * e, max(degrees) * e
         monomials = comb(hi + v, v) - (comb(lo - 1 + v, v) if lo else 0)
         return min(multisets, monomials)
+
+    def coefficient_cost(self, base, e, bits):
+        """A coefficient of base^e is a dense Z[t] tuple of up to s = e *
+        (t-degree of the base's coefficients) + 1 integers of up to e * bits
+        bits, and `upoly.mul` takes s^2 products of such integers for two of
+        them: s^2 * e * bits, which is e * bits for a base free of t."""
+        return (e * _t_degree(base) + 1) ** 2 * e * bits
 
     def pow(self, base, e):
         return upoly.power(base, e, self.const(1), mul_terms)

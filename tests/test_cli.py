@@ -6,8 +6,10 @@ from pathlib import Path
 
 import pytest
 
-from ffsubspace import cli
+from ffsubspace import cli, graded_ideal
+from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
+from ffsubspace.function_field import ProjectivePoint
 from test_harness import golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -57,6 +59,24 @@ def test_hilbert_command(capsys):
     assert main(["hilbert", "--gens", "X0*X2 - X1^2", "--m", "3"]) == 0
     out = capsys.readouterr().out
     assert "H(m) = 7" in out
+
+
+def test_hilbert_command_builds_only_the_asked_piece(capsys, monkeypatch):
+    # H(m) comes from the degree-m piece the command prints, so an ideal that
+    # does not persist below m costs one rank, not the ranks of degrees 3..m
+    built = []
+    real = graded_ideal.graded_piece
+
+    def spy(gens, m):
+        built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    monkeypatch.setattr(cli, "graded_piece", spy)
+    gens = "X0^2*X1 - t*X3^3; X1*X2 - X0^2; X3^2*X0"
+    assert main(["hilbert", "--gens", gens, "--m", "12"]) == 0
+    assert "H(m) = 18" in capsys.readouterr().out
+    assert set(built) == {12}
 
 
 def test_bounds_command(capsys, tmp_path):
@@ -189,6 +209,19 @@ def test_chow_form_with_too_many_blocks(capsys, tmp_path):
     assert "/variety/chow_form/blocks" in capsys.readouterr().err
 
 
+def test_chow_form_that_does_not_fit_the_generators(capsys, tmp_path):
+    # the twisted cubic's generators with the Chow form of a line: the exact
+    # H(1) = 4 is above Chardin's bound 2 for dimension 1 and degree 1
+    line = chow_of_linear([ProjectivePoint([1, 0, 0, 0]), ProjectivePoint([0, 1, 0, 0])])
+    scenario = ideal_scenario_dict()
+    scenario["variety"]["chow_form"] = multihomform_to_json(line)
+    path = tmp_path / "line_form.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "H(1) = 4" in err and "(at /variety/chow_form)" in err
+
+
 def _conic_with(tmp_path, **changes):
     scenario = json.loads(Path(SCENARIO).read_text())
     scenario.update(changes)
@@ -304,6 +337,18 @@ def test_power_with_many_terms_exits_fast(gens, message):
     code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
     assert code == 2 and seconds < 1.0
     assert message in stderr
+
+
+@pytest.mark.parametrize("gens, cost", [
+    ("(X0+t*X1)^499", 62375000000),
+    ("(X0+(t+1)*X1)^499", 124750000000),
+])
+def test_power_with_costly_coefficients_exits_fast(gens, cost):
+    # 500 terms, within every other limit; each coefficient would be a dense
+    # polynomial in t of degree up to 499, built for seconds to minutes
+    code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
+    assert code == 2 and seconds < 1.0
+    assert f"power with an estimated cost of {cost} exceeds the limit 1000000" in stderr
 
 
 SYMPY_MODULES = """

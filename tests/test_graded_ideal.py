@@ -2,6 +2,7 @@ import random
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffsubspace import graded_ideal
 from ffsubspace.errors import InvariantViolated, NoCertificateWithinCap, ZeroPolynomial
@@ -14,11 +15,12 @@ from ffsubspace.graded_ideal import (
     graded_piece,
     has_common_projective_zero,
     hilbert_function,
+    macaulay_upper,
     nullstellensatz_certificate,
     quotient_monomial_basis,
     reduce_to_quotient_basis,
 )
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
@@ -47,6 +49,85 @@ def test_hilbert_examples():
     assert hilbert_function(CONIC, 1) == 3
     for m in range(1, 11):
         assert hilbert_function(CONIC, m) == 2 * m + 1
+
+
+# (num_vars, generators, degree from which Gotzmann persistence holds)
+PERSISTING = [
+    (4, ["X0*X2 - X1^2", "X1*X3 - X2^2", "X0*X3 - X1*X2"], 4),  # twisted cubic
+    (4, ["X0*X1 - X2*X3", "X0^2 + X1^2 - X2^2 - t*X3^2"], 6),  # elliptic quartic
+    (3, ["X0*X1", "X2"], 2),  # two points
+]
+# H is 18 from degree 5 on, and 18^<k> = 18 only for k >= 18.
+NOT_PERSISTING = (4, ["X0^2*X1 - t*X3^3", "X1*X2 - X0^2", "X3^2*X0"])
+
+
+def _rank_value(gens, k):
+    M = gens.num_vars - 1
+    return comb(k + M, M) - graded_piece(gens, k).rank
+
+
+def test_macaulay_upper_known_values():
+    assert macaulay_upper(7, 2) == 11    # C(4,2) + C(1,1) -> C(5,3) + C(2,2)
+    assert macaulay_upper(10, 3) == 15   # C(5,3) -> C(6,4)
+    assert macaulay_upper(13, 4) == 16   # C(5,4) + C(4,3) + C(3,2) + C(1,1)
+    for k in range(1, 8):
+        assert macaulay_upper(0, k) == 0
+        for M in range(1, 5):
+            # the zero ideal: H(k) = C(k + M, M) is extremal at every degree
+            assert macaulay_upper(comb(k + M, M), k) == comb(k + 1 + M, M)
+
+
+@pytest.mark.parametrize("num_vars, texts", [
+    (nv, texts) for nv, texts, _ in PERSISTING
+] + [NOT_PERSISTING])
+def test_hilbert_function_equals_the_ranks(num_vars, texts):
+    gens = IdealGenerators.parse(num_vars, texts)
+    for k in range(1, 17):
+        assert hilbert_function(gens, k) == _rank_value(gens, k)
+
+
+@pytest.mark.parametrize("num_vars, texts, start", PERSISTING)
+def test_persistence_starts_where_expected(num_vars, texts, start):
+    gens = IdealGenerators.parse(num_vars, texts)
+    h = [_rank_value(gens, k) for k in range(start + 2)]
+    assert h[start + 1] == macaulay_upper(h[start], start)
+    assert all(h[k + 1] < macaulay_upper(h[k], k) for k in range(1, start))
+
+
+def test_persistence_builds_no_piece_past_the_certificate(monkeypatch):
+    built = []
+    real = graded_ideal.graded_piece
+
+    def spy(gens, m):
+        built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    cubic = IdealGenerators.parse(4, PERSISTING[0][1])
+    assert hilbert_function(cubic, 16) == 49
+    assert built == [2, 3, 4, 5]
+    built.clear()
+    assert hilbert_function(IdealGenerators.parse(4, NOT_PERSISTING[1]), 8) == 18
+    assert built == list(range(3, 9))
+
+
+@st.composite
+def _monomial_ideals(draw):
+    num_vars = draw(st.integers(2, 3))
+    monomials = [m for d in (1, 2, 3) for m in monomial_basis(num_vars, d)]
+    picks = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=4))
+    return IdealGenerators.of(num_vars, tuple(
+        HomogeneousPoly.monomial(num_vars, m, 1) for m in picks
+    ))
+
+
+@settings(max_examples=40, deadline=None)
+@given(gens=_monomial_ideals())
+def test_macaulay_bounds_the_growth_of_ranks(gens):
+    # Macaulay's theorem: H(k + 1) <= H(k)^<k> for every homogeneous ideal
+    h = [_rank_value(gens, k) for k in range(7)]
+    for k in range(1, 6):
+        assert h[k + 1] <= macaulay_upper(h[k], k)
 
 
 def test_rref_rows_shape():
@@ -156,8 +237,6 @@ def test_row_space_membership_properties():
     gens = IdealGenerators.parse(3, ["X0*X2 - X1^2", "t*X0^2 - X1*X2"])
     piece = graded_piece(gens, 4)
     # explicit combinations of monomial multiples always belong to the slice
-    from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
-
     for _ in range(8):
         total = HomogeneousPoly.zero(3, 4)
         for g in gens.generators:

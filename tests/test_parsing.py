@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
 from ffsubspace.function_field import RationalFunction
-from ffsubspace.parsing import parse_rational
+from ffsubspace.parsing import parse_rational, parse_terms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -218,3 +218,15 @@ def test_power_limits_see_the_reduced_base():
     ]:
         with pytest.raises(ParseError, match=message):
             parse_rational(text)
+
+
+def test_power_cost_counts_the_t_degree_of_the_coefficients():
+    # (X0 + t*X1)^e has e + 1 terms whose coefficients are Z[t] tuples of up
+    # to e + 1 integers of up to e bits: a cost of (e + 1)^3 * e
+    assert len(parse_terms("(X0 + t*X1)^30", 2)) == 31  # cost 893,730
+    with pytest.raises(ParseError, match="estimated cost of 1015808 exceeds the limit 1000000"):
+        parse_terms("(X0 + t*X1)^31", 2)
+    assert len(parse_terms("(X0 + t*X1 + t^2*X2)^10", 3)) == 66  # cost 582,120
+    # free of t, the cost is terms * e * bits: 500 * 499 * 8 here
+    with pytest.raises(ParseError, match="estimated cost of 1996000 exceeds"):
+        parse_terms("(127*X0 + 128*X1)^499", 2)

@@ -7,6 +7,7 @@ user-supplied route the ideal scenario kind exists for.
 
 import itertools
 
+from ffsubspace import graded_ideal
 from ffsubspace.chow import (
     MultiHomForm,
     chow_height,
@@ -145,3 +146,20 @@ def test_ideal_scenario_ranks_up_to_the_cutoff_and_bounds_above():
     assert c.S_sum == exact + sum(3 * k for k in range(13, 578)) == 500271
     assert inputs.h_fx + inputs.h_q_family > 0
     assert c.b1 == (c.m + 1) * 3 * (c.m + 1) * c.b * (inputs.h_fx + inputs.h_q_family)
+
+
+def test_ideal_scenario_ranks_stop_at_persistence(monkeypatch):
+    # H(5) = 13^<4> certifies H = 3k + 1 from degree 4 on (Gotzmann), so the
+    # exact values up to the cutoff need no piece of X's ideal above degree 5
+    scenario = load_scenario_dict(ideal_scenario_dict())
+    built = []
+    real = graded_ideal.graded_piece
+
+    def spy(gens, m):
+        if gens == scenario.x_gens:
+            built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    run_check(scenario)
+    assert built and max(built) <= 5
