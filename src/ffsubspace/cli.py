@@ -14,7 +14,6 @@ import json
 import re
 import sys
 from fractions import Fraction
-from math import lcm
 
 from .chow import (
     chow_height,
@@ -22,12 +21,7 @@ from .chow import (
     expand_skew,
     psigma_count_report,
 )
-from .effective_constants import (
-    ConstantInputs,
-    assemble_constants,
-    choose_m,
-    lcm_reduction,
-)
+from .effective_constants import ConstantInputs, assemble_constants
 from .errors import ToolkitError
 from .filtration import (
     build_filtration,
@@ -207,21 +201,14 @@ def _cmd_constants(args) -> int:
     def rational(key, default="0"):
         return parse_fraction(data.get(key, default), f"/{key}")
 
-    d_i = tuple(data["d_i"])
-    d = lcm(*d_i)
-    eps = rational("epsilon")
-    n, delta = data["n"], data["delta"]
-    a_eps = threshold_a_eps(n, delta, d, eps / data["N"])
-    m = data["m"] if "m" in data else choose_m(a_eps, d, n, delta)
     inputs = ConstantInputs(
-        n=n,
-        delta=delta,
+        n=data["n"],
+        delta=data["delta"],
         M=data["M"],
         N=data["N"],
         q=data["q"],
-        d_i=d_i,
-        d=d,
-        epsilon=eps,
+        d_i=tuple(data["d_i"]),
+        epsilon=rational("epsilon"),
         s_card=data["s_card"],
         s_degree=data["s_degree"],
         h_fx=rational("h_fx"),
@@ -233,11 +220,10 @@ def _cmd_constants(args) -> int:
         e_s_term=rational("e_s_term"),
         c1=rational("c1"),
         c1_prime=rational("c1_prime"),
-        m=m,
+        m=data.get("m"),
     )
     table = {int(k): v for k, v in data.get("H_table", {}).items()}
-    constants = assemble_constants(inputs, table.get, a_eps=a_eps)
-    rows = constants_rows(a_eps, constants)
+    rows = constants_rows(assemble_constants(inputs, table.get))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k.rjust(width)} = {v}")
@@ -246,6 +232,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    if (args.point is None) != (args.place is None):
+        missing = "--place" if args.place is None else "--point"
+        raise ToolkitError(f"missing {missing}: the key inequality needs --point and --place")
     gens_texts = [s for s in (p.strip() for p in args.gens.split(";")) if s]
     nv = _infer_num_vars(gens_texts + [args.q_poly], args.num_vars)
     gens = IdealGenerators.parse(nv, gens_texts)
@@ -270,7 +259,7 @@ def _cmd_filtration(args) -> int:
         "exponent_sum": rep.total,
         "stated_sum": rep.stated_sum,
     }
-    if args.point and args.place:
+    if args.point is not None:
         x = ProjectivePoint([parse_rational(c) for c in args.point.split(",")])
         p = Place.parse(args.place)
         chk = filtration_inequality_check(p, x, basis, gens)

@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import PreconditionViolated, ZeroPolynomial
 from .function_field import RationalFunction
-from .hilbert_bounds import chardin_upper, sombra_lower
+from .hilbert_bounds import chardin_upper, sombra_lower, threshold_a_eps
 
 
 def b_const(m: int, n: int, M: int, delta: int) -> int:
@@ -39,15 +39,14 @@ def excess_vanishing_const(
     return excess_vanishing_power(n, M, N, delta, d) * (Fraction(h_fx) + Fraction(h_q_family))
 
 
-def choose_m(a_eps: int, d: int, n: int | None = None, delta: int | None = None) -> int:
+def choose_m(a_eps: int, d: int, n: int, delta: int) -> int:
     """m := d([a_eps/d] + 1), lifted to a multiple of d at least max(3, (n+1)delta)."""
     if a_eps < 1 or d < 1:
         raise PreconditionViolated("need a_eps >= 1 and d >= 1")
     m = d * (a_eps // d + 1)
-    if n is not None and delta is not None:
-        floor = max(3, (n + 1) * delta)
-        while m < floor:
-            m += d
+    floor = max(3, (n + 1) * delta)
+    while m < floor:
+        m += d
     return m
 
 
@@ -59,7 +58,6 @@ class ConstantInputs:
     N: int
     q: int
     d_i: tuple
-    d: int
     epsilon: Fraction
     s_card: int
     s_degree: int
@@ -69,7 +67,11 @@ class ConstantInputs:
     e_s_term: Fraction
     c1: Fraction
     c1_prime: Fraction
-    m: int
+    m: int | None = None  # None: the effective m of assemble_constants
+
+    @property
+    def d(self) -> int:
+        return lcm(*self.d_i)
 
     def __post_init__(self):
         if not (self.N >= self.n >= 1):
@@ -78,9 +80,9 @@ class ConstantInputs:
             raise PreconditionViolated(f"need q >= n+1, got q={self.q}")
         if len(self.d_i) != self.q or len(self.h_q_i) != self.q:
             raise PreconditionViolated("d_i and h_q_i must list one entry per divisor")
-        if self.d != lcm(*self.d_i):
-            raise PreconditionViolated(f"d must be lcm{self.d_i}, got {self.d}")
-        if self.m % self.d != 0 or self.m < max(3, (self.n + 1) * self.delta):
+        if self.m is not None and (
+            self.m % self.d != 0 or self.m < max(3, (self.n + 1) * self.delta)
+        ):
             raise PreconditionViolated(
                 f"need d | m and m >= max(3, (n+1)delta), got m={self.m}"
             )
@@ -93,17 +95,19 @@ class EffectiveConstants:
     b1: Fraction
     b2: Fraction
     b3: Fraction
-    a_eps: int | None
+    a_eps: int
     m: int
     c_eps: Fraction
     c_prime_eps: Fraction
     S_sum: int
 
 
-def assemble_constants(
-    inputs: ConstantInputs, hilbert, a_eps: int | None = None
-) -> EffectiveConstants:
-    """Evaluate b, the per-place constant, b1..b3, c_eps and c'_eps exactly.
+def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
+    """Evaluate a_eps, m, b, the per-place constant, b1..b3, c_eps and c'_eps
+    exactly.
+
+    a_eps is the ratio threshold at epsilon/N, and m is inputs.m when given,
+    else choose_m(a_eps, d, n, delta).
 
     hilbert(k) gives H_X(k), or None where the value is not known.  A None
     falls back to the Chardin bound where the value multiplies (the H_X(m)
@@ -111,15 +115,11 @@ def assemble_constants(
     keeping every reported constant a valid upper bound.  hilbert is asked
     once at each degree, in ascending order.
     """
-    n, delta, M, N, q, d, m = (
-        inputs.n,
-        inputs.delta,
-        inputs.M,
-        inputs.N,
-        inputs.q,
-        inputs.d,
-        inputs.m,
+    n, delta, M, N, q, d = (
+        inputs.n, inputs.delta, inputs.M, inputs.N, inputs.q, inputs.d
     )
+    a_eps = threshold_a_eps(n, delta, d, inputs.epsilon / N)
+    m = choose_m(a_eps, d, n, delta) if inputs.m is None else inputs.m
     b = b_const(m, n, M, delta)
     a = excess_vanishing_const(n, M, N, delta, d, inputs.h_fx, inputs.h_q_family)
 

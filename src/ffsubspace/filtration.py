@@ -25,7 +25,6 @@ from .errors import (
 from .function_field import (
     Place,
     ProjectivePoint,
-    RationalFunction,
     gauss_order_point,
     height_point,
     order_at,
@@ -87,21 +86,19 @@ class FiltrationBasis:
 
 
 def build_filtration(
-    x_gens: IdealGenerators, m: int, q_poly: HomogeneousPoly, d: int | None = None
+    x_gens: IdealGenerators, m: int, q_poly: HomogeneousPoly
 ) -> FiltrationBasis:
     """Greedy top-down construction of the compatible basis.
 
-    Level i runs from m/d down to 0; candidate monomials g of degree m - i*d
-    are scanned in glex order and accepted when Q^i * g extends the current
-    independent set modulo the ideal slice.  Level dimensions are checked
-    against H_X(m - i*d) as they complete; a mismatch raises InvariantViolated.
+    With d the degree of Q, level i runs from m/d down to 0; candidate
+    monomials g of degree m - i*d are scanned in glex order and accepted when
+    Q^i * g extends the current independent set modulo the ideal slice.
+    Level dimensions are checked against H_X(m - i*d) as they complete; a
+    mismatch raises InvariantViolated.
     """
     if q_poly.is_zero():
         raise ZeroPolynomial("divisor form must be nonzero")
-    if d is None:
-        d = q_poly.degree
-    if d != q_poly.degree:
-        raise DegreeMismatch(f"divisor has degree {q_poly.degree}, stated {d}")
+    d = q_poly.degree
     if d < 1 or m % d != 0:
         raise DegreeMismatch(f"need d | m, got d={d}, m={m}")
     if graded_piece(x_gens, d).contains(q_poly):

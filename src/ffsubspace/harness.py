@@ -28,7 +28,6 @@ from .effective_constants import (
     ConstantInputs,
     EffectiveConstants,
     assemble_constants,
-    choose_m,
     lcm_reduction,
 )
 from .errors import PointOnDivisor, SchemaError
@@ -36,19 +35,13 @@ from .function_field import (
     PlaceSet,
     Place,
     ProjectivePoint,
-    RationalFunction,
     gauss_order_poly,
     height_point,
     height_poly_family,
     weil_table,
 )
 from .graded_ideal import IdealGenerators, check_subgeneral_position, hilbert_function
-from .hilbert_bounds import (
-    chardin_upper,
-    hypersurface_hilbert,
-    sombra_lower,
-    threshold_a_eps,
-)
+from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
 from .multipoly import parse_poly
 from .parsing import parse_rational
 
@@ -147,7 +140,6 @@ class Scenario:
     dimension: int
     degree: int
     divisors: tuple
-    divisor_degrees: tuple
     N: int
     places: PlaceSet
     epsilon: Fraction
@@ -226,7 +218,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         dimension, degree = chow.blocks - 1, chow.block_degree
 
     divisors = []
-    divisor_degrees = []
     for i, dv in enumerate(data["divisors"]):
         poly = parse_poly(dv["poly"], nv)
         if poly.is_zero():
@@ -237,7 +228,6 @@ def load_scenario_dict(data: dict) -> Scenario:
                 f"/divisors/{i}/degree",
             )
         divisors.append(poly)
-        divisor_degrees.append(poly.degree)
 
     places = PlaceSet([Place.parse(s) for s in data["places"]])
     epsilon = parse_fraction(data["epsilon"], "/epsilon")
@@ -266,7 +256,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         dimension=dimension,
         degree=degree,
         divisors=tuple(divisors),
-        divisor_degrees=tuple(divisor_degrees),
         N=data["N"],
         places=places,
         epsilon=epsilon,
@@ -310,7 +299,6 @@ class Report:
     position: object
     constants: EffectiveConstants
     inputs: ConstantInputs
-    a_eps: int
     points: tuple
     warnings: tuple
 
@@ -357,12 +345,8 @@ def run_check(scenario: Scenario) -> Report:
         )
 
     reduction = lcm_reduction(scenario.divisors)
-    d = reduction.d
-    n, delta = scenario.dimension, scenario.degree
-
-    eps_for_threshold = scenario.epsilon / scenario.N
-    a_eps = threshold_a_eps(n, delta, d, eps_for_threshold)
-    m = scenario.m_override or choose_m(a_eps, d, n, delta)
+    degrees = tuple(q.degree for q in scenario.divisors)
+    n = scenario.dimension
 
     h_fx = chow_height(scenario.chow_form)
     h_q_i = tuple(height_poly_family([q]) for q in scenario.divisors)
@@ -376,12 +360,11 @@ def run_check(scenario: Scenario) -> Report:
 
     inputs = ConstantInputs(
         n=n,
-        delta=delta,
+        delta=scenario.degree,
         M=scenario.ambient_dim,
         N=scenario.N,
         q=len(scenario.divisors),
-        d_i=scenario.divisor_degrees,
-        d=d,
+        d_i=degrees,
         epsilon=scenario.epsilon,
         s_card=scenario.places.cardinality,
         s_degree=scenario.places.total_degree,
@@ -391,11 +374,9 @@ def run_check(scenario: Scenario) -> Report:
         e_s_term=e_s_term,
         c1=scenario.c1,
         c1_prime=scenario.c1_prime,
-        m=m,
+        m=scenario.m_override,
     )
-    constants = assemble_constants(
-        inputs, partial(_exact_hilbert, scenario), a_eps=a_eps
-    )
+    constants = assemble_constants(inputs, partial(_exact_hilbert, scenario))
 
     factor = scenario.N * (n + 1) + scenario.epsilon
     records = []
@@ -418,9 +399,9 @@ def run_check(scenario: Scenario) -> Report:
                             verdict="OnDivisor")
             )
             continue
-        degrees = scenario.divisor_degrees
         lhs = sum(
-            (lam / d for _, row in weil_rows for lam, d in zip(row, degrees)), Fraction(0)
+            (lam / di for _, row in weil_rows for lam, di in zip(row, degrees)),
+            Fraction(0),
         )
         h = height_point(prim)
         rhs_main = factor * h
@@ -450,7 +431,6 @@ def run_check(scenario: Scenario) -> Report:
         position=position,
         constants=constants,
         inputs=inputs,
-        a_eps=a_eps,
         points=tuple(records),
         warnings=tuple(warnings),
     )
@@ -478,11 +458,11 @@ def position_to_dict(position) -> dict:
     }
 
 
-def constants_rows(a_eps: int, constants: EffectiveConstants) -> list:
+def constants_rows(constants: EffectiveConstants) -> list:
     """The (name, value) rows of the constants ledger shown to users."""
     c = constants
     return [
-        ("a_eps", a_eps),
+        ("a_eps", c.a_eps),
         ("m", c.m),
         ("b", c.b),
         ("excess_const", fmt_q(c.excess_const)),
@@ -515,7 +495,7 @@ def report_to_dict(report: Report) -> dict:
         },
         "position": position_to_dict(report.position),
         "constants": {
-            "a_eps": report.a_eps,
+            "a_eps": c.a_eps,
             "m": c.m,
             "d": i.d,
             "d_i": list(i.d_i),
@@ -590,7 +570,7 @@ def report_to_text(report: Report) -> str:
     for sub in report.position.subsets:
         lines.append(f"  subset {list(sub.indices)}: {sub.verdict}")
     lines.append("constants:")
-    for k, v in constants_rows(report.a_eps, report.constants):
+    for k, v in constants_rows(report.constants):
         lines.append(f"  {k:>12} = {v}")
     lines.append(f"  note: {C1_CAVEAT}")
     evaluated = [r for r in report.points if r.status == "evaluated"]

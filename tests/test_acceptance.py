@@ -258,7 +258,7 @@ def test_criterion_09_constants():
     assert b_const(4, 1, 2, 2) == 10_240_000_000_256
     assert excess_vanishing_power(1, 2, 2, 2, 1) == 4_738_381_338_321_616_896
     inputs = ConstantInputs(
-        n=1, delta=2, M=2, N=2, q=4, d_i=(1, 1, 1, 1), d=1, epsilon=Fraction(1),
+        n=1, delta=2, M=2, N=2, q=4, d_i=(1, 1, 1, 1), epsilon=Fraction(1),
         s_card=2, s_degree=2, h_fx=Fraction(0), h_q_family=Fraction(0),
         h_q_i=(Fraction(0),) * 4, e_s_term=Fraction(0), c1=Fraction(0),
         c1_prime=Fraction(5), m=12,

@@ -10,6 +10,8 @@ from ffsubspace import cli, graded_ideal
 from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
 from ffsubspace.function_field import ProjectivePoint
+from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
+from ffsubspace.hilbert_bounds import hypersurface_hilbert
 from test_harness import golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -153,6 +155,28 @@ def test_constants_counts_are_at_least_one(capsys, tmp_path, changes, pointer):
     assert err.startswith("error: ") and f"(at {pointer})" in err
 
 
+def test_check_and_constants_give_the_same_ledger(capsys, tmp_path):
+    # the golden scenario has nonzero heights and e_S term, and its m = 642
+    # comes from the effective route; constants gets the same inputs, no m
+    report = run_check(load_scenario_dict(golden_scenario_dict()))
+    i = report.inputs
+    assert i.m is None and report.constants.m == 642
+    assert i.h_q_family and any(i.h_q_i) and i.e_s_term
+    inputs = {
+        "n": i.n, "delta": i.delta, "M": i.M, "N": i.N, "q": i.q, "d_i": list(i.d_i),
+        "s_card": i.s_card, "s_degree": i.s_degree,
+        **{key: fmt_q(getattr(i, key)) for key in
+           ("epsilon", "h_fx", "h_q_family", "e_s_term", "c1", "c1_prime")},
+        "h_q_i": [fmt_q(h) for h in i.h_q_i],
+        "H_table": {str(k): hypersurface_hilbert(k, 2, 2) for k in range(1, 643)},
+    }
+    path, out = tmp_path / "inputs.json", tmp_path / "ledger.json"
+    path.write_text(json.dumps(inputs))
+    assert main(["constants", "--inputs", str(path), "--report", str(out)]) == 0
+    capsys.readouterr()
+    assert json.loads(out.read_text()) == dict(constants_rows(report.constants))
+
+
 def test_constants_checks_an_explicit_m_zero(capsys, tmp_path):
     # m = 0 is checked like any other m, not replaced by a chosen one
     assert main(["constants", "--inputs", _constants_inputs(tmp_path, m=0)]) == 2
@@ -167,6 +191,20 @@ def test_filtration_command(capsys):
     out = capsys.readouterr().out
     assert "exponent sum 10" in out and "stated closed form 9" in out
     assert "lhs 10 >= rhs 9: ok" in out
+
+
+@pytest.mark.parametrize("given, missing", [
+    (["--point", "t,1"], "--place"),
+    (["--place", "t"], "--point"),
+])
+def test_filtration_point_and_place_go_together(capsys, given, missing):
+    # the key inequality needs both; one alone is an input error, not a no-op
+    assert main(
+        ["filtration", "--gens", "", "--num-vars", "2", "--m", "4", "--q-poly", "X0", *given]
+    ) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: missing {missing}")
 
 
 def test_position_command(capsys, tmp_path):
@@ -349,6 +387,18 @@ def test_power_with_costly_coefficients_exits_fast(gens, cost):
     code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
     assert code == 2 and seconds < 1.0
     assert f"power with an estimated cost of {cost} exceeds the limit 1000000" in stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["hilbert", "--gens", "X0*X2 - X1^2", "--m", "100000"],
+    ["filtration", "--gens", "X0*X2 - X1^2", "--q-poly", "X0", "--m", "100000"],
+])
+def test_huge_graded_piece_exits_fast(command):
+    # the degree-100000 piece would list C(100002, 2) monomials
+    code, seconds, stderr = _main_in_capped_child(*command)
+    assert code == 2 and seconds < 1.0
+    message = "degree 100000 in 3 variables has 5000150001 monomials, more than the limit 6000"
+    assert message in stderr
 
 
 SYMPY_MODULES = """

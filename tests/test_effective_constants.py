@@ -20,13 +20,14 @@ from ffsubspace.function_field import (
     RationalFunction,
     weil,
 )
+from ffsubspace.hilbert_bounds import threshold_a_eps
 from ffsubspace.multipoly import parse_poly
 from helpers import rand_point
 
 T = RationalFunction.t()
 
 CONIC_INPUTS = dict(
-    n=1, delta=2, M=2, N=2, q=4, d_i=(1, 1, 1, 1), d=1, epsilon=Fraction(1),
+    n=1, delta=2, M=2, N=2, q=4, d_i=(1, 1, 1, 1), epsilon=Fraction(1),
     s_card=2, s_degree=2, h_fx=Fraction(0), h_q_family=Fraction(0),
     h_q_i=(Fraction(0),) * 4, e_s_term=Fraction(0), c1=Fraction(0),
     c1_prime=Fraction(0), m=12,
@@ -52,9 +53,9 @@ def test_excess_vanishing_const():
 
 
 def test_choose_m():
-    assert choose_m(3, 1) == 4
-    assert choose_m(7, 3) == 9
-    assert choose_m(5, 5) == 10
+    assert choose_m(3, 1, n=1, delta=1) == 4
+    assert choose_m(7, 3, n=1, delta=1) == 9
+    assert choose_m(5, 5, n=1, delta=1) == 10
     assert choose_m(1, 1, n=1, delta=2) == 4  # lifted to the compatibility floor
     assert choose_m(1, 3, n=2, delta=3) == 9
 
@@ -107,7 +108,7 @@ def test_assemble_fallbacks():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_assemble_asks_each_degree_once(d):
     # S(m/d - 1) needs H at i*d for 1 <= i < m/d, and b1 needs H(m); m = 12
-    inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (d,) * 4, "d": d})
+    inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (d,) * 4})
     asked = []
 
     def hilbert(k):
@@ -120,16 +121,24 @@ def test_assemble_asks_each_degree_once(d):
 
 def test_assemble_determinism():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "h_fx": Fraction(2, 3)})
-    a = assemble_constants(inputs, CONIC_H.get, a_eps=11)
-    b = assemble_constants(inputs, CONIC_H.get, a_eps=11)
+    a = assemble_constants(inputs, CONIC_H.get)
+    b = assemble_constants(inputs, CONIC_H.get)
     assert a == b and isinstance(a, EffectiveConstants)
+
+
+def test_assemble_derives_a_eps_and_m():
+    inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (1, 2, 1, 2), "m": None})
+    assert inputs.d == 2
+    out = assemble_constants(inputs, {}.get)
+    assert out.a_eps == threshold_a_eps(1, 2, 2, Fraction(1, 2))  # at epsilon/N
+    assert out.m == choose_m(out.a_eps, 2, 1, 2) == 644
+    given = assemble_constants(ConstantInputs(**{**CONIC_INPUTS, "d_i": (1, 2, 1, 2)}), {}.get)
+    assert (given.a_eps, given.m) == (out.a_eps, 12)
 
 
 def test_inputs_validation():
     with pytest.raises(PreconditionViolated):
         ConstantInputs(**{**CONIC_INPUTS, "N": 0})
-    with pytest.raises(PreconditionViolated):
-        ConstantInputs(**{**CONIC_INPUTS, "d": 2})
     with pytest.raises(PreconditionViolated):
         ConstantInputs(**{**CONIC_INPUTS, "m": 3})  # below the (n+1)delta floor
 

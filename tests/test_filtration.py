@@ -73,7 +73,7 @@ def test_build_filtration_conic():
 
 
 def test_build_filtration_single_level():
-    basis = build_filtration(CONIC, 2, parse_poly("X1^2", 3), d=2)
+    basis = build_filtration(CONIC, 2, parse_poly("X1^2", 3))
     assert basis.level_dims[-1] == 1  # W_1 is spanned by Q itself
 
 

@@ -6,10 +6,12 @@ from ffsubspace.errors import (
     DegreeMismatch,
     NotHomogeneous,
     ParseError,
+    PreconditionViolated,
     VarCountMismatch,
 )
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import (
+    MAX_PIECE_MONOMIALS,
     HomogeneousPoly,
     dehomogenize,
     homogenize,
@@ -52,6 +54,15 @@ def test_monomial_basis():
     # glex descending with X0 largest
     assert basis[0] == (2, 0, 0) and basis[-1] == (0, 0, 2)
     assert list(basis) == sorted(basis, reverse=True)
+
+
+def test_monomial_basis_limit():
+    # the largest pieces in three and four variables within the limit
+    assert len(monomial_basis(3, 108)) == 5995 <= MAX_PIECE_MONOMIALS
+    assert len(monomial_basis(4, 31)) == 5984
+    for num_vars, degree, count in [(3, 109, 6105), (4, 32, 6545), (3, 10**5, 5000150001)]:
+        with pytest.raises(PreconditionViolated, match=f"has {count} monomials"):
+            monomial_basis(num_vars, degree)
 
 
 def test_dehom_hom_round_trip():
