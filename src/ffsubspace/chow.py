@@ -9,25 +9,45 @@ below does not care where the form came from.
 The skew expansion substitutes u_i = S^(i) x for generic skew-symmetric
 matrices S^(i) and collects the result as sum_sigma P_sigma(x) * sigma over
 s-monomials sigma; the P_sigma generate an ideal whose radical cuts out the
-variety.
+variety (Dalbec-Sturmfels, "Introduction to Chow forms", 1995).
+
+The expansion runs over Z.  F_X(u) enters linearly, so each block monomial
+prod_r ((S^(i) x)_r)^k_r is expanded once, as a map from packed keys to
+ints; a term of F_X multiplies the maps of its blocks and adds the result,
+times its numerator over the form's common denominator, into one int map
+per power of t.  Q(t) coefficients are built only for the final P_sigma.
+
+A key (sigma, x-monomial) is the digit string sigma_0, ..., sigma_n, x in
+base 2^width, most significant digit first, one digit per exponent.  Every
+exponent is at most blocks * delta (the degree of an x-monomial; a block's
+s-monomial has degree delta), and the digits of a product are the sums of
+its factors' digits, which stay within that bound.  With
+width = (blocks * delta).bit_length() no digit carries into the next, so
+keys multiply by adding and sort as their sigma tuples do.
+
+A form is refused before expanding when its P_sigma would have degree
+above MAX_SKEW_DEGREE or it could form more than MAX_SKEW_PRODUCTS
+products (`skew_product_count`).
 
 The form arithmetic (`SparseForm`) and every evaluation (`eval_terms`) come
-from `multipoly`; this module adds the block structure, the determinant and
-the skew table.
+from `multipoly`; this module adds the block structure, the determinant (a
+Laplace expansion over column subsets) and the skew table.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from functools import reduce
-from math import comb
+from math import comb, prod
 
+from . import upoly
 from .errors import (
     DegreeMismatch,
     DependentSpan,
     InvariantViolated,
+    PreconditionViolated,
+    SchemaError,
     VarCountMismatch,
     ZeroPolynomial,
 )
@@ -153,23 +173,27 @@ class MultiHomForm(SparseForm):
 
 
 def _determinant(vectors) -> MultiHomForm:
-    """det(u_i . b_j) for k vectors b_j: degree 1 in each of k blocks u_i."""
+    """det(u_i . b_j) for k vectors b_j: degree 1 in each of k blocks u_i.
+
+    Laplace expansion along the first row, over column subsets: minors[cols]
+    holds the terms of the minor on the last len(cols) rows and the columns
+    cols, keyed by those rows' exponent tuples.  Row i of that minor adds
+    +-b_j[c] * u_{i,c} for each column j and coordinate c, so each subset is
+    expanded once and no two forms are multiplied.
+    """
     k, nv = len(vectors), len(vectors[0])
-    zero = (0,) * nv
-
-    def dot(i, b):  # u_i . b
-        keys = (
-            tuple(_bump(zero, j) if r == i else zero for r in range(k)) for j in range(nv)
-        )
-        return MultiHomForm(k, nv, dict(zip(keys, b)))
-
-    dots = [[dot(i, b) for b in vectors] for i in range(k)]
-    det = MultiHomForm(k, nv, {})
-    for perm in itertools.permutations(range(k)):
-        term = reduce(operator.mul, (dots[i][j] for i, j in enumerate(perm)))
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        det = det + (-term if inversions % 2 else term)
-    return det
+    units = [_bump((0,) * nv, c) for c in range(nv)]
+    minors = {(): {(): RationalFunction(1)}}
+    for size in range(1, k + 1):
+        for cols in itertools.combinations(range(k), size):
+            minors[cols] = collect(
+                ((units[c],) + key, (-b if pos % 2 else b) * coeff)
+                for pos, j in enumerate(cols)
+                for key, coeff in minors[cols[:pos] + cols[pos + 1 :]].items()
+                for c, b in enumerate(vectors[j])
+                if b
+            )
+    return MultiHomForm(k, nv, minors[tuple(range(k))])
 
 
 def chow_of_linear(span_points) -> MultiHomForm:
@@ -271,51 +295,175 @@ def apply_skew_to_point(pairs, skew_values, x):
     ]
 
 
-def _times_row(partial: dict, i: int, row_entries):
-    """The terms of partial * (S^(i) x)_row, one (key, coefficient) at a time."""
-    for (sigma, mono), c in partial.items():
-        for p, xi, sign in row_entries:
-            nsigma = sigma[:i] + (_bump(sigma[i], p),) + sigma[i + 1 :]
-            yield (nsigma, _bump(mono, xi)), (c if sign == 1 else -c)
+# Limits on one skew expansion, checked before any product is formed.  The
+# work and the output grow with the number of block-term products (bounded
+# by `skew_product_count`), and each product's integer with the degree
+# blocks * delta of the P_sigma (a multinomial coefficient).  At 50,000
+# products a single-term form expands in about 1 s on 2 vCPUs; the twisted
+# cubic needs 13,556 and the P^3 quadric 37,422.  The largest degree any
+# test or bundled form reaches is 6.
+MAX_SKEW_PRODUCTS = 50_000
+MAX_SKEW_DEGREE = 1000
+
+
+def skew_product_count(form: MultiHomForm) -> int:
+    """An upper bound on the products `expand_skew` forms.
+
+    Row r of S x has vars_per_block - 1 terms, so its e-th power has at most
+    C(e + vars_per_block - 2, e) of them; a term of F_X multiplies the term
+    maps of its block monomials, one per block.
+    """
+    nv = form.vars_per_block
+    return sum(
+        prod(comb(e + nv - 2, e) for block in key for e in block) for key in form.terms
+    )
+
+
+def _common_numerators(form: MultiHomForm):
+    """(numerators, den): coefficient c of key = numerators[key] / den, over Z[t]."""
+    den = upoly.ONE
+    for c in form.terms.values():
+        if c.den != den:
+            den = upoly.quo(upoly.mul(den, c.den), upoly.gcd(den, c.den))
+    return {
+        key: c.num if c.den == den else upoly.mul(c.num, upoly.quo(den, c.den))
+        for key, c in form.terms.items()
+    }, den
+
+
+def _mul_maps(a: dict, b: dict) -> dict:
+    """The product of two {packed key: int} maps; keys multiply by adding."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = ka + kb
+            out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def _power_of_sum(terms, e: int) -> dict:
+    """(sum of c * z^key over (key, c) in terms)^e as {packed key: int}.
+
+    The multinomial theorem, one entry per split of e among the terms, so
+    the work is the size of the result.  The keys must differ in a digit of
+    their own (for a row of S x: the skew entry), which keeps the entries
+    distinct.
+    """
+    if not terms:  # the one row of a 1 x 1 skew matrix is zero
+        return {}
+    (key, c), *rest = terms
+    if not rest:
+        return {key * e: c**e}
+    out = {}
+    for a in range(e + 1):
+        head_key, head = key * a, comb(e, a) * c**a
+        for k, v in _power_of_sum(rest, e - a).items():
+            out[head_key + k] = head * v
+    return out
+
+
+def _digit_reader(width: int, count: int):
+    """Reads the lowest `count` base-2^width digits of a packed key as an
+    exponent tuple, most significant first; each tuple is built once."""
+    mask = (1 << width) - 1
+    cache = {}
+
+    def read(packed):
+        packed &= (1 << width * count) - 1
+        got = cache.get(packed)
+        if got is None:
+            got = cache[packed] = tuple(
+                packed >> width * (count - 1 - d) & mask for d in range(count)
+            )
+        return got
+
+    return read
 
 
 def expand_skew(form: MultiHomForm) -> SkewExpansion:
     """Expand the skew-symmetric substitution of a Chow form.
 
     Substitutes u_i = S^(i) x with symbolic skew entries s^(i)_{jk},
-    0 <= j < k <= M, expands exactly over K, and collects the coefficient
-    form P_sigma of every s-monomial sigma.  The coefficient inequality
-    e_p(P_sigma) >= e_p(F_X) is checked on the support of F_X.
+    0 <= j < k <= M, and collects the coefficient form P_sigma of every
+    s-monomial sigma, over Z on packed keys (see the module docstring).
+    The coefficient inequality e_p(P_sigma) >= e_p(F_X) is checked on the
+    support of F_X.
     """
     nv = form.vars_per_block
     blocks = form.blocks
     delta = form.block_degree
     pairs = skew_pairs(nv)
-    zero_sigma = ((0,) * len(pairs),) * blocks
-    zero_mono = (0,) * nv
-    linear = _skew_rows(pairs, nv)
-
-    collected = {}
-    for key, coeff in form.terms.items():
-        partial = {(zero_sigma, zero_mono): coeff}
-        for i in range(blocks):
-            for row, e in enumerate(key[i]):
-                for _ in range(e):
-                    partial = collect(_times_row(partial, i, linear[row]))
-        for (sigma, mono), c in partial.items():
-            collect([(mono, c)], collected.setdefault(sigma, {}))
-
     degree = blocks * delta
+    if degree > MAX_SKEW_DEGREE:
+        raise PreconditionViolated(
+            f"skew expansion of degree {degree} exceeds the limit {MAX_SKEW_DEGREE}"
+        )
+    products = skew_product_count(form)
+    if products > MAX_SKEW_PRODUCTS:
+        raise PreconditionViolated(
+            f"skew expansion of up to {products} products exceeds the limit "
+            f"{MAX_SKEW_PRODUCTS}"
+        )
+    width = degree.bit_length()
+    sigma_digits = blocks * len(pairs)
+
+    def unit(digit):  # the key with a 1 in this digit, counted from the top
+        return 1 << width * (sigma_digits + nv - 1 - digit)
+
+    # linear[i][r]: row r of S^(i) x as (key of s_p * x_col, sign) pairs
+    linear = [
+        [
+            [(unit(i * len(pairs) + p) | unit(sigma_digits + col), sign)
+             for p, col, sign in row]
+            for row in _skew_rows(pairs, nv)
+        ]
+        for i in range(blocks)
+    ]
+    block_maps = {}
+
+    def block_map(i, exps):
+        """prod_r ((S^(i) x)_r)^exps[r] as {key: int}, built once."""
+        got = block_maps.get((i, exps))
+        if got is None:
+            got = block_maps[i, exps] = reduce(
+                _mul_maps,
+                (_power_of_sum(linear[i][r], e) for r, e in enumerate(exps) if e),
+                {0: 1},
+            )
+        return got
+
+    numerators, den = _common_numerators(form)
+    # acc[j]: key -> coefficient of t^j in the numerator over den
+    acc = [{} for _ in range(max(map(len, numerators.values()), default=0))]
+    for key, num in numerators.items():
+        expanded = reduce(_mul_maps, (block_map(i, exps) for i, exps in enumerate(key)))
+        for a, out in zip(num, acc):
+            if a:
+                for k, c in expanded.items():
+                    out[k] = out.get(k, 0) + a * c
+
+    # x-monomials, s-monomials and coefficients repeat; build each once.
+    mono_of = _digit_reader(width, nv)
+    block_of = _digit_reader(width, len(pairs))
+    mono_bits = width * nv
+    block_bits = width * len(pairs)
+    coeffs = {}
+    grouped = {}
+    for k in set().union(*acc):
+        num = upoly.strip(out.get(k, 0) for out in acc)
+        if num:
+            c = coeffs.get(num)
+            if c is None:
+                c = coeffs[num] = RationalFunction.reduced(num, den)
+            grouped.setdefault(k >> mono_bits, {})[mono_of(k)] = c
     entries = {}
-    for sigma in sorted(collected):
-        terms = collected[sigma]
-        if not terms:
-            continue
+    for packed in sorted(grouped):
+        sigma = tuple(block_of(packed >> block_bits * (blocks - 1 - i)) for i in range(blocks))
         if any(monomial_degree(b) != delta for b in sigma):
             raise InvariantViolated(
                 f"s-monomial {sigma} is not of degree {delta} in every block"
             )
-        entries[sigma] = HomogeneousPoly(nv, degree, terms)
+        entries[sigma] = HomogeneousPoly(nv, degree, grouped[packed])
 
     expansion = SkewExpansion(blocks, nv, delta, pairs, entries)
     _check_coefficient_bound(form, expansion)
@@ -386,11 +534,19 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
     }
 
 
-def multihomform_from_json(data: dict) -> MultiHomForm:
+def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
+    """The form of `multihomform_to_json`'s output; a term whose exponents
+    repeat an earlier term's is a SchemaError at `pointer`/terms/<i>."""
     from .parsing import parse_rational
 
-    terms = {}
-    for item in data["terms"]:
+    terms, first = {}, {}
+    for i, item in enumerate(data["terms"]):
         key = tuple(tuple(b) for b in item["exponents"])
+        if key in first:
+            raise SchemaError(
+                f"exponents {item['exponents']} repeat those of term {first[key]}",
+                f"{pointer}/terms/{i}",
+            )
+        first[key] = i
         terms[key] = parse_rational(item["coeff"])
     return MultiHomForm(data["blocks"], data["vars_per_block"], terms)

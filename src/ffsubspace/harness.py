@@ -204,7 +204,7 @@ def load_scenario_dict(data: dict) -> Scenario:
                 "ideal variety needs an explicit chow_form", "/variety/chow_form"
             )
         x_gens = IdealGenerators.parse(nv, variety["generators"])
-        chow = multihomform_from_json(variety["chow_form"])
+        chow = multihomform_from_json(variety["chow_form"], "/variety/chow_form")
         if chow.vars_per_block != nv:
             raise SchemaError(
                 "chow_form vars_per_block must equal ambient_dim + 1",

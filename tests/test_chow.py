@@ -1,11 +1,17 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ffsubspace import chow
 from ffsubspace.chow import (
+    MAX_SKEW_DEGREE,
+    MAX_SKEW_PRODUCTS,
     MultiHomForm,
+    _determinant,
     apply_skew_to_point,
     chow_height,
     chow_of_hypersurface,
@@ -17,12 +23,14 @@ from ffsubspace.chow import (
     multihomform_to_json,
     psigma_count_report,
     skew_pairs,
+    skew_product_count,
 )
-from ffsubspace.errors import DependentSpan
+from ffsubspace.errors import DependentSpan, InvariantViolated, PreconditionViolated, SchemaError
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import parse_poly
 from ffsubspace.parsing import parse_rational
 from helpers import rand_k
+from test_twisted_cubic import twisted_cubic_chow
 
 T = RationalFunction.t()
 CONIC_F = parse_poly("X0*X2 - X1^2", 3)
@@ -211,3 +219,129 @@ def golden_chow_dict():
 
 def test_golden_chow():
     assert golden_chow_dict() == json.loads(GOLDEN_CHOW.read_text())
+
+
+def permutation_determinant(vectors) -> MultiHomForm:
+    """det(u_i . b_j) by the permutation formula: k! products of k forms."""
+    k, nv = len(vectors), len(vectors[0])
+    zero = (0,) * nv
+
+    def dot(i, b):  # u_i . b
+        keys = (
+            tuple(tuple(int(c == j) for c in range(nv)) if r == i else zero for r in range(k))
+            for j in range(nv)
+        )
+        return MultiHomForm(k, nv, dict(zip(keys, b)))
+
+    det = MultiHomForm(k, nv, {})
+    for perm in itertools.permutations(range(k)):
+        term = dot(0, vectors[perm[0]])
+        for i in range(1, k):
+            term = term * dot(i, vectors[perm[i]])
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        det = det + (-term if inversions % 2 else term)
+    return det
+
+
+def test_determinant_matches_the_permutation_formula():
+    rng = random.Random(29)
+    for k in range(1, 5):
+        for nv in range(k, k + 2):
+            vectors = [
+                [rand_k(rng, 1) if rng.random() < 0.7 else RationalFunction(0) for _ in range(nv)]
+                for _ in range(k)
+            ]
+            assert _determinant(vectors) == permutation_determinant(vectors)
+    dependent = [[1, T, 0], [2, 2 * T, 0]]
+    assert _determinant(dependent).is_zero() and permutation_determinant(dependent).is_zero()
+
+
+def test_determinant_multiplies_no_forms(monkeypatch):
+    def refuse(self, other):
+        raise AssertionError("MultiHomForm product")
+
+    monkeypatch.setattr(MultiHomForm, "__mul__", refuse)
+    assert len(generalized_cross_product(3, 4)) == 4
+
+
+# --- hypothesis property: the expansion reconstructs F_X(S^(0) x, ...)
+
+_zpoly = st.lists(st.integers(-5, 5), min_size=1, max_size=2).filter(any)
+_elements = st.builds(RationalFunction, _zpoly, _zpoly)
+
+
+@st.composite
+def _block_monomials(draw, nv, delta):
+    cuts = sorted(draw(st.lists(st.integers(0, delta), min_size=nv - 1, max_size=nv - 1)))
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [delta]))
+
+
+@st.composite
+def _skew_forms(draw):
+    """Chow-form shapes, 1-3 blocks in 2-4 variables (blocks < variables),
+    with Q(t) coefficients: random terms, a determinant, whose P_sigma
+    cancel down to the span's ideal, or their sum."""
+    blocks = draw(st.integers(1, 3))
+    nv = draw(st.integers(blocks + 1, 4))
+    delta = draw(st.integers(1, 2))
+    keys = draw(st.lists(
+        st.tuples(*[_block_monomials(nv, delta)] * blocks), min_size=1, max_size=4, unique=True,
+    ))
+    form = MultiHomForm(blocks, nv, {key: draw(_elements) for key in keys})
+    if delta == 1 and draw(st.booleans()):
+        vectors = draw(st.lists(st.lists(_elements, min_size=nv, max_size=nv),
+                                min_size=blocks, max_size=blocks))
+        det = _determinant(vectors)
+        form = det if draw(st.booleans()) else form + det
+    return form
+
+
+@settings(max_examples=40, deadline=None)
+@given(form=_skew_forms(), data=st.data())
+def test_expansion_reconstructs_the_substitution(form, data):
+    expansion = expand_skew(form)
+    assert all(not p.is_zero() for p in expansion.entries.values())
+    x = data.draw(st.lists(_elements, min_size=form.vars_per_block,
+                           max_size=form.vars_per_block))
+    svals = data.draw(st.lists(
+        st.lists(_elements, min_size=len(expansion.pairs), max_size=len(expansion.pairs)),
+        min_size=form.blocks, max_size=form.blocks,
+    ))
+    us = [apply_skew_to_point(expansion.pairs, sv, x) for sv in svals]
+    assert form.evaluate(us) == expansion.reconstruct(svals, x)
+
+
+def test_skew_product_count():
+    # the conic: 2 blocks of degree 2 in 3 variables; each row of S x has 2 terms
+    assert skew_product_count(chow_of_hypersurface(CONIC_F)) == sum(
+        (3 if 2 in b0 else 4) * (3 if 2 in b1 else 4)
+        for b0, b1 in chow_of_hypersurface(CONIC_F).terms
+    )
+    assert skew_product_count(twisted_cubic_chow()) == 13556 <= MAX_SKEW_PRODUCTS
+    single = MultiHomForm(2, 4, {((40, 0, 0, 0), (0, 40, 0, 0)): 1})
+    assert skew_product_count(single) == 861**2
+
+
+@pytest.mark.parametrize("key, message", [
+    (((40, 0, 0, 0), (0, 40, 0, 0)), "skew expansion of up to 741321 products exceeds the limit"),
+    (((MAX_SKEW_DEGREE + 1, 0),), f"degree {MAX_SKEW_DEGREE + 1} exceeds the limit"),
+])
+def test_oversized_expansion_is_refused(key, message):
+    with pytest.raises(PreconditionViolated, match=message):
+        expand_skew(MultiHomForm(len(key), len(key[0]), {key: 1}))
+
+
+def test_sigma_degree_is_still_checked(monkeypatch):
+    conic = chow_of_hypersurface(CONIC_F)
+    monkeypatch.setattr(chow, "monomial_degree", lambda b: -1)
+    with pytest.raises(InvariantViolated, match="is not of degree 2 in every block"):
+        expand_skew(conic)
+
+
+def test_repeated_term_is_a_schema_error():
+    data = multihomform_to_json(chow_of_hypersurface(CONIC_F))
+    data["terms"].append(dict(data["terms"][2], coeff="5"))
+    with pytest.raises(SchemaError) as err:
+        multihomform_from_json(data, "/variety/chow_form")
+    assert err.value.json_pointer == f"/variety/chow_form/terms/{len(data['terms']) - 1}"
+    assert "repeat those of term 2" in str(err.value)

@@ -260,6 +260,32 @@ def test_chow_form_that_does_not_fit_the_generators(capsys, tmp_path):
     assert "H(1) = 4" in err and "(at /variety/chow_form)" in err
 
 
+@pytest.mark.parametrize("command", [["chow", "--input"], ["check"]])
+def test_repeated_chow_form_term(capsys, tmp_path, command):
+    # a second term with the exponents of term 0 would overwrite it
+    scenario = ideal_scenario_dict()
+    terms = scenario["variety"]["chow_form"]["terms"]
+    terms.append(dict(terms[0], coeff="5"))
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(scenario))
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"repeat those of term 0 (at /variety/chow_form/terms/{len(terms) - 1})" in err
+
+
+def test_huge_skew_expansion_exits_fast(tmp_path):
+    # a single term of degree 40 per block would expand into 741,321 products
+    scenario = ideal_scenario_dict()
+    scenario["variety"]["chow_form"]["terms"] = [
+        {"exponents": [[40, 0, 0, 0], [0, 40, 0, 0]], "coeff": "1"}
+    ]
+    path = tmp_path / "single_term.json"
+    path.write_text(json.dumps(scenario))
+    code, seconds, stderr = _main_in_capped_child("chow", "--input", str(path))
+    assert code == 2 and seconds < 1.0
+    assert "skew expansion of up to 741321 products exceeds the limit 50000" in stderr
+
+
 def _conic_with(tmp_path, **changes):
     scenario = json.loads(Path(SCENARIO).read_text())
     scenario.update(changes)

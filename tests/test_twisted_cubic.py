@@ -5,7 +5,9 @@ the two binary cubics u_i . [w^3, s w^2, s^2 w, s^3]), which is exactly the
 user-supplied route the ideal scenario kind exists for.
 """
 
+import hashlib
 import itertools
+import json
 
 from ffsubspace import graded_ideal
 from ffsubspace.chow import (
@@ -94,6 +96,19 @@ def test_expansion_cuts_out_the_curve():
     rep = psigma_count_report(expansion)
     assert rep.actual_count <= rep.combinatorial_count == 3136
     assert rep.stated_bound == 7056
+
+
+def test_expansion_digest():
+    # sha256 of {str(sigma): str(P_sigma)} as sorted-key JSON, recorded from
+    # the expansion over RationalFunction terms, before it ran over packed
+    # integer keys
+    expansion = expand_skew(twisted_cubic_chow())
+    assert expansion.sigma_count == 2424
+    text = {str(sigma): str(p) for sigma, p in expansion.entries.items()}
+    assert hashlib.sha256(json.dumps(text, sort_keys=True).encode()).hexdigest() == (
+        "fc5bb309fa87b8beac64b206996a0c17e6a3be33ca67d5799bb879bab10313b2"
+    )
+    assert list(expansion.entries) == sorted(expansion.entries)
 
 
 def test_curve_hilbert_function():
