@@ -25,13 +25,17 @@ its factors' digits, which stay within that bound.  With
 width = (blocks * delta).bit_length() no digit carries into the next, so
 keys multiply by adding and sort as their sigma tuples do.
 
-A form is refused before expanding when its P_sigma would have degree
-above MAX_SKEW_DEGREE or it could form more than MAX_SKEW_PRODUCTS
-products (`skew_product_count`).
+A form is refused before expanding when it has as many blocks as variables
+per block (a Chow form has dim X + 1 <= M blocks of M + 1), when its
+P_sigma would have degree above MAX_SKEW_DEGREE, or when it could form more
+than MAX_SKEW_PRODUCTS products (`skew_product_count`).
 
-The form arithmetic (`SparseForm`) and every evaluation (`eval_terms`) come
-from `multipoly`; this module adds the block structure, the determinant (a
-Laplace expansion over column subsets) and the skew table.
+A Chow form is a `MultiHomForm`: one `HomogeneousPoly` in blocks * (M+1)
+variables, block i being the variables i(M+1), ..., (i+1)(M+1) - 1, so a
+key of the form splits into its blocks by slicing.  Its arithmetic and every
+evaluation (`eval_terms`) come from `multipoly`; this module adds the block
+record, the determinant (a Laplace expansion over column subsets) and the
+skew table.  A form's keys are nested per block only in its JSON format.
 """
 
 from __future__ import annotations
@@ -61,19 +65,12 @@ from .function_field import (
 from .linalg import Echelon
 from .multipoly import (
     HomogeneousPoly,
-    SparseForm,
     _coerce_coeff,
     collect,
     eval_terms,
     monomial_degree,
-    monomial_mul,
-    mul_terms,
     power_table,
 )
-
-
-def _block_mul(k1, k2):
-    return tuple(monomial_mul(b1, b2) for b1, b2 in zip(k1, k2))
 
 
 def _bump(exps: tuple, j: int) -> tuple:
@@ -81,103 +78,67 @@ def _bump(exps: tuple, j: int) -> tuple:
     return exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
 
 
-class MultiHomForm(SparseForm):
-    """A multihomogeneous form in `blocks` blocks of `vars_per_block` variables.
+@dataclass(frozen=True)
+class MultiHomForm:
+    """A form of the same degree in each of `blocks` blocks of
+    `vars_per_block` variables.
 
-    terms maps a tuple of per-block exponent tuples to a K coefficient.
-    All terms must share the same per-block degree profile; for a Chow form
-    that profile is constant (the projective degree in every block).
+    poly is a HomogeneousPoly in blocks * vars_per_block variables; block i
+    is the variables i * vars_per_block, ..., (i + 1) * vars_per_block - 1,
+    so a flat key of poly splits into per-block exponent tuples (`split`).
     """
 
-    __slots__ = ("blocks", "vars_per_block", "terms", "block_degrees")
+    blocks: int
+    vars_per_block: int
+    poly: HomogeneousPoly
 
-    def __init__(self, blocks: int, vars_per_block: int, terms):
-        clean = {}
+    def __post_init__(self):
+        if self.poly.num_vars != self.blocks * self.vars_per_block:
+            raise VarCountMismatch(
+                f"form in {self.poly.num_vars} variables, expected {self.blocks} "
+                f"blocks of {self.vars_per_block}"
+            )
         profile = None
-        for key, c in terms.items():
-            c = _coerce_coeff(c)
-            if c.is_zero():
-                continue
-            key = tuple(tuple(b) for b in key)
-            if len(key) != blocks or any(len(b) != vars_per_block for b in key):
-                raise VarCountMismatch(f"bad block shape in term {key}")
-            this = tuple(monomial_degree(b) for b in key)
+        for key in self.poly.terms:
+            this = tuple(monomial_degree(b) for b in self.split(key))
             if profile is None:
                 profile = this
             elif profile != this:
                 raise DegreeMismatch(
                     f"mixed block degrees {profile} vs {this} in multihomogeneous form"
                 )
-            clean[key] = c
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "vars_per_block", vars_per_block)
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "block_degrees", profile or (0,) * blocks)
 
     @property
     def block_degree(self) -> int:
-        """The common degree in each block; the Chow-form case."""
-        degs = set(self.block_degrees)
-        if len(degs) != 1:
-            raise DegreeMismatch(f"block degrees differ: {self.block_degrees}")
-        return degs.pop()
+        """The common degree in each block; for a Chow form, the degree of X."""
+        return self.poly.degree // self.blocks
 
-    def _shape(self):
-        return self.blocks, self.vars_per_block
+    @property
+    def terms(self) -> dict:
+        """The term map of `poly`, on flat keys."""
+        return self.poly.terms
 
-    def _with_terms(self, terms) -> "MultiHomForm":
-        return MultiHomForm(self.blocks, self.vars_per_block, terms)
-
-    def _one(self) -> "MultiHomForm":
-        return self._with_terms({((0,) * self.vars_per_block,) * self.blocks: 1})
-
-    def coefficients(self):
-        return [c for _, c in sorted(self.terms.items())]
-
-    def __add__(self, other):
-        if not isinstance(other, MultiHomForm):
-            return NotImplemented
-        self._check_shape(other)
-        out = collect(other.terms.items(), dict(self.terms))
-        return MultiHomForm(self.blocks, self.vars_per_block, out)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, RationalFunction)):
-            return self.scale(other)
-        if not isinstance(other, MultiHomForm):
-            return NotImplemented
-        self._check_shape(other)
-        out = mul_terms(self.terms, other.terms, _block_mul)
-        return MultiHomForm(self.blocks, self.vars_per_block, out)
-
-    def _check_shape(self, other):
-        if self.blocks != other.blocks or self.vars_per_block != other.vars_per_block:
-            raise VarCountMismatch("mismatched block shapes")
+    def split(self, key) -> tuple:
+        """A flat key of `poly` as its per-block exponent tuples."""
+        nv = self.vars_per_block
+        return tuple(key[i : i + nv] for i in range(0, len(key), nv))
 
     def evaluate(self, block_vectors) -> RationalFunction:
         """Substitute concrete coefficient vectors, one per block."""
-        vectors = [[_coerce_coeff(v) for v in vec] for vec in block_vectors]
-        if len(vectors) != self.blocks or any(
-            len(v) != self.vars_per_block for v in vectors
+        if len(block_vectors) != self.blocks or any(
+            len(v) != self.vars_per_block for v in block_vectors
         ):
             raise VarCountMismatch("bad block vector shape")
-        flat = {sum(key, ()): c for key, c in self.terms.items()}
-        powers = power_table([v for vec in vectors for v in vec])
-        return eval_terms(flat, powers, RationalFunction(0))
-
-    def __repr__(self):
-        return (
-            f"MultiHomForm(blocks={self.blocks}, vars={self.vars_per_block}, "
-            f"terms={len(self.terms)}, degrees={self.block_degrees})"
-        )
+        return self.poly.evaluate([v for vec in block_vectors for v in vec])
 
 
-def _determinant(vectors) -> MultiHomForm:
-    """det(u_i . b_j) for k vectors b_j: degree 1 in each of k blocks u_i.
+def _determinant(vectors) -> HomogeneousPoly:
+    """det(u_i . b_j) for k vectors b_j: degree 1 in each of k blocks u_i,
+    a form in the k * len(b_j) variables of the blocks laid end to end.
 
     Laplace expansion along the first row, over column subsets: minors[cols]
     holds the terms of the minor on the last len(cols) rows and the columns
-    cols, keyed by those rows' exponent tuples.  Row i of that minor adds
+    cols, keyed by those rows' exponents.  Row i of that minor adds
     +-b_j[c] * u_{i,c} for each column j and coordinate c, so each subset is
     expanded once and no two forms are multiplied.
     """
@@ -187,13 +148,13 @@ def _determinant(vectors) -> MultiHomForm:
     for size in range(1, k + 1):
         for cols in itertools.combinations(range(k), size):
             minors[cols] = collect(
-                ((units[c],) + key, (-b if pos % 2 else b) * coeff)
+                (units[c] + key, (-b if pos % 2 else b) * coeff)
                 for pos, j in enumerate(cols)
                 for key, coeff in minors[cols[:pos] + cols[pos + 1 :]].items()
                 for c, b in enumerate(vectors[j])
                 if b
             )
-    return MultiHomForm(k, nv, minors[tuple(range(k))])
+    return HomogeneousPoly(k * nv, k, minors[tuple(range(k))])
 
 
 def chow_of_linear(span_points) -> MultiHomForm:
@@ -204,7 +165,7 @@ def chow_of_linear(span_points) -> MultiHomForm:
         ech.add_row({i: c for i, c in enumerate(coords) if not c.is_zero()})
     if ech.rank != len(points):
         raise DependentSpan("span points are linearly dependent")
-    return _determinant(points)
+    return MultiHomForm(len(points), len(points[0]), _determinant(points))
 
 
 def generalized_cross_product(blocks: int, nv: int) -> list:
@@ -217,7 +178,7 @@ def generalized_cross_product(blocks: int, nv: int) -> list:
         raise VarCountMismatch("cross product needs one more variable than blocks")
     units = [[int(i == j) for i in range(nv)] for j in range(nv)]
     minors = [_determinant(units[:d] + units[d + 1 :]) for d in range(nv)]
-    return [-w if d % 2 else w for d, w in enumerate(minors)]
+    return [MultiHomForm(blocks, nv, -w if d % 2 else w) for d, w in enumerate(minors)]
 
 
 def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
@@ -231,8 +192,9 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     nv = f.num_vars
     if nv < 3:
         raise VarCountMismatch("hypersurface constructor needs M >= 2")
-    w = generalized_cross_product(nv - 1, nv)
-    return eval_terms(f.terms, power_table(w), MultiHomForm(nv - 1, nv, {}))
+    w = [form.poly for form in generalized_cross_product(nv - 1, nv)]
+    zero = HomogeneousPoly.zero(nv * (nv - 1), f.degree * (nv - 1))
+    return MultiHomForm(nv - 1, nv, eval_terms(f.terms, power_table(w), zero))
 
 
 @dataclass(frozen=True)
@@ -314,9 +276,7 @@ def skew_product_count(form: MultiHomForm) -> int:
     maps of its block monomials, one per block.
     """
     nv = form.vars_per_block
-    return sum(
-        prod(comb(e + nv - 2, e) for block in key for e in block) for key in form.terms
-    )
+    return sum(prod(comb(e + nv - 2, e) for e in key) for key in form.terms)
 
 
 def _common_numerators(form: MultiHomForm):
@@ -391,6 +351,11 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     """
     nv = form.vars_per_block
     blocks = form.blocks
+    if blocks >= nv:
+        raise PreconditionViolated(
+            f"a Chow form has fewer blocks than variables per block, got {blocks} "
+            f"blocks of {nv}"
+        )
     delta = form.block_degree
     pairs = skew_pairs(nv)
     degree = blocks * delta
@@ -436,7 +401,7 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     # acc[j]: key -> coefficient of t^j in the numerator over den
     acc = [{} for _ in range(max(map(len, numerators.values()), default=0))]
     for key, num in numerators.items():
-        expanded = reduce(_mul_maps, (block_map(i, exps) for i, exps in enumerate(key)))
+        expanded = reduce(_mul_maps, map(block_map, range(blocks), form.split(key)))
         for a, out in zip(num, acc):
             if a:
                 for k, c in expanded.items():
@@ -481,7 +446,7 @@ def _check_coefficient_bound(form: MultiHomForm, expansion: SkewExpansion):
 
 def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:
     """Per-place e_p(F_X) vs min_sigma e_p(P_sigma) over the support of F_X."""
-    coeffs = form.coefficients()
+    coeffs = form.poly.coefficients()
     out = []
     for p in support(coeffs):
         e_form = gauss_order_coeffs(p, coeffs)
@@ -518,9 +483,9 @@ def psigma_count_report(expansion: SkewExpansion) -> SigmaCountReport:
 
 def chow_height(form: MultiHomForm):
     """h(X) := h(F_X), the height of the coefficient family of the Chow form."""
-    if form.is_zero():
+    if form.poly.is_zero():
         raise ZeroPolynomial("zero Chow form")
-    return height_point(ProjectivePoint(form.coefficients()))
+    return height_point(ProjectivePoint(form.poly.coefficients()))
 
 
 def multihomform_to_json(form: MultiHomForm) -> dict:
@@ -528,7 +493,7 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
         "blocks": form.blocks,
         "vars_per_block": form.vars_per_block,
         "terms": [
-            {"exponents": [list(b) for b in key], "coeff": str(c)}
+            {"exponents": [list(b) for b in form.split(key)], "coeff": str(c)}
             for key, c in sorted(form.terms.items())
         ],
     }
@@ -539,14 +504,18 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
     repeat an earlier term's is a SchemaError at `pointer`/terms/<i>."""
     from .parsing import parse_rational
 
+    blocks, nv = data["blocks"], data["vars_per_block"]
     terms, first = {}, {}
     for i, item in enumerate(data["terms"]):
-        key = tuple(tuple(b) for b in item["exponents"])
+        exponents = item["exponents"]
+        if len(exponents) != blocks or any(len(b) != nv for b in exponents):
+            raise VarCountMismatch(f"bad block shape in term {exponents}")
+        key = tuple(e for b in exponents for e in b)
         if key in first:
             raise SchemaError(
-                f"exponents {item['exponents']} repeat those of term {first[key]}",
+                f"exponents {exponents} repeat those of term {first[key]}",
                 f"{pointer}/terms/{i}",
             )
         first[key] = i
         terms[key] = parse_rational(item["coeff"])
-    return MultiHomForm(data["blocks"], data["vars_per_block"], terms)
+    return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))

@@ -248,23 +248,30 @@ def hermann_cofactor_bound(d: int, num_vars: int) -> int:
     return (2 * d) ** (2 ** (num_vars - 1))
 
 
+# The desk-scale limit the default exponent cap clips the (4d)^(M+2)
+# bound to.
+CERTIFICATE_EXPONENT_LIMIT = 12
+
+
 def nullstellensatz_certificate(
     p0: HomogeneousPoly,
     gens: IdealGenerators,
     exponent_cap: int | None = None,
-    cap_limit: int = 12,
 ) -> NullstellensatzCertificate:
     """Search for the least exponent u with a * P0^u in <P_1..P_l>.
 
     The search solves one exact linear system per candidate u; the default
-    cap clips the astronomically safe theoretical bound to a desk-scale
-    limit.  The returned identity is re-verified by full expansion.
+    cap clips the astronomically safe theoretical bound to
+    CERTIFICATE_EXPONENT_LIMIT.  The returned identity is re-verified by
+    full expansion.
     """
     if p0.is_zero():
         raise ZeroPolynomial("P0 must be nonzero")
     if exponent_cap is None:
         d = max([p0.degree] + [g.degree for g in gens.generators])
-        exponent_cap = min(certificate_exponent_bound(d, gens.num_vars), cap_limit)
+        exponent_cap = min(
+            certificate_exponent_bound(d, gens.num_vars), CERTIFICATE_EXPONENT_LIMIT
+        )
     nv = gens.num_vars
     for u in range(1, exponent_cap + 1):
         target_degree = u * p0.degree
@@ -307,17 +314,38 @@ class EmptinessVerdict:
         return f"NonemptyAtCap(cap={self.cap})"
 
 
+def lazard_degree(gens: IdealGenerators) -> int:
+    """The degree past which no graded piece can newly become full.
+
+    Forms of degrees d_1 >= d_2 >= ... >= 1 in M+1 variables without a
+    common projective zero generate every form of degree
+    D = sum_{i <= M+1} (d_i - 1) + 1 (Lazard 1983; Cox-Little-O'Shea, Using
+    Algebraic Geometry, Ch. 3 Sec. 4), so the first full piece, if any, has
+    degree <= D.  Fewer than M+1 such forms always meet: 0.  A nonzero
+    constant makes the degree-1 piece full: 1.
+    """
+    degrees = sorted((g.degree for g in gens.generators), reverse=True)
+    if degrees and degrees[-1] == 0:
+        return 1
+    if len(degrees) < gens.num_vars:
+        return 0
+    return sum(d - 1 for d in degrees[: gens.num_vars]) + 1
+
+
 def has_common_projective_zero(gens: IdealGenerators, degree_cap: int) -> EmptinessVerdict:
     """One-sided emptiness certificate over the algebraic closure.
 
     EmptyCertified(m) means the degree-m slice is everything, so the
     generators have no common projective zero.  NonemptyAtCap only means no
-    certificate was found up to the cap.
+    certificate was found up to the cap.  The walk stops at `lazard_degree`,
+    past which no first full piece can lie, so a larger cap changes no
+    verdict; with a cap at least that degree, NonemptyAtCap also proves a
+    common zero.
     """
     if degree_cap < 1:
         raise PreconditionViolated("degree cap must be >= 1")
     M = gens.num_vars - 1
-    for m in range(1, degree_cap + 1):
+    for m in range(1, min(degree_cap, lazard_degree(gens)) + 1):
         if graded_piece(gens, m).rank == comb(m + M, M):
             return EmptinessVerdict(True, m, degree_cap)
     return EmptinessVerdict(False, None, degree_cap)

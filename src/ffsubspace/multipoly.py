@@ -4,6 +4,10 @@ Variables are X0..XM; a monomial is a plain tuple of exponents.  The term
 order used everywhere (column orders, pivot choices, basis listings) is
 graded lexicographic with X0 > X1 > ... > XM, realized as plain tuple
 comparison within a fixed degree, largest first.
+
+`HomogeneousPoly` is the one form type.  A Chow form (`chow.MultiHomForm`)
+is a HomogeneousPoly whose variables are laid out in blocks, one after
+another, so its arithmetic is this module's.
 """
 
 from __future__ import annotations
@@ -126,61 +130,12 @@ def eval_terms(terms, powers, zero):
     return total
 
 
-class SparseForm:
-    """The arithmetic shared by the immutable form types over K.
-
-    A subclass holds a term map `terms` without zero coefficients, validates
-    it in its constructor, and defines `+` and `*` (which fix the degree),
-    `evaluate`, `_shape()` (compared by `==`), `_with_terms(terms)` (same
-    shape, new terms) and `_one()` (the identity of `*`).
-    """
-
-    __slots__ = ()
-
-    def __setattr__(self, *a):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __neg__(self):
-        return self._with_terms({k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, type(self)):
-            return NotImplemented
-        return self + (-other)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, RationalFunction)):
-            return self.scale(other)
-        return NotImplemented
-
-    def scale(self, c):
-        c = _coerce_coeff(c)
-        if c.is_zero():
-            return self._with_terms({})
-        return self._with_terms({k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, n: int):
-        return power(self, n, self._one(), operator.mul)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self._shape() == other._shape()
-            and self.terms == other.terms
-        )
-
-
-class HomogeneousPoly(SparseForm):
+class HomogeneousPoly:
     """A homogeneous form of fixed degree; zero coefficients never stored.
 
     The zero form of a given degree is allowed (empty term map) so that
-    arithmetic is closed.
+    arithmetic is closed.  Forms are immutable, and zero forms compare equal
+    regardless of their declared degree.
     """
 
     __slots__ = ("num_vars", "degree", "terms")
@@ -204,6 +159,9 @@ class HomogeneousPoly(SparseForm):
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+
+    def __setattr__(self, *a):
+        raise AttributeError("HomogeneousPoly is immutable")
 
     @classmethod
     def zero(cls, num_vars: int, degree: int = 0) -> "HomogeneousPoly":
@@ -230,15 +188,14 @@ class HomogeneousPoly(SparseForm):
             raise NotHomogeneous(f"mixed term degrees {sorted(degrees)}")
         return cls(num_vars, degrees.pop(), terms)
 
-    def _shape(self):
-        # Zero forms compare equal regardless of their declared degree.
-        return self.num_vars
-
     def _with_terms(self, terms) -> "HomogeneousPoly":
         return HomogeneousPoly(self.num_vars, self.degree, terms)
 
-    def _one(self) -> "HomogeneousPoly":
-        return HomogeneousPoly.monomial(self.num_vars, (0,) * self.num_vars)
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
@@ -275,6 +232,34 @@ class HomogeneousPoly(SparseForm):
             raise VarCountMismatch(f"{self.num_vars} vs {other.num_vars} variables")
         out = mul_terms(self.terms, other.terms)
         return HomogeneousPoly(self.num_vars, self.degree + other.degree, out)
+
+    def __rmul__(self, other):
+        if isinstance(other, (int, RationalFunction)):
+            return self.scale(other)
+        return NotImplemented
+
+    def scale(self, c):
+        c = _coerce_coeff(c)
+        return self._with_terms({} if c.is_zero() else {k: v * c for k, v in self.terms.items()})
+
+    def __neg__(self):
+        return self._with_terms({k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, HomogeneousPoly):
+            return NotImplemented
+        return self + (-other)
+
+    def __pow__(self, n: int):
+        one = HomogeneousPoly.monomial(self.num_vars, (0,) * self.num_vars)
+        return power(self, n, one, operator.mul)
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, HomogeneousPoly)
+            and self.num_vars == other.num_vars
+            and self.terms == other.terms
+        )
 
     def evaluate(self, point) -> RationalFunction:
         """Exact substitution; accepts a ProjectivePoint or a coordinate list."""

@@ -63,7 +63,7 @@ from ffsubspace.hilbert_bounds import (
     sombra_lower,
     threshold_a_eps,
 )
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, parse_poly
 from helpers import rand_homog, rand_k, rand_point
 
 T = RationalFunction.t()
@@ -184,7 +184,7 @@ def test_criterion_05_ratio_proposition():
 @criterion(6, "Chow form, skew expansion, counts")
 def test_criterion_06_chow():
     fx = chow_of_hypersurface(CONIC_F)
-    assert fx.block_degrees == (2, 2)
+    assert fx.block_degree == 2
     expansion = expand_skew(fx)
     rng = random.Random(1006)
     for _ in range(10):
@@ -202,7 +202,8 @@ def test_criterion_06_chow():
     terms = dict(fx.terms)
     key = max(terms)
     terms[key] = terms[key] * T
-    scaled = MultiHomForm(fx.blocks, fx.vars_per_block, terms)
+    poly = HomogeneousPoly(fx.poly.num_vars, fx.poly.degree, terms)
+    scaled = MultiHomForm(fx.blocks, fx.vars_per_block, poly)
     report = coefficient_bound_report(scaled, expand_skew(scaled))
     assert report and all(ok for _, _, _, ok in report)
     counts = psigma_count_report(expansion)

@@ -25,9 +25,16 @@ from ffsubspace.chow import (
     skew_pairs,
     skew_product_count,
 )
-from ffsubspace.errors import DependentSpan, InvariantViolated, PreconditionViolated, SchemaError
+from ffsubspace.errors import (
+    DegreeMismatch,
+    DependentSpan,
+    InvariantViolated,
+    PreconditionViolated,
+    SchemaError,
+    VarCountMismatch,
+)
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, parse_poly
 from ffsubspace.parsing import parse_rational
 from helpers import rand_k
 from test_twisted_cubic import twisted_cubic_chow
@@ -43,11 +50,11 @@ def e(i, n):
 
 def test_chow_of_linear_examples():
     point = chow_of_linear([e(0, 3)])
-    assert point.terms == {((1, 0, 0),): RationalFunction(1)}
+    assert point.terms == {(1, 0, 0): RationalFunction(1)}
     line = chow_of_linear([e(0, 3), e(1, 3)])
     assert line.terms == {
-        ((1, 0, 0), (0, 1, 0)): RationalFunction(1),
-        ((0, 1, 0), (1, 0, 0)): RationalFunction(-1),
+        (1, 0, 0, 0, 1, 0): RationalFunction(1),
+        (0, 1, 0, 1, 0, 0): RationalFunction(-1),
     }
     p1 = chow_of_linear([e(0, 2), e(1, 2)])
     assert p1.block_degree == 1 and len(p1.terms) == 2
@@ -68,7 +75,7 @@ def test_chow_of_linear_vanishing_property():
 
 def test_chow_of_hypersurface_conic():
     fx = chow_of_hypersurface(CONIC_F)
-    assert fx.blocks == 2 and fx.block_degrees == (2, 2)
+    assert fx.blocks == 2 and fx.block_degree == 2
     # hyperplanes through a sampled point of the conic annihilate the form
     for s in [T, T + 1, T * T]:
         x = [1, s, s * s]
@@ -81,7 +88,7 @@ def test_chow_of_hypersurface_conic():
 
 def test_multihom_negative_power():
     with pytest.raises(ValueError):
-        chow_of_hypersurface(CONIC_F) ** -1
+        chow_of_hypersurface(CONIC_F).poly ** -1
 
 
 def test_hypersurface_linear_agrees_with_linear_constructor():
@@ -97,7 +104,7 @@ def test_hypersurface_linear_agrees_with_linear_constructor():
 
 def test_plane_in_p3():
     fx = chow_of_hypersurface(parse_poly("X0", 4))
-    assert fx.blocks == 3 and fx.block_degrees == (1, 1, 1)
+    assert fx.blocks == 3 and fx.block_degree == 1
     # hyperplanes through a point of {X0 = 0} annihilate the form
     x = [RationalFunction(0), RationalFunction(1), T, T * T]
     u0 = [1, -T, 1, 0]
@@ -150,13 +157,19 @@ def test_count_report():
     assert psigma_count_report(point).stated_bound == 1
 
 
+def with_terms(form: MultiHomForm, terms) -> MultiHomForm:
+    """A form of the same shape and degree with the given flat-key terms."""
+    poly = HomogeneousPoly(form.poly.num_vars, form.poly.degree, terms)
+    return MultiHomForm(form.blocks, form.vars_per_block, poly)
+
+
 def t_scaled_conic():
     """The conic's Chow form with one coefficient pulled out of Z."""
     fx = chow_of_hypersurface(CONIC_F)
     key = max(fx.terms)
     terms = dict(fx.terms)
     terms[key] = terms[key] * T
-    return MultiHomForm(fx.blocks, fx.vars_per_block, terms)
+    return with_terms(fx, terms)
 
 
 def test_coefficient_bound_with_t_scaled_entry():
@@ -174,8 +187,9 @@ def test_chow_height_examples():
     key = max(fx.terms)
     terms = dict(fx.terms)
     terms[key] = terms[key] * T
-    assert chow_height(MultiHomForm(fx.blocks, fx.vars_per_block, terms)) == 1
-    assert chow_height(fx.scale(T * T + 1)) == 0  # global scaling is invisible
+    assert chow_height(with_terms(fx, terms)) == 1
+    scaled = MultiHomForm(fx.blocks, fx.vars_per_block, fx.poly.scale(T * T + 1))
+    assert chow_height(scaled) == 0  # global scaling is invisible
 
 
 def test_json_round_trip():
@@ -221,19 +235,15 @@ def test_golden_chow():
     assert golden_chow_dict() == json.loads(GOLDEN_CHOW.read_text())
 
 
-def permutation_determinant(vectors) -> MultiHomForm:
+def permutation_determinant(vectors) -> HomogeneousPoly:
     """det(u_i . b_j) by the permutation formula: k! products of k forms."""
     k, nv = len(vectors), len(vectors[0])
-    zero = (0,) * nv
 
-    def dot(i, b):  # u_i . b
-        keys = (
-            tuple(tuple(int(c == j) for c in range(nv)) if r == i else zero for r in range(k))
-            for j in range(nv)
-        )
-        return MultiHomForm(k, nv, dict(zip(keys, b)))
+    def dot(i, b):  # u_i . b, with u_i the variables i*nv, ..., i*nv + nv - 1
+        keys = (tuple(int(c == i * nv + j) for c in range(k * nv)) for j in range(nv))
+        return HomogeneousPoly(k * nv, 1, dict(zip(keys, b)))
 
-    det = MultiHomForm(k, nv, {})
+    det = HomogeneousPoly.zero(k * nv, k)
     for perm in itertools.permutations(range(k)):
         term = dot(0, vectors[perm[0]])
         for i in range(1, k):
@@ -258,9 +268,9 @@ def test_determinant_matches_the_permutation_formula():
 
 def test_determinant_multiplies_no_forms(monkeypatch):
     def refuse(self, other):
-        raise AssertionError("MultiHomForm product")
+        raise AssertionError("HomogeneousPoly product")
 
-    monkeypatch.setattr(MultiHomForm, "__mul__", refuse)
+    monkeypatch.setattr(HomogeneousPoly, "__mul__", refuse)
     assert len(generalized_cross_product(3, 4)) == 4
 
 
@@ -287,13 +297,14 @@ def _skew_forms(draw):
     keys = draw(st.lists(
         st.tuples(*[_block_monomials(nv, delta)] * blocks), min_size=1, max_size=4, unique=True,
     ))
-    form = MultiHomForm(blocks, nv, {key: draw(_elements) for key in keys})
+    poly = HomogeneousPoly(blocks * nv, blocks * delta,
+                           {sum(key, ()): draw(_elements) for key in keys})
     if delta == 1 and draw(st.booleans()):
         vectors = draw(st.lists(st.lists(_elements, min_size=nv, max_size=nv),
                                 min_size=blocks, max_size=blocks))
         det = _determinant(vectors)
-        form = det if draw(st.booleans()) else form + det
-    return form
+        poly = det if draw(st.booleans()) else poly + det
+    return MultiHomForm(blocks, nv, poly)
 
 
 @settings(max_examples=40, deadline=None)
@@ -313,22 +324,25 @@ def test_expansion_reconstructs_the_substitution(form, data):
 
 def test_skew_product_count():
     # the conic: 2 blocks of degree 2 in 3 variables; each row of S x has 2 terms
-    assert skew_product_count(chow_of_hypersurface(CONIC_F)) == sum(
+    conic = chow_of_hypersurface(CONIC_F)
+    assert skew_product_count(conic) == sum(
         (3 if 2 in b0 else 4) * (3 if 2 in b1 else 4)
-        for b0, b1 in chow_of_hypersurface(CONIC_F).terms
+        for b0, b1 in map(conic.split, conic.terms)
     )
     assert skew_product_count(twisted_cubic_chow()) == 13556 <= MAX_SKEW_PRODUCTS
-    single = MultiHomForm(2, 4, {((40, 0, 0, 0), (0, 40, 0, 0)): 1})
+    single = MultiHomForm(2, 4, HomogeneousPoly.monomial(8, (40, 0, 0, 0, 0, 40, 0, 0)))
     assert skew_product_count(single) == 861**2
 
 
 @pytest.mark.parametrize("key, message", [
-    (((40, 0, 0, 0), (0, 40, 0, 0)), "skew expansion of up to 741321 products exceeds the limit"),
-    (((MAX_SKEW_DEGREE + 1, 0),), f"degree {MAX_SKEW_DEGREE + 1} exceeds the limit"),
+    ([[40, 0, 0, 0], [0, 40, 0, 0]], "skew expansion of up to 741321 products exceeds the limit"),
+    ([[MAX_SKEW_DEGREE + 1, 0]], f"degree {MAX_SKEW_DEGREE + 1} exceeds the limit"),
 ])
 def test_oversized_expansion_is_refused(key, message):
+    data = {"blocks": len(key), "vars_per_block": len(key[0]),
+            "terms": [{"exponents": key, "coeff": "1"}]}
     with pytest.raises(PreconditionViolated, match=message):
-        expand_skew(MultiHomForm(len(key), len(key[0]), {key: 1}))
+        expand_skew(multihomform_from_json(data))
 
 
 def test_sigma_degree_is_still_checked(monkeypatch):
@@ -345,3 +359,36 @@ def test_repeated_term_is_a_schema_error():
         multihomform_from_json(data, "/variety/chow_form")
     assert err.value.json_pointer == f"/variety/chow_form/terms/{len(data['terms']) - 1}"
     assert "repeat those of term 2" in str(err.value)
+
+
+def test_form_with_more_blocks_than_a_chow_form_is_refused():
+    # t * (u00 * u11 - u01 * u10): 2 blocks of 2 variables, blocks = dim X + 1
+    # would make X all of P^1, whose skew expansion cancels entirely
+    form = MultiHomForm(2, 2, HomogeneousPoly(4, 2, {(1, 0, 0, 1): T, (0, 1, 1, 0): -T}))
+    with pytest.raises(PreconditionViolated) as err:
+        expand_skew(form)
+    assert str(err.value) == (
+        "a Chow form has fewer blocks than variables per block, got 2 blocks of 2"
+    )
+
+
+def test_mixed_block_degrees_are_refused():
+    poly = HomogeneousPoly(6, 2, {(1, 0, 0, 1, 0, 0): 1, (2, 0, 0, 0, 0, 0): T})
+    with pytest.raises(DegreeMismatch) as err:
+        MultiHomForm(2, 3, poly)
+    assert str(err.value) == "mixed block degrees (1, 1) vs (2, 0) in multihomogeneous form"
+
+
+def test_wrong_variable_count_is_refused():
+    with pytest.raises(VarCountMismatch) as err:
+        MultiHomForm(2, 3, CONIC_F)
+    assert str(err.value) == "form in 3 variables, expected 2 blocks of 3"
+
+
+@pytest.mark.parametrize("exponents", [[[1, 0, 1], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 0]]])
+def test_bad_json_block_shape_is_refused(exponents):
+    data = multihomform_to_json(chow_of_hypersurface(CONIC_F))
+    data["terms"][1]["exponents"] = exponents
+    with pytest.raises(VarCountMismatch) as err:
+        multihomform_from_json(data)
+    assert str(err.value) == f"bad block shape in term {exponents}"

@@ -281,7 +281,7 @@ def test_huge_skew_expansion_exits_fast(tmp_path):
     ]
     path = tmp_path / "single_term.json"
     path.write_text(json.dumps(scenario))
-    code, seconds, stderr = _main_in_capped_child("chow", "--input", str(path))
+    code, seconds, _, stderr = _main_in_capped_child("chow", "--input", str(path))
     assert code == 2 and seconds < 1.0
     assert "skew expansion of up to 741321 products exceeds the limit 50000" in stderr
 
@@ -352,15 +352,16 @@ print(code, time.perf_counter() - start)
 
 
 def _main_in_capped_child(*args):
-    """(exit code, seconds inside main, stderr) of the CLI on these arguments,
-    in a child with 2 GB of address space."""
+    """(exit code, seconds inside main, stdout of main, stderr) of the CLI on
+    these arguments, in a child with 2 GB of address space."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", CAPPED_MAIN, *args],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60,
     )
-    code, seconds = proc.stdout.split()
-    return int(code), float(seconds), proc.stderr
+    out, _, last = proc.stdout.rstrip("\n").rpartition("\n")
+    code, seconds = last.split()
+    return int(code), float(seconds), out, proc.stderr
 
 
 def _check_in_capped_child(tmp_path, coordinate):
@@ -373,7 +374,7 @@ def test_huge_exponent_exits_fast(tmp_path):
     # t^1000000000 would be a 10^9-term polynomial; the parser refuses the
     # exponent before building anything.  The child's address space is
     # capped so that a regression fails instead of exhausting memory.
-    code, seconds, stderr = _check_in_capped_child(tmp_path, "t^1000000000")
+    code, seconds, _, stderr = _check_in_capped_child(tmp_path, "t^1000000000")
     assert code == 2 and seconds < 1.0
     assert "exceeds the limit 1000 (at position 2)" in stderr
 
@@ -386,7 +387,7 @@ def test_huge_exponent_exits_fast(tmp_path):
 def test_huge_nested_power_exits_fast(tmp_path, coordinate, message):
     # each exponent is within MAX_EXPONENT, but the result of the inner power
     # would have degree 10^6 (or 10^6-bit coefficients, and 10^9 one level up)
-    code, seconds, stderr = _check_in_capped_child(tmp_path, coordinate)
+    code, seconds, _, stderr = _check_in_capped_child(tmp_path, coordinate)
     assert code == 2 and seconds < 1.0
     assert message in stderr
 
@@ -398,7 +399,7 @@ def test_huge_nested_power_exits_fast(tmp_path, coordinate, message):
 def test_power_with_many_terms_exits_fast(gens, message):
     # within the exponent, degree and coefficient limits, but built term by
     # term these powers would take seconds
-    code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
+    code, seconds, _, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
     assert code == 2 and seconds < 1.0
     assert message in stderr
 
@@ -410,7 +411,7 @@ def test_power_with_many_terms_exits_fast(gens, message):
 def test_power_with_costly_coefficients_exits_fast(gens, cost):
     # 500 terms, within every other limit; each coefficient would be a dense
     # polynomial in t of degree up to 499, built for seconds to minutes
-    code, seconds, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
+    code, seconds, _, stderr = _main_in_capped_child("hilbert", "--gens", gens, "--m", "1")
     assert code == 2 and seconds < 1.0
     assert f"power with an estimated cost of {cost} exceeds the limit 1000000" in stderr
 
@@ -421,10 +422,20 @@ def test_power_with_costly_coefficients_exits_fast(gens, cost):
 ])
 def test_huge_graded_piece_exits_fast(command):
     # the degree-100000 piece would list C(100002, 2) monomials
-    code, seconds, stderr = _main_in_capped_child(*command)
+    code, seconds, _, stderr = _main_in_capped_child(*command)
     assert code == 2 and seconds < 1.0
     message = "degree 100000 in 3 variables has 5000150001 monomials, more than the limit 6000"
     assert message in stderr
+
+
+def test_huge_position_cap_exits_fast():
+    # the two failing subsets (conic and two lines) are decided at their
+    # Lazard degree 2; the walk used to run on to the cap, piece by piece
+    code, seconds, out, _ = _main_in_capped_child(
+        "position", "--file", SCENARIO, "--N", "1", "--cap", "100000"
+    )
+    assert code == 0 and seconds < 1.0
+    assert out.count("NonemptyAtCap(cap=100000)") == 2
 
 
 SYMPY_MODULES = """

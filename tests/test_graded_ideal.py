@@ -15,6 +15,7 @@ from ffsubspace.graded_ideal import (
     graded_piece,
     has_common_projective_zero,
     hilbert_function,
+    lazard_degree,
     macaulay_upper,
     nullstellensatz_certificate,
     quotient_monomial_basis,
@@ -217,6 +218,38 @@ def test_emptiness_examples():
     assert not has_common_projective_zero(CONIC, 5).certified_empty
     pair = IdealGenerators.parse(3, ["X0", "X1"])
     assert not has_common_projective_zero(pair, 3).certified_empty
+
+
+@st.composite
+def _small_systems(draw):
+    """1-4 forms of degree 1-2 in 2-3 variables with a few small integer
+    terms each: with and without a common zero, some with a zero in Q(t)."""
+    num_vars = draw(st.integers(2, 3))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        basis = monomial_basis(num_vars, draw(st.integers(1, 2)))
+        terms = draw(st.dictionaries(st.sampled_from(basis), st.integers(-2, 2).filter(bool),
+                                     min_size=1, max_size=3))
+        gens.append(HomogeneousPoly(num_vars, sum(basis[0]), terms))
+    return IdealGenerators.of(num_vars, tuple(gens))
+
+
+@settings(max_examples=60, deadline=None)
+@given(gens=_small_systems(), cap=st.integers(1, 8))
+def test_walk_cut_at_the_lazard_degree_keeps_the_verdict(gens, cap):
+    M = gens.num_vars - 1
+    full = [m for m in range(1, cap + 1) if graded_piece(gens, m).rank == comb(m + M, M)]
+    verdict = has_common_projective_zero(gens, cap)
+    assert verdict.certified_empty == bool(full)
+    assert verdict.certified_degree == (full[0] if full else None)
+    assert not full or full[0] <= lazard_degree(gens)
+
+
+def test_lazard_degree_examples():
+    assert lazard_degree(IdealGenerators.parse(3, ["X0*X2 - X1^2", "X0", "X1"])) == 2
+    assert lazard_degree(IdealGenerators.parse(3, ["X0^3", "X1^2", "X2^2", "X0"])) == 5
+    assert lazard_degree(IdealGenerators.parse(3, ["X0", "X1"])) == 0  # they meet
+    assert lazard_degree(IdealGenerators.parse(3, ["X0", "2"])) == 1  # a unit
 
 
 def test_position_examples():

@@ -20,6 +20,7 @@ from ffsubspace.chow import (
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.graded_ideal import IdealGenerators, hilbert_function
 from ffsubspace.harness import load_scenario_dict, run_check
+from ffsubspace.multipoly import HomogeneousPoly
 
 K = RationalFunction
 T = K.t()
@@ -44,9 +45,7 @@ def _parity(perm):
 
 
 def _u_var(block, j):
-    exps = [[0] * 4, [0] * 4]
-    exps[block][j] = 1
-    return MultiHomForm(2, 4, {(tuple(exps[0]), tuple(exps[1])): 1})
+    return HomogeneousPoly.variable(8, 4 * block + j)
 
 
 def twisted_cubic_chow() -> MultiHomForm:
@@ -58,7 +57,7 @@ def twisted_cubic_chow() -> MultiHomForm:
         rows.append([None] * shift + a + [None] * (2 - shift))
     for shift in range(3):
         rows.append([None] * shift + b + [None] * (2 - shift))
-    det = MultiHomForm(2, 4, {})
+    det = HomogeneousPoly.zero(8, 6)
     for perm in itertools.permutations(range(6)):
         entries = [rows[i][perm[i]] for i in range(6)]
         if any(e is None for e in entries):
@@ -67,7 +66,7 @@ def twisted_cubic_chow() -> MultiHomForm:
         for e in entries[1:]:
             term = term * e
         det = det + term.scale(_parity(perm))
-    return det
+    return MultiHomForm(2, 4, det)
 
 
 def curve_point(s):
@@ -76,7 +75,7 @@ def curve_point(s):
 
 def test_chow_form_shape_and_vanishing():
     fx = twisted_cubic_chow()
-    assert fx.block_degrees == (3, 3)
+    assert fx.block_degree == 3
     assert chow_height(fx) == 0
     # hyperplanes through [1, t, t^2, t^3] annihilate the form
     u0 = [T, -1, 0, 0]
