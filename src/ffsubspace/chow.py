@@ -25,10 +25,10 @@ its factors' digits, which stay within that bound.  With
 width = (blocks * delta).bit_length() no digit carries into the next, so
 keys multiply by adding and sort as their sigma tuples do.
 
-A form is refused before expanding when it has as many blocks as variables
-per block (a Chow form has dim X + 1 <= M blocks of M + 1), when its
-P_sigma would have degree above MAX_SKEW_DEGREE, or when it could form more
-than MAX_SKEW_PRODUCTS products (`skew_product_count`).
+A form is refused before expanding when its P_sigma would have degree
+above MAX_SKEW_DEGREE or it could form more than MAX_SKEW_PRODUCTS
+products (`skew_product_count`).  The Chow form of P^M (M + 1 blocks of
+M + 1) expands to no P_sigma at all: P^M has no equations.
 
 A Chow form is a `MultiHomForm`: one `HomogeneousPoly` in blocks * (M+1)
 variables, block i being the variables i(M+1), ..., (i+1)(M+1) - 1, so a
@@ -176,9 +176,14 @@ def generalized_cross_product(blocks: int, nv: int) -> list:
     """
     if nv != blocks + 1:
         raise VarCountMismatch("cross product needs one more variable than blocks")
+    return [MultiHomForm(blocks, nv, w) for w in _cross_minors(nv)]
+
+
+def _cross_minors(nv: int) -> list:
+    """The signed maximal minors of the (nv-1) x nv matrix of block variables."""
     units = [[int(i == j) for i in range(nv)] for j in range(nv)]
     minors = [_determinant(units[:d] + units[d + 1 :]) for d in range(nv)]
-    return [MultiHomForm(blocks, nv, -w if d % 2 else w) for d, w in enumerate(minors)]
+    return [-w if d % 2 else w for d, w in enumerate(minors)]
 
 
 def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
@@ -192,7 +197,7 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     nv = f.num_vars
     if nv < 3:
         raise VarCountMismatch("hypersurface constructor needs M >= 2")
-    w = [form.poly for form in generalized_cross_product(nv - 1, nv)]
+    w = _cross_minors(nv)
     zero = HomogeneousPoly.zero(nv * (nv - 1), f.degree * (nv - 1))
     return MultiHomForm(nv - 1, nv, eval_terms(f.terms, power_table(w), zero))
 
@@ -351,11 +356,6 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     """
     nv = form.vars_per_block
     blocks = form.blocks
-    if blocks >= nv:
-        raise PreconditionViolated(
-            f"a Chow form has fewer blocks than variables per block, got {blocks} "
-            f"blocks of {nv}"
-        )
     delta = form.block_degree
     pairs = skew_pairs(nv)
     degree = blocks * delta
@@ -445,10 +445,14 @@ def _check_coefficient_bound(form: MultiHomForm, expansion: SkewExpansion):
 
 
 def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:
-    """Per-place e_p(F_X) vs min_sigma e_p(P_sigma) over the support of F_X."""
+    """Per-place e_p(F_X) vs min_sigma e_p(P_sigma) over the support of F_X.
+
+    No rows when no P_sigma is nonzero (X = P^M, which has no equations):
+    the bound holds over the empty family.
+    """
     coeffs = form.poly.coefficients()
     out = []
-    for p in support(coeffs):
+    for p in support(coeffs) if expansion.entries else ():
         e_form = gauss_order_coeffs(p, coeffs)
         e_min = min(
             gauss_order_coeffs(p, poly.coefficients())

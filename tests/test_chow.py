@@ -361,15 +361,17 @@ def test_repeated_term_is_a_schema_error():
     assert "repeat those of term 2" in str(err.value)
 
 
-def test_form_with_more_blocks_than_a_chow_form_is_refused():
-    # t * (u00 * u11 - u01 * u10): 2 blocks of 2 variables, blocks = dim X + 1
-    # would make X all of P^1, whose skew expansion cancels entirely
-    form = MultiHomForm(2, 2, HomogeneousPoly(4, 2, {(1, 0, 0, 1): T, (0, 1, 1, 0): -T}))
-    with pytest.raises(PreconditionViolated) as err:
-        expand_skew(form)
-    assert str(err.value) == (
-        "a Chow form has fewer blocks than variables per block, got 2 blocks of 2"
-    )
+def test_projective_space_expands_to_no_psigma():
+    # X = P^M has no equations: its Chow form det(u_i . e_j), scaled by t or
+    # not, has M + 1 blocks of M + 1 variables and a skew expansion that
+    # cancels entirely, so no P_sigma and no coefficient-bound row.
+    p1 = chow_of_linear([e(0, 2), e(1, 2)])
+    scaled = MultiHomForm(2, 2, p1.poly.scale(T))
+    assert scaled.terms == {(1, 0, 0, 1): T, (0, 1, 1, 0): -T}
+    for form in (p1, scaled, chow_of_linear([e(0, 3), e(1, 3), e(2, 3)])):
+        expansion = expand_skew(form)
+        assert expansion.entries == {}
+        assert coefficient_bound_report(form, expansion) == []
 
 
 def test_mixed_block_degrees_are_refused():

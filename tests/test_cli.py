@@ -108,6 +108,15 @@ def test_chow_command_bare_variety(capsys, tmp_path):
     assert "degree 2 per block" in out
 
 
+def test_chow_command_on_projective_space(capsys, tmp_path):
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "kind": "projective_space"}))
+    assert main(["chow", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "3 blocks of 3 vars" in out and "0 nonzero P_sigma" in out
+    assert "place" not in out
+
+
 def test_constants_command(capsys, tmp_path):
     inputs = {
         "n": 1, "delta": 2, "M": 2, "N": 2, "q": 4, "d_i": [1, 1, 1, 1],
