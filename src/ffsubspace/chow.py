@@ -428,7 +428,8 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
             raise InvariantViolated(
                 f"s-monomial {sigma} is not of degree {delta} in every block"
             )
-        entries[sigma] = HomogeneousPoly(nv, degree, grouped[packed])
+        # nonzero coefficients on x-monomials of total degree blocks * delta
+        entries[sigma] = HomogeneousPoly._trusted(nv, degree, grouped[packed])
 
     expansion = SkewExpansion(blocks, nv, delta, pairs, entries)
     _check_coefficient_bound(form, expansion)

@@ -5,17 +5,21 @@ A scenario file fixes the ambient space, the variety (projective space, a
 hypersurface, or explicit generators plus a supplied Chow form), the divisor
 family, the place set S, epsilon, and the sample points.  The run is fully
 deterministic: identical scenario files produce byte-identical JSON reports.
+
+Scenarios (and `constants` inputs) are checked against a JSON schema before
+any work, by a small stdlib validator for the keywords those schemas use.  It
+follows Draft 2020-12, messages included, except that an integral float such
+as 2.0 is not an integer.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
-
-import jsonschema
 
 from .chow import (
     MultiHomForm,
@@ -151,18 +155,85 @@ class Scenario:
     hilbert_exact_cutoff: int
 
 
+# An integer is an int that is not a bool.  Draft 2020-12 also counts 2.0 as
+# an integer; here every count is used as a Python int, so 2.0 is refused.
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: isinstance(x, int) and not isinstance(x, bool),
+}
+
+
+def _violations(data, schema, path=()):
+    """Yield (path, at, message) for each violation of `schema` by `data`.
+
+    Covers the keywords the scenario and constants schemas use, with the
+    messages of the reference Draft 2020-12 validator, in schema-keyword
+    order, depth first.  `path` is the node the keyword applies to; `at` is
+    the node the message names, which differs only for `required`: there it
+    is the missing key.
+    """
+    for keyword, value in schema.items():
+        if keyword == "type":
+            types = [value] if isinstance(value, str) else value
+            if not any(_TYPES[t](data) for t in types):
+                yield path, path, f"{data!r} is not of type {', '.join(map(repr, types))}"
+        elif keyword == "enum":
+            if data not in value:
+                yield path, path, f"{data!r} is not one of {value!r}"
+        elif keyword == "minimum":
+            if isinstance(data, (int, float)) and not isinstance(data, bool) and data < value:
+                yield path, path, f"{data!r} is less than the minimum of {value!r}"
+        elif keyword == "pattern":
+            if isinstance(data, str) and not re.search(value, data):
+                yield path, path, f"{data!r} does not match {value!r}"
+        elif keyword == "minItems":
+            if isinstance(data, list) and len(data) < value:
+                short = "should be non-empty" if value == 1 else "is too short"
+                yield path, path, f"{data!r} {short}"
+        elif keyword == "items":
+            if isinstance(data, list):
+                for i, item in enumerate(data):
+                    yield from _violations(item, value, path + (i,))
+        elif keyword == "required":
+            if isinstance(data, dict):
+                for key in value:
+                    if key not in data:
+                        yield path, path + (key,), f"{key!r} is a required property"
+        elif keyword == "properties":
+            if isinstance(data, dict):
+                for key, sub in value.items():
+                    if key in data:
+                        yield from _violations(data[key], sub, path + (key,))
+        elif keyword == "additionalProperties":
+            if isinstance(data, dict):
+                known = schema.get("properties", {})
+                extras = sorted((k for k in data if k not in known), key=str)
+                if value is False and extras:
+                    names = ", ".join(map(repr, extras))
+                    verb = "was" if len(extras) == 1 else "were"
+                    yield path, path, (
+                        f"Additional properties are not allowed ({names} {verb} unexpected)"
+                    )
+                elif isinstance(value, dict):
+                    for key in extras:
+                        yield from _violations(data[key], value, path + (key,))
+        elif keyword == "propertyNames":
+            if isinstance(data, dict):
+                for key in data:
+                    yield from _violations(key, value, path)
+        else:
+            raise ValueError(f"schema keyword {keyword!r} is not supported")
+
+
 def schema_validate(data, schema=SCENARIO_SCHEMA):
     """Raise SchemaError at the first violation of `schema`, in path order."""
-    validator = jsonschema.Draft202012Validator(schema)
-    errors = sorted(validator.iter_errors(data), key=lambda e: list(e.absolute_path))
-    if not errors:
-        return
-    err = errors[0]
-    pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-    if err.validator == "required":
-        missing = err.message.split("'")[1]
-        pointer = pointer.rstrip("/") + "/" + missing
-    raise SchemaError(err.message, pointer)
+    # min keeps the first of equal paths: schema-keyword order breaks ties
+    first = min(_violations(data, schema), key=lambda v: v[0], default=None)
+    if first is not None:
+        _, at, message = first
+        raise SchemaError(message, "/" + "/".join(map(str, at)))
 
 
 def parse_fraction(text: str, pointer: str) -> Fraction:

@@ -164,6 +164,17 @@ class HomogeneousPoly:
         raise AttributeError("HomogeneousPoly is immutable")
 
     @classmethod
+    def _trusted(cls, num_vars: int, degree: int, terms: dict) -> "HomogeneousPoly":
+        """Wrap a term map already clean, skipping the per-term checks: tuple
+        keys of `num_vars` exponents summing to `degree`, each mapped to a
+        nonzero RationalFunction.  The map is taken over, not copied."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "num_vars", num_vars)
+        object.__setattr__(f, "degree", degree)
+        object.__setattr__(f, "terms", terms)
+        return f
+
+    @classmethod
     def zero(cls, num_vars: int, degree: int = 0) -> "HomogeneousPoly":
         return cls(num_vars, degree, {})
 

@@ -164,6 +164,16 @@ def test_constants_counts_are_at_least_one(capsys, tmp_path, changes, pointer):
     assert err.startswith("error: ") and f"(at {pointer})" in err
 
 
+def test_integral_floats_are_schema_errors(capsys, tmp_path):
+    # Draft 2020-12 counts 2.0 as an integer; here it is refused at the
+    # schema (exit 2) instead of crashing in the arithmetic (exit 1)
+    assert main(["check", _conic_with(tmp_path, ambient_dim=2.0)]) == 2
+    assert capsys.readouterr().err == "error: 2.0 is not of type 'integer' (at /ambient_dim)\n"
+    inputs = _constants_inputs(tmp_path, d_i=[1, 1, 1, 1.0])
+    assert main(["constants", "--inputs", inputs]) == 2
+    assert capsys.readouterr().err == "error: 1.0 is not of type 'integer' (at /d_i/3)\n"
+
+
 def test_check_and_constants_give_the_same_ledger(capsys, tmp_path):
     # the golden scenario has nonzero heights and e_S term, and its m = 642
     # comes from the effective route; constants gets the same inputs, no m
@@ -447,23 +457,30 @@ def test_huge_position_cap_exits_fast():
     assert out.count("NonemptyAtCap(cap=100000)") == 2
 
 
-SYMPY_MODULES = """
+# modules a CLI run must not load: sympy is imported only to factor, and
+# jsonschema (with its referencing chain) is a test dependency only
+HEAVY = ("sympy", "mpmath", "jsonschema", "referencing")
+
+SYMPY_MODULES = f"""
 import sys
 sys.path.insert(0, sys.argv[1])
 import ffsubspace.cli
-print(" ".join(m for m in ("sympy", "mpmath") if m in sys.modules) or "none")
+print(" ".join(m for m in {HEAVY!r} if m in sys.modules) or "none")
 """
 
-SYMPY_MODULES_AFTER_RUNS = """
+SYMPY_MODULES_AFTER_RUNS = f"""
 import contextlib, io, sys
 sys.path.insert(0, sys.argv[1])
 from ffsubspace.cli import main
-for path in sys.argv[2:]:
+inputs, paths = sys.argv[2], sys.argv[3:]
+for path in paths:
     for args in (["check", path, "--format", "json"], ["check", path, "--format", "text"],
                  ["chow", "--input", path]):
         with contextlib.redirect_stdout(io.StringIO()):
             print(args[0], main(args), file=sys.stderr)
-print(" ".join(m for m in ("sympy", "mpmath") if m in sys.modules) or "none")
+with contextlib.redirect_stdout(io.StringIO()):
+    print("constants", main(["constants", "--inputs", inputs]), file=sys.stderr)
+print(" ".join(m for m in {HEAVY!r} if m in sys.modules) or "none")
 """
 
 
@@ -481,11 +498,13 @@ def test_import_does_not_load_sympy():
 
 def test_check_and_chow_do_not_load_sympy(tmp_path):
     # places of degree <= 3 (t^2 + 1 among them) are checked without sympy,
-    # and constant Chow-form coefficients need no factoring
+    # and constant Chow-form coefficients need no factoring; constants too
+    # runs without sympy and without jsonschema
     paths = [SCENARIO]
     for name, scenario in [("golden", golden_scenario_dict()), ("ideal", ideal_scenario_dict())]:
         paths.append(str(tmp_path / f"{name}.json"))
         Path(paths[-1]).write_text(json.dumps(scenario))
-    proc = _isolated(SYMPY_MODULES_AFTER_RUNS, *paths)
+    proc = _isolated(SYMPY_MODULES_AFTER_RUNS, _constants_inputs(tmp_path), *paths)
     assert proc.stdout == "none\n"
-    assert proc.stderr.split() == ["check", "0", "check", "0", "chow", "0"] * 3
+    runs = ["check", "0", "check", "0", "chow", "0"] * 3 + ["constants", "0"]
+    assert proc.stderr.split() == runs

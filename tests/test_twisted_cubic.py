@@ -110,6 +110,17 @@ def test_expansion_digest():
     assert list(expansion.entries) == sorted(expansion.entries)
 
 
+def test_unchecked_psigma_equals_the_checked_build():
+    # expand_skew wraps each P_sigma without the per-term checks; the checked
+    # constructor must accept its terms unchanged
+    expansion = expand_skew(twisted_cubic_chow())
+    for p in expansion.entries.values():
+        checked = HomogeneousPoly(p.num_vars, p.degree, p.terms)
+        assert (checked.num_vars, checked.degree) == (4, 6) == (p.num_vars, p.degree)
+        assert checked.terms == p.terms and checked == p
+        assert all(type(c) is RationalFunction for c in p.terms.values())
+
+
 def test_curve_hilbert_function():
     gens = IdealGenerators.parse(4, CURVE_GENS)
     # rational normal cubic: H(m) = 3m + 1
