@@ -38,12 +38,10 @@ record, the determinant (a Laplace expansion over column subsets) and the
 skew table.  A form's keys are nested per block only in its JSON format.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import reduce
 from math import comb, prod
+from typing import NamedTuple
 
 from . import upoly
 from .errors import (
@@ -78,7 +76,6 @@ def _bump(exps: tuple, j: int) -> tuple:
     return exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
 
 
-@dataclass(frozen=True)
 class MultiHomForm:
     """A form of the same degree in each of `blocks` blocks of
     `vars_per_block` variables.
@@ -86,20 +83,22 @@ class MultiHomForm:
     poly is a HomogeneousPoly in blocks * vars_per_block variables; block i
     is the variables i * vars_per_block, ..., (i + 1) * vars_per_block - 1,
     so a flat key of poly splits into per-block exponent tuples (`split`).
+    A form is immutable and checked once, when it is built.
     """
 
-    blocks: int
-    vars_per_block: int
-    poly: HomogeneousPoly
+    __slots__ = ("blocks", "vars_per_block", "poly")
 
-    def __post_init__(self):
-        if self.poly.num_vars != self.blocks * self.vars_per_block:
+    def __init__(self, blocks: int, vars_per_block: int, poly: HomogeneousPoly):
+        if poly.num_vars != blocks * vars_per_block:
             raise VarCountMismatch(
-                f"form in {self.poly.num_vars} variables, expected {self.blocks} "
-                f"blocks of {self.vars_per_block}"
+                f"form in {poly.num_vars} variables, expected {blocks} "
+                f"blocks of {vars_per_block}"
             )
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "vars_per_block", vars_per_block)
+        object.__setattr__(self, "poly", poly)
         profile = None
-        for key in self.poly.terms:
+        for key in poly.terms:
             this = tuple(monomial_degree(b) for b in self.split(key))
             if profile is None:
                 profile = this
@@ -107,6 +106,19 @@ class MultiHomForm:
                 raise DegreeMismatch(
                     f"mixed block degrees {profile} vs {this} in multihomogeneous form"
                 )
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.blocks, self.vars_per_block, self.poly) == (
+            other.blocks, other.vars_per_block, other.poly
+        )
 
     @property
     def block_degree(self) -> int:
@@ -202,8 +214,7 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     return MultiHomForm(nv - 1, nv, eval_terms(f.terms, power_table(w), zero))
 
 
-@dataclass(frozen=True)
-class SkewExpansion:
+class SkewExpansion(NamedTuple):
     """The collected expansion F_X(S^(0)x,...,S^(n)x) = sum_sigma P_sigma(x) sigma.
 
     pairs lists the skew index pairs (j, k), j < k, one block of them per
@@ -463,8 +474,7 @@ def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> li
     return out
 
 
-@dataclass(frozen=True)
-class SigmaCountReport:
+class SigmaCountReport(NamedTuple):
     """Counts around (the number of) generating forms P_sigma.
 
     stated_bound and combinatorial_count disagree already for the conic

@@ -14,6 +14,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .chow import (
     chow_height,
@@ -22,7 +23,7 @@ from .chow import (
     psigma_count_report,
 )
 from .effective_constants import ConstantInputs, assemble_constants
-from .errors import ToolkitError
+from .errors import SchemaError, ToolkitError
 from .filtration import (
     build_filtration,
     exponent_sum,
@@ -222,8 +223,13 @@ def _cmd_constants(args) -> int:
         c1_prime=rational("c1_prime"),
         m=data.get("m"),
     )
-    table = {int(k): v for k, v in data.get("H_table", {}).items()}
-    rows = constants_rows(assemble_constants(inputs, table.get))
+    table = data.get("H_table", {})
+    for key in table:
+        # the schema's pattern also lets "01" and "1\n" through: a second
+        # name for degree 1, which would silently replace the first
+        if not key.isdigit() or (key.startswith("0") and key != "0"):
+            raise SchemaError(f"{key!r} is not a canonical degree", f"/H_table/{key}")
+    rows = constants_rows(assemble_constants(inputs, lambda k: table.get(str(k))))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k.rjust(width)} = {v}")
@@ -294,7 +300,10 @@ def _cmd_position(args) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process however often `main` runs;
+    every caller shares it, so none may change it."""
     parser = argparse.ArgumentParser(
         prog="ffsubspace",
         description="Exact heights, Chow expansions, Hilbert bounds and "

@@ -6,11 +6,9 @@ above, Sombra below) exactly where an upper bound on the final constants
 stays an upper bound, so huge degrees never force a rank computation.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .errors import PreconditionViolated, ZeroPolynomial
 from .function_field import RationalFunction
@@ -50,8 +48,7 @@ def choose_m(a_eps: int, d: int, n: int, delta: int) -> int:
     return m
 
 
-@dataclass(frozen=True)
-class ConstantInputs:
+class _ConstantFields(NamedTuple):
     n: int
     delta: int
     M: int
@@ -69,11 +66,15 @@ class ConstantInputs:
     c1_prime: Fraction
     m: int | None = None  # None: the effective m of assemble_constants
 
-    @property
-    def d(self) -> int:
-        return lcm(*self.d_i)
 
-    def __post_init__(self):
+class ConstantInputs(_ConstantFields):
+    """The inputs of `assemble_constants`, checked on every construction
+    (`_replace` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not (self.N >= self.n >= 1):
             raise PreconditionViolated(f"need N >= n >= 1, got N={self.N}, n={self.n}")
         if self.q < self.n + 1:
@@ -86,10 +87,18 @@ class ConstantInputs:
             raise PreconditionViolated(
                 f"need d | m and m >= max(3, (n+1)delta), got m={self.m}"
             )
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @property
+    def d(self) -> int:
+        return lcm(*self.d_i)
 
 
-@dataclass(frozen=True)
-class EffectiveConstants:
+class EffectiveConstants(NamedTuple):
     b: int
     excess_const: Fraction
     b1: Fraction
@@ -170,8 +179,7 @@ def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
     )
 
 
-@dataclass(frozen=True)
-class LcmReduction:
+class LcmReduction(NamedTuple):
     """Divisors normalized to a common degree d with a unit coefficient each."""
 
     normalized: tuple

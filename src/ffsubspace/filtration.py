@@ -8,11 +8,9 @@ the quotient monomial basis defines the morphism Phi whose height is
 sandwiched between m h(x) and m h(x) minus an explicit correction.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     BaseLocusPoint,
@@ -40,8 +38,7 @@ from .linalg import Echelon
 from .multipoly import HomogeneousPoly, monomial_basis
 
 
-@dataclass(frozen=True)
-class VanishingOrderPermutation:
+class VanishingOrderPermutation(NamedTuple):
     place: Place
     point: ProjectivePoint
     order: tuple  # divisor indices, nonincreasing ord_p(Q_i(x))
@@ -68,8 +65,7 @@ def order_by_vanishing(p: Place, qs, x: ProjectivePoint) -> VanishingOrderPermut
     )
 
 
-@dataclass(frozen=True)
-class FiltrationBasis:
+class FiltrationBasis(NamedTuple):
     """A compatible basis psi_j = Q^{i_j} g_j of the degree-m quotient."""
 
     degree: int
@@ -138,8 +134,7 @@ def build_filtration(
     return FiltrationBasis(m, d, q_poly, tuple(entries), dims)
 
 
-@dataclass(frozen=True)
-class ExponentSumReport:
+class ExponentSumReport(NamedTuple):
     """The exponent sum of a compatible basis, against the stated closed form.
 
     level_sum = sum_{i=1}^{m/d} H(m - i d) always matches the basis exactly;
@@ -176,8 +171,7 @@ def hilbert_partial_sum(x_gens: IdealGenerators, t: int, d: int) -> int:
     return sum(hilbert_function(x_gens, i * d) for i in range(1, t + 1))
 
 
-@dataclass(frozen=True)
-class FiltrationInequality:
+class FiltrationInequality(NamedTuple):
     lhs: object  # int, or math.inf when some g_j vanishes at x
     rhs: int
     ok: bool
@@ -220,8 +214,7 @@ def phi_map(basis: QuotientBasis, x: ProjectivePoint) -> ProjectivePoint:
     return ProjectivePoint(coords)
 
 
-@dataclass(frozen=True)
-class PlaceSandwich:
+class PlaceSandwich(NamedTuple):
     place: Place
     lower: Fraction
     value: Fraction
@@ -232,8 +225,7 @@ class PlaceSandwich:
         return self.lower <= self.value <= self.upper
 
 
-@dataclass(frozen=True)
-class HeightSandwichReport:
+class HeightSandwichReport(NamedTuple):
     per_place: tuple
     height_lower: Fraction
     height_value: Fraction

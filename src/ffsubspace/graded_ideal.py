@@ -8,12 +8,10 @@ Nullstellensatz certificates, emptiness and position checks) is built on
 that one exact kernel.
 """
 
-from __future__ import annotations
-
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from .errors import (
     InvariantViolated,
@@ -27,21 +25,42 @@ from .linalg import Echelon, solve_combination
 from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
 
 
-@dataclass(frozen=True)
 class IdealGenerators:
-    num_vars: int
-    generators: tuple
+    """Homogeneous generators in num_vars variables: an immutable value,
+    checked when built.  `graded_piece` caches on it, so its hash is
+    computed once, on first use."""
 
-    def __post_init__(self):
-        for g in self.generators:
+    __slots__ = ("num_vars", "generators", "_hash")
+
+    def __init__(self, num_vars: int, generators: tuple):
+        for g in generators:
             if not isinstance(g, HomogeneousPoly):
                 raise TypeError("generators must be HomogeneousPoly")
             if g.is_zero():
                 raise ZeroPolynomial("zero generator")
-            if g.num_vars != self.num_vars:
+            if g.num_vars != num_vars:
                 raise NotHomogeneous(
-                    f"generator in {g.num_vars} vars, ideal in {self.num_vars}"
+                    f"generator in {g.num_vars} vars, ideal in {num_vars}"
                 )
+        object.__setattr__(self, "num_vars", num_vars)
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "_hash", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.num_vars == other.num_vars and self.generators == other.generators
+
+    def __hash__(self):
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.num_vars, self.generators)))
+        return self._hash
 
     @classmethod
     def of(cls, num_vars: int, generators) -> "IdealGenerators":
@@ -173,8 +192,7 @@ def hilbert_function(gens: IdealGenerators, m: int) -> int:
     return h
 
 
-@dataclass(frozen=True)
-class QuotientBasis:
+class QuotientBasis(NamedTuple):
     degree: int
     monomials: tuple
 
@@ -188,8 +206,7 @@ def quotient_monomial_basis(gens: IdealGenerators, m: int) -> QuotientBasis:
     return QuotientBasis(m, tuple(piece.nonpivot_monomials()))
 
 
-@dataclass(frozen=True)
-class ReductionResult:
+class ReductionResult(NamedTuple):
     alpha0: RationalFunction
     coefficients: tuple
     basis: QuotientBasis
@@ -221,8 +238,7 @@ def reduce_to_quotient_basis(
     return ReductionResult(RationalFunction(1), coeffs, basis)
 
 
-@dataclass(frozen=True)
-class NullstellensatzCertificate:
+class NullstellensatzCertificate(NamedTuple):
     """An exact identity a * P0^u = sum A_i P_i witnessing radical membership."""
 
     exponent: int
@@ -302,8 +318,7 @@ def nullstellensatz_certificate(
     )
 
 
-@dataclass(frozen=True)
-class EmptinessVerdict:
+class EmptinessVerdict(NamedTuple):
     certified_empty: bool
     certified_degree: int | None
     cap: int
@@ -351,14 +366,12 @@ def has_common_projective_zero(gens: IdealGenerators, degree_cap: int) -> Emptin
     return EmptinessVerdict(False, None, degree_cap)
 
 
-@dataclass(frozen=True)
-class SubsetVerdict:
+class SubsetVerdict(NamedTuple):
     indices: tuple
     verdict: EmptinessVerdict
 
 
-@dataclass(frozen=True)
-class PositionReport:
+class PositionReport(NamedTuple):
     N: int
     degree_cap: int
     in_position: bool

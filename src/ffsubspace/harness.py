@@ -12,14 +12,12 @@ follows Draft 2020-12, messages included, except that an integral float such
 as 2.0 is not an integer.
 """
 
-from __future__ import annotations
-
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from math import comb
+from typing import NamedTuple
 
 from .chow import (
     MultiHomForm,
@@ -76,6 +74,7 @@ SCENARIO_SCHEMA = {
                 "chow_form": {
                     "type": "object",
                     "required": ["blocks", "vars_per_block", "terms"],
+                    "additionalProperties": False,
                     "properties": {
                         "blocks": {"type": "integer", "minimum": 1},
                         "vars_per_block": {"type": "integer", "minimum": 2},
@@ -84,6 +83,7 @@ SCENARIO_SCHEMA = {
                             "items": {
                                 "type": "object",
                                 "required": ["exponents", "coeff"],
+                                "additionalProperties": False,
                                 "properties": {
                                     "exponents": {
                                         "type": "array",
@@ -135,8 +135,7 @@ SCENARIO_SCHEMA = {
 }
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     ambient_dim: int
     variety_kind: str
     x_gens: IdealGenerators
@@ -350,8 +349,7 @@ def load_scenario(path) -> Scenario:
     return load_scenario_dict(data)
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     index: int
     point: ProjectivePoint
     status: str  # evaluated | on_divisor | not_on_variety
@@ -364,8 +362,7 @@ class PointRecord:
     verdict: str | None = None
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(NamedTuple):
     scenario: Scenario
     position: object
     constants: EffectiveConstants

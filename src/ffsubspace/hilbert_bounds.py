@@ -12,11 +12,9 @@ polynomial, so it is certified for ALL m >= a_eps with d | m, not just a
 scanned window; the scan helpers exist to double-check the extraction.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
+from typing import NamedTuple
 
 from .errors import InvariantViolated, MissingTableEntry, PreconditionViolated
 
@@ -28,18 +26,30 @@ def binom0(a: int, b: int) -> int:
     return comb(a, b)
 
 
-@dataclass(frozen=True)
-class BoundInputs:
+class _BoundFields(NamedTuple):
     n: int
     delta: int
     d: int
     epsilon: Fraction
 
-    def __post_init__(self):
+
+class BoundInputs(_BoundFields):
+    """The inputs of `threshold_a_eps`, checked on every construction
+    (`_replace` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1 or self.delta < 1 or self.d < 1:
             raise PreconditionViolated("need n, delta, d >= 1")
         if self.epsilon <= 0:
             raise PreconditionViolated("need epsilon > 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 def chardin_upper(m: int, n: int, delta: int) -> int:
@@ -153,8 +163,7 @@ def threshold_a_eps(n: int, delta: int, d: int, epsilon) -> int:
     return int(d * steps)
 
 
-@dataclass(frozen=True)
-class RatioCheck:
+class RatioCheck(NamedTuple):
     lhs: Fraction
     rhs: Fraction
     ok: bool

@@ -28,6 +28,15 @@ def test_check_ok(capsys, tmp_path):
     assert json.loads(capsys.readouterr().out) == data
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["check", SCENARIO, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["schema"] == "ffsubspace-report/1"
+    # the default format comes back on the next call
+    assert main(["check", SCENARIO]) == 0
+    assert capsys.readouterr().out.startswith("variety: hypersurface in P^2")
+
+
 def test_check_missing_file(capsys):
     assert main(["check", "/no/such/file.json"]) == 2
     assert "error:" in capsys.readouterr().err
@@ -162,6 +171,17 @@ def test_constants_counts_are_at_least_one(capsys, tmp_path, changes, pointer):
     assert main(["constants", "--inputs", _constants_inputs(tmp_path, **changes)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and f"(at {pointer})" in err
+
+
+@pytest.mark.parametrize("key", ["01", "1\n", "007"])
+def test_constants_refuses_a_degree_key_that_is_not_canonical(capsys, tmp_path, key):
+    # each matches the key pattern, and "01" or "1\n" would name degree 1
+    # a second time, the later value silently winning
+    inputs = _constants_inputs(tmp_path, H_table={"1": 3, key: 1000})
+    assert main(["constants", "--inputs", inputs]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {key!r} is not a canonical degree (at /H_table/{key})\n"
+    )
 
 
 def test_integral_floats_are_schema_errors(capsys, tmp_path):
@@ -457,9 +477,11 @@ def test_huge_position_cap_exits_fast():
     assert out.count("NonemptyAtCap(cap=100000)") == 2
 
 
-# modules a CLI run must not load: sympy is imported only to factor, and
-# jsonschema (with its referencing chain) is a test dependency only
-HEAVY = ("sympy", "mpmath", "jsonschema", "referencing")
+# modules a CLI run must not load: sympy is imported only to factor,
+# jsonschema (with its referencing chain) is a test dependency only, and
+# records are NamedTuples or __slots__ classes, so neither `dataclasses` nor
+# the `inspect` it pulls in is loaded; both checks below cover all of them
+HEAVY = ("sympy", "mpmath", "jsonschema", "referencing", "dataclasses", "inspect")
 
 SYMPY_MODULES = f"""
 import sys

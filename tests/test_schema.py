@@ -166,6 +166,21 @@ def test_messages_and_pointers(doc, schema, expected):
     assert _outcome(schema_validate, doc, schema) == (pointer, f"{message} (at {pointer})")
 
 
+@pytest.mark.parametrize("path", [("variety", "chow_form"), ("variety", "chow_form", "terms", 0)])
+def test_stray_chow_form_keys_are_refused(path):
+    # the Chow form and its terms refuse unknown keys like every other object;
+    # the pointer is the object's, the message names the key
+    doc = copy.deepcopy(ideal_scenario_dict())
+    node = doc
+    for step in path:
+        node = node[step]
+    node["zz"] = 2.0
+    pointer = "/" + "/".join(map(str, path))
+    expected = (pointer, f"Additional properties are not allowed ('zz' was unexpected) (at {pointer})")
+    assert _outcome(schema_validate, doc, SCENARIO_SCHEMA) == expected
+    assert _outcome(draft_2020_12, doc, SCENARIO_SCHEMA) == expected
+
+
 def test_unsupported_keyword_is_refused():
     with pytest.raises(ValueError, match="'maxItems' is not supported"):
         schema_validate([], {"type": "array", "maxItems": 3})
