@@ -516,8 +516,9 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
 
 def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
     """The form of `multihomform_to_json`'s output; a term whose exponents
-    repeat an earlier term's is a SchemaError at `pointer`/terms/<i>."""
-    from .parsing import parse_rational
+    repeat an earlier term's is a SchemaError at `pointer`/terms/<i>, a
+    coefficient that does not parse one at `pointer`/terms/<i>/coeff."""
+    from .parsing import parse_at, parse_rational
 
     blocks, nv = data["blocks"], data["vars_per_block"]
     terms, first = {}, {}
@@ -532,5 +533,5 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
                 f"{pointer}/terms/{i}",
             )
         first[key] = i
-        terms[key] = parse_rational(item["coeff"])
+        terms[key] = parse_at(parse_rational, item["coeff"], f"{pointer}/terms/{i}/coeff")
     return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))

@@ -45,6 +45,7 @@ from .harness import (
     load_scenario_dict,
     parse_fraction,
     position_to_dict,
+    read_json,
     run_check,
     schema_validate,
 )
@@ -144,8 +145,7 @@ def _cmd_bounds_a_eps(args) -> int:
 
 
 def _cmd_chow(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.input)
     if "variety" not in data:
         # bare variety file: {"ambient_dim": M, "kind": ..., ...}
         variety = {k: v for k, v in data.items() if k != "ambient_dim"}
@@ -195,8 +195,7 @@ def _cmd_chow(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    with open(args.inputs, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = read_json(args.inputs)
     schema_validate(data, CONSTANTS_SCHEMA)
 
     def rational(key, default="0"):
@@ -370,7 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ToolkitError, OSError, json.JSONDecodeError) as exc:
+    except (ToolkitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,7 +45,7 @@ from .function_field import (
 from .graded_ideal import IdealGenerators, check_subgeneral_position, hilbert_function
 from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
 from .multipoly import parse_poly
-from .parsing import parse_rational
+from .parsing import parse_at, parse_rational
 
 DEFAULT_POSITION_CAP = 6
 DEFAULT_EXACT_HILBERT_CUTOFF = 12
@@ -247,6 +247,7 @@ def load_scenario_dict(data: dict) -> Scenario:
     schema_validate(data)
     M = data["ambient_dim"]
     nv = M + 1
+    poly_of = partial(parse_poly, num_vars=nv)
 
     variety = data["variety"]
     kind = variety["kind"]
@@ -260,7 +261,7 @@ def load_scenario_dict(data: dict) -> Scenario:
     elif kind == "hypersurface":
         if "F" not in variety:
             raise SchemaError("hypersurface variety needs F", "/variety/F")
-        f = parse_poly(variety["F"], nv)
+        f = parse_at(poly_of, variety["F"], "/variety/F")
         if f.is_zero():
             raise SchemaError("F must be nonzero", "/variety/F")
         x_gens = IdealGenerators.of(nv, (f,))
@@ -273,7 +274,10 @@ def load_scenario_dict(data: dict) -> Scenario:
             raise SchemaError(
                 "ideal variety needs an explicit chow_form", "/variety/chow_form"
             )
-        x_gens = IdealGenerators.parse(nv, variety["generators"])
+        x_gens = IdealGenerators.of(nv, (
+            parse_at(poly_of, g, f"/variety/generators/{i}")
+            for i, g in enumerate(variety["generators"])
+        ))
         chow = multihomform_from_json(variety["chow_form"], "/variety/chow_form")
         if chow.vars_per_block != nv:
             raise SchemaError(
@@ -289,7 +293,7 @@ def load_scenario_dict(data: dict) -> Scenario:
 
     divisors = []
     for i, dv in enumerate(data["divisors"]):
-        poly = parse_poly(dv["poly"], nv)
+        poly = parse_at(poly_of, dv["poly"], f"/divisors/{i}/poly")
         if poly.is_zero():
             raise SchemaError("divisor must be nonzero", f"/divisors/{i}/poly")
         if poly.degree != dv["degree"]:
@@ -299,7 +303,9 @@ def load_scenario_dict(data: dict) -> Scenario:
             )
         divisors.append(poly)
 
-    places = PlaceSet([Place.parse(s) for s in data["places"]])
+    places = PlaceSet([
+        parse_at(Place.parse, s, f"/places/{i}") for i, s in enumerate(data["places"])
+    ])
     epsilon = parse_fraction(data["epsilon"], "/epsilon")
     if epsilon <= 0:
         raise SchemaError("epsilon must be positive", "/epsilon")
@@ -310,7 +316,9 @@ def load_scenario_dict(data: dict) -> Scenario:
             raise SchemaError(
                 f"point needs {nv} coordinates, has {len(coords)}", f"/points/{i}"
             )
-        points.append(ProjectivePoint([parse_rational(c) for c in coords]))
+        points.append(ProjectivePoint([
+            parse_at(parse_rational, c, f"/points/{i}/{j}") for j, c in enumerate(coords)
+        ]))
 
     overrides = data.get("constants_overrides", {})
     c1 = parse_fraction(overrides.get("c1", "0"), "/constants_overrides/c1")
@@ -340,13 +348,19 @@ def load_scenario_dict(data: dict) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def read_json(path):
+    """The JSON document in the file at `path`.  Text that is not JSON, or
+    that has an integer literal too long for Python to convert (a bare
+    ValueError from `json`), is a SchemaError at the root."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
+            return json.load(fh)
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise SchemaError(f"invalid JSON: {exc}", "") from None
-    return load_scenario_dict(data)
+
+
+def load_scenario(path) -> Scenario:
+    return load_scenario_dict(read_json(path))
 
 
 class PointRecord(NamedTuple):

@@ -22,15 +22,31 @@ on the level:
   They are added with `multipoly.collect`, multiplied with
   `multipoly.mul_terms` and raised to powers with `upoly.power`, the same
   kernel every polynomial type uses.
+
+The tokenizer reads an expanded polynomial in t with integer coefficients,
+a sum of terms `c`, `c*t`, `c*t^k`, `t` and `t^k`, each with an optional
+sign, as one `poly` token when it fills a parenthesized group or the whole
+text.  `str(RationalFunction)` prints its numerator and denominator in this
+form when lc(den) = 1, and generated scenarios write their points so.  The
+fold is exact: parentheses already make such a group an atom, so no
+precedence changes, and its value, the stripped sum of the c*t^k over Z[t],
+is the tuple the descent would build over `upoly.ONE`.  A group with an
+exponent past MAX_EXPONENT is not folded, so the descent raises its error.
+In messages a `poly` token shows as '(' at the position of its '(', as the
+descent's first token would.
+
+An integer literal may have at most MAX_LITERAL_DIGITS digits, checked
+before it is converted, on both paths.
 """
 
 from __future__ import annotations
 
 import re
+from functools import cache
 from math import comb
 
 from . import upoly
-from .errors import ParseError
+from .errors import ParseError, SchemaError
 from .function_field import RationalFunction
 from .multipoly import collect, mul_terms
 
@@ -55,10 +71,50 @@ MAX_COEFFICIENT_BITS = 4000
 # (X0 + t*X1)^499 costs 6.2e10 and takes seconds.
 MAX_POWER_COST = 1_000_000
 
+# Most digits an integer literal may have: those of 2^MAX_COEFFICIENT_BITS
+# (1205), so any coefficient within the power limit can be written out.  It
+# is checked before the literal is converted, well below the 4300 digits past
+# which Python's int() refuses to convert.
+MAX_LITERAL_DIGITS = len(str(1 << MAX_COEFFICIENT_BITS))
+
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
 
+@cache
+def _poly_patterns():
+    """(poly, term): `poly` matches an expanded polynomial in t with integer
+    coefficients, its body as group 1, followed by the `)` that closes its
+    group (group 2) or by the end of the text; `term` finds the terms of a
+    body as (sign, c, t, k, t, k).  Compiled on first use, not at import."""
+    lit = rf"\d{{1,{MAX_LITERAL_DIGITS}}}"
+    mono = rf"(?:({lit})(?:\s*\*\s*(t)(?:\s*\^\s*({lit}))?)?|(t)(?:\s*\^\s*({lit}))?)"
+    bare = re.sub(r"\((?!\?)", "(?:", mono)  # mono without its groups
+    poly = re.compile(
+        rf"\s*((?:[+-]\s*)?{bare}(?:\s*[+-]\s*{bare})*)\s*(?:(\))|\Z)"
+    )
+    return poly, re.compile(rf"([+-]?)\s*{mono}")
+
+
+def _fold(term, text: str, start: int, end: int):
+    """The Z[t] tuple of the polynomial body text[start:end], or None when
+    one of its exponents exceeds MAX_EXPONENT."""
+    sums = {}
+    for sign, c, t1, k1, t2, k2 in term.findall(text, start, end):
+        k = int(k1 or k2 or 1) if t1 or t2 else 0
+        if k > MAX_EXPONENT:
+            return None
+        c = int(c) if c else 1
+        sums[k] = sums.get(k, 0) + (-c if sign == "-" else c)
+    return upoly.strip(sums.get(k, 0) for k in range(max(sums) + 1))
+
+
 def _tokenize(text: str):
+    poly, term = _poly_patterns()
+    m = poly.match(text)
+    if m and m.end() == len(text) and m.group(2) is None:
+        coeffs = _fold(term, text, *m.span(1))
+        if coeffs is not None:
+            return [("poly", coeffs, 0), ("end", None, len(text))]
     tokens = []
     pos = 0
     while pos < len(text):
@@ -68,24 +124,37 @@ def _tokenize(text: str):
             if not stripped:
                 break
             raise ParseError(f"unexpected character {stripped[0]!r}", pos)
+        pos = m.end()
         if m.group(1) is not None:
-            tokens.append(("int", int(m.group(1)), m.start(1)))
+            digits = m.group(1)
+            if len(digits) > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    f"integer literal of {len(digits)} digits exceeds the limit "
+                    f"{MAX_LITERAL_DIGITS}", m.start(1)
+                )
+            tokens.append(("int", int(digits), m.start(1)))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
+        elif m.group(3) == "(" and (g := poly.match(text, pos)) and g.group(2):
+            coeffs = _fold(term, text, *g.span(1))
+            if coeffs is None:
+                tokens.append(("op", "(", m.start(3)))
+            else:
+                tokens.append(("poly", coeffs, m.start(3)))
+                pos = g.end()
         else:
             tokens.append(("op", m.group(3), m.start(3)))
-        pos = m.end()
     tokens.append(("end", None, len(text)))
     return tokens
 
 
 class _Parser:
     """The grammar.  Subclasses give the values: constants, t, variables,
-    and add/neg/mul/div/pow on them, the `size` of a power's base: its
-    degree and `_bits_per_factor`, a bound on the number of `terms` of a
-    power and the `coefficient_cost` of each of them.  `canonical` brings a
-    base to the form `size` and `pow` see; term maps are canonical
-    already."""
+    folded polynomials in t (`poly`), and add/neg/mul/div/pow on them, the
+    `size` of a power's base: its degree and `_bits_per_factor`, a bound on
+    the number of `terms` of a power and the `coefficient_cost` of each of
+    them.  `canonical` brings a base to the form `size` and `pow` see; term
+    maps are canonical already."""
 
     def __init__(self, text: str):
         self.text = text
@@ -111,7 +180,8 @@ class _Parser:
         value = self.expr()
         kind, val, pos = self.peek()
         if kind != "end":
-            raise ParseError(f"unexpected trailing {val!r}", pos)
+            shown = "'('" if kind == "poly" else repr(val)
+            raise ParseError(f"unexpected trailing {shown}", pos)
         return value
 
     def expr(self):
@@ -183,6 +253,8 @@ class _Parser:
 
     def atom(self):
         kind, val, pos = self.advance()
+        if kind == "poly":
+            return self.poly(val)
         if kind == "int":
             return self.const(val)
         if kind == "name":
@@ -235,6 +307,9 @@ class _TermParser(_Parser):
 
     def t(self):
         return {self.zero: RationalFunction.t()}
+
+    def poly(self, coeffs):
+        return {self.zero: RationalFunction._canonical(coeffs)}
 
     def var(self, idx, pos):
         if self.num_vars == 0:
@@ -302,6 +377,9 @@ class _RationalParser(_Parser):
     def t(self):
         return upoly.T, upoly.ONE
 
+    def poly(self, coeffs):
+        return coeffs, upoly.ONE
+
     def var(self, idx, pos):
         raise ParseError("variables not allowed here", pos)
 
@@ -351,3 +429,12 @@ def parse_rational(text: str) -> RationalFunction:
     """Parse a coefficient-level expression into an element of Q(t)."""
     num, den = _RationalParser(text).parse()
     return RationalFunction.reduced(num, den)
+
+
+def parse_at(parse, text: str, pointer: str):
+    """parse(text) for a string of a JSON document: a ParseError is raised as
+    a SchemaError at `pointer`, with the same message."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        raise SchemaError(str(exc), pointer) from None

@@ -342,7 +342,10 @@ def _conic_with(tmp_path, **changes):
 ])
 def test_bad_places_exit_2(capsys, tmp_path, places, message):
     assert main(["check", _conic_with(tmp_path, places=places)]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    # a place that does not parse is named by its JSON pointer; a repeated
+    # one is an error of the set
+    where = "" if len(set(places)) < len(places) else " (at /places/0)"
+    assert capsys.readouterr().err == f"error: {message}{where}\n"
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
@@ -530,3 +533,61 @@ def test_check_and_chow_do_not_load_sympy(tmp_path):
     assert proc.stdout == "none\n"
     runs = ["check", "0", "check", "0", "chow", "0"] * 3 + ["constants", "0"]
     assert proc.stderr.split() == runs
+
+
+# an integer past the 4300 digits Python's int() converts
+HUGE_LITERAL = "1" * 5000
+
+
+def test_oversized_literal_in_a_point_exits_2(capsys, tmp_path):
+    for coordinate, position in [(HUGE_LITERAL, 0), (f"(t + {HUGE_LITERAL})", 5)]:
+        assert main(["check", _conic_with(tmp_path, points=[["1", coordinate, "t"]])]) == 2
+        assert capsys.readouterr().err == (
+            "error: integer literal of 5000 digits exceeds the limit 1205 "
+            f"(at position {position}) (at /points/0/1)\n"
+        )
+
+
+@pytest.mark.parametrize("command", [["check"], ["chow", "--input"], ["constants", "--inputs"]])
+def test_oversized_json_integer_exits_2(capsys, tmp_path, command):
+    # json refuses to convert the literal with a bare ValueError, not a
+    # JSONDecodeError
+    source = Path(
+        _constants_inputs(tmp_path) if command[0] == "constants" else _conic_with(tmp_path)
+    )
+    text = source.read_text()
+    assert '"N": 2' in text
+    source.write_text(text.replace('"N": 2', f'"N": {HUGE_LITERAL}'))
+    assert main([*command, str(source)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid JSON: Exceeds the limit (4300 digits)")
+    assert err.endswith("(at /)\n")
+
+
+def test_malformed_json_is_a_schema_error_for_every_reader(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text('{"N": ')
+    for command in (["check"], ["chow", "--input"], ["constants", "--inputs"]):
+        assert main([*command, str(path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: invalid JSON: Expecting value: line 1 column 7 (char 6) (at /)\n"
+        )
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"points": [["1", "t", "t^2"], ["1", "(t + 1)(t - 1)", "t"]]},
+     "unexpected trailing '(' (at position 7) (at /points/1/1)"),
+    ({"divisors": [{"poly": "X0", "degree": 1}, {"poly": "X1 +", "degree": 1}]},
+     "unexpected token None (at position 4) (at /divisors/1/poly)"),
+    ({"variety": {"kind": "hypersurface", "F": "X0*X2 - X3^2"}},
+     "variable X3 out of range (have X0..X2) (at position 8) (at /variety/F)"),
+    ({"variety": {"kind": "ideal", "generators": ["X0", "X1 X2"], "chow_form": {
+        "blocks": 1, "vars_per_block": 3, "terms": [{"exponents": [[1, 0, 0]], "coeff": "1"}],
+    }}}, "unexpected trailing 'X2' (at position 3) (at /variety/generators/1)"),
+    ({"variety": {"kind": "ideal", "generators": ["X0"], "chow_form": {
+        "blocks": 1, "vars_per_block": 3, "terms": [{"exponents": [[1, 0, 0]], "coeff": "2 (t)"}],
+    }}}, "unexpected trailing '(' (at position 2) (at /variety/chow_form/terms/0/coeff)"),
+])
+def test_scenario_parse_errors_name_the_json_pointer(capsys, tmp_path, changes, message):
+    assert main(["check", _conic_with(tmp_path, **changes)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

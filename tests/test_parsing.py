@@ -14,7 +14,13 @@ from hypothesis import given, settings, strategies as st
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
 from ffsubspace.function_field import RationalFunction
-from ffsubspace.parsing import parse_rational, parse_terms
+from ffsubspace.parsing import (
+    MAX_COEFFICIENT_BITS,
+    MAX_LITERAL_DIGITS,
+    _tokenize,
+    parse_rational,
+    parse_terms,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -76,6 +82,9 @@ class OldQ:
     def __neg__(self):
         return OldQ(tuple(-c for c in self.num), self.den)
 
+    def __pos__(self):
+        return self
+
     def __sub__(self, o):
         return self + (-o)
 
@@ -108,17 +117,21 @@ def _monic_pair(f):
     )
 
 
-def test_parse_rational_matches_fraction_reference_on_workloads():
+def _workload_points(name, seed):
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
     finally:
         sys.path.remove(str(ROOT / "perfbench"))
+    return workloads.generate(name, seed).scenario["points"]
+
+
+def test_parse_rational_matches_fraction_reference_on_workloads():
     texts = [
         c
         for name in ("conic-points", "ideal-session")
         for seed in (1, 2)
-        for point in workloads.generate(name, seed).scenario["points"]
+        for point in _workload_points(name, seed)
         for c in point
     ]
     assert len(texts) == 2 * (150 + 80)
@@ -230,3 +243,136 @@ def test_power_cost_counts_the_t_degree_of_the_coefficients():
     # free of t, the cost is terms * e * bits: 500 * 499 * 8 here
     with pytest.raises(ParseError, match="estimated cost of 1996000 exceeds"):
         parse_terms("(127*X0 + 128*X1)^499", 2)
+
+
+# --- the fold: an expanded polynomial in t with integer coefficients that
+# fills a group (or the text) is read as one `poly` token
+
+def _kinds(text):
+    return [kind for kind, _, _ in _tokenize(text)]
+
+
+@st.composite
+def _expanded(draw):
+    """An expanded polynomial in t, written as the fold reads it: terms in
+    any order, degrees repeated or missing, `t^0`, `t^1` and `1*t`, a sign
+    on the first term or none, any spacing between tokens."""
+    terms = draw(st.lists(
+        st.tuples(st.integers(-30, 30), st.integers(0, 6)), min_size=1, max_size=7
+    ))
+    ws = st.sampled_from(["", " ", "  ", "\t", " \n "])
+    parts = []
+    for i, (c, k) in enumerate(terms):
+        form = draw(st.sampled_from(["c", "c*t", "c*t^k", "t", "t^k"]))
+        if k == 0 and form in ("c*t", "t"):
+            form = "c"
+        if form in ("t", "t^k") and abs(c) != 1:
+            form = "c*t^k"
+        w = [draw(ws) for _ in range(5)]
+        body = {
+            "c": f"{abs(c)}",
+            "c*t": f"{abs(c)}{w[0]}*{w[1]}t",
+            "c*t^k": f"{abs(c)}{w[0]}*{w[1]}t{w[2]}^{w[3]}{k}",
+            "t": "t",
+            "t^k": f"t{w[2]}^{w[3]}{k}",
+        }[form]
+        sign = "-" if c < 0 else draw(st.sampled_from(["+", ""] if i == 0 else ["+"]))
+        parts.append(f"{sign}{w[4]}{body}")
+    text = draw(ws) + draw(ws).join(parts) + draw(ws)
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_expanded(), b=_expanded(), form=st.sampled_from(
+    ["{a}", "({a})", "(({a}))", "({a})/({b})", "2*({a}) - ({b})^2", "(({a})*({b}) + t)"]
+))
+def test_fold_agrees_with_the_reference(a, b, form):
+    text = form.format(a=a, b=b)
+    # every expanded polynomial is folded, so no `t` of theirs is left for
+    # the descent
+    assert _kinds(text).count("poly") == form.count("{")
+    if "/" in form and not reference_parse(" ".join(b.split())).num:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_rational(text)
+        return
+    ref = reference_parse(" ".join(text.split()))  # Python's eval: no newlines
+    assert _monic_pair(parse_rational(text)) == (ref.num, ref.den), text
+
+
+@settings(max_examples=80, deadline=None)
+@given(a=_expanded(), b=_expanded())
+def test_folded_and_descended_groups_agree(a, b):
+    # `0*1` is no term of the fold, so a group ending in it is parsed by the
+    # descent; its value is the same
+    for text in (f"({a})", f"({a})/({b})", f"(({a}) - t)*({b})"):
+        forced = text.replace(")", " + 0*1)")
+        assert "poly" not in _kinds(forced)
+        try:
+            folded = parse_rational(text)
+        except ParseError as exc:
+            assert str(exc).startswith("division by zero")
+            with pytest.raises(ParseError, match="division by zero"):
+                parse_rational(forced)
+            continue
+        assert parse_rational(forced) == folded, text
+    assert parse_terms(f"({a})*X0 + ({b})*X1", 2) == parse_terms(
+        f"({a} + 0*1)*X0 + ({b} + 0*1)*X1", 2
+    )
+
+
+def test_fold_fires_on_the_workload_coordinates():
+    for seed in (1, 2):
+        for point in _workload_points("conic-points", seed):
+            for c in point:
+                kinds = _kinds(c)
+                assert set(kinds) <= {"poly", "op", "end"} and "poly" in kinds, c
+
+
+def test_fold_keeps_the_descent_messages():
+    for text, message in [
+        ("2 (t + 1)", "unexpected trailing '(' (at position 2)"),
+        ("(t + 1)(t - 1)", "unexpected trailing '(' (at position 7)"),
+        ("t^(t + 1)", "exponent must be a nonnegative integer (at position 2)"),
+        ("(t^1001 + 1)", "exponent 1001 exceeds the limit 1000 (at position 3)"),
+        ("(t + 1)/(t - t)", "division by zero (at position 7)"),
+        ("((t + 1)", "expected ')' (at position 8)"),
+        ("(1 (t + 1))", "expected ')' (at position 3)"),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert str(err.value) == message, text
+    with pytest.raises(ParseError) as err:
+        parse_terms("(t + 1) X0", 1)
+    assert str(err.value) == "unexpected trailing 'X0' (at position 8)"
+    with pytest.raises(ParseError) as err:
+        parse_terms("X0/(t - t)", 1)
+    assert str(err.value) == "division by zero (at position 2)"
+
+
+def test_integer_literals_are_limited_on_both_paths():
+    # the digits of 2^MAX_COEFFICIENT_BITS: every coefficient the power limit
+    # allows can be written out
+    assert MAX_LITERAL_DIGITS == len(str(2**MAX_COEFFICIENT_BITS)) == 1205
+    big = "9" * MAX_LITERAL_DIGITS
+    assert parse_rational(big).num == (int(big),)  # folded
+    assert parse_rational(f"({big}*t + 1)").num == (1, int(big))  # folded
+    assert parse_rational(f"{big}/2").num == (int(big),)  # descent
+    assert parse_rational(f"2^{big[:3]}/2^{big[:3]}") == 1
+    long = "1" * (MAX_LITERAL_DIGITS + 1)
+    for text, position in [
+        (long, 0),
+        (f"(t + {long})", 5),
+        (f"({long}*t + 1)", 1),
+        (f"t^{long}", 2),
+        (f"(t^{long} + 1)", 3),
+        (f"1/{long}", 2),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert str(err.value) == (
+            f"integer literal of {len(long)} digits exceeds the limit "
+            f"{MAX_LITERAL_DIGITS} (at position {position})"
+        )
+    # past Python's own 4300-digit limit of int() as well
+    with pytest.raises(ParseError, match="integer literal of 5000 digits"):
+        parse_terms("1" * 5000 + "*X0", 1)
