@@ -16,12 +16,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .chow import (
-    chow_height,
-    coefficient_bound_report,
-    expand_skew,
-    psigma_count_report,
-)
+from .chow import chow_height, expand_skew, psigma_count_report
 from .effective_constants import ConstantInputs, assemble_constants
 from .errors import SchemaError, ToolkitError
 from .filtration import (
@@ -43,6 +38,7 @@ from .harness import (
     has_violation,
     load_scenario,
     load_scenario_dict,
+    load_variety_dict,
     parse_fraction,
     position_to_dict,
     read_json,
@@ -146,20 +142,9 @@ def _cmd_bounds_a_eps(args) -> int:
 
 def _cmd_chow(args) -> int:
     data = read_json(args.input)
-    if "variety" not in data:
-        # bare variety file: {"ambient_dim": M, "kind": ..., ...}
-        variety = {k: v for k, v in data.items() if k != "ambient_dim"}
-        data = {
-            "ambient_dim": data.get("ambient_dim"),
-            "variety": variety,
-            "divisors": [{"poly": "X0", "degree": 1}],
-            "N": 1,
-            "places": ["t"],
-            "epsilon": "1",
-            "points": [],
-        }
-    scenario = load_scenario_dict(data)
-    form = scenario.chow_form
+    # a scenario, or a bare variety file: {"ambient_dim": M, "kind": ..., ...}
+    scenario = isinstance(data, dict) and "variety" in data
+    form = (load_scenario_dict if scenario else load_variety_dict)(data).chow_form
     expansion = expand_skew(form)
     counts = psigma_count_report(expansion)
     print(
@@ -172,12 +157,6 @@ def _cmd_chow(args) -> int:
         f"stated bound {counts.stated_bound}; "
         f"combinatorial monomial count {counts.combinatorial_count}"
     )
-    bound_rows = coefficient_bound_report(form, expansion)
-    for place, e_form, e_min, ok in bound_rows:
-        print(
-            f"  place {place}: e_p(F_X) = {e_form}, min_sigma e_p(P_sigma) = "
-            f"{e_min} ({'ok' if ok else 'VIOLATED'})"
-        )
     _emit(
         {
             "blocks": form.blocks,

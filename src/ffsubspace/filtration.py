@@ -44,9 +44,6 @@ class VanishingOrderPermutation(NamedTuple):
     order: tuple  # divisor indices, nonincreasing ord_p(Q_i(x))
     orders: tuple  # the corresponding ord values
 
-    def top_index(self) -> int:
-        return self.order[0]
-
 
 def order_by_vanishing(p: Place, qs, x: ProjectivePoint) -> VanishingOrderPermutation:
     """Renumber the divisors so ord_p(Q_{l_1}(x)) >= ... >= ord_p(Q_{l_q}(x)).

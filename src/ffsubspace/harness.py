@@ -134,6 +134,17 @@ SCENARIO_SCHEMA = {
     },
 }
 
+# A bare variety file, as `chow --input` takes it: a scenario's variety
+# object with the scenario's ambient_dim beside its keys.
+_SCENARIO_KEYS = SCENARIO_SCHEMA["properties"]
+VARIETY_FILE_SCHEMA = {
+    **_SCENARIO_KEYS["variety"],
+    "required": ["ambient_dim", *_SCENARIO_KEYS["variety"]["required"]],
+    "properties": {
+        "ambient_dim": _SCENARIO_KEYS["ambient_dim"], **_SCENARIO_KEYS["variety"]["properties"]
+    },
+}
+
 
 class Scenario(NamedTuple):
     ambient_dim: int
@@ -242,58 +253,71 @@ def parse_fraction(text: str, pointer: str) -> Fraction:
         raise SchemaError(f"not a rational: {text!r} ({exc})", pointer) from None
 
 
-def load_scenario_dict(data: dict) -> Scenario:
-    """Validate and parse an in-memory scenario object."""
-    schema_validate(data)
-    M = data["ambient_dim"]
-    nv = M + 1
-    poly_of = partial(parse_poly, num_vars=nv)
+class Variety(NamedTuple):
+    kind: str
+    x_gens: IdealGenerators
+    chow_form: MultiHomForm
+    dimension: int
+    degree: int
 
-    variety = data["variety"]
+
+def parse_variety(variety: dict, M: int, at: str) -> Variety:
+    """The variety object of a validated document, at JSON pointer `at`, as
+    a subvariety of P^M: its ideal, Chow form, dimension and degree."""
+    nv = M + 1
     kind = variety["kind"]
     if kind == "projective_space":
         x_gens = IdealGenerators.of(nv, ())
         basis_points = [
             ProjectivePoint([1 if j == i else 0 for j in range(nv)]) for i in range(nv)
         ]
-        chow = chow_of_linear(basis_points)
-        dimension, degree = M, 1
-    elif kind == "hypersurface":
+        return Variety(kind, x_gens, chow_of_linear(basis_points), M, 1)
+    if kind == "hypersurface":
         if "F" not in variety:
-            raise SchemaError("hypersurface variety needs F", "/variety/F")
-        f = parse_at(poly_of, variety["F"], "/variety/F")
+            raise SchemaError("hypersurface variety needs F", f"{at}/F")
+        f = parse_at(parse_poly, variety["F"], f"{at}/F", nv)
         if f.is_zero():
-            raise SchemaError("F must be nonzero", "/variety/F")
+            raise SchemaError("F must be nonzero", f"{at}/F")
         x_gens = IdealGenerators.of(nv, (f,))
-        chow = chow_of_hypersurface(f)
-        dimension, degree = M - 1, f.degree
-    else:
-        if "generators" not in variety:
-            raise SchemaError("ideal variety needs generators", "/variety/generators")
-        if "chow_form" not in variety:
-            raise SchemaError(
-                "ideal variety needs an explicit chow_form", "/variety/chow_form"
-            )
-        x_gens = IdealGenerators.of(nv, (
-            parse_at(poly_of, g, f"/variety/generators/{i}")
-            for i, g in enumerate(variety["generators"])
-        ))
-        chow = multihomform_from_json(variety["chow_form"], "/variety/chow_form")
-        if chow.vars_per_block != nv:
-            raise SchemaError(
-                "chow_form vars_per_block must equal ambient_dim + 1",
-                "/variety/chow_form/vars_per_block",
-            )
-        if chow.blocks > M:
-            raise SchemaError(
-                "chow_form blocks (dimension + 1) must be at most ambient_dim",
-                "/variety/chow_form/blocks",
-            )
-        dimension, degree = chow.blocks - 1, chow.block_degree
+        return Variety(kind, x_gens, chow_of_hypersurface(f), M - 1, f.degree)
+    if "generators" not in variety:
+        raise SchemaError("ideal variety needs generators", f"{at}/generators")
+    if "chow_form" not in variety:
+        raise SchemaError("ideal variety needs an explicit chow_form", f"{at}/chow_form")
+    x_gens = IdealGenerators.of(nv, (
+        parse_at(parse_poly, g, f"{at}/generators/{i}", nv)
+        for i, g in enumerate(variety["generators"])
+    ))
+    chow = multihomform_from_json(variety["chow_form"], f"{at}/chow_form")
+    if chow.vars_per_block != nv:
+        raise SchemaError(
+            "chow_form vars_per_block must equal ambient_dim + 1",
+            f"{at}/chow_form/vars_per_block",
+        )
+    if chow.blocks > M:
+        raise SchemaError(
+            "chow_form blocks (dimension + 1) must be at most ambient_dim",
+            f"{at}/chow_form/blocks",
+        )
+    return Variety(kind, x_gens, chow, chow.blocks - 1, chow.block_degree)
+
+
+def load_variety_dict(data: dict) -> Variety:
+    """Validate and parse an in-memory bare variety object."""
+    schema_validate(data, VARIETY_FILE_SCHEMA)
+    return parse_variety(data, data["ambient_dim"], "")
+
+
+def load_scenario_dict(data: dict) -> Scenario:
+    """Validate and parse an in-memory scenario object."""
+    schema_validate(data)
+    M = data["ambient_dim"]
+    nv = M + 1
+    variety = parse_variety(data["variety"], M, "/variety")
 
     divisors = []
     for i, dv in enumerate(data["divisors"]):
-        poly = parse_at(poly_of, dv["poly"], f"/divisors/{i}/poly")
+        poly = parse_at(parse_poly, dv["poly"], f"/divisors/{i}/poly", nv)
         if poly.is_zero():
             raise SchemaError("divisor must be nonzero", f"/divisors/{i}/poly")
         if poly.degree != dv["degree"]:
@@ -303,9 +327,12 @@ def load_scenario_dict(data: dict) -> Scenario:
             )
         divisors.append(poly)
 
-    places = PlaceSet([
-        parse_at(Place.parse, s, f"/places/{i}") for i, s in enumerate(data["places"])
-    ])
+    first = {}  # place -> index of its first entry, in entry order
+    for j, text in enumerate(data["places"]):
+        p = parse_at(Place.parse, text, f"/places/{j}")
+        if first.setdefault(p, j) != j:
+            raise SchemaError(f"place {p} repeats /places/{first[p]}", f"/places/{j}")
+    places = PlaceSet(first)
     epsilon = parse_fraction(data["epsilon"], "/epsilon")
     if epsilon <= 0:
         raise SchemaError("epsilon must be positive", "/epsilon")
@@ -316,9 +343,9 @@ def load_scenario_dict(data: dict) -> Scenario:
             raise SchemaError(
                 f"point needs {nv} coordinates, has {len(coords)}", f"/points/{i}"
             )
-        points.append(ProjectivePoint([
+        points.append(parse_at(ProjectivePoint, [
             parse_at(parse_rational, c, f"/points/{i}/{j}") for j, c in enumerate(coords)
-        ]))
+        ], f"/points/{i}"))
 
     overrides = data.get("constants_overrides", {})
     c1 = parse_fraction(overrides.get("c1", "0"), "/constants_overrides/c1")
@@ -328,11 +355,11 @@ def load_scenario_dict(data: dict) -> Scenario:
 
     return Scenario(
         ambient_dim=M,
-        variety_kind=kind,
-        x_gens=x_gens,
-        chow_form=chow,
-        dimension=dimension,
-        degree=degree,
+        variety_kind=variety.kind,
+        x_gens=variety.x_gens,
+        chow_form=variety.chow_form,
+        dimension=variety.dimension,
+        degree=variety.degree,
         divisors=tuple(divisors),
         N=data["N"],
         places=places,

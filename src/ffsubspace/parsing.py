@@ -46,7 +46,7 @@ from functools import cache
 from math import comb
 
 from . import upoly
-from .errors import ParseError, SchemaError
+from .errors import NotHomogeneous, ParseError, SchemaError, ZeroElement
 from .function_field import RationalFunction
 from .multipoly import collect, mul_terms
 
@@ -431,10 +431,11 @@ def parse_rational(text: str) -> RationalFunction:
     return RationalFunction.reduced(num, den)
 
 
-def parse_at(parse, text: str, pointer: str):
-    """parse(text) for a string of a JSON document: a ParseError is raised as
-    a SchemaError at `pointer`, with the same message."""
+def parse_at(parse, value, pointer: str, *args):
+    """parse(value, *args) for a node of a JSON document: text that does not
+    parse, a form that is not homogeneous or a point with no nonzero
+    coordinate is raised as a SchemaError at `pointer`, same message."""
     try:
-        return parse(text)
-    except ParseError as exc:
+        return parse(value, *args)
+    except (ParseError, NotHomogeneous, ZeroElement) as exc:
         raise SchemaError(str(exc), pointer) from None

@@ -174,11 +174,41 @@ def t_scaled_conic():
 
 def test_coefficient_bound_with_t_scaled_entry():
     scaled = t_scaled_conic()
-    expansion = expand_skew(scaled)  # asserts e_p(P_sigma) >= e_p(F_X) internally
+    expansion = expand_skew(scaled)  # the bound holds by construction (see below)
     report = coefficient_bound_report(scaled, expansion)
     assert report and all(ok for _, _, _, ok in report)
     places = {str(p) for p, _, _, _ in report}
     assert places == {"t", "inf"}
+
+
+# Irreducible factors for scaling Chow-form coefficients: places of degree
+# 1, 2 and 3 (t^3 + 2 has no rational root).
+_FACTORS = ["t", "t - 1", "2*t + 3", "t^2 + 1", "t^3 + 2"]
+
+
+@st.composite
+def _t_scaled_forms(draw):
+    """The conic's or the twisted cubic's Chow form with 1-3 coefficients
+    times a nonconstant element of Q(t): distinct irreducible factors, each
+    to the power -1, 1 or 2, so nothing cancels."""
+    form = draw(st.sampled_from([chow_of_hypersurface(CONIC_F), twisted_cubic_chow()]))
+    terms = dict(form.terms)
+    keys = draw(st.lists(st.sampled_from(sorted(terms)), min_size=1, max_size=3, unique=True))
+    for key in keys:
+        factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3, unique=True))
+        for f in factors:
+            terms[key] = terms[key] * parse_rational(f) ** draw(st.sampled_from([-1, 1, 2]))
+    return with_terms(form, terms)
+
+
+@settings(max_examples=8, deadline=None)
+@given(form=_t_scaled_forms())
+def test_coefficient_bound_holds_by_construction(form):
+    # each coefficient of P_sigma is a Z-linear combination of F_X's
+    # numerators over one common denominator, so ord_p of it is at least
+    # the least ord_p of F_X's coefficients, at every place, inf included
+    report = coefficient_bound_report(form, expand_skew(form))
+    assert report and all(ok for _, _, _, ok in report)
 
 
 def test_chow_height_examples():

@@ -117,6 +117,38 @@ def test_chow_command_bare_variety(capsys, tmp_path):
     assert "degree 2 per block" in out
 
 
+def t_scaled_ideal_scenario():
+    """The ideal scenario with one Chow-form coefficient times t^3 + 2."""
+    scenario = ideal_scenario_dict()
+    term = scenario["variety"]["chow_form"]["terms"][0]
+    term["coeff"] = f"({term['coeff']})*(t^3 + 2)"
+    return scenario
+
+
+def test_chow_command_on_a_t_dependent_form(capsys, tmp_path):
+    # the coefficient bound holds by construction, so no place rows
+    path = tmp_path / "t_scaled.json"
+    path.write_text(json.dumps(t_scaled_ideal_scenario()))
+    assert main(["chow", "--input", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "height h(X) = 3/1" in out and "place" not in out
+
+
+@pytest.mark.parametrize("change, message, pointer", [
+    ({"chow_form": multihomform_to_json(chow_of_linear([ProjectivePoint([1, 0, 0])]))},
+     "chow_form vars_per_block must equal ambient_dim + 1", "/chow_form/vars_per_block"),
+    ({"generators": ["X0 + X1^2"]}, "mixed term degrees [1, 2]", "/generators/0"),
+    ({"degree": 3}, "Additional properties are not allowed ('degree' was unexpected)", "/"),
+])
+def test_chow_command_bare_variety_errors(capsys, tmp_path, change, message, pointer):
+    # pointers name nodes of the bare file itself, not of a scenario around it
+    variety = {"ambient_dim": 3, **ideal_scenario_dict()["variety"], **change}
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety))
+    assert main(["chow", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message} (at {pointer})\n"
+
+
 def test_chow_command_on_projective_space(capsys, tmp_path):
     path = tmp_path / "variety.json"
     path.write_text(json.dumps({"ambient_dim": 2, "kind": "projective_space"}))
@@ -338,14 +370,13 @@ def _conic_with(tmp_path, **changes):
     (["t/2"], "finite place must be monic: 1/2*t"),
     (["t^2 - 1"], "finite place must be irreducible: t^2 - 1"),
     (["3"], "not a valid finite place: 3"),
-    (["t", "inf", "t"], "duplicate places in place set"),
+    (["t", "inf", "t"], "place t repeats /places/0"),
 ])
 def test_bad_places_exit_2(capsys, tmp_path, places, message):
     assert main(["check", _conic_with(tmp_path, places=places)]) == 2
-    # a place that does not parse is named by its JSON pointer; a repeated
-    # one is an error of the set
-    where = "" if len(set(places)) < len(places) else " (at /places/0)"
-    assert capsys.readouterr().err == f"error: {message}{where}\n"
+    # the error names the pointer of the last place: the one that does not
+    # parse, or the repeat
+    assert capsys.readouterr().err == f"error: {message} (at /places/{len(places) - 1})\n"
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
@@ -523,15 +554,17 @@ def test_import_does_not_load_sympy():
 
 def test_check_and_chow_do_not_load_sympy(tmp_path):
     # places of degree <= 3 (t^2 + 1 among them) are checked without sympy,
-    # and constant Chow-form coefficients need no factoring; constants too
-    # runs without sympy and without jsonschema
+    # and `chow` factors no Chow-form coefficient, not even one with the
+    # irreducible cubic t^3 + 2; constants too runs without sympy and
+    # without jsonschema
     paths = [SCENARIO]
-    for name, scenario in [("golden", golden_scenario_dict()), ("ideal", ideal_scenario_dict())]:
+    for name, scenario in [("golden", golden_scenario_dict()), ("ideal", ideal_scenario_dict()),
+                           ("t_scaled", t_scaled_ideal_scenario())]:
         paths.append(str(tmp_path / f"{name}.json"))
         Path(paths[-1]).write_text(json.dumps(scenario))
     proc = _isolated(SYMPY_MODULES_AFTER_RUNS, _constants_inputs(tmp_path), *paths)
     assert proc.stdout == "none\n"
-    runs = ["check", "0", "check", "0", "chow", "0"] * 3 + ["constants", "0"]
+    runs = ["check", "0", "check", "0", "chow", "0"] * 4 + ["constants", "0"]
     assert proc.stderr.split() == runs
 
 
@@ -587,6 +620,16 @@ def test_malformed_json_is_a_schema_error_for_every_reader(capsys, tmp_path):
     ({"variety": {"kind": "ideal", "generators": ["X0"], "chow_form": {
         "blocks": 1, "vars_per_block": 3, "terms": [{"exponents": [[1, 0, 0]], "coeff": "2 (t)"}],
     }}}, "unexpected trailing '(' (at position 2) (at /variety/chow_form/terms/0/coeff)"),
+    # a form that is not homogeneous, and a point with no nonzero coordinate
+    ({"divisors": [{"poly": "X0", "degree": 1}, {"poly": "X0 + X1^2", "degree": 1}]},
+     "mixed term degrees [1, 2] (at /divisors/1/poly)"),
+    ({"variety": {"kind": "hypersurface", "F": "X0 + X1^2"}},
+     "mixed term degrees [1, 2] (at /variety/F)"),
+    ({"variety": {"kind": "ideal", "generators": ["X0", "X0 + X1^2"], "chow_form": {
+        "blocks": 1, "vars_per_block": 3, "terms": [{"exponents": [[1, 0, 0]], "coeff": "1"}],
+    }}}, "mixed term degrees [1, 2] (at /variety/generators/1)"),
+    ({"points": [["1", "t", "t^2"], ["0", "0", "0"]]},
+     "projective point needs a nonzero coordinate (at /points/1)"),
 ])
 def test_scenario_parse_errors_name_the_json_pointer(capsys, tmp_path, changes, message):
     assert main(["check", _conic_with(tmp_path, **changes)]) == 2

@@ -466,7 +466,6 @@ from ffsubspace.multipoly import parse_poly
 
 assert not __debug__, "asserts are live"
 conic = chow.chow_of_hypersurface(parse_poly("X0*X2 - X1^2", 3))
-degree = chow.monomial_degree
 
 
 class WrongFactors:
@@ -496,10 +495,6 @@ run("height_elem", lambda: setattr(ff, "divisor", lambda f: {ff.INFINITY: -1}),
     lambda: ff.height_elem(T))
 run("P_sigma degree", lambda: setattr(chow, "monomial_degree", lambda b: -1),
     lambda: chow.expand_skew(conic))
-run("coefficient bound", lambda: (
-    setattr(chow, "monomial_degree", degree),
-    setattr(chow, "coefficient_bound_report", lambda f, e: [("t", 1, 0, False)]),
-), lambda: chow.expand_skew(conic))
 run("Cauchy bound", lambda: None, lambda: hb._cauchy_positive_bound({1: Fraction(-1)}))
 """
 
@@ -516,7 +511,5 @@ def test_invariant_checks_survive_optimize_flag():
         "height_elem InvariantViolated: sum formula violated in height_elem",
         "P_sigma degree InvariantViolated: s-monomial "
         "((0, 0, 2), (0, 2, 0)) is not of degree 2 in every block",
-        "coefficient bound InvariantViolated: coefficient bound violated at place t: "
-        "min_sigma e_p(P_sigma) = 0 < e_p(F_X) = 1",
         "Cauchy bound InvariantViolated: Cauchy bound needs a positive leading coefficient",
     ]

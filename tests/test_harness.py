@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from ffsubspace.chow import chow_of_hypersurface, multihomform_to_json
-from ffsubspace.errors import NotHomogeneous, SchemaError
+from ffsubspace.errors import SchemaError
 from ffsubspace.harness import (
     emit_report,
     fmt_q,
@@ -88,8 +88,10 @@ def test_schema_missing_n():
 def test_schema_inhomogeneous_divisor():
     data = conic_scenario_dict()
     data["divisors"][0]["poly"] = "X0 + X1^2"
-    with pytest.raises(NotHomogeneous):
+    # the NotHomogeneous of the parse, raised at the divisor's pointer
+    with pytest.raises(SchemaError, match=r"^mixed term degrees \[1, 2\]") as err:
         load_scenario_dict(data)
+    assert err.value.json_pointer == "/divisors/0/poly"
 
 
 def test_schema_degree_mismatch():

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffsubspace.cli import CONSTANTS_SCHEMA
 from ffsubspace.errors import SchemaError
-from ffsubspace.harness import SCENARIO_SCHEMA, schema_validate
+from ffsubspace.harness import SCENARIO_SCHEMA, VARIETY_FILE_SCHEMA, schema_validate
 from test_harness import golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -40,7 +40,10 @@ StrictIntegers = jsonschema.validators.extend(
 @cache
 def _valid_documents():
     scenarios = [json.loads(SCENARIO.read_text()), golden_scenario_dict(), ideal_scenario_dict()]
-    return [(doc, SCENARIO_SCHEMA) for doc in scenarios] + [(CONSTANTS_INPUTS, CONSTANTS_SCHEMA)]
+    bare_variety = {"ambient_dim": 3, **ideal_scenario_dict()["variety"]}
+    return [(doc, SCENARIO_SCHEMA) for doc in scenarios] + [
+        (CONSTANTS_INPUTS, CONSTANTS_SCHEMA), (bare_variety, VARIETY_FILE_SCHEMA)
+    ]
 
 
 def _outcome(validate, data, schema):
@@ -132,7 +135,7 @@ def mutated(draw):
     return doc, schema
 
 
-@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("index", range(5))
 def test_valid_documents_pass_both(index):
     doc, schema = _valid_documents()[index]
     assert _outcome(schema_validate, doc, schema) is None
