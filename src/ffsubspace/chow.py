@@ -15,7 +15,10 @@ The expansion runs over Z.  F_X(u) enters linearly, so each block monomial
 prod_r ((S^(i) x)_r)^k_r is expanded once, as a map from packed keys to
 ints; a term of F_X multiplies the maps of its blocks and adds the result,
 times its numerator over the form's common denominator, into one int map
-per power of t.  Q(t) coefficients are built only for the final P_sigma.
+per power of t.  The number of P_sigma is read off those maps: the distinct
+sigma prefixes among keys with a nonzero numerator.  Q(t) coefficients and
+the P_sigma forms are built from them only when `SkewExpansion.entries` is
+first read, so counting the P_sigma (`chow --input`) builds none.
 
 A key (sigma, x-monomial) is the digit string sigma_0, ..., sigma_n, x in
 base 2^width, most significant digit first, one digit per exponent.  Every
@@ -214,23 +217,43 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     return MultiHomForm(nv - 1, nv, eval_terms(f.terms, power_table(w), zero))
 
 
-class SkewExpansion(NamedTuple):
+class SkewExpansion:
     """The collected expansion F_X(S^(0)x,...,S^(n)x) = sum_sigma P_sigma(x) sigma.
 
     pairs lists the skew index pairs (j, k), j < k, one block of them per
-    S^(i); entries maps sigma (a tuple of per-block exponent tuples over
-    pairs) to the nonzero coefficient form P_sigma.
+    S^(i); sigma_count is the number of nonzero P_sigma.  entries maps sigma
+    (a tuple of per-block exponent tuples over pairs) to the nonzero
+    coefficient form P_sigma.  It is built from the packed sums over Z when
+    first read, then kept (`_psigma_forms`), so a caller that only counts
+    the P_sigma builds no coefficient of Q(t).
     """
 
-    blocks: int
-    vars_per_block: int
-    block_degree: int
-    pairs: tuple
-    entries: dict
+    __slots__ = ("blocks", "vars_per_block", "block_degree", "pairs", "sigma_count",
+                 "_sums", "_entries")
+
+    def __init__(self, blocks: int, vars_per_block: int, block_degree: int, pairs: tuple,
+                 sigma_count: int, sums: tuple):
+        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "vars_per_block", vars_per_block)
+        object.__setattr__(self, "block_degree", block_degree)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "sigma_count", sigma_count)
+        object.__setattr__(self, "_sums", sums)
+        object.__setattr__(self, "_entries", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
-    def sigma_count(self) -> int:
-        return len(self.entries)
+    def entries(self) -> dict:
+        """sigma -> P_sigma, in sorted order of sigma; built once."""
+        if self._entries is None:
+            object.__setattr__(self, "_entries", _psigma_forms(self))
+            object.__setattr__(self, "_sums", None)  # the forms replace them
+        return self._entries
 
     def values_at(self, x) -> dict:
         """Evaluate every P_sigma at one point, sharing the power table."""
@@ -362,8 +385,10 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     Substitutes u_i = S^(i) x with symbolic skew entries s^(i)_{jk},
     0 <= j < k <= M, and collects the coefficient form P_sigma of every
     s-monomial sigma, over Z on packed keys (see the module docstring).
-    Each coefficient of P_sigma is a Z-linear combination of F_X's numerators
-    over their common denominator, so e_p(P_sigma) >= e_p(F_X) at every place.
+    Counts the P_sigma and checks the degree of every sigma here; builds
+    the P_sigma themselves when `entries` is first read.  Each coefficient
+    of P_sigma is a Z-linear combination of F_X's numerators over their
+    common denominator, so e_p(P_sigma) >= e_p(F_X) at every place.
     """
     nv = form.vars_per_block
     blocks = form.blocks
@@ -418,11 +443,52 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
                 for k, c in expanded.items():
                     out[k] = out.get(k, 0) + a * c
 
+    # a key's numerator is nonzero when one of its t-coefficients is
+    prefixes = {k >> width * nv for out in acc for k, c in out.items() if c}
+    _check_block_degrees(prefixes, width, blocks, len(pairs), delta)
+    return SkewExpansion(blocks, nv, delta, pairs, len(prefixes), (acc, den, width))
+
+
+def _sigma_reader(width: int, blocks: int, per_block: int):
+    """Reads a packed sigma prefix as its tuple of per-block exponent tuples."""
+    block_of = _digit_reader(width, per_block)
+    bits = width * per_block
+    return lambda packed: tuple(
+        block_of(packed >> bits * (blocks - 1 - i)) for i in range(blocks)
+    )
+
+
+def _check_block_degrees(prefixes, width: int, blocks: int, per_block: int, delta: int):
+    """Raise InvariantViolated unless every packed sigma prefix has degree
+    delta in every block, naming the least sigma that does not.  A block's
+    distinct exponent tuples are few, so each is checked once."""
+    block_of = _digit_reader(width, per_block)
+    bits = width * per_block
+    mask = (1 << bits) - 1
+    for i in range(blocks):
+        shift = bits * (blocks - 1 - i)
+        parts = {p >> shift & mask for p in prefixes}
+        if any(monomial_degree(block_of(b)) != delta for b in parts):
+            sigma_of = _sigma_reader(width, blocks, per_block)
+            sigma = next(
+                s for s in map(sigma_of, sorted(prefixes))
+                if any(monomial_degree(b) != delta for b in s)
+            )
+            raise InvariantViolated(
+                f"s-monomial {sigma} is not of degree {delta} in every block"
+            )
+
+
+def _psigma_forms(expansion: SkewExpansion) -> dict:
+    """The P_sigma of an expansion from its packed sums: sigma -> the form
+    with Q(t) coefficients on its x-monomials, in sorted order of sigma."""
+    acc, den, width = expansion._sums
+    nv, blocks = expansion.vars_per_block, expansion.blocks
+    degree = blocks * expansion.block_degree
     # x-monomials, s-monomials and coefficients repeat; build each once.
     mono_of = _digit_reader(width, nv)
-    block_of = _digit_reader(width, len(pairs))
+    sigma_of = _sigma_reader(width, blocks, len(expansion.pairs))
     mono_bits = width * nv
-    block_bits = width * len(pairs)
     coeffs = {}
     grouped = {}
     for k in set().union(*acc):
@@ -432,17 +498,11 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
             if c is None:
                 c = coeffs[num] = RationalFunction.reduced(num, den)
             grouped.setdefault(k >> mono_bits, {})[mono_of(k)] = c
-    entries = {}
-    for packed in sorted(grouped):
-        sigma = tuple(block_of(packed >> block_bits * (blocks - 1 - i)) for i in range(blocks))
-        if any(monomial_degree(b) != delta for b in sigma):
-            raise InvariantViolated(
-                f"s-monomial {sigma} is not of degree {delta} in every block"
-            )
-        # nonzero coefficients on x-monomials of total degree blocks * delta
-        entries[sigma] = HomogeneousPoly._trusted(nv, degree, grouped[packed])
-
-    return SkewExpansion(blocks, nv, delta, pairs, entries)
+    # nonzero coefficients on x-monomials of total degree blocks * delta
+    return {
+        sigma_of(packed): HomogeneousPoly._trusted(nv, degree, grouped[packed])
+        for packed in sorted(grouped)
+    }
 
 
 def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:
@@ -507,17 +567,21 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
 
 
 def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
-    """The form of `multihomform_to_json`'s output; a term whose exponents
-    repeat an earlier term's is a SchemaError at `pointer`/terms/<i>, a
-    coefficient that does not parse one at `pointer`/terms/<i>/coeff."""
+    """The form of `multihomform_to_json`'s output.  A SchemaError names the
+    term at fault: a bad block shape, or a degree other than the first
+    nonzero term's, at `pointer`/terms/<i>/exponents; exponents that repeat
+    an earlier term's at `pointer`/terms/<i>; a coefficient that does not
+    parse at `pointer`/terms/<i>/coeff."""
     from .parsing import parse_at, parse_rational
 
     blocks, nv = data["blocks"], data["vars_per_block"]
-    terms, first = {}, {}
+    terms, first, degree_at = {}, {}, {}  # degree -> its first nonzero term
     for i, item in enumerate(data["terms"]):
         exponents = item["exponents"]
         if len(exponents) != blocks or any(len(b) != nv for b in exponents):
-            raise VarCountMismatch(f"bad block shape in term {exponents}")
+            raise SchemaError(
+                f"bad block shape in term {exponents}", f"{pointer}/terms/{i}/exponents"
+            )
         key = tuple(e for b in exponents for e in b)
         if key in first:
             raise SchemaError(
@@ -526,4 +590,11 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
             )
         first[key] = i
         terms[key] = parse_at(parse_rational, item["coeff"], f"{pointer}/terms/{i}/coeff")
+        if terms[key]:
+            degree_at.setdefault(monomial_degree(key), i)
+    if len(degree_at) > 1:
+        raise SchemaError(
+            f"mixed term degrees {sorted(degree_at)}",
+            f"{pointer}/terms/{sorted(degree_at.values())[1]}/exponents",
+        )
     return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))

@@ -37,9 +37,9 @@ from .harness import (
     fmt_q,
     has_violation,
     load_scenario,
-    load_scenario_dict,
     load_variety_dict,
     parse_fraction,
+    parse_variety,
     position_to_dict,
     read_json,
     run_check,
@@ -142,16 +142,22 @@ def _cmd_bounds_a_eps(args) -> int:
 
 def _cmd_chow(args) -> int:
     data = read_json(args.input)
-    # a scenario, or a bare variety file: {"ambient_dim": M, "kind": ..., ...}
-    scenario = isinstance(data, dict) and "variety" in data
-    form = (load_scenario_dict if scenario else load_variety_dict)(data).chow_form
+    # a scenario, or a bare variety file: {"ambient_dim": M, "kind": ..., ...}.
+    # Only the Chow form is printed, so of a scenario only the variety is
+    # parsed: its divisors, places and points are left to `check`.
+    if isinstance(data, dict) and "variety" in data:
+        schema_validate(data)
+        form = parse_variety(data["variety"], data["ambient_dim"], "/variety").chow_form
+    else:
+        form = load_variety_dict(data).chow_form
     expansion = expand_skew(form)
     counts = psigma_count_report(expansion)
+    height = fmt_q(chow_height(form))
     print(
         f"Chow form: {form.blocks} blocks of {form.vars_per_block} vars, "
         f"degree {form.block_degree} per block, {len(form.terms)} terms"
     )
-    print(f"height h(X) = {fmt_q(chow_height(form))}")
+    print(f"height h(X) = {height}")
     print(
         f"skew expansion: {counts.actual_count} nonzero P_sigma; "
         f"stated bound {counts.stated_bound}; "
@@ -163,7 +169,7 @@ def _cmd_chow(args) -> int:
             "vars_per_block": form.vars_per_block,
             "block_degree": form.block_degree,
             "terms": len(form.terms),
-            "height": fmt_q(chow_height(form)),
+            "height": height,
             "sigma_actual": counts.actual_count,
             "sigma_stated_bound": counts.stated_bound,
             "sigma_combinatorial": counts.combinatorial_count,

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from ffsubspace import cli, graded_ideal
+from ffsubspace import chow, cli, graded_ideal
 from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
 from ffsubspace.function_field import ProjectivePoint
@@ -134,11 +134,21 @@ def test_chow_command_on_a_t_dependent_form(capsys, tmp_path):
     assert "height h(X) = 3/1" in out and "place" not in out
 
 
+def _small_form(*exponents):
+    return {"blocks": 2, "vars_per_block": 4,
+            "terms": [{"exponents": e, "coeff": "1"} for e in exponents]}
+
+
 @pytest.mark.parametrize("change, message, pointer", [
     ({"chow_form": multihomform_to_json(chow_of_linear([ProjectivePoint([1, 0, 0])]))},
      "chow_form vars_per_block must equal ambient_dim + 1", "/chow_form/vars_per_block"),
     ({"generators": ["X0 + X1^2"]}, "mixed term degrees [1, 2]", "/generators/0"),
     ({"degree": 3}, "Additional properties are not allowed ('degree' was unexpected)", "/"),
+    ({"chow_form": _small_form([[0, 0, 0, 1], [1, 0, 0, 0]], [[0, 0, 0, 3], [3, 0, 0]])},
+     "bad block shape in term [[0, 0, 0, 3], [3, 0, 0]]", "/chow_form/terms/1/exponents"),
+    ({"chow_form": _small_form([[0, 0, 0, 1], [1, 0, 0, 0]], [[0, 0, 1, 0], [0, 1, 0, 0]],
+                               [[0, 0, 0, 2], [2, 0, 0, 0]])},
+     "mixed term degrees [2, 4]", "/chow_form/terms/2/exponents"),
 ])
 def test_chow_command_bare_variety_errors(capsys, tmp_path, change, message, pointer):
     # pointers name nodes of the bare file itself, not of a scenario around it
@@ -156,6 +166,79 @@ def test_chow_command_on_projective_space(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "3 blocks of 3 vars" in out and "0 nonzero P_sigma" in out
     assert "place" not in out
+
+
+# The whole stdout of `chow --input`, pinned byte for byte.
+CHOW_STDOUT = {
+    "conic": (
+        "Chow form: 2 blocks of 3 vars, degree 2 per block, 7 terms\n"
+        "height h(X) = 0/1\n"
+        "skew expansion: 21 nonzero P_sigma; stated bound 25; "
+        "combinatorial monomial count 36\n"
+    ),
+    "ideal": (
+        "Chow form: 2 blocks of 4 vars, degree 3 per block, 34 terms\n"
+        "height h(X) = 0/1\n"
+        "skew expansion: 2424 nonzero P_sigma; stated bound 7056; "
+        "combinatorial monomial count 3136\n"
+    ),
+    "t_scaled": (
+        "Chow form: 2 blocks of 4 vars, degree 3 per block, 34 terms\n"
+        "height h(X) = 3/1\n"
+        "skew expansion: 2439 nonzero P_sigma; stated bound 7056; "
+        "combinatorial monomial count 3136\n"
+    ),
+    "projective_space": (
+        "Chow form: 3 blocks of 3 vars, degree 1 per block, 6 terms\n"
+        "height h(X) = 0/1\n"
+        "skew expansion: 0 nonzero P_sigma; stated bound 64; "
+        "combinatorial monomial count 27\n"
+    ),
+}
+
+
+CHOW_INPUTS = {
+    "conic": lambda: json.loads(Path(SCENARIO).read_text()),
+    "ideal": ideal_scenario_dict,
+    "t_scaled": t_scaled_ideal_scenario,
+    "projective_space": lambda: {"ambient_dim": 2, "kind": "projective_space"},
+}
+
+
+def _write_json(tmp_path, data):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(CHOW_STDOUT))
+def test_chow_command_stdout_is_pinned(capsys, tmp_path, name):
+    assert main(["chow", "--input", _write_json(tmp_path, CHOW_INPUTS[name]())]) == 0
+    assert capsys.readouterr() == (CHOW_STDOUT[name], "")
+
+
+def test_chow_command_builds_no_psigma(capsys, tmp_path, monkeypatch):
+    # `chow` prints only the count of the P_sigma, read off the packed sums
+    def unbuilt(expansion):
+        raise AssertionError("P_sigma built")
+
+    monkeypatch.setattr(chow, "_psigma_forms", unbuilt)
+    assert main(["chow", "--input", _write_json(tmp_path, ideal_scenario_dict())]) == 0
+    assert capsys.readouterr() == (CHOW_STDOUT["ideal"], "")
+
+
+def test_chow_command_parses_only_the_variety(capsys, tmp_path):
+    # a point that does not parse is refused by `check`, which reads it, and
+    # not by `chow`, which prints only data of the Chow form
+    scenario = ideal_scenario_dict()
+    scenario["points"][1][2] = "t +"
+    path = _write_json(tmp_path, scenario)
+    assert main(["chow", "--input", path]) == 0
+    assert capsys.readouterr() == (CHOW_STDOUT["ideal"], "")
+    assert main(["check", path]) == 2
+    assert capsys.readouterr().err == (
+        "error: unexpected token None (at position 3) (at /points/1/2)\n"
+    )
 
 
 def test_constants_command(capsys, tmp_path):
