@@ -59,6 +59,7 @@ from .errors import (
 from .function_field import (
     ProjectivePoint,
     RationalFunction,
+    clear_denominators,
     gauss_order_coeffs,
     height_point,
     support,
@@ -318,18 +319,6 @@ def skew_product_count(form: MultiHomForm) -> int:
     return sum(prod(comb(e + nv - 2, e) for e in key) for key in form.terms)
 
 
-def _common_numerators(form: MultiHomForm):
-    """(numerators, den): coefficient c of key = numerators[key] / den, over Z[t]."""
-    den = upoly.ONE
-    for c in form.terms.values():
-        if c.den != den:
-            den = upoly.quo(upoly.mul(den, c.den), upoly.gcd(den, c.den))
-    return {
-        key: c.num if c.den == den else upoly.mul(c.num, upoly.quo(den, c.den))
-        for key, c in form.terms.items()
-    }, den
-
-
 def _mul_maps(a: dict, b: dict) -> dict:
     """The product of two {packed key: int} maps; keys multiply by adding."""
     out = {}
@@ -433,10 +422,10 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
             )
         return got
 
-    numerators, den = _common_numerators(form)
+    numerators, den = clear_denominators(form.terms.values())
     # acc[j]: key -> coefficient of t^j in the numerator over den
-    acc = [{} for _ in range(max(map(len, numerators.values()), default=0))]
-    for key, num in numerators.items():
+    acc = [{} for _ in range(max(map(len, numerators), default=0))]
+    for key, num in zip(form.terms, numerators):
         expanded = reduce(_mul_maps, map(block_map, range(blocks), form.split(key)))
         for a, out in zip(num, acc):
             if a:
@@ -568,14 +557,15 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
 
 def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
     """The form of `multihomform_to_json`'s output.  A SchemaError names the
-    term at fault: a bad block shape, or a degree other than the first
-    nonzero term's, at `pointer`/terms/<i>/exponents; exponents that repeat
-    an earlier term's at `pointer`/terms/<i>; a coefficient that does not
-    parse at `pointer`/terms/<i>/coeff."""
+    term at fault: a bad block shape, or a degree or block degrees other
+    than the first nonzero term's, at `pointer`/terms/<i>/exponents;
+    exponents that repeat an earlier term's at `pointer`/terms/<i>; a
+    coefficient that does not parse at `pointer`/terms/<i>/coeff."""
     from .parsing import parse_at, parse_rational
 
     blocks, nv = data["blocks"], data["vars_per_block"]
-    terms, first, degree_at = {}, {}, {}  # degree -> its first nonzero term
+    # degree_at, profile_at: total degree, block degrees -> first nonzero term
+    terms, first, degree_at, profile_at = {}, {}, {}, {}
     for i, item in enumerate(data["terms"]):
         exponents = item["exponents"]
         if len(exponents) != blocks or any(len(b) != nv for b in exponents):
@@ -592,9 +582,16 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
         terms[key] = parse_at(parse_rational, item["coeff"], f"{pointer}/terms/{i}/coeff")
         if terms[key]:
             degree_at.setdefault(monomial_degree(key), i)
+            profile_at.setdefault(tuple(map(sum, exponents)), i)
     if len(degree_at) > 1:
         raise SchemaError(
             f"mixed term degrees {sorted(degree_at)}",
             f"{pointer}/terms/{sorted(degree_at.values())[1]}/exponents",
+        )
+    if len(profile_at) > 1:
+        (profile, _), (this, i) = list(profile_at.items())[:2]
+        raise SchemaError(
+            f"mixed block degrees {profile} vs {this} in multihomogeneous form",
+            f"{pointer}/terms/{i}/exponents",
         )
     return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))

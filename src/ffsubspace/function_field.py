@@ -232,14 +232,17 @@ def _times(a, b, c, d) -> RationalFunction:
     return RationalFunction._canonical(upoly.mul(a, c), den)
 
 
-def clear_denominators(elements) -> list:
-    """The integer polynomials f * D for D the lcm in Z[t] of the denominators."""
-    if all(f.den == _ONE for f in elements):
-        return [f.num for f in elements]
+def clear_denominators(elements) -> tuple:
+    """(polys, D): the integer polynomials f * D, for D the lcm in Z[t] of
+    the denominators."""
     den = _ONE
     for f in elements:
-        den = upoly.mul(den, upoly.quo(f.den, upoly.gcd(den, f.den)))
-    return [upoly.mul(f.num, upoly.quo(den, f.den)) for f in elements]
+        if f.den != den:
+            den = upoly.mul(den, upoly.quo(f.den, upoly.gcd(den, f.den)))
+    return [
+        f.num if f.den == den else upoly.mul(f.num, upoly.quo(den, f.den))
+        for f in elements
+    ], den
 
 
 class Place:
@@ -355,7 +358,7 @@ class ProjectivePoint:
     def primitive(self) -> "ProjectivePoint":
         """The same point with coprime coordinates in Z[t]; computed once."""
         if self._primitive is None:
-            polys = clear_denominators(self.coordinates)
+            polys, _ = clear_denominators(self.coordinates)
             g = reduce(upoly.gcd, polys, upoly.ZERO)
             if g != upoly.ONE:
                 polys = [upoly.quo(p, g) for p in polys]

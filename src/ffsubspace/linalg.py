@@ -26,7 +26,7 @@ from .multipoly import collect
 def _row_to_primitive(field_row: dict) -> dict:
     """Clear denominators and strip content: {col: RationalFunction} -> {col: ints}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
-    return _strip_content(dict(zip(entries, clear_denominators(entries.values()))))
+    return _strip_content(dict(zip(entries, clear_denominators(entries.values())[0])))
 
 
 def _strip_content(row: dict) -> dict:

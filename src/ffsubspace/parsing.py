@@ -6,22 +6,19 @@ coefficient level no X variables are allowed; at the polynomial level
 division is only legal when the divisor is a constant of K.  A power is
 refused before it is built when its exponent, or the degree of its result
 (in t, or in total in the X variables), exceeds MAX_EXPONENT, when its
-coefficients could exceed MAX_COEFFICIENT_BITS bits, when it could have
-more than MAX_POWER_TERMS terms, or when building it could cost more than
+coefficients could exceed MAX_COEFFICIENT_BITS bits, or, inside a
+polynomial (X free or not, but not in a coefficient), when it could have
+more than MAX_POWER_TERMS terms or building it could cost more than
 MAX_POWER_COST.
 
-`_Parser` walks the grammar once for both levels; what a value is depends
-on the level:
-
-* Coefficients (`parse_rational`) are pairs (num, den) of integer `upoly`
-  tuples, combined by the fraction rules with no gcd; a pair is brought to
-  canonical form only as the base of a power, so the power limits see the
-  base's value and not how it is written, and once at the end.
-* Polynomials (`parse_terms`) are sparse term maps {exponent tuple:
-  RationalFunction}; a map whose only key is the zero tuple is a constant.
-  They are added with `multipoly.collect`, multiplied with
-  `multipoly.mul_terms` and raised to powers with `upoly.power`, the same
-  kernel every polynomial type uses.
+`_Parser` walks the grammar once for both levels, on one kind of value:
+sparse term maps {exponent tuple: RationalFunction}, in no variables for a
+coefficient (`parse_rational` returns the constant term).  Their
+coefficients are combined by `RationalFunction`'s arithmetic and stay in
+lowest terms, so the power limits see a base's value and not how it is
+written.  Maps are added with `multipoly.collect` and multiplied with
+`multipoly.mul_terms`; a power of a one-term map is raised term by term,
+any other with `upoly.power`, the same kernel every polynomial type uses.
 
 The tokenizer reads an expanded polynomial in t with integer coefficients,
 a sum of terms `c`, `c*t`, `c*t^k`, `t` and `t^k`, each with an optional
@@ -56,7 +53,7 @@ from .multipoly import collect, mul_terms
 MAX_EXPONENT = 1000
 
 # Largest number of terms `^` may give a polynomial, as estimated from the
-# base by `_TermParser.terms`.  (X0 + X1)^499 has 500 terms and is built in
+# base by `_power_terms`.  (X0 + X1)^499 has 500 terms and is built in
 # under a second; (X0 + X1 + X2 + X3)^30 would have 5,456.
 MAX_POWER_TERMS = 500
 
@@ -64,11 +61,12 @@ MAX_POWER_TERMS = 500
 # `_bits_per_factor`.  10^1000 and (7*t + 7)^1000 pass; (2^1000)^5 does not.
 MAX_COEFFICIENT_BITS = 4000
 
-# Largest cost of a power in the X variables: its terms times the
-# `_TermParser.coefficient_cost` of each.  (X0 + X1)^499 costs 249,500 and
-# (7*X0 + 8*X1)^499 998,000; both build in under 0.7 s.  (127*X0 + 128*X1)^499,
-# within the three limits above, costs 1,996,000 and takes over a second;
-# (X0 + t*X1)^499 costs 6.2e10 and takes seconds.
+# Largest cost of a power inside a polynomial: its terms times the
+# `_coefficient_cost` of each; a coefficient has no cost limit.
+# (X0 + X1)^499 costs 249,500 and (7*X0 + 8*X1)^499 998,000; both build in
+# under 0.7 s.  (127*X0 + 128*X1)^499, within the three limits above, costs
+# 1,996,000 and takes over a second; (X0 + t*X1)^499 costs 6.2e10 and takes
+# seconds.
 MAX_POWER_COST = 1_000_000
 
 # Most digits an integer literal may have: those of 2^MAX_COEFFICIENT_BITS
@@ -149,17 +147,15 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    """The grammar.  Subclasses give the values: constants, t, variables,
-    folded polynomials in t (`poly`), and add/neg/mul/div/pow on them, the
-    `size` of a power's base: its degree and `_bits_per_factor`, a bound on
-    the number of `terms` of a power and the `coefficient_cost` of each of
-    them.  `canonical` brings a base to the form `size` and `pow` see; term
-    maps are canonical already."""
+    """The grammar, with sparse term maps {exponent tuple: RationalFunction}
+    in `num_vars` variables as its values; a map whose only key is the zero
+    tuple is a constant."""
 
-    def __init__(self, text: str):
-        self.text = text
+    def __init__(self, text: str, num_vars: int):
         self.tokens = _tokenize(text)
         self.i = 0
+        self.num_vars = num_vars
+        self.zero = (0,) * num_vars
 
     def peek(self):
         return self.tokens[self.i]
@@ -191,7 +187,7 @@ class _Parser:
             if kind == "op" and val in "+-":
                 self.advance()
                 rhs = self.term()
-                value = self.add(value, self.neg(rhs) if val == "-" else rhs)
+                value = collect(rhs.items() if val == "+" else _neg(rhs).items(), value)
             else:
                 return value
 
@@ -202,7 +198,7 @@ class _Parser:
             if kind == "op" and val in "*/":
                 self.advance()
                 rhs = self.unary()
-                value = self.mul(value, rhs) if val == "*" else self.div(value, rhs, pos)
+                value = mul_terms(value, rhs) if val == "*" else self.div(value, rhs, pos)
             else:
                 return value
 
@@ -210,7 +206,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "-":
             self.advance()
-            return self.neg(self.unary())
+            return _neg(self.unary())
         if kind == "op" and val == "+":
             self.advance()
             return self.unary()
@@ -226,8 +222,7 @@ class _Parser:
                 raise ParseError("exponent must be a nonnegative integer", pos)
             if e > MAX_EXPONENT:
                 raise ParseError(f"exponent {e} exceeds the limit {MAX_EXPONENT}", pos)
-            base = self.canonical(base)
-            degree, bits = self.size(base)
+            degree, bits = _size(base)
             if degree * e > MAX_EXPONENT:
                 raise ParseError(
                     f"power of degree {degree * e} exceeds the limit {MAX_EXPONENT}", pos
@@ -237,29 +232,37 @@ class _Parser:
                     f"power with coefficients of up to {bits * e} bits exceeds "
                     f"the limit {MAX_COEFFICIENT_BITS}", pos
                 )
-            terms = self.terms(base, e)
+            terms = _power_terms(base, e)
             if terms > MAX_POWER_TERMS:
                 raise ParseError(
                     f"power with up to {terms} terms exceeds the limit {MAX_POWER_TERMS}", pos
                 )
-            cost = terms * self.coefficient_cost(base, e, bits)
+            # A coefficient has no cost limit: the degree and bit limits bound it.
+            cost = terms * _coefficient_cost(base, e, bits) if self.num_vars else 0
             if cost > MAX_POWER_COST:
                 raise ParseError(
                     f"power with an estimated cost of {cost} exceeds the limit "
                     f"{MAX_POWER_COST}", pos
                 )
-            return self.pow(base, e)
+            # A nonzero one-term base is raised term by term, with no gcd
+            # (RationalFunction.__pow__ runs none); a zero one is left to
+            # the products, which drop it.
+            if len(base) == 1:
+                (mono, c), = base.items()
+                if c:
+                    return {tuple(e * x for x in mono): c**e}
+            return upoly.power(base, e, {self.zero: RationalFunction(1)}, mul_terms)
         return base
 
     def atom(self):
         kind, val, pos = self.advance()
         if kind == "poly":
-            return self.poly(val)
+            return {self.zero: RationalFunction._canonical(val)}
         if kind == "int":
-            return self.const(val)
+            return {self.zero: RationalFunction(val)}
         if kind == "name":
             if val == "t":
-                return self.t()
+                return {self.zero: RationalFunction.t()}
             m = re.fullmatch(r"X(\d+)", val)
             if m:
                 return self.var(int(m.group(1)), pos)
@@ -270,14 +273,28 @@ class _Parser:
             return inner
         raise ParseError(f"unexpected token {val!r}", pos)
 
-    def canonical(self, base):
-        return base
+    def var(self, idx, pos):
+        if self.num_vars == 0:
+            raise ParseError("variables not allowed here", pos)
+        if idx >= self.num_vars:
+            raise ParseError(
+                f"variable X{idx} out of range (have X0..X{self.num_vars - 1})", pos
+            )
+        mono = tuple(1 if i == idx else 0 for i in range(self.num_vars))
+        return {mono: RationalFunction(1)}
 
-    def terms(self, base, e):
-        return 1  # a coefficient is one term
+    def div(self, terms: dict, divisor: dict, pos: int) -> dict:
+        """terms / divisor, for a divisor that is a nonzero constant of K."""
+        c = divisor.get(self.zero)
+        if len(divisor) > (c is not None):
+            raise ParseError("division by a non-constant polynomial", pos)
+        if not c:
+            raise ParseError("division by zero", pos)
+        return {m: v / c for m, v in terms.items()}
 
-    def coefficient_cost(self, base, e, bits):
-        return 0  # one coefficient: the degree and bit limits bound it
+
+def _neg(terms: dict) -> dict:
+    return {m: -c for m, c in terms.items()}
 
 
 def _bits_per_factor(coeffs) -> int:
@@ -294,141 +311,49 @@ def _t_degree(terms: dict) -> int:
     )
 
 
-class _TermParser(_Parser):
-    """Polynomial level: term maps {exponents: RationalFunction}."""
-
-    def __init__(self, text: str, num_vars: int):
-        super().__init__(text)
-        self.num_vars = num_vars
-        self.zero = (0,) * num_vars
-
-    def const(self, value):
-        return {self.zero: RationalFunction(value)}
-
-    def t(self):
-        return {self.zero: RationalFunction.t()}
-
-    def poly(self, coeffs):
-        return {self.zero: RationalFunction._canonical(coeffs)}
-
-    def var(self, idx, pos):
-        if self.num_vars == 0:
-            raise ParseError("variables not allowed here", pos)
-        if idx >= self.num_vars:
-            raise ParseError(
-                f"variable X{idx} out of range (have X0..X{self.num_vars - 1})", pos
-            )
-        mono = tuple(1 if i == idx else 0 for i in range(self.num_vars))
-        return {mono: RationalFunction(1)}
-
-    def add(self, a, b):
-        return collect(b.items(), dict(a))
-
-    def neg(self, a):
-        return {m: -c for m, c in a.items()}
-
-    def mul(self, a, b):
-        return mul_terms(a, b)
-
-    def div(self, a, b, pos):
-        c = _as_constant(b, pos)
-        if c.is_zero():
-            raise ParseError("division by zero", pos)
-        return {m: v / c for m, v in a.items()}
-
-    def size(self, base):
-        coeffs = base.values()
-        degree = max([sum(m) for m in base] + [_t_degree(base)])
-        return degree, max(
-            _bits_per_factor(x for c in coeffs for x in c.num),
-            _bits_per_factor(x for c in coeffs for x in c.den),
-        )
-
-    def terms(self, base, e):
-        """At most as many terms as multisets of e terms of the base, and as
-        monomials in the base's variables of a degree that base^e can have."""
-        if not base or e == 0:
-            return 1
-        multisets = comb(len(base) + e - 1, e)
-        v = sum(1 for exponents in zip(*base) if any(exponents))
-        degrees = [sum(m) for m in base]
-        lo, hi = min(degrees) * e, max(degrees) * e
-        monomials = comb(hi + v, v) - (comb(lo - 1 + v, v) if lo else 0)
-        return min(multisets, monomials)
-
-    def coefficient_cost(self, base, e, bits):
-        """A coefficient of base^e is a dense Z[t] tuple of up to s = e *
-        (t-degree of the base's coefficients) + 1 integers of up to e * bits
-        bits, and `upoly.mul` takes s^2 products of such integers for two of
-        them: s^2 * e * bits, which is e * bits for a base free of t."""
-        return (e * _t_degree(base) + 1) ** 2 * e * bits
-
-    def pow(self, base, e):
-        return upoly.power(base, e, self.const(1), mul_terms)
+def _size(base: dict):
+    """(degree, bits) of a power's base: its largest degree, in t or in
+    total in the X variables, and `_bits_per_factor` of its numerators and
+    of its denominators."""
+    coeffs = base.values()
+    degree = max([sum(m) for m in base] + [_t_degree(base)])
+    return degree, max(
+        _bits_per_factor(x for c in coeffs for x in c.num),
+        _bits_per_factor(x for c in coeffs for x in c.den),
+    )
 
 
-class _RationalParser(_Parser):
-    """Coefficient level: (num, den) pairs over Z[t], reduced only as the
-    base of a power."""
-
-    def const(self, value):
-        return upoly.strip((value,)), upoly.ONE
-
-    def t(self):
-        return upoly.T, upoly.ONE
-
-    def poly(self, coeffs):
-        return coeffs, upoly.ONE
-
-    def var(self, idx, pos):
-        raise ParseError("variables not allowed here", pos)
-
-    def add(self, x, y):
-        (a, b), (c, d) = x, y
-        if b == d:
-            return upoly.add(a, c), b
-        return upoly.add(upoly.mul(a, d), upoly.mul(c, b)), upoly.mul(b, d)
-
-    def neg(self, x):
-        return upoly.neg(x[0]), x[1]
-
-    def mul(self, x, y):
-        return upoly.mul(x[0], y[0]), upoly.mul(x[1], y[1])
-
-    def div(self, x, y, pos):
-        if not y[0]:
-            raise ParseError("division by zero", pos)
-        return upoly.mul(x[0], y[1]), upoly.mul(x[1], y[0])
-
-    def canonical(self, x):
-        f = RationalFunction.reduced(*x)
-        return f.num, f.den
-
-    def size(self, x):
-        return max(map(upoly.degree, x)), max(map(_bits_per_factor, x))
-
-    def pow(self, x, e):
-        return upoly.pow_(x[0], e), upoly.pow_(x[1], e)
+def _power_terms(base: dict, e: int) -> int:
+    """A bound on the terms of base^e: at most as many as multisets of e
+    terms of the base, and as monomials in the base's variables of a degree
+    that base^e can have."""
+    if not base or e == 0:
+        return 1
+    multisets = comb(len(base) + e - 1, e)
+    v = sum(1 for exponents in zip(*base) if any(exponents))
+    degrees = [sum(m) for m in base]
+    lo, hi = min(degrees) * e, max(degrees) * e
+    monomials = comb(hi + v, v) - (comb(lo - 1 + v, v) if lo else 0)
+    return min(multisets, monomials)
 
 
-def _as_constant(terms: dict, pos: int) -> RationalFunction:
-    nonconst = [m for m in terms if any(m)]
-    if nonconst:
-        raise ParseError("division by a non-constant polynomial", pos)
-    if not terms:
-        return RationalFunction(0)
-    return next(iter(terms.values()))
+def _coefficient_cost(base: dict, e: int, bits: int) -> int:
+    """A coefficient of base^e is a dense Z[t] tuple of up to s = e *
+    (t-degree of the base's coefficients) + 1 integers of up to e * bits
+    bits, and `upoly.mul` takes s^2 products of such integers for two of
+    them: s^2 * e * bits, which is e * bits for a base free of t."""
+    return (e * _t_degree(base) + 1) ** 2 * e * bits
 
 
 def parse_terms(text: str, num_vars: int) -> dict:
     """Parse into a sparse {exponents: coefficient} map (possibly mixed degree)."""
-    return _TermParser(text, num_vars).parse()
+    return _Parser(text, num_vars).parse()
 
 
 def parse_rational(text: str) -> RationalFunction:
     """Parse a coefficient-level expression into an element of Q(t)."""
-    num, den = _RationalParser(text).parse()
-    return RationalFunction.reduced(num, den)
+    terms = _Parser(text, 0).parse()
+    return terms[()] if terms else RationalFunction(0)
 
 
 def parse_at(parse, value, pointer: str, *args):

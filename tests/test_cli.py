@@ -149,6 +149,9 @@ def _small_form(*exponents):
     ({"chow_form": _small_form([[0, 0, 0, 1], [1, 0, 0, 0]], [[0, 0, 1, 0], [0, 1, 0, 0]],
                                [[0, 0, 0, 2], [2, 0, 0, 0]])},
      "mixed term degrees [2, 4]", "/chow_form/terms/2/exponents"),
+    ({"chow_form": _small_form([[1, 0, 0, 0], [0, 0, 0, 1]], [[2, 0, 0, 0], [0, 0, 0, 0]])},
+     "mixed block degrees (1, 1) vs (2, 0) in multihomogeneous form",
+     "/chow_form/terms/1/exponents"),
 ])
 def test_chow_command_bare_variety_errors(capsys, tmp_path, change, message, pointer):
     # pointers name nodes of the bare file itself, not of a scenario around it

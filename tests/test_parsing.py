@@ -1,5 +1,6 @@
-"""The coefficient parser over Z[t] pairs: seeded workload inputs against a
-Fraction-tuple reference evaluator, and hypothesis properties."""
+"""The parser at the coefficient level, where a value is one element of Q(t):
+seeded workload inputs and random expression trees against a Fraction-tuple
+reference evaluator, hypothesis properties, and the limits of `^`."""
 
 import re
 import sys
@@ -214,6 +215,51 @@ def test_field_operations_stay_canonical_and_agree_with_sympy(f, g):
             assert upoly.degree(h.num) == p.degree()
 
 
+def _descent_trees():
+    """Random expressions over integers and t with + - * /, unary signs and
+    `^` (exponent <= 4) on bases of one term (`t^3`, `7^2`) and of several,
+    with groups the tokenizer folds and groups it cannot, such as
+    `(t + 0*1)`.  At most two `^`, so degrees stay small."""
+    leaves = st.one_of(st.integers(0, 12).map(str), st.just("t"))
+    exponents = st.integers(0, 4)
+
+    def extend(inner):
+        return st.one_of(
+            st.builds("{} {} {}".format, inner, st.sampled_from("+-*/"), inner),
+            st.builds("{}{}".format, st.sampled_from("-+"), inner),
+            st.builds("({})".format, inner),
+            st.builds("({} + 0*1)".format, inner),
+            st.builds("{}^{}".format, leaves, exponents),
+            st.builds("({})^{}".format, inner, exponents),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10).filter(lambda s: s.count("^") <= 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_descent_trees())
+def test_descent_agrees_with_the_reference(text):
+    try:
+        ref = reference_parse(text)
+    except (IndexError, ZeroDivisionError):  # the reference divided by zero
+        ref = None
+    try:
+        f = parse_rational(text)
+    except ParseError as exc:
+        assert ref is None and str(exc).startswith("division by zero"), text
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_terms(text, 1)
+        return
+    assert ref is not None and _monic_pair(f) == (ref.num, ref.den), text
+    try:
+        terms = parse_terms(text, 1)
+    except ParseError as exc:  # the one limit a coefficient does not have
+        assert "estimated cost" in str(exc), text
+        return
+    assert set(terms) <= {(0,)}
+    assert terms.get((0,), RationalFunction(0)) == f, text
+
+
 def test_power_limits_see_the_reduced_base():
     # the degree and bit limits of `^` apply to the base's value, not to how
     # it is written
@@ -243,6 +289,14 @@ def test_power_cost_counts_the_t_degree_of_the_coefficients():
     # free of t, the cost is terms * e * bits: 500 * 499 * 8 here
     with pytest.raises(ParseError, match="estimated cost of 1996000 exceeds"):
         parse_terms("(127*X0 + 128*X1)^499", 2)
+    # a coefficient has no cost limit: (t + 1)^100, at a cost of
+    # (100 + 1)^2 * 100 * 1, parses alone but not inside a polynomial
+    assert parse_rational("(t+1)^100").num == upoly.pow_((1, 1), 100)
+    with pytest.raises(ParseError) as err:
+        parse_terms("(t+1)^100*X0", 1)
+    assert str(err.value) == (
+        "power with an estimated cost of 1020100 exceeds the limit 1000000 (at position 6)"
+    )
 
 
 # --- the fold: an expanded polynomial in t with integer coefficients that
