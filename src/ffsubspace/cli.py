@@ -52,6 +52,8 @@ from .parsing import parse_rational
 
 def _infer_num_vars(texts, explicit):
     if explicit is not None:
+        if explicit < 1:
+            raise ToolkitError(f"--num-vars must be at least 1, got {explicit}")
         return explicit
     top = -1
     for text in texts:

@@ -523,28 +523,27 @@ def _divisor_order(p: Place, q) -> int:
 def weil_table(places, qs, x: ProjectivePoint) -> tuple:
     """Rows (p, (lambda_{p,Q}(x) for Q in qs)) for x off every divisor {Q = 0}.
 
-    lambda_{p,Q}(x) = (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p, nonnegative and
-    invariant under scaling Q and x by K*.  Each Q is evaluated once, at the
-    primitive coordinates of x: e_p(x) is 0 at finite p and -h(x) at infinity.
-    e_p(Q) is kept across points and calls.
+    lambda_{p,Q}(x) = (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p, a nonnegative
+    int, invariant under scaling Q and x by K*.  Each Q is evaluated once, at
+    the primitive coordinates of x: e_p(x) is 0 at finite p and -h(x) at
+    infinity.  e_p(Q) is kept across points and calls.
     """
     x = x.primitive()
     values = [q.evaluate(x) for q in qs]
     for i, value in enumerate(values):
         if value.is_zero():
             raise PointOnDivisor(f"point lies on divisor {qs[i]}", index=i)
-    h = height_point(x)
+    h = int(height_point(x))
     rows = []
     for p in places:
         e_x = -h if p.is_infinite else 0
         rows.append((p, tuple(
-            Fraction(order_at(value, p) - q.degree * e_x - _divisor_order(p, q))
-            * p.degree
+            (order_at(value, p) - q.degree * e_x - _divisor_order(p, q)) * p.degree
             for q, value in zip(qs, values)
         )))
     return tuple(rows)
 
 
-def weil(p: Place, q, x: ProjectivePoint) -> Fraction:
-    """Weil function lambda_{p,Q}(x) for x off the divisor {Q = 0}; see weil_table."""
+def weil(p: Place, q, x: ProjectivePoint) -> int:
+    """Weil function lambda_{p,Q}(x), an int, for x off {Q = 0}; see weil_table."""
     return weil_table([p], [q], x)[0][1][0]

@@ -396,7 +396,7 @@ class PointRecord(NamedTuple):
     status: str  # evaluated | on_divisor | not_on_variety
     vanishing_divisors: tuple = ()
     height: Fraction | None = None
-    weil_table: tuple = ()  # ((place, (lambda per divisor, ...)), ...)
+    weil_table: tuple = ()  # ((place, (int lambda per divisor, ...)), ...)
     lhs: Fraction | None = None
     rhs_main: Fraction | None = None
     rhs_full: Fraction | None = None
@@ -488,6 +488,9 @@ def run_check(scenario: Scenario) -> Report:
     constants = assemble_constants(inputs, partial(_exact_hilbert, scenario))
 
     factor = scenario.N * (n + 1) + scenario.epsilon
+    # lhs = sum lambda / d_i = (sum lambda * (d / d_i)) / d over the ints.
+    d = reduction.d
+    weights = tuple(d // di for di in degrees)
     records = []
     for idx, x in enumerate(scenario.points):
         # Checks and values use primitive coordinates; records keep x as given.
@@ -508,9 +511,8 @@ def run_check(scenario: Scenario) -> Report:
                             verdict="OnDivisor")
             )
             continue
-        lhs = sum(
-            (lam / di for _, row in weil_rows for lam, di in zip(row, degrees)),
-            Fraction(0),
+        lhs = Fraction(
+            sum(lam * w for _, row in weil_rows for lam, w in zip(row, weights)), d
         )
         h = height_point(prim)
         rhs_main = factor * h
@@ -546,8 +548,10 @@ def run_check(scenario: Scenario) -> Report:
 
 
 def fmt_q(x) -> str:
-    f = Fraction(x)
-    return f"{f.numerator}/{f.denominator}"
+    """An int or a Fraction as 'numerator/denominator'."""
+    if isinstance(x, int):
+        return f"{x}/1"
+    return f"{x.numerator}/{x.denominator}"
 
 
 def position_to_dict(position) -> dict:

@@ -4,14 +4,17 @@ Polynomials are immutable tuples of ints, lowest degree first, with trailing
 zeros stripped; the empty tuple is the zero polynomial.  Q(t) is the
 fraction field of Z[t], so this one representation serves every element of
 K (a coprime numerator/denominator pair, see `function_field`) and the
-fraction-free elimination in `linalg`.  No kernel here touches a Fraction;
-`format_poly` builds one per coefficient only to render a denominator.
+fraction-free elimination in `linalg`.  Nothing here touches a Fraction:
+`format_poly` reduces each coefficient over its denominator with one
+integer gcd.
 
 Division over Z comes in two forms: `divmod_` is pseudo-division
 (lc(b)^k * a = q*b + r), which drives the primitive remainder sequence, and
 `quo` is exact division, which answers whether b divides a.  By Gauss's
 lemma a primitive p divides a in Q[t] exactly when it divides it in Z[t],
-so `multiplicity` at a place needs only `quo`.  `gcd` is the heuristic GCD
+so `multiplicity` at a place needs only `quo`; it first compares the values
+at t = 2^20, since p | a in Z[t] forces p(2^20) | a(2^20), and most places
+are rejected by that one integer remainder.  `gcd` is the heuristic GCD
 of Char, Geddes and Gonnet (one integer gcd at an evaluation point, then
 two exact divisions), with the primitive PRS as its fallback.
 Factorization into irreducibles is delegated to sympy and cached, since
@@ -24,7 +27,6 @@ so a run whose places have degree <= 2 never loads sympy.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd as igcd, isqrt
 
@@ -36,6 +38,9 @@ T = (0, 1)
 
 # Evaluation points tried by the heuristic gcd before it falls back to the PRS.
 _HEU_GCD_TRIES = 6
+
+# The point at which `multiplicity` tests divisibility before it divides.
+_REJECT_AT = 1 << 20
 
 
 def strip(coeffs) -> tuple:
@@ -263,11 +268,19 @@ def gcd(a, b) -> tuple:
 
 
 def multiplicity(a, p) -> int:
-    """Largest k with p^k | a; a nonzero, p primitive of degree >= 1."""
+    """Largest k with p^k | a; a nonzero, p primitive of degree >= 1.
+
+    p | a in Z[t] forces p(X) | a(X) at the integer X = 2^20, so a nonzero
+    remainder there answers without a division; when p(X) = 0 the test
+    says nothing and is skipped.
+    """
     if not a:
         raise ZeroDivisionError("multiplicity in zero polynomial")
+    p_at = _evaluate(p, _REJECT_AT)
     k = 0
     while True:
+        if p_at and _evaluate(a, _REJECT_AT) % p_at:
+            return k
         q = quo(a, p)
         if q is None:
             return k
@@ -344,12 +357,14 @@ def format_poly(p, var: str = "t", den: int = 1) -> str:
         if c == 0:
             continue
         sign = "-" if c < 0 else "+"
-        c = Fraction(abs(c), den)
+        g = igcd(c, den)
+        num, q = abs(c) // g, den // g
+        coeff = str(num) if q == 1 else f"{num}/{q}"
         if e == 0:
-            body = str(c)
+            body = coeff
         else:
             v = var if e == 1 else f"{var}^{e}"
-            body = v if c == 1 else f"{c}*{v}"
+            body = v if coeff == "1" else f"{coeff}*{v}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]
     text = ("-" if first_sign == "-" else "") + first_body

@@ -72,6 +72,17 @@ def test_hilbert_command(capsys):
     assert "H(m) = 7" in out
 
 
+@pytest.mark.parametrize("num_vars", ["-1", "0"])
+@pytest.mark.parametrize("argv", [
+    ["hilbert", "--gens", "X0", "--m", "2"],
+    ["filtration", "--gens", "", "--m", "2", "--q-poly", "t"],
+])
+def test_num_vars_below_one_is_refused_before_parsing(capsys, argv, num_vars):
+    # parsing first would end with a variable-range or a d | m error instead
+    assert main([*argv, "--num-vars", num_vars]) == 2
+    assert capsys.readouterr() == ("", f"error: --num-vars must be at least 1, got {num_vars}\n")
+
+
 def test_hilbert_command_builds_only_the_asked_piece(capsys, monkeypatch):
     # H(m) comes from the degree-m piece the command prints, so an ideal that
     # does not persist below m costs one rank, not the ranks of degrees 3..m

@@ -431,7 +431,7 @@ def _rows_off_divisors(qs, x):
 @given(qs=st.lists(_forms(), min_size=1, max_size=3), x=_points())
 def test_weil_rows_are_nonnegative(qs, x):
     for _, row in _rows_off_divisors(qs, x):
-        assert all(value >= 0 for value in row)
+        assert all(type(value) is int and value >= 0 for value in row)
 
 
 @settings(max_examples=60, deadline=None)

@@ -298,3 +298,27 @@ def test_golden_report_bytes(fmt, name):
 def test_fmt_q():
     assert fmt_q(Fraction(6)) == "6/1"
     assert fmt_q(Fraction(-3, 2)) == "-3/2"
+    assert fmt_q(3) == fmt_q(Fraction(3)) == "3/1"
+    assert fmt_q(-4) == "-4/1"
+
+
+def test_lhs_is_the_sum_of_the_int_weil_values_over_the_degrees():
+    data = golden_scenario_dict()
+    data["divisors"] = [
+        {"poly": "X0", "degree": 1},
+        {"poly": "X1", "degree": 1},
+        {"poly": "X0^2 + t*X1^2 + X2^2", "degree": 2},
+    ]
+    data["places"] = ["t", "t - 1", "t^2 + 1", "inf"]
+    report = run_check(load_scenario_dict(data))
+    degrees = [1, 1, 2]
+    evaluated = [r for r in report.points if r.status == "evaluated"]
+    assert len(evaluated) >= 3
+    assert any(r.lhs.denominator == 2 for r in evaluated)
+    for rec in evaluated:
+        assert all(type(lam) is int for _, row in rec.weil_table for lam in row)
+        assert isinstance(rec.lhs, Fraction)
+        assert rec.lhs == sum(
+            (Fraction(lam, di) for _, row in rec.weil_table for lam, di in zip(row, degrees)),
+            Fraction(0),
+        )

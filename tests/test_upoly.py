@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
@@ -45,11 +46,41 @@ def test_divmod_gcd():
         upoly.quo(a, ())
 
 
+def _multiplicity_by_quo(a, p):
+    """Reference: divide by p until it no longer divides."""
+    k = 0
+    while (q := upoly.quo(a, p)) is not None:
+        a, k = q, k + 1
+    return k
+
+
 def test_multiplicity():
     p = upoly.mul((-1, 1), upoly.mul((-1, 1), (1, 1)))
     assert upoly.multiplicity(p, (-1, 1)) == 2
     assert upoly.multiplicity(p, (1, 1)) == 1
     assert upoly.multiplicity(p, (2, 1)) == 0
+    # p(X) divides a(X) at X = 2^20 although p does not divide a
+    for a in [(1048577,), (0, 1048577), upoly.add(upoly.mul((1, 1), (5, 7)), (1048577,))]:
+        assert upoly.multiplicity(a, (1, 1)) == _multiplicity_by_quo(a, (1, 1)) == 0
+    assert upoly.multiplicity(upoly.mul((-1048576, 1), (1048577,)), (-1048576, 1)) == 1
+
+
+# t - 2^20 vanishes at the point where multiplicity tests divisibility first.
+_MULTIPLICITY_PLACES = [(-1048576, 1), (1, 2), (1, 0, 3), (0, 1), (-1, 1), (2, 0, 1)]
+_big_coeffs = st.integers(-(2**70), 2**70)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.sampled_from(_MULTIPLICITY_PLACES),
+    k=st.integers(0, 4),
+    r=st.lists(_big_coeffs, min_size=1, max_size=6).filter(any),
+)
+def test_multiplicity_matches_repeated_quo(p, k, r):
+    a = upoly.mul(upoly.pow_(p, k), upoly.strip(r))
+    m = upoly.multiplicity(a, p)
+    assert m == _multiplicity_by_quo(a, p)
+    assert m >= k
 
 
 def test_factor_monic_reconstructs():
@@ -135,6 +166,50 @@ def test_format_round_trip():
         f = RationalFunction(coeffs)  # a polynomial over Q: constant denominator
         assert len(f.den) == 1
         assert parse_rational(upoly.format_poly(f.num, den=f.den[0])) == f
+
+
+def _format_poly_with_fractions(p, var="t", den=1):
+    """format_poly as it was written with one Fraction per coefficient."""
+    if not p:
+        return "0"
+    parts = []
+    for e in range(len(p) - 1, -1, -1):
+        c = p[e]
+        if c == 0:
+            continue
+        sign = "-" if c < 0 else "+"
+        c = Fraction(abs(c), den)
+        if e == 0:
+            body = str(c)
+        else:
+            v = var if e == 1 else f"{var}^{e}"
+            body = v if c == 1 else f"{c}*{v}"
+        parts.append((sign, body))
+    first_sign, first_body = parts[0]
+    text = ("-" if first_sign == "-" else "") + first_body
+    for sign, body in parts[1:]:
+        text += f" {sign} {body}"
+    return text
+
+
+@st.composite
+def _polys_over_a_denominator(draw):
+    """(p, den) where den and the coefficients share factors often."""
+    shared = draw(st.sampled_from([1, 2, 3, 4, 6, 12, 2**64 + 2]))
+    den = shared * draw(st.integers(1, 10))
+    coeffs = draw(st.lists(
+        st.integers(-40, 40).map(lambda c: c * shared) | st.integers(-(2**66), 2**66),
+        max_size=6,
+    ))
+    return upoly.strip(coeffs), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(p_den=_polys_over_a_denominator())
+def test_format_poly_matches_the_fraction_rendering(p_den):
+    p, den = p_den
+    assert upoly.format_poly(p, den=den) == _format_poly_with_fractions(p, den=den)
+    assert upoly.format_poly(p, "s", den) == _format_poly_with_fractions(p, "s", den)
 
 
 def test_parser_edges():
