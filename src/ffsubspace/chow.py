@@ -110,6 +110,8 @@ class MultiHomForm:
                 raise DegreeMismatch(
                     f"mixed block degrees {profile} vs {this} in multihomogeneous form"
                 )
+        if profile and len(set(profile)) > 1:
+            raise DegreeMismatch(f"unequal block degrees {profile} in multihomogeneous form")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -558,7 +560,8 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
 def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
     """The form of `multihomform_to_json`'s output.  A SchemaError names the
     term at fault: a bad block shape, or a degree or block degrees other
-    than the first nonzero term's, at `pointer`/terms/<i>/exponents;
+    than the first nonzero term's, or unequal from block to block in the
+    first nonzero term, at `pointer`/terms/<i>/exponents;
     exponents that repeat an earlier term's at `pointer`/terms/<i>; a
     coefficient that does not parse at `pointer`/terms/<i>/coeff."""
     from .parsing import parse_at, parse_rational
@@ -594,4 +597,10 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
             f"mixed block degrees {profile} vs {this} in multihomogeneous form",
             f"{pointer}/terms/{i}/exponents",
         )
+    for profile, i in profile_at.items():
+        if len(set(profile)) > 1:
+            raise SchemaError(
+                f"unequal block degrees {profile} in multihomogeneous form",
+                f"{pointer}/terms/{i}/exponents",
+            )
     return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))

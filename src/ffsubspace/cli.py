@@ -26,6 +26,7 @@ from .filtration import (
 )
 from .function_field import Place, ProjectivePoint
 from .graded_ideal import (
+    POSITION_CAP,
     IdealGenerators,
     check_subgeneral_position,
     graded_piece,
@@ -272,13 +273,10 @@ def _cmd_filtration(args) -> int:
 def _cmd_position(args) -> int:
     scenario = load_scenario(args.file)
     n_value = args.N if args.N is not None else scenario.N
-    cap = args.cap if args.cap is not None else scenario.position_cap
-    report = check_subgeneral_position(
-        scenario.x_gens, scenario.divisors, n_value, cap
-    )
+    report = check_subgeneral_position(scenario.x_gens, scenario.divisors, n_value)
     print(
         f"N = {n_value}: {'in position' if report.in_position else 'NOT certified'} "
-        f"(cap {cap})"
+        f"(cap {POSITION_CAP})"
     )
     for sub in report.subsets:
         print(f"  subset {list(sub.indices)}: {sub.verdict}")
@@ -344,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("position", help="N-subgeneral position check")
     p.add_argument("--file", required=True)
     p.add_argument("--N", type=int, help="override the scenario's N")
-    p.add_argument("--cap", type=int, help="override the certification cap")
     p.add_argument("--report")
     p.set_defaults(func=_cmd_position)
 

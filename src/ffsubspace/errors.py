@@ -60,7 +60,7 @@ class BaseLocusPoint(ToolkitError):
 
 
 class NoCertificateWithinCap(ToolkitError):
-    """No Nullstellensatz certificate exists up to the configured exponent cap."""
+    """No Nullstellensatz certificate exists up to the search's exponent limit."""
 
 
 class MissingTableEntry(ToolkitError):

@@ -264,30 +264,26 @@ def hermann_cofactor_bound(d: int, num_vars: int) -> int:
     return (2 * d) ** (2 ** (num_vars - 1))
 
 
-# The desk-scale limit the default exponent cap clips the (4d)^(M+2)
-# bound to.
+# The desk-scale limit the search clips the (4d)^(M+2) exponent bound to.
 CERTIFICATE_EXPONENT_LIMIT = 12
 
 
 def nullstellensatz_certificate(
-    p0: HomogeneousPoly,
-    gens: IdealGenerators,
-    exponent_cap: int | None = None,
+    p0: HomogeneousPoly, gens: IdealGenerators
 ) -> NullstellensatzCertificate:
     """Search for the least exponent u with a * P0^u in <P_1..P_l>.
 
-    The search solves one exact linear system per candidate u; the default
-    cap clips the astronomically safe theoretical bound to
-    CERTIFICATE_EXPONENT_LIMIT.  The returned identity is re-verified by
-    full expansion.
+    The search solves one exact linear system per candidate u, for u up to
+    the theoretical (4d)^(M+2) bound clipped to CERTIFICATE_EXPONENT_LIMIT;
+    past that it raises NoCertificateWithinCap.  The returned identity is
+    re-verified by full expansion.
     """
     if p0.is_zero():
         raise ZeroPolynomial("P0 must be nonzero")
-    if exponent_cap is None:
-        d = max([p0.degree] + [g.degree for g in gens.generators])
-        exponent_cap = min(
-            certificate_exponent_bound(d, gens.num_vars), CERTIFICATE_EXPONENT_LIMIT
-        )
+    d = max([p0.degree] + [g.degree for g in gens.generators])
+    exponent_cap = min(
+        certificate_exponent_bound(d, gens.num_vars), CERTIFICATE_EXPONENT_LIMIT
+    )
     nv = gens.num_vars
     for u in range(1, exponent_cap + 1):
         target_degree = u * p0.degree
@@ -321,12 +317,17 @@ def nullstellensatz_certificate(
 class EmptinessVerdict(NamedTuple):
     certified_empty: bool
     certified_degree: int | None
-    cap: int
 
     def __str__(self):
         if self.certified_empty:
             return f"EmptyCertified(m={self.certified_degree})"
-        return f"NonemptyAtCap(cap={self.cap})"
+        return f"NonemptyAtCap(cap={POSITION_CAP})"
+
+
+# A resource guard on the position walk, which reports print as
+# `degree_cap`: no graded piece above this degree is built, even when
+# `lazard_degree` is higher.
+POSITION_CAP = 6
 
 
 def lazard_degree(gens: IdealGenerators) -> int:
@@ -347,23 +348,21 @@ def lazard_degree(gens: IdealGenerators) -> int:
     return sum(d - 1 for d in degrees[: gens.num_vars]) + 1
 
 
-def has_common_projective_zero(gens: IdealGenerators, degree_cap: int) -> EmptinessVerdict:
+def has_common_projective_zero(gens: IdealGenerators) -> EmptinessVerdict:
     """One-sided emptiness certificate over the algebraic closure.
 
     EmptyCertified(m) means the degree-m slice is everything, so the
     generators have no common projective zero.  NonemptyAtCap only means no
-    certificate was found up to the cap.  The walk stops at `lazard_degree`,
-    past which no first full piece can lie, so a larger cap changes no
-    verdict; with a cap at least that degree, NonemptyAtCap also proves a
+    full slice was found up to min(POSITION_CAP, lazard_degree): the walk
+    stops at `lazard_degree`, past which no first full piece can lie, so
+    when that degree is at most POSITION_CAP, NonemptyAtCap also proves a
     common zero.
     """
-    if degree_cap < 1:
-        raise PreconditionViolated("degree cap must be >= 1")
     M = gens.num_vars - 1
-    for m in range(1, min(degree_cap, lazard_degree(gens)) + 1):
+    for m in range(1, min(POSITION_CAP, lazard_degree(gens)) + 1):
         if graded_piece(gens, m).rank == comb(m + M, M):
-            return EmptinessVerdict(True, m, degree_cap)
-    return EmptinessVerdict(False, None, degree_cap)
+            return EmptinessVerdict(True, m)
+    return EmptinessVerdict(False, None)
 
 
 class SubsetVerdict(NamedTuple):
@@ -373,7 +372,6 @@ class SubsetVerdict(NamedTuple):
 
 class PositionReport(NamedTuple):
     N: int
-    degree_cap: int
     in_position: bool
     subsets: tuple
 
@@ -381,14 +379,13 @@ class PositionReport(NamedTuple):
         return [s for s in self.subsets if not s.verdict.certified_empty]
 
 
-def check_subgeneral_position(
-    x_gens: IdealGenerators, qs, N: int, degree_cap: int
-) -> PositionReport:
+def check_subgeneral_position(x_gens: IdealGenerators, qs, N: int) -> PositionReport:
     """Check N-subgeneral position of the divisors with respect to X.
 
-    Runs the emptiness certificate on X's generators joined with every
-    (N+1)-subset of the divisors.  One-sided like the certificate itself:
-    a failing subset is reported, not proven nonempty.
+    Runs `has_common_projective_zero` on X's generators joined with every
+    (N+1)-subset of the divisors, so each walk is bounded by POSITION_CAP.
+    One-sided like the certificate itself: a failing subset is reported,
+    not proven nonempty.
     """
     qs = list(qs)
     verdicts = []
@@ -397,6 +394,6 @@ def check_subgeneral_position(
             x_gens.num_vars,
             tuple(x_gens.generators) + tuple(qs[i] for i in indices),
         )
-        verdicts.append(SubsetVerdict(indices, has_common_projective_zero(joined, degree_cap)))
+        verdicts.append(SubsetVerdict(indices, has_common_projective_zero(joined)))
     ok = all(v.verdict.certified_empty for v in verdicts)
-    return PositionReport(N, degree_cap, ok, tuple(verdicts))
+    return PositionReport(N, ok, tuple(verdicts))

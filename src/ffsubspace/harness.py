@@ -42,12 +42,11 @@ from .function_field import (
     height_poly_family,
     weil_table,
 )
-from .graded_ideal import IdealGenerators, check_subgeneral_position, hilbert_function
+from .graded_ideal import POSITION_CAP, IdealGenerators, check_subgeneral_position, hilbert_function
 from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
 from .multipoly import parse_poly
 from .parsing import parse_at, parse_rational
 
-DEFAULT_POSITION_CAP = 6
 DEFAULT_EXACT_HILBERT_CUTOFF = 12
 
 C1_CAVEAT = (
@@ -127,7 +126,6 @@ SCENARIO_SCHEMA = {
                 "c1": {"type": "string"},
                 "c1_prime": {"type": "string"},
                 "m": {"type": "integer", "minimum": 2},
-                "position_cap": {"type": "integer", "minimum": 1},
                 "hilbert_exact_cutoff": {"type": "integer", "minimum": 1},
             },
         },
@@ -161,7 +159,6 @@ class Scenario(NamedTuple):
     c1: Fraction
     c1_prime: Fraction
     m_override: int | None
-    position_cap: int
     hilbert_exact_cutoff: int
 
 
@@ -368,7 +365,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         c1=c1,
         c1_prime=c1_prime,
         m_override=overrides.get("m"),
-        position_cap=overrides.get("position_cap", DEFAULT_POSITION_CAP),
         hilbert_exact_cutoff=overrides.get(
             "hilbert_exact_cutoff", DEFAULT_EXACT_HILBERT_CUTOFF
         ),
@@ -443,14 +439,12 @@ def run_check(scenario: Scenario) -> Report:
     """Full pipeline: position check, constants, per-point inequality."""
     warnings = []
 
-    position = check_subgeneral_position(
-        scenario.x_gens, scenario.divisors, scenario.N, scenario.position_cap
-    )
+    position = check_subgeneral_position(scenario.x_gens, scenario.divisors, scenario.N)
     if not position.in_position:
         failing = [list(s.indices) for s in position.failing_subsets()]
         warnings.append(
             f"PositionCheckFailed: subsets {failing} not certified empty at "
-            f"cap {position.degree_cap}; constants may not be meaningful"
+            f"cap {POSITION_CAP}; constants may not be meaningful"
         )
 
     reduction = lcm_reduction(scenario.divisors)
@@ -558,7 +552,7 @@ def position_to_dict(position) -> dict:
     """The JSON block of a position check, as in reports and the CLI."""
     return {
         "N": position.N,
-        "degree_cap": position.degree_cap,
+        "degree_cap": POSITION_CAP,
         "in_position": position.in_position,
         "subsets": [
             {
@@ -677,8 +671,7 @@ def report_to_text(report: Report) -> str:
     )
     pos = "certified" if report.position.in_position else "NOT certified"
     lines.append(
-        f"position: N = {report.position.N} {pos} "
-        f"(cap {report.position.degree_cap})"
+        f"position: N = {report.position.N} {pos} (cap {POSITION_CAP})"
     )
     for sub in report.position.subsets:
         lines.append(f"  subset {list(sub.indices)}: {sub.verdict}")

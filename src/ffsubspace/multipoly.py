@@ -53,10 +53,10 @@ def collect(items, out=None) -> dict:
     return out
 
 
-def mul_terms(a: dict, b: dict, key_mul=monomial_mul) -> dict:
-    """Product of two term maps; `key_mul` combines a pair of keys."""
+def mul_terms(a: dict, b: dict) -> dict:
+    """Product of two term maps keyed by exponent tuples."""
     return collect(
-        (key_mul(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
+        (monomial_mul(k1, k2), c1 * c2) for k1, c1 in a.items() for k2, c2 in b.items()
     )
 
 

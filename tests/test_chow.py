@@ -411,6 +411,10 @@ def test_mixed_block_degrees_are_refused():
     with pytest.raises(DegreeMismatch) as err:
         MultiHomForm(2, 3, poly)
     assert str(err.value) == "mixed block degrees (1, 1) vs (2, 0) in multihomogeneous form"
+    unequal = HomogeneousPoly(6, 3, {(1, 0, 0, 2, 0, 0): 1, (0, 1, 0, 0, 0, 2): T})
+    with pytest.raises(DegreeMismatch) as err:
+        MultiHomForm(2, 3, unequal)
+    assert str(err.value) == "unequal block degrees (1, 2) in multihomogeneous form"
 
 
 def test_wrong_variable_count_is_refused():

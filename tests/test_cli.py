@@ -12,7 +12,7 @@ from ffsubspace.cli import main
 from ffsubspace.function_field import ProjectivePoint
 from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
 from ffsubspace.hilbert_bounds import hypersurface_hilbert
-from test_harness import golden_scenario_dict
+from test_harness import conic_scenario_dict, golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
 SCENARIO = str(
@@ -441,6 +441,30 @@ def test_repeated_chow_form_term(capsys, tmp_path, command):
     assert f"repeat those of term 0 (at /variety/chow_form/terms/{len(terms) - 1})" in err
 
 
+@pytest.mark.parametrize("command", [["chow", "--input"], ["check"]])
+@pytest.mark.parametrize("a, b, zeros", [(2, 4, 0), (1, 2, 1)])
+def test_unequal_block_degrees_in_chow_form(capsys, tmp_path, command, a, b, zeros):
+    # each term has degree a in block 0 and b in block 1; the error names the
+    # first nonzero term, after `zeros` terms with coefficient 0
+    scenario = ideal_scenario_dict()
+    scenario["variety"]["chow_form"]["terms"] = [
+        {"exponents": [[0, 0, 0, a], [b, 0, 0, 0]], "coeff": "0"}
+    ] * zeros + [
+        {"exponents": [[a if j == i else 0 for j in range(4)],
+                       [b if j == i + 1 else 0 for j in range(4)]], "coeff": "1"}
+        for i in range(3)
+    ]
+    path = tmp_path / "unequal.json"
+    path.write_text(json.dumps(scenario))
+    assert main([*command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: unequal block degrees ({a}, {b}) in multihomogeneous form "
+        f"(at /variety/chow_form/terms/{zeros}/exponents)\n"
+    )
+
+
 def test_huge_skew_expansion_exits_fast(tmp_path):
     # a single term of degree 40 per block would expand into 741,321 products
     scenario = ideal_scenario_dict()
@@ -474,6 +498,63 @@ def test_bad_places_exit_2(capsys, tmp_path, places, message):
     # the error names the pointer of the last place: the one that does not
     # parse, or the repeat
     assert capsys.readouterr().err == f"error: {message} (at /places/{len(places) - 1})\n"
+
+
+@pytest.mark.parametrize("c1, c_eps, verdict, code", [
+    ("1000000", "500000/321", "HeightSmall", 0),
+    ("0", "0/1", "Violation", 1),
+])
+def test_height_small_and_violation_verdicts(capsys, tmp_path, c1, c_eps, verdict, code):
+    # c1_prime = -10^6 puts rhs_full = 10 + c_prime_eps below lhs = 6; the
+    # point's height 2 is at most c_eps = 500000/321 for c1 = 10^6, not for 0
+    overrides = {"c1": c1, "c1_prime": "-1000000"}
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(conic_scenario_dict(constants_overrides=overrides)))
+    assert main(["check", str(path), "--format", "json"]) == code
+    report = json.loads(capsys.readouterr().out)
+    assert report["constants"]["c_eps"] == c_eps
+    point = report["points"][0]
+    assert (point["height"], point["lhs"], point["rhs_full"], point["verdict"]) == (
+        "2/1", "6/1", "2121630/412163", verdict
+    )
+    assert main(["check", str(path), "--format", "text"]) == code
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert ["0", "2/1", "6/1", "10/1", "2121630/412163", verdict] in rows
+
+
+IDEAL_WITHOUT_GENERATORS = {
+    "kind": "ideal", "chow_form": {"blocks": 1, "vars_per_block": 3, "terms": []},
+}
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("variety",), {"kind": "hypersurface"}, "hypersurface variety needs F (at /variety/F)"),
+    (("variety", "F"), "0", "F must be nonzero (at /variety/F)"),
+    (("variety",), IDEAL_WITHOUT_GENERATORS,
+     "ideal variety needs generators (at /variety/generators)"),
+    (("divisors", 1, "poly"), "0", "divisor must be nonzero (at /divisors/1/poly)"),
+    (("epsilon",), "0", "epsilon must be positive (at /epsilon)"),
+    (("epsilon",), "-1/2", "epsilon must be positive (at /epsilon)"),
+    (("divisors",), [], "[] should be non-empty (at /divisors)"),
+    (("places",), [], "[] should be non-empty (at /places)"),
+    (("divisors", 1, "poly"), "(X0 + X1 + X2)^31",
+     "power with up to 528 terms exceeds the limit 500 (at position 15) (at /divisors/1/poly)"),
+    (("divisors", 1, "poly"), "X0/X1",
+     "division by a non-constant polynomial (at position 2) (at /divisors/1/poly)"),
+])
+def test_bad_scenario_values_exit_2(capsys, tmp_path, path, value, message):
+    scenario = conic_scenario_dict()
+    *parents, last = path
+    target = scenario
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    file = tmp_path / "scenario.json"
+    file.write_text(json.dumps(scenario))
+    assert main(["check", str(file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_internal_value_error_is_not_an_input_error(monkeypatch):
@@ -598,14 +679,27 @@ def test_huge_graded_piece_exits_fast(command):
     assert message in stderr
 
 
-def test_huge_position_cap_exits_fast():
-    # the two failing subsets (conic and two lines) are decided at their
-    # Lazard degree 2; the walk used to run on to the cap, piece by piece
-    code, seconds, out, _ = _main_in_capped_child(
-        "position", "--file", SCENARIO, "--N", "1", "--cap", "100000"
-    )
-    assert code == 0 and seconds < 1.0
-    assert out.count("NonemptyAtCap(cap=100000)") == 2
+def test_position_walk_stops_at_the_lazard_degree(monkeypatch, capsys):
+    # the conic and any two of its four lines have Lazard degree 2, so the
+    # walk of each of the 6 subsets builds the pieces of degree 1 and 2 and
+    # no more, below the cap 6; the two failing subsets are decided there too
+    built, real = [], graded_ideal.graded_piece
+
+    def spy(gens, m):
+        built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    assert main(["position", "--file", SCENARIO, "--N", "1"]) == 0
+    assert sorted(built) == [1] * 6 + [2] * 6
+    assert capsys.readouterr().out.count("NonemptyAtCap(cap=6)") == 2
+
+
+def test_position_cap_is_not_an_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["position", "--file", SCENARIO, "--cap", "6"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --cap 6" in capsys.readouterr().err
 
 
 # modules a CLI run must not load: sympy is imported only to factor,

@@ -8,6 +8,7 @@ from ffsubspace import graded_ideal
 from ffsubspace.errors import InvariantViolated, NoCertificateWithinCap, ZeroPolynomial
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.graded_ideal import (
+    POSITION_CAP,
     certificate_exponent_bound,
     hermann_cofactor_bound,
     IdealGenerators,
@@ -182,10 +183,9 @@ def test_certificate_examples():
         parse_poly("X0", 2), IdealGenerators.parse(2, ["X0^2"])
     )
     assert cert2.exponent == 2 and [str(a) for a in cert2.cofactors] == ["1"]
-    with pytest.raises(NoCertificateWithinCap):
-        nullstellensatz_certificate(
-            parse_poly("X0", 2), IdealGenerators.parse(2, ["X1"]), exponent_cap=5
-        )
+    # (4d)^(M+2) = 64 for d = 1, M = 1: the search stops at the limit 12
+    with pytest.raises(NoCertificateWithinCap, match="no certificate with exponent <= 12;"):
+        nullstellensatz_certificate(parse_poly("X0", 2), IdealGenerators.parse(2, ["X1"]))
 
 
 def test_failed_re_verification_raises(monkeypatch):
@@ -213,11 +213,11 @@ def test_certificate_verifies_by_expansion():
 
 def test_emptiness_examples():
     full = IdealGenerators.parse(3, ["X0", "X1", "X2"])
-    v = has_common_projective_zero(full, 3)
+    v = has_common_projective_zero(full)
     assert v.certified_empty and v.certified_degree == 1
-    assert not has_common_projective_zero(CONIC, 5).certified_empty
+    assert not has_common_projective_zero(CONIC).certified_empty
     pair = IdealGenerators.parse(3, ["X0", "X1"])
-    assert not has_common_projective_zero(pair, 3).certified_empty
+    assert not has_common_projective_zero(pair).certified_empty
 
 
 @st.composite
@@ -235,11 +235,13 @@ def _small_systems(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(gens=_small_systems(), cap=st.integers(1, 8))
-def test_walk_cut_at_the_lazard_degree_keeps_the_verdict(gens, cap):
+@given(gens=_small_systems())
+def test_walk_cut_at_the_lazard_degree_keeps_the_verdict(gens):
     M = gens.num_vars - 1
-    full = [m for m in range(1, cap + 1) if graded_piece(gens, m).rank == comb(m + M, M)]
-    verdict = has_common_projective_zero(gens, cap)
+    full = [
+        m for m in range(1, POSITION_CAP + 1) if graded_piece(gens, m).rank == comb(m + M, M)
+    ]
+    verdict = has_common_projective_zero(gens)
     assert verdict.certified_empty == bool(full)
     assert verdict.certified_degree == (full[0] if full else None)
     assert not full or full[0] <= lazard_degree(gens)
@@ -253,16 +255,16 @@ def test_lazard_degree_examples():
 
 
 def test_position_examples():
-    rep = check_subgeneral_position(CONIC, LINES, 2, 6)
+    rep = check_subgeneral_position(CONIC, LINES, 2)
     assert rep.in_position
     assert len(rep.subsets) == comb(4, 3)
-    rep1 = check_subgeneral_position(CONIC, LINES, 1, 6)
+    rep1 = check_subgeneral_position(CONIC, LINES, 1)
     assert not rep1.in_position
     failing = [s.indices for s in rep1.failing_subsets()]
     assert (0, 1) in failing and (1, 2) in failing
     assert len(failing) == 2
     zero = IdealGenerators.of(3, ())
-    assert check_subgeneral_position(zero, LINES[:3], 2, 4).in_position
+    assert check_subgeneral_position(zero, LINES[:3], 2).in_position
 
 
 def test_row_space_membership_properties():

@@ -159,15 +159,19 @@ def test_report_text_renders_tables():
 
 
 def test_m_override_and_caps():
-    data = conic_scenario_dict(
-        constants_overrides={"m": 6, "position_cap": 4, "c1_prime": "3/2"}
-    )
+    data = conic_scenario_dict(constants_overrides={"m": 6, "c1_prime": "3/2"})
     report = run_check(load_scenario_dict(data))
     assert report.constants.m == 6
-    assert report.position.degree_cap == 4
+    assert report_to_dict(report)["position"]["degree_cap"] == 6
     # S(5) for the conic = 3 + 5 + 7 + 9 + 11 = 35
     assert report.constants.S_sum == 35
     assert report.constants.c_prime_eps == Fraction(2 * Fraction(3, 2), 35)
+    # the position walk's bound is a constant, not an override
+    data["constants_overrides"]["position_cap"] = 4
+    with pytest.raises(SchemaError) as err:
+        load_scenario_dict(data)
+    assert err.value.json_pointer == "/constants_overrides"
+    assert "'position_cap' was unexpected" in str(err.value)
 
 
 def test_projective_space_scenario():
