@@ -273,6 +273,10 @@ def _cmd_filtration(args) -> int:
 def _cmd_position(args) -> int:
     scenario = load_scenario(args.file)
     n_value = args.N if args.N is not None else scenario.N
+    top = len(scenario.divisors) - 1
+    if args.N is not None and not 1 <= n_value <= top:
+        # N >= 1 as in a scenario, and N <= q - 1 leaves an (N+1)-subset to check.
+        raise ToolkitError(f"--N must lie in [1, {top}], got {n_value}")
     report = check_subgeneral_position(scenario.x_gens, scenario.divisors, n_value)
     print(
         f"N = {n_value}: {'in position' if report.in_position else 'NOT certified'} "

@@ -14,6 +14,9 @@ text and sort order are those of the monic form.
 
 Heights and Weil values come from primitive coordinates (coprime in Z[t]),
 where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
+A divisor Q is made primitive the same way, once (`HomogeneousPoly.primitive`
+in `multipoly`), so a Weil value is read off the Z[t] polynomial Q(x) alone:
+its multiplicity at a finite place, its degree at infinity.
 Only divisor, support and height_elem factor, through `upoly.factor_monic`,
 which imports sympy on its first real factorization; a place of degree <= 2
 is checked for irreducibility without sympy.
@@ -22,7 +25,7 @@ is checked for irreducibility without sympy.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import lcm
 
 from . import upoly
@@ -245,6 +248,16 @@ def clear_denominators(elements) -> tuple:
     ], den
 
 
+def primitive_polys(elements) -> list:
+    """The elements, not all zero, times one element of K* that makes them
+    coprime integer polynomials: no common factor in Z[t], no common content."""
+    polys, _ = clear_denominators(elements)
+    g = reduce(upoly.gcd, polys, upoly.ZERO)
+    if g != upoly.ONE:
+        polys = [upoly.quo(p, g) for p in polys]
+    return polys
+
+
 class Place:
     """A place of Q(t): a monic irreducible of Q[t], or infinity.
 
@@ -358,10 +371,7 @@ class ProjectivePoint:
     def primitive(self) -> "ProjectivePoint":
         """The same point with coprime coordinates in Z[t]; computed once."""
         if self._primitive is None:
-            polys, _ = clear_denominators(self.coordinates)
-            g = reduce(upoly.gcd, polys, upoly.ZERO)
-            if g != upoly.ONE:
-                polys = [upoly.quo(p, g) for p in polys]
+            polys = primitive_polys(self.coordinates)
             prim = ProjectivePoint([RationalFunction._canonical(p) for p in polys])
             object.__setattr__(prim, "_primitive", prim)
             object.__setattr__(self, "_primitive", prim)
@@ -514,34 +524,45 @@ def height_poly_family(qs) -> Fraction:
     return height_point(ProjectivePoint(_family_coefficients(qs)))
 
 
-@lru_cache(maxsize=256)
-def _divisor_order(p: Place, q) -> int:
-    """e_p(Q); it depends on no point, so a run computes it once per (p, Q)."""
-    return gauss_order_poly(p, [q])
+def weil_rows(places, qs, x: ProjectivePoint, values) -> tuple:
+    """weil_table's rows, for x primitive and values[i] = Q_i(x), nonzero,
+    computed on the primitive form of Q_i (`multipoly.primitive_values`).
+
+    With Q and x primitive, e_p(Q) = e_p(x) = 0 at every finite place, so
+    lambda_{p,Q}(x) = ord_p Q(x) * deg p; at infinity e_p(Q) = -h(Q) and
+    e_p(x) = -h(x), so lambda = d*h(x) + h(Q) - deg Q(x).
+    """
+    h = max(upoly.degree(c.num) for c in x.coordinates)
+    rows = []
+    for p in places:
+        if p.is_infinite:
+            row = tuple(
+                q.degree * h + q.primitive()[1] - upoly.degree(value)
+                for q, value in zip(qs, values)
+            )
+        else:
+            row = tuple(upoly.multiplicity(value, p.poly) * p.degree for value in values)
+        rows.append((p, row))
+    return tuple(rows)
 
 
 def weil_table(places, qs, x: ProjectivePoint) -> tuple:
     """Rows (p, (lambda_{p,Q}(x) for Q in qs)) for x off every divisor {Q = 0}.
 
     lambda_{p,Q}(x) = (ord_p(Q(x)) - d*e_p(x) - e_p(Q)) * deg p, a nonnegative
-    int, invariant under scaling Q and x by K*.  Each Q is evaluated once, at
-    the primitive coordinates of x: e_p(x) is 0 at finite p and -h(x) at
-    infinity.  e_p(Q) is kept across points and calls.
+    int, invariant under scaling Q and x by K*.  So each Q is evaluated once,
+    in Z[t]: its primitive form, kept on Q, at the primitive coordinates of
+    x; see weil_rows.  A point on a divisor raises PointOnDivisor naming the
+    first one.
     """
+    from .multipoly import primitive_values  # multipoly imports this module
+
     x = x.primitive()
-    values = [q.evaluate(x) for q in qs]
+    values = primitive_values(qs, x)
     for i, value in enumerate(values):
-        if value.is_zero():
+        if not value:
             raise PointOnDivisor(f"point lies on divisor {qs[i]}", index=i)
-    h = int(height_point(x))
-    rows = []
-    for p in places:
-        e_x = -h if p.is_infinite else 0
-        rows.append((p, tuple(
-            (order_at(value, p) - q.degree * e_x - _divisor_order(p, q)) * p.degree
-            for q, value in zip(qs, values)
-        )))
-    return tuple(rows)
+    return weil_rows(places, qs, x, values)
 
 
 def weil(p: Place, q, x: ProjectivePoint) -> int:

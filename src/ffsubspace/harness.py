@@ -32,7 +32,7 @@ from .effective_constants import (
     assemble_constants,
     lcm_reduction,
 )
-from .errors import PointOnDivisor, SchemaError
+from .errors import SchemaError
 from .function_field import (
     PlaceSet,
     Place,
@@ -40,11 +40,11 @@ from .function_field import (
     gauss_order_poly,
     height_point,
     height_poly_family,
-    weil_table,
+    weil_rows,
 )
 from .graded_ideal import POSITION_CAP, IdealGenerators, check_subgeneral_position, hilbert_function
 from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
-from .multipoly import parse_poly
+from .multipoly import parse_poly, primitive_values
 from .parsing import parse_at, parse_rational
 
 DEFAULT_EXACT_HILBERT_CUTOFF = 12
@@ -452,7 +452,7 @@ def run_check(scenario: Scenario) -> Report:
     n = scenario.dimension
 
     h_fx = chow_height(scenario.chow_form)
-    h_q_i = tuple(height_poly_family([q]) for q in scenario.divisors)
+    h_q_i = tuple(Fraction(q.primitive()[1]) for q in scenario.divisors)
     h_q_family = height_poly_family(reduction.normalized)
     e_s_term = Fraction(
         sum(
@@ -487,26 +487,24 @@ def run_check(scenario: Scenario) -> Report:
     weights = tuple(d // di for di in degrees)
     records = []
     for idx, x in enumerate(scenario.points):
-        # Checks and values use primitive coordinates; records keep x as given.
+        # Checks and values use primitive coordinates and primitive forms, in
+        # Z[t]; records keep x as given.
         prim = x.primitive()
-        if any(not g.evaluate(prim).is_zero() for g in scenario.x_gens.generators):
+        if any(primitive_values(scenario.x_gens.generators, prim)):
             warnings.append(f"NotOnVariety: point {idx} skipped")
             records.append(PointRecord(idx, x, "not_on_variety"))
             continue
-        try:
-            weil_rows = weil_table(scenario.places, scenario.divisors, prim)
-        except PointOnDivisor:
-            vanishing = tuple(
-                i for i, q in enumerate(scenario.divisors)
-                if q.evaluate(prim).is_zero()
-            )
+        values = primitive_values(scenario.divisors, prim)
+        vanishing = tuple(i for i, value in enumerate(values) if not value)
+        if vanishing:
             records.append(
                 PointRecord(idx, x, "on_divisor", vanishing_divisors=vanishing,
                             verdict="OnDivisor")
             )
             continue
+        rows = weil_rows(scenario.places, scenario.divisors, prim, values)
         lhs = Fraction(
-            sum(lam * w for _, row in weil_rows for lam, w in zip(row, weights)), d
+            sum(lam * w for _, row in rows for lam, w in zip(row, weights)), d
         )
         h = height_point(prim)
         rhs_main = factor * h
@@ -523,7 +521,7 @@ def run_check(scenario: Scenario) -> Report:
                 x,
                 "evaluated",
                 height=h,
-                weil_table=weil_rows,
+                weil_table=rows,
                 lhs=lhs,
                 rhs_main=rhs_main,
                 rhs_full=rhs_full,

@@ -23,8 +23,8 @@ from .errors import (
     VarCountMismatch,
     ZeroPolynomial,
 )
-from .function_field import ProjectivePoint, RationalFunction
-from .upoly import power
+from . import upoly
+from .function_field import ProjectivePoint, RationalFunction, primitive_polys
 
 
 def monomial_degree(mono) -> int:
@@ -111,11 +111,14 @@ def power_table(values) -> list:
     return [[v] for v in values]
 
 
-def eval_terms(terms, powers, zero):
+def eval_terms(terms, powers, zero, mul=operator.mul, add=operator.add):
     """Substitute the values of a power table into a term map.
 
     The one substitution routine of the package: the values may lie in any
     ring whose elements multiply with the coefficients, `zero` included.
+    `mul` and `add` are that ring's operations; the defaults suit values
+    with arithmetic operators, and Z[t] as `upoly` tuples passes
+    `upoly.mul` and `upoly.add`.
     """
     total = zero
     for mono, c in terms.items():
@@ -124,10 +127,19 @@ def eval_terms(terms, powers, zero):
             if e:
                 p = powers[i]
                 while len(p) < e:
-                    p.append(p[-1] * p[0])
-                term = term * p[e - 1]
-        total = total + term
+                    p.append(mul(p[-1], p[0]))
+                term = mul(term, p[e - 1])
+        total = add(total, term)
     return total
+
+
+def primitive_values(forms, x: ProjectivePoint) -> list:
+    """The values Q(x) in Z[t] of the primitive form of each Q (see
+    HomogeneousPoly.primitive) at the primitive coordinates of x, with one
+    power table for all of them.  A value is () exactly when x lies on
+    {Q = 0}."""
+    powers = power_table([c.num for c in x.primitive().coordinates])
+    return [eval_terms(q.primitive()[0], powers, (), upoly.mul, upoly.add) for q in forms]
 
 
 class HomogeneousPoly:
@@ -138,7 +150,7 @@ class HomogeneousPoly:
     regardless of their declared degree.
     """
 
-    __slots__ = ("num_vars", "degree", "terms")
+    __slots__ = ("num_vars", "degree", "terms", "_primitive")
 
     def __init__(self, num_vars: int, degree: int, terms):
         clean = {}
@@ -159,6 +171,7 @@ class HomogeneousPoly:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_primitive", None)
 
     def __setattr__(self, *a):
         raise AttributeError("HomogeneousPoly is immutable")
@@ -172,6 +185,7 @@ class HomogeneousPoly:
         object.__setattr__(f, "num_vars", num_vars)
         object.__setattr__(f, "degree", degree)
         object.__setattr__(f, "terms", terms)
+        object.__setattr__(f, "_primitive", None)
         return f
 
     @classmethod
@@ -213,6 +227,20 @@ class HomogeneousPoly:
 
     def coefficients(self):
         return [c for _, c in self.sorted_terms()]
+
+    def primitive(self) -> tuple:
+        """(terms, h) for a nonzero form Q: the term map of Q times the
+        element of K* that makes its coefficients coprime in Z[t], each an
+        `upoly` tuple, and h(Q), the largest degree among them.  Computed
+        once per form."""
+        if self._primitive is None:
+            if not self.terms:
+                raise ZeroPolynomial("the zero form has no primitive form")
+            coeffs = primitive_polys(self.terms.values())
+            object.__setattr__(self, "_primitive", (
+                dict(zip(self.terms, coeffs)), max(map(upoly.degree, coeffs))
+            ))
+        return self._primitive
 
     def leading_monomial(self):
         if not self.terms:
@@ -263,7 +291,7 @@ class HomogeneousPoly:
 
     def __pow__(self, n: int):
         one = HomogeneousPoly.monomial(self.num_vars, (0,) * self.num_vars)
-        return power(self, n, one, operator.mul)
+        return upoly.power(self, n, one, operator.mul)
 
     def __eq__(self, other):
         return (

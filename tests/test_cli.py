@@ -695,6 +695,28 @@ def test_position_walk_stops_at_the_lazard_degree(monkeypatch, capsys):
     assert capsys.readouterr().out.count("NonemptyAtCap(cap=6)") == 2
 
 
+@pytest.mark.parametrize("n_value, subsets", [(-5, None), (0, None), (1, 6), (3, 1), (4, None), (10, None)])
+def test_position_n_must_leave_a_subset(monkeypatch, capsys, n_value, subsets):
+    # the conic has q = 4 divisors: --N in [1, 3] is walked, any other value
+    # exits 2 before any graded piece is built
+    built, real = [], graded_ideal.graded_piece
+
+    def spy(gens, m):
+        built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    code = main(["position", "--file", SCENARIO, "--N", str(n_value)])
+    captured = capsys.readouterr()
+    if subsets is None:
+        assert (code, captured.out, built) == (2, "", [])
+        assert captured.err == f"error: --N must lie in [1, 3], got {n_value}\n"
+    else:
+        assert code == 0 and built
+        assert captured.out.startswith(f"N = {n_value}: ")
+        assert captured.out.count("  subset ") == subsets
+
+
 def test_position_cap_is_not_an_option(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["position", "--file", SCENARIO, "--cap", "6"])

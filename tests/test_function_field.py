@@ -15,7 +15,7 @@ from ffsubspace.errors import (
     ZeroElement,
     ZeroPolynomial,
 )
-from ffsubspace import function_field, upoly
+from ffsubspace import multipoly, upoly
 from ffsubspace.function_field import (
     INFINITY,
     Place,
@@ -360,15 +360,19 @@ def test_run_check_does_not_factor(monkeypatch):
     assert calls
 
 
-def test_divisor_orders_are_computed_once(monkeypatch):
-    # e_p(Q) depends only on (p, Q): one computation per pair for the whole run
-    function_field._divisor_order.cache_clear()
-    calls = _count_calls(monkeypatch, "gauss_order_poly", function_field)
+def test_divisors_are_made_primitive_once(monkeypatch):
+    # A form's primitive Z[t] coefficients depend on no point: the run builds
+    # them once per divisor (and X generator), not once per point.
+    calls = _count_calls(monkeypatch, "primitive_polys", multipoly)
     scenario = load_scenario(SCENARIO_PATH)
     report = run_check(scenario)
     assert sum(r.status == "evaluated" for r in report.points) > 1
-    pairs = {(p, qs[0]) for p, qs in calls}
-    assert len(calls) == len(pairs) == len(scenario.places) * len(scenario.divisors)
+    forms = scenario.divisors + scenario.x_gens.generators
+    built = sorted(tuple(map(str, coeffs)) for coeffs, in calls)
+    assert built == sorted(tuple(map(str, q.terms.values())) for q in forms)
+    for q in scenario.divisors:
+        assert q.primitive() is q.primitive()
+        assert q.primitive()[1] == height_poly_family([q])
 
 
 def test_negation_skips_the_gcd(monkeypatch):
@@ -443,6 +447,35 @@ def test_weil_rows_are_gauge_invariant(qs, x, alpha, betas):
     scaled = [q.scale(beta) for q, beta in zip(qs, betas)]
     assert weil_table(PROPERTY_PLACES, scaled, x) == rows
     assert weil_table(PROPERTY_PLACES, scaled, x.scaled(alpha)) == rows
+
+
+@st.composite
+def _form_through(draw, x):
+    """A nonzero linear form, times a random element, that vanishes at x."""
+    a = next(i for i, c in enumerate(x.coordinates) if c)
+    b = draw(st.sampled_from([i for i in range(x.num_vars) if i != a]))
+    scale = draw(_nonzero_elements())
+    xa, xb = x.coordinates[a], x.coordinates[b]
+    mono = lambda i: tuple(int(i == j) for j in range(x.num_vars))
+    return HomogeneousPoly(x.num_vars, 1, {mono(a): xb * scale, mono(b): -xa * scale})
+
+
+@settings(max_examples=80, deadline=None)
+@given(qs=st.lists(_forms(), min_size=1, max_size=3), x=_points(), data=st.data())
+def test_weil_table_matches_the_definition(qs, x, data):
+    # Some draws get a divisor through x, at any position in the family.
+    if data.draw(st.booleans()):
+        qs.insert(data.draw(st.integers(0, len(qs))), data.draw(_form_through(x)))
+    vanishing = [i for i, q in enumerate(qs) if q.evaluate(x).is_zero()]
+    if vanishing:
+        with pytest.raises(PointOnDivisor) as err:
+            weil_table(KERNEL_PLACES, qs, x)
+        assert err.value.index == vanishing[0]
+        return
+    rows = weil_table(KERNEL_PLACES, qs, x)
+    assert [p for p, _ in rows] == KERNEL_PLACES
+    for p, row in rows:
+        assert row == tuple(_weil_oracle(p, q, x) for q in qs)
 
 
 @settings(max_examples=80, deadline=None)

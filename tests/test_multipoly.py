@@ -1,4 +1,5 @@
 import random
+from functools import reduce
 
 import pytest
 
@@ -8,8 +9,10 @@ from ffsubspace.errors import (
     ParseError,
     PreconditionViolated,
     VarCountMismatch,
+    ZeroPolynomial,
 )
-from ffsubspace.function_field import ProjectivePoint, RationalFunction
+from ffsubspace import upoly
+from ffsubspace.function_field import ProjectivePoint, RationalFunction, height_poly_family
 from ffsubspace.multipoly import (
     MAX_PIECE_MONOMIALS,
     HomogeneousPoly,
@@ -17,6 +20,7 @@ from ffsubspace.multipoly import (
     homogenize,
     monomial_basis,
     parse_poly,
+    primitive_values,
 )
 from helpers import rand_homog, rand_k, rand_point
 
@@ -122,6 +126,28 @@ def test_evaluate_scales_homogeneously():
         x = rand_point(rng, 3)
         lam = rand_k(rng)
         assert q.evaluate(x.scaled(lam)) == lam**d * q.evaluate(x)
+
+
+def test_primitive_values_are_scaled_values():
+    # Q(x) over K and the primitive form's Z[t] value at the primitive point
+    # differ by beta * alpha^d, the two scalings; h(Q) is the family height.
+    rng = random.Random(9)
+    for _ in range(40):
+        d = rng.randint(1, 3)
+        q = rand_homog(rng, 3, d)
+        x = rand_point(rng, 3)
+        terms, h = q.primitive()
+        assert q.primitive() is q.primitive()
+        assert reduce(upoly.gcd, terms.values(), upoly.ZERO) == upoly.ONE
+        assert h == height_poly_family([q])
+        mono = next(iter(q.terms))
+        beta = RationalFunction(terms[mono]) / q.terms[mono]
+        i = next(i for i, c in enumerate(x.coordinates) if c)
+        alpha = x.primitive().coordinates[i] / x.coordinates[i]
+        (value,) = primitive_values([q], x)
+        assert RationalFunction(value) == beta * alpha**d * q.evaluate(x)
+    with pytest.raises(ZeroPolynomial):
+        HomogeneousPoly.zero(3, 1).primitive()
 
 
 def test_homogeneity_enforced():
