@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .chow import chow_height, expand_skew, psigma_count_report
+from .chow import chow_of_hypersurface, chow_of_linear, expand_skew, psigma_count_report
 from .effective_constants import ConstantInputs, assemble_constants
 from .errors import SchemaError, ToolkitError
 from .filtration import (
@@ -150,12 +150,19 @@ def _cmd_chow(args) -> int:
     # parsed: its divisors, places and points are left to `check`.
     if isinstance(data, dict) and "variety" in data:
         schema_validate(data)
-        form = parse_variety(data["variety"], data["ambient_dim"], "/variety").chow_form
+        variety = parse_variety(data["variety"], data["ambient_dim"], "/variety")
     else:
-        form = load_variety_dict(data).chow_form
+        variety = load_variety_dict(data)
+    # `check` needs only an ideal's Chow form, so the others are built here
+    form, gens = variety.chow_form, variety.x_gens
+    if variety.kind == "hypersurface":
+        form = chow_of_hypersurface(gens.generators[0])
+    elif variety.kind == "projective_space":
+        units = [[int(i == j) for j in range(gens.num_vars)] for i in range(gens.num_vars)]
+        form = chow_of_linear(map(ProjectivePoint, units))
     expansion = expand_skew(form)
     counts = psigma_count_report(expansion)
-    height = fmt_q(chow_height(form))
+    height = fmt_q(variety.h_fx)
     print(
         f"Chow form: {form.blocks} blocks of {form.vars_per_block} vars, "
         f"degree {form.block_degree} per block, {len(form.terms)} terms"

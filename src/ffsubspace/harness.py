@@ -19,13 +19,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple
 
-from .chow import (
-    MultiHomForm,
-    chow_height,
-    chow_of_hypersurface,
-    chow_of_linear,
-    multihomform_from_json,
-)
+from .chow import MultiHomForm, chow_height, multihomform_from_json
 from .effective_constants import (
     ConstantInputs,
     EffectiveConstants,
@@ -148,7 +142,7 @@ class Scenario(NamedTuple):
     ambient_dim: int
     variety_kind: str
     x_gens: IdealGenerators
-    chow_form: MultiHomForm
+    h_fx: Fraction
     dimension: int
     degree: int
     divisors: tuple
@@ -253,30 +247,32 @@ def parse_fraction(text: str, pointer: str) -> Fraction:
 class Variety(NamedTuple):
     kind: str
     x_gens: IdealGenerators
-    chow_form: MultiHomForm
+    chow_form: MultiHomForm | None  # as given, for the ideal kind only
+    h_fx: Fraction
     dimension: int
     degree: int
 
 
 def parse_variety(variety: dict, M: int, at: str) -> Variety:
     """The variety object of a validated document, at JSON pointer `at`, as
-    a subvariety of P^M: its ideal, Chow form, dimension and degree."""
+    a subvariety of P^M: its ideal, h(X) = h(F_X), dimension and degree.
+    Only an ideal's h(X) needs a Chow form: F_X = det(u_0, ..., u_M) of P^M
+    has coefficients +-1, and F_X(u) = F(u_1 ^ ... ^ u_M) of {F = 0} has
+    h(F_X) = h(F), each coefficient family spanning the other over Q."""
     nv = M + 1
     kind = variety["kind"]
     if kind == "projective_space":
-        x_gens = IdealGenerators.of(nv, ())
-        basis_points = [
-            ProjectivePoint([1 if j == i else 0 for j in range(nv)]) for i in range(nv)
-        ]
-        return Variety(kind, x_gens, chow_of_linear(basis_points), M, 1)
+        return Variety(kind, IdealGenerators.of(nv, ()), None, Fraction(0), M, 1)
     if kind == "hypersurface":
         if "F" not in variety:
             raise SchemaError("hypersurface variety needs F", f"{at}/F")
         f = parse_at(parse_poly, variety["F"], f"{at}/F", nv)
         if f.is_zero():
             raise SchemaError("F must be nonzero", f"{at}/F")
+        if M < 2:
+            raise SchemaError("hypersurface variety needs ambient_dim >= 2", "/ambient_dim")
         x_gens = IdealGenerators.of(nv, (f,))
-        return Variety(kind, x_gens, chow_of_hypersurface(f), M - 1, f.degree)
+        return Variety(kind, x_gens, None, Fraction(f.primitive()[1]), M - 1, f.degree)
     if "generators" not in variety:
         raise SchemaError("ideal variety needs generators", f"{at}/generators")
     if "chow_form" not in variety:
@@ -296,7 +292,7 @@ def parse_variety(variety: dict, M: int, at: str) -> Variety:
             "chow_form blocks (dimension + 1) must be at most ambient_dim",
             f"{at}/chow_form/blocks",
         )
-    return Variety(kind, x_gens, chow, chow.blocks - 1, chow.block_degree)
+    return Variety(kind, x_gens, chow, chow_height(chow), chow.blocks - 1, chow.block_degree)
 
 
 def load_variety_dict(data: dict) -> Variety:
@@ -323,6 +319,8 @@ def load_scenario_dict(data: dict) -> Scenario:
                 f"/divisors/{i}/degree",
             )
         divisors.append(poly)
+    if data["N"] >= len(divisors):  # as for `position --N`: an (N+1)-subset must exist
+        raise SchemaError(f"N must lie in [1, {len(divisors) - 1}], got {data['N']}", "/N")
 
     first = {}  # place -> index of its first entry, in entry order
     for j, text in enumerate(data["places"]):
@@ -354,7 +352,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         ambient_dim=M,
         variety_kind=variety.kind,
         x_gens=variety.x_gens,
-        chow_form=variety.chow_form,
+        h_fx=variety.h_fx,
         dimension=variety.dimension,
         degree=variety.degree,
         divisors=tuple(divisors),
@@ -451,7 +449,6 @@ def run_check(scenario: Scenario) -> Report:
     degrees = tuple(q.degree for q in scenario.divisors)
     n = scenario.dimension
 
-    h_fx = chow_height(scenario.chow_form)
     h_q_i = tuple(Fraction(q.primitive()[1]) for q in scenario.divisors)
     h_q_family = height_poly_family(reduction.normalized)
     e_s_term = Fraction(
@@ -471,7 +468,7 @@ def run_check(scenario: Scenario) -> Report:
         epsilon=scenario.epsilon,
         s_card=scenario.places.cardinality,
         s_degree=scenario.places.total_degree,
-        h_fx=h_fx,
+        h_fx=scenario.h_fx,
         h_q_family=h_q_family,
         h_q_i=h_q_i,
         e_s_term=e_s_term,

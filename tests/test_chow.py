@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -34,7 +35,7 @@ from ffsubspace.errors import (
     VarCountMismatch,
 )
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
-from ffsubspace.multipoly import HomogeneousPoly, parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from ffsubspace.parsing import parse_rational
 from helpers import rand_k
 from test_twisted_cubic import twisted_cubic_chow
@@ -352,6 +353,31 @@ def test_expansion_reconstructs_the_substitution(form, data):
     ))
     us = [apply_skew_to_point(expansion.pairs, sv, x) for sv in svals]
     assert form.evaluate(us) == expansion.reconstruct(svals, x)
+
+
+# --- hypothesis property: h(X) needs no Chow form for P^M or a hypersurface
+
+
+@st.composite
+def _hypersurfaces(draw):
+    """Forms of degree 1-3 in P^2 or P^3 with 1-4 terms over Q(t)."""
+    nv, degree = draw(st.integers(3, 4)), draw(st.integers(1, 3))
+    keys = draw(st.lists(st.sampled_from(monomial_basis(nv, degree)),
+                         min_size=1, max_size=4, unique=True))
+    return HomogeneousPoly(nv, degree, {key: draw(_elements) for key in keys})
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_hypersurfaces())
+def test_hypersurface_chow_height_is_the_height_of_f(f):
+    # F_X(u) = F(u_1 ^ ... ^ u_M): each coefficient family spans the other over Q
+    assert chow_height(chow_of_hypersurface(f)) == Fraction(f.primitive()[1])
+
+
+@pytest.mark.parametrize("nv", range(2, 6))
+def test_projective_space_chow_height_is_zero(nv):
+    # det(u_0, ..., u_M) has coefficients +-1
+    assert chow_height(chow_of_linear([e(i, nv) for i in range(nv)])) == 0
 
 
 def test_skew_product_count():

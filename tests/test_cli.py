@@ -500,6 +500,65 @@ def test_bad_places_exit_2(capsys, tmp_path, places, message):
     assert capsys.readouterr().err == f"error: {message} (at /places/{len(places) - 1})\n"
 
 
+@pytest.mark.parametrize("N", [4, 10])
+def test_scenario_N_must_leave_a_subset_to_check(capsys, tmp_path, N):
+    # N >= q would run the position check over no (N+1)-subsets
+    path = _conic_with(tmp_path, N=N)
+    for command in (["check", path], ["position", "--file", path]):
+        assert main(command) == 2
+        assert capsys.readouterr().err == f"error: N must lie in [1, 3], got {N} (at /N)\n"
+    # `chow` parses only the variety
+    assert main(["chow", "--input", path]) == 0
+
+
+P1_REFUSAL = "error: hypersurface variety needs ambient_dim >= 2 (at /ambient_dim)\n"
+
+
+@pytest.mark.parametrize("command, bare", [
+    ("check", False), ("chow --input", False), ("chow --input", True),
+])
+def test_hypersurface_in_P1_is_refused(capsys, tmp_path, command, bare):
+    # ambient_dim is at /ambient_dim in a scenario and in a bare variety file
+    variety = {"kind": "hypersurface", "F": "X0*X1"}
+    data = {"ambient_dim": 1, **variety} if bare else {
+        **conic_scenario_dict(points=[]), "ambient_dim": 1, "variety": variety,
+        "divisors": [{"poly": "X0", "degree": 1}, {"poly": "X1", "degree": 1}], "N": 1,
+    }
+    path = tmp_path / "p1.json"
+    path.write_text(json.dumps(data))
+    assert main([*command.split(), str(path)]) == 2
+    assert capsys.readouterr().err == P1_REFUSAL
+
+
+def _projective_plane_scenario(tmp_path):
+    path = tmp_path / "p2.json"
+    path.write_text(json.dumps(conic_scenario_dict(
+        points=[["1", "t", "t^2 + 1"], ["t - 1", "2", "1/t"]],
+        variety={"kind": "projective_space"},
+    )))
+    return str(path)
+
+
+def test_check_builds_no_chow_form(capsys, monkeypatch, tmp_path):
+    # h(X) of projective space and of a hypersurface needs no Chow form
+    files = [SCENARIO, _projective_plane_scenario(tmp_path)]
+    runs = []
+    for file in files:
+        for fmt in ("text", "json"):
+            code = main(["check", file, "--format", fmt])
+            runs.append((code, capsys.readouterr().out))
+
+    def refuse(*args):
+        raise AssertionError("a Chow form was built")
+
+    monkeypatch.setattr(chow, "_cross_minors", refuse)
+    monkeypatch.setattr(chow, "_determinant", refuse)
+    for file in files:
+        for fmt in ("text", "json"):
+            code = main(["check", file, "--format", fmt])
+            assert (code, capsys.readouterr().out) == runs.pop(0)
+
+
 @pytest.mark.parametrize("c1, c_eps, verdict, code", [
     ("1000000", "500000/321", "HeightSmall", 0),
     ("0", "0/1", "Violation", 1),

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ffsubspace.chow import chow_of_hypersurface, multihomform_to_json
+from ffsubspace.chow import chow_height, chow_of_hypersurface, multihomform_to_json
 from ffsubspace.errors import SchemaError
 from ffsubspace.harness import (
     emit_report,
@@ -208,6 +208,23 @@ def test_ideal_kind_requires_and_uses_chow_form():
     assert sc.dimension == 1 and sc.degree == 2
     report = run_check(sc)
     assert report.points[0].lhs == 6
+
+
+def test_h_fx_is_read_without_a_chow_form():
+    # P^12's Chow form det(u_0, ..., u_12) has 13! terms, all +-1: h(X) = 0
+    M = 12
+    sc = load_scenario_dict(conic_scenario_dict(
+        points=[], ambient_dim=M, variety={"kind": "projective_space"},
+        divisors=[{"poly": f"X{i}", "degree": 1} for i in range(M + 1)], N=M,
+    ))
+    assert sc.h_fx == 0 and (sc.dimension, sc.degree) == (M, 1)
+    # a hypersurface's h(X) is h(F); an ideal's is its given form's height
+    text = "t*X0*X2 - X1^2 + X0^2/(t - 1)"
+    sc = load_scenario_dict(conic_scenario_dict(variety={"kind": "hypersurface", "F": text}))
+    fx = chow_of_hypersurface(parse_poly(text, 3))
+    assert sc.h_fx == chow_height(fx) == 2
+    ideal = {"kind": "ideal", "generators": [text], "chow_form": multihomform_to_json(fx)}
+    assert load_scenario_dict(conic_scenario_dict(variety=ideal)).h_fx == 2
 
 
 def test_violation_when_out_of_position():

@@ -10,7 +10,7 @@ from typing import ForwardRef
 
 import pytest
 
-from ffsubspace.chow import expand_skew, psigma_count_report
+from ffsubspace.chow import chow_of_hypersurface, expand_skew, psigma_count_report
 from ffsubspace.effective_constants import ConstantInputs, lcm_reduction
 from ffsubspace.errors import NotHomogeneous, PreconditionViolated
 from ffsubspace.filtration import (
@@ -57,7 +57,8 @@ def _instances():
     report = run_check(load_scenario(SCENARIO))
     scenario = report.scenario
     conic = scenario.x_gens
-    expansion = expand_skew(scenario.chow_form)
+    chow_form = chow_of_hypersurface(conic.generators[0])
+    expansion = expand_skew(chow_form)
     filtration = build_filtration(conic, 2, parse_poly("X0", 3))
     x, place = ProjectivePoint([1, T, T**2]), Place.parse("t")
     quotient = quotient_monomial_basis(conic, 2)
@@ -66,7 +67,7 @@ def _instances():
     found = [
         report, scenario, report.points[0], report.inputs, report.constants,
         report.position, report.position.subsets[0], report.position.subsets[0].verdict,
-        conic, scenario.chow_form, expansion, psigma_count_report(expansion),
+        conic, chow_form, expansion, psigma_count_report(expansion),
         lcm_reduction(scenario.divisors), order_by_vanishing(place, scenario.divisors, x),
         filtration, exponent_sum(filtration, conic),
         filtration_inequality_check(place, x, filtration, conic),
