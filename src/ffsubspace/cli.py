@@ -131,6 +131,8 @@ def _cmd_hilbert(args) -> int:
 
 
 def _cmd_bounds_a_eps(args) -> int:
+    if args.window < 0:
+        raise ToolkitError(f"--window must be at least 0, got {args.window}")
     eps = args.eps
     a = threshold_a_eps(args.n, args.delta, args.d, eps)
     ok = scan_ratio_window(args.n, args.delta, args.d, eps, a, args.window)
@@ -239,6 +241,11 @@ def _cmd_filtration(args) -> int:
     nv = _infer_num_vars(gens_texts + [args.q_poly], args.num_vars)
     gens = IdealGenerators.parse(nv, gens_texts)
     q_poly = parse_poly(args.q_poly, nv)
+    if args.point is not None:
+        x = ProjectivePoint([parse_rational(c) for c in args.point.split(",")])
+        if x.num_vars != nv:
+            raise ToolkitError(f"--point has {x.num_vars} coordinates, the ideal has {nv} variables")
+        p = Place.parse(args.place)
     basis = build_filtration(gens, args.m, q_poly)
     print(f"filtration of degree {args.m} by {args.q_poly} (d = {q_poly.degree}):")
     print(f"  level dims W_i: {list(basis.level_dims)}")
@@ -260,8 +267,6 @@ def _cmd_filtration(args) -> int:
         "stated_sum": rep.stated_sum,
     }
     if args.point is not None:
-        x = ProjectivePoint([parse_rational(c) for c in args.point.split(",")])
-        p = Place.parse(args.place)
         chk = filtration_inequality_check(p, x, basis, gens)
         print(
             f"key inequality at place {p}, point {x}: "

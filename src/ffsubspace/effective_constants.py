@@ -1,6 +1,10 @@
 """Exact evaluation of every effective constant in the inequality pipeline.
 
-All quantities are exact big integers or Fractions; nothing here rounds.
+The ledger works on numbers only: the degrees, the heights h(F_X), h(Q_i)
+and h(Q_1..Q_q) of the lcm-normalized family, that family's S-term, and
+Hilbert values asked for on demand.  The caller computes the heights; no
+form or element of the function field is handled here.  All quantities are
+exact big integers or Fractions; nothing here rounds.
 The two Hilbert-value lookups fall back to the certified bounds (Chardin
 above, Sombra below) exactly where an upper bound on the final constants
 stays an upper bound, so huge degrees never force a rank computation.
@@ -10,8 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple
 
-from .errors import PreconditionViolated, ZeroPolynomial
-from .function_field import RationalFunction
+from .errors import PreconditionViolated
 from .hilbert_bounds import chardin_upper, sombra_lower, threshold_a_eps
 
 
@@ -177,35 +180,3 @@ def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
         c_prime_eps=Fraction(c_prime),
         S_sum=s_sum,
     )
-
-
-class LcmReduction(NamedTuple):
-    """Divisors normalized to a common degree d with a unit coefficient each."""
-
-    normalized: tuple
-    scalars: tuple
-    d: int
-
-
-def lcm_reduction(qs) -> LcmReduction:
-    """Replace each Q_i by (Q_i / a_i)^(d/d_i) with d = lcm of the degrees.
-
-    a_i is the coefficient of the glex-largest monomial of Q_i, which makes
-    the choice deterministic; each output has a coefficient equal to 1 and
-    lambda_{p, out_i} = (d/d_i) lambda_{p, Q_i} pointwise.
-    """
-    qs = list(qs)
-    if not qs:
-        raise ZeroPolynomial("empty divisor family")
-    for q in qs:
-        if q.is_zero():
-            raise ZeroPolynomial("zero divisor in family")
-    d = lcm(*[q.degree for q in qs])
-    normalized = []
-    scalars = []
-    for q in qs:
-        a = q.leading_coefficient()
-        scalars.append(a)
-        scaled = q.scale(RationalFunction(1) / a)
-        normalized.append(scaled ** (d // q.degree))
-    return LcmReduction(tuple(normalized), tuple(scalars), d)

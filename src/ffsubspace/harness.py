@@ -16,24 +16,18 @@ import json
 import re
 from fractions import Fraction
 from functools import partial
-from math import comb
+from math import comb, lcm
 from typing import NamedTuple
 
 from .chow import MultiHomForm, chow_height, multihomform_from_json
-from .effective_constants import (
-    ConstantInputs,
-    EffectiveConstants,
-    assemble_constants,
-    lcm_reduction,
-)
+from .effective_constants import ConstantInputs, EffectiveConstants, assemble_constants
 from .errors import SchemaError
 from .function_field import (
     PlaceSet,
     Place,
     ProjectivePoint,
-    gauss_order_poly,
+    gauss_order_point,
     height_point,
-    height_poly_family,
     weil_rows,
 )
 from .graded_ideal import POSITION_CAP, IdealGenerators, check_subgeneral_position, hilbert_function
@@ -433,6 +427,20 @@ def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
     return h
 
 
+def _normalized_family(divisors, d: int) -> ProjectivePoint:
+    """A point with the Gauss order of the family (Q_i/a_i)^(d/d_i) at every
+    place, a_i the leading coefficient of Q_i, without building the forms.
+
+    By Gauss's lemma e_p(F^k) = k e_p(F) at every place, infinity too, and
+    k e_p(F) is e_p of the k-th powers of F's coefficients.
+    """
+    return ProjectivePoint([
+        (c / q.leading_coefficient()) ** (d // q.degree)
+        for q in divisors
+        for c in q.coefficients()
+    ])
+
+
 def run_check(scenario: Scenario) -> Report:
     """Full pipeline: position check, constants, per-point inequality."""
     warnings = []
@@ -445,17 +453,15 @@ def run_check(scenario: Scenario) -> Report:
             f"cap {POSITION_CAP}; constants may not be meaningful"
         )
 
-    reduction = lcm_reduction(scenario.divisors)
     degrees = tuple(q.degree for q in scenario.divisors)
+    d = lcm(*degrees)
     n = scenario.dimension
 
     h_q_i = tuple(Fraction(q.primitive()[1]) for q in scenario.divisors)
-    h_q_family = height_poly_family(reduction.normalized)
+    family = _normalized_family(scenario.divisors, d)
+    h_q_family = height_point(family)
     e_s_term = Fraction(
-        sum(
-            gauss_order_poly(p, reduction.normalized) * p.degree
-            for p in scenario.places
-        )
+        sum(gauss_order_point(p, family) * p.degree for p in scenario.places)
     )
 
     inputs = ConstantInputs(
@@ -480,7 +486,6 @@ def run_check(scenario: Scenario) -> Report:
 
     factor = scenario.N * (n + 1) + scenario.epsilon
     # lhs = sum lambda / d_i = (sum lambda * (d / d_i)) / d over the ints.
-    d = reduction.d
     weights = tuple(d // di for di in degrees)
     records = []
     for idx, x in enumerate(scenario.points):

@@ -271,6 +271,8 @@ class _Parser:
             inner = self.expr()
             self.expect_op(")")
             return inner
+        if kind == "end":
+            raise ParseError("unexpected end of input", pos)
         raise ParseError(f"unexpected token {val!r}", pos)
 
     def var(self, idx, pos):

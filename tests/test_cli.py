@@ -12,6 +12,7 @@ from ffsubspace.cli import main
 from ffsubspace.function_field import ProjectivePoint
 from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
 from ffsubspace.hilbert_bounds import hypersurface_hilbert
+from ffsubspace.multipoly import HomogeneousPoly
 from test_harness import conic_scenario_dict, golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -110,6 +111,14 @@ def test_bounds_command(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "a_eps = " in out and "pass" in out
     assert json.loads(report.read_text())["scan_ok"] is True
+
+
+def test_bounds_command_refuses_a_negative_window(capsys):
+    assert main(
+        ["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", "1",
+         "--window", "-5"]
+    ) == 2
+    assert capsys.readouterr() == ("", "error: --window must be at least 0, got -5\n")
 
 
 def test_chow_command(capsys, tmp_path):
@@ -251,7 +260,7 @@ def test_chow_command_parses_only_the_variety(capsys, tmp_path):
     assert capsys.readouterr() == (CHOW_STDOUT["ideal"], "")
     assert main(["check", path]) == 2
     assert capsys.readouterr().err == (
-        "error: unexpected token None (at position 3) (at /points/1/2)\n"
+        "error: unexpected end of input (at position 3) (at /points/1/2)\n"
     )
 
 
@@ -373,6 +382,20 @@ def test_filtration_point_and_place_go_together(capsys, given, missing):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: missing {missing}")
+
+
+@pytest.mark.parametrize("point, place, message", [
+    ("1,t", "t^2", "finite place must be irreducible: t^2"),
+    ("1,t,t^2", "t", "--point has 3 coordinates, the ideal has 2 variables"),
+    ("0,0", "t", "projective point needs a nonzero coordinate"),
+])
+def test_filtration_refuses_a_bad_point_or_place_first(capsys, point, place, message):
+    # refused before the filtration is built or printed
+    assert main(
+        ["filtration", "--gens", "", "--num-vars", "2", "--m", "4", "--q-poly", "X0",
+         "--point", point, "--place", place]
+    ) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def test_position_command(capsys, tmp_path):
@@ -553,6 +576,40 @@ def test_check_builds_no_chow_form(capsys, monkeypatch, tmp_path):
 
     monkeypatch.setattr(chow, "_cross_minors", refuse)
     monkeypatch.setattr(chow, "_determinant", refuse)
+    for file in files:
+        for fmt in ("text", "json"):
+            code = main(["check", file, "--format", fmt])
+            assert (code, capsys.readouterr().out) == runs.pop(0)
+
+
+def _quadric_divisor_scenario(tmp_path):
+    path = tmp_path / "quadric.json"
+    path.write_text(json.dumps(conic_scenario_dict(
+        points=[["1", "t", "t^2"], ["(t + 1)^2", "2*t + 2", "4"]],
+        divisors=[
+            {"poly": "t*X0^2 + X1*X2/(t + 1) - 3*X2^2", "degree": 2},
+            {"poly": "2*X0 + t*X1", "degree": 1},
+            {"poly": "X1 - (t^2 + 1)*X2", "degree": 1},
+            {"poly": "X0 + X1 + X2/t", "degree": 1},
+        ],
+        places=["t", "t + 1", "t^2 + 1", "inf"],
+    )))
+    return str(path)
+
+
+def test_check_builds_no_form_power(capsys, monkeypatch, tmp_path):
+    # h(Q_1..Q_q) and the S-term come from powers of coefficients, not forms
+    files = [SCENARIO, _quadric_divisor_scenario(tmp_path)]
+    runs = []
+    for file in files:
+        for fmt in ("text", "json"):
+            code = main(["check", file, "--format", fmt])
+            runs.append((code, capsys.readouterr().out))
+
+    def refuse(*args):
+        raise AssertionError("a power of a form was built")
+
+    monkeypatch.setattr(HomogeneousPoly, "__pow__", refuse)
     for file in files:
         for fmt in ("text", "json"):
             code = main(["check", file, "--format", fmt])
@@ -883,7 +940,7 @@ def test_malformed_json_is_a_schema_error_for_every_reader(capsys, tmp_path):
     ({"points": [["1", "t", "t^2"], ["1", "(t + 1)(t - 1)", "t"]]},
      "unexpected trailing '(' (at position 7) (at /points/1/1)"),
     ({"divisors": [{"poly": "X0", "degree": 1}, {"poly": "X1 +", "degree": 1}]},
-     "unexpected token None (at position 4) (at /divisors/1/poly)"),
+     "unexpected end of input (at position 4) (at /divisors/1/poly)"),
     ({"variety": {"kind": "hypersurface", "F": "X0*X2 - X3^2"}},
      "variable X3 out of range (have X0..X2) (at position 8) (at /variety/F)"),
     ({"variety": {"kind": "ideal", "generators": ["X0", "X1 X2"], "chow_form": {

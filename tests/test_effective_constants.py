@@ -9,7 +9,6 @@ from ffsubspace.effective_constants import (
     assemble_constants,
     b_const,
     choose_m,
-    lcm_reduction,
     excess_vanishing_const,
     excess_vanishing_power,
 )
@@ -23,6 +22,7 @@ from ffsubspace.function_field import (
 from ffsubspace.hilbert_bounds import threshold_a_eps
 from ffsubspace.multipoly import parse_poly
 from helpers import rand_point
+from oracles import lcm_reduction
 
 T = RationalFunction.t()
 

@@ -1,12 +1,24 @@
 import json
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffsubspace.chow import chow_height, chow_of_hypersurface, multihomform_to_json
 from ffsubspace.errors import SchemaError
+from ffsubspace.function_field import (
+    INFINITY,
+    Place,
+    RationalFunction,
+    gauss_order_point,
+    gauss_order_poly,
+    height_point,
+    height_poly_family,
+)
 from ffsubspace.harness import (
+    _normalized_family,
     emit_report,
     fmt_q,
     has_violation,
@@ -15,7 +27,8 @@ from ffsubspace.harness import (
     report_to_dict,
     run_check,
 )
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
+from oracles import lcm_reduction
 
 SCENARIO_PATH = Path(__file__).resolve().parents[1] / (
     "src/ffsubspace/scenarios/conic.json"
@@ -343,3 +356,37 @@ def test_lhs_is_the_sum_of_the_int_weil_values_over_the_degrees():
             (Fraction(lam, di) for _, row in rec.weil_table for lam, di in zip(row, degrees)),
             Fraction(0),
         )
+
+
+# --- hypothesis property: the scalar family has the normalized family's
+# height and Gauss orders
+
+_zpoly = st.lists(st.integers(-6, 6), min_size=1, max_size=3).filter(any)
+_elements = st.builds(RationalFunction, _zpoly, _zpoly)
+FAMILY_PLACES = [Place.parse(p) for p in ("t", "t + 1", "t - 2", "t^2 + 1", "t^2 + t + 1")]
+
+
+@st.composite
+def _families(draw):
+    """1-4 forms in 2-4 variables of degree 1-4, mixed so that d > 1 often,
+    with 1-3 terms whose Q(t) coefficients carry denominators."""
+    nv = draw(st.integers(2, 4))
+    forms = []
+    for _ in range(draw(st.integers(1, 4))):
+        degree = draw(st.integers(1, 4))
+        keys = draw(st.lists(st.sampled_from(monomial_basis(nv, degree)),
+                             min_size=1, max_size=3, unique=True))
+        forms.append(HomogeneousPoly(nv, degree, {key: draw(_elements) for key in keys}))
+    return forms
+
+
+@settings(max_examples=60, deadline=None)
+@given(qs=_families())
+def test_scalar_family_matches_the_lcm_reduction(qs):
+    reduction = lcm_reduction(qs)
+    d = lcm(*(q.degree for q in qs))
+    assert reduction.d == d
+    family = _normalized_family(qs, d)
+    assert height_point(family) == height_poly_family(reduction.normalized)
+    for p in FAMILY_PLACES + [INFINITY]:
+        assert gauss_order_point(p, family) == gauss_order_poly(p, reduction.normalized)

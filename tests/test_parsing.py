@@ -391,6 +391,9 @@ def test_fold_keeps_the_descent_messages():
         ("(t + 1)/(t - t)", "division by zero (at position 7)"),
         ("((t + 1)", "expected ')' (at position 8)"),
         ("(1 (t + 1))", "expected ')' (at position 3)"),
+        ("t +", "unexpected end of input (at position 3)"),
+        ("(t - 1) * ", "unexpected end of input (at position 10)"),
+        ("-", "unexpected end of input (at position 1)"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_rational(text)

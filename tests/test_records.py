@@ -11,7 +11,7 @@ from typing import ForwardRef
 import pytest
 
 from ffsubspace.chow import chow_of_hypersurface, expand_skew, psigma_count_report
-from ffsubspace.effective_constants import ConstantInputs, lcm_reduction
+from ffsubspace.effective_constants import ConstantInputs
 from ffsubspace.errors import NotHomogeneous, PreconditionViolated
 from ffsubspace.filtration import (
     build_filtration,
@@ -37,7 +37,7 @@ T = RationalFunction.t()
 
 RECORDS = {
     "chow": ["MultiHomForm", "SkewExpansion", "SigmaCountReport"],
-    "effective_constants": ["ConstantInputs", "EffectiveConstants", "LcmReduction"],
+    "effective_constants": ["ConstantInputs", "EffectiveConstants"],
     "filtration": [
         "VanishingOrderPermutation", "FiltrationBasis", "ExponentSumReport",
         "FiltrationInequality", "PlaceSandwich", "HeightSandwichReport",
@@ -68,7 +68,7 @@ def _instances():
         report, scenario, report.points[0], report.inputs, report.constants,
         report.position, report.position.subsets[0], report.position.subsets[0].verdict,
         conic, chow_form, expansion, psigma_count_report(expansion),
-        lcm_reduction(scenario.divisors), order_by_vanishing(place, scenario.divisors, x),
+        order_by_vanishing(place, scenario.divisors, x),
         filtration, exponent_sum(filtration, conic),
         filtration_inequality_check(place, x, filtration, conic),
         sandwich, sandwich.per_place[0], quotient,
@@ -88,7 +88,7 @@ def _fields(record):
 
 def test_every_record_is_covered():
     expected = {name for names in RECORDS.values() for name in names}
-    assert len(expected) == 24 and set(_instances()) == expected
+    assert len(expected) == 23 and set(_instances()) == expected
     for module, names in RECORDS.items():
         for name in names:
             assert type(_instances()[name]).__module__ == f"ffsubspace.{module}"
