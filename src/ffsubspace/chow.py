@@ -64,7 +64,7 @@ from .function_field import (
     height_point,
     support,
 )
-from .linalg import Echelon
+from .linalg import Echelon, primitive_row
 from .multipoly import (
     HomogeneousPoly,
     _coerce_coeff,
@@ -180,7 +180,7 @@ def chow_of_linear(span_points) -> MultiHomForm:
     points = [p.coordinates for p in span_points]
     ech = Echelon(len(points[0]))
     for coords in points:
-        ech.add_row({i: c for i, c in enumerate(coords) if not c.is_zero()})
+        ech.add_row(primitive_row(dict(enumerate(coords))))
     if ech.rank != len(points):
         raise DependentSpan("span points are linearly dependent")
     return MultiHomForm(len(points), len(points[0]), _determinant(points))

@@ -34,7 +34,7 @@ from .graded_ideal import (
     graded_piece,
     hilbert_function,
 )
-from .linalg import Echelon
+from .linalg import Echelon, primitive_row
 from .multipoly import HomogeneousPoly, monomial_basis
 
 
@@ -101,7 +101,7 @@ def build_filtration(
     piece = graded_piece(x_gens, m)
     ech = Echelon(len(piece.monomials))
     for col, row in piece.echelon.rref_rows().items():
-        ech.add_row(dict(row))
+        ech.add_row(primitive_row(row))
     ideal_rank = ech.rank
 
     entries = []
@@ -116,7 +116,7 @@ def build_filtration(
         qi = q_power[i]
         for g in monomial_basis(nv, m - i * d):
             candidate = qi * HomogeneousPoly.monomial(nv, g, 1)
-            if ech.add_row(piece.vector_of(candidate)):
+            if ech.add_row(primitive_row(piece.vector_of(candidate))):
                 entries.append((i, g))
         dim_w_i = ech.rank - ideal_rank
         level_dims[i] = dim_w_i

@@ -2,10 +2,13 @@
 
 A degree-m graded piece of an ideal <g_1..g_k> is the row space of the
 Macaulay-style matrix of all monomial multiples x^gamma * g_i of degree m,
-with columns indexed by the degree-m monomials in glex order.  Everything
-downstream (Hilbert values, quotient monomial bases, membership reductions,
-Nullstellensatz certificates, emptiness and position checks) is built on
-that one exact kernel.
+with columns indexed by the degree-m monomials in glex order.  Its rows are
+built over Z[t] from each g_i's primitive coefficients (denominators
+cleared, content stripped), and building stops once the rank reaches the
+number of columns.  Everything downstream (Hilbert values, quotient
+monomial bases, membership reductions, emptiness and position checks) is
+built on that one exact kernel; Nullstellensatz certificates solve over the
+rows of the g_i themselves, with coefficients in K.
 """
 
 import itertools
@@ -21,7 +24,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .function_field import RationalFunction
-from .linalg import Echelon, solve_combination
+from .linalg import Echelon, primitive_row, solve_combination
 from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
 
 
@@ -118,27 +121,43 @@ class GradedPieceBasis:
         return out
 
 
-def _macaulay_rows(gens: IdealGenerators, m: int, col_of: dict):
+def _macaulay_rows(gens: IdealGenerators, m: int, col_of: dict, terms_of):
     """(i, gamma, row) for each multiple x^gamma * g_i of degree m, by i and
-    then gamma in glex order; row is sparse over the columns `col_of`."""
-    for i, g in enumerate(gens.generators):
+    then gamma in glex order; row is sparse over the columns `col_of` and
+    reads g_i's (monomial, coefficient) pairs from terms_of[i]."""
+    for i, (g, terms) in enumerate(zip(gens.generators, terms_of)):
         if g.degree > m:
             continue
         for gamma in monomial_basis(gens.num_vars, m - g.degree):
-            yield i, gamma, {
-                col_of[monomial_mul(gamma, mono)]: c for mono, c in g.terms.items()
-            }
+            yield i, gamma, {col_of[monomial_mul(gamma, mono)]: c for mono, c in terms}
+
+
+@lru_cache(maxsize=256)
+def _integer_terms(g: HomogeneousPoly) -> tuple:
+    """g's (monomial, coefficient) pairs with its denominators cleared and
+    its integer content stripped: a primitive row over Z[t]."""
+    return tuple(primitive_row(g.terms).items())
 
 
 @lru_cache(maxsize=128)
 def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
-    """The degree-m slice of the ideal as an echelonized row space."""
+    """The degree-m slice of the ideal as an echelonized row space.
+
+    Each generator's coefficients are made primitive over Z[t] once, and a
+    monomial multiple of a primitive row is primitive, so the Macaulay rows
+    enter `Echelon.add_row` as they are built.  Once the rank reaches the
+    number of columns every further row would reduce to zero, so none is
+    built.
+    """
     if m < 0:
         raise PreconditionViolated("degree must be >= 0")
     cols = monomial_basis(gens.num_vars, m)
     col_of = {mono: i for i, mono in enumerate(cols)}
     ech = Echelon(len(cols))
-    for _, _, row in _macaulay_rows(gens, m, col_of):
+    integer = [_integer_terms(g) for g in gens.generators]
+    for _, _, row in _macaulay_rows(gens, m, col_of, integer):
+        if ech.rank == len(cols):
+            break
         ech.add_row(row)
     return GradedPieceBasis(m, cols, ech)
 
@@ -289,7 +308,9 @@ def nullstellensatz_certificate(
         target_degree = u * p0.degree
         cols = monomial_basis(nv, target_degree)
         col_of = {mono: i for i, mono in enumerate(cols)}
-        tagged = list(_macaulay_rows(gens, target_degree, col_of))
+        # the cofactors are for the g_i themselves: rows over K, not primitive
+        terms_of = [g.terms.items() for g in gens.generators]
+        tagged = list(_macaulay_rows(gens, target_degree, col_of, terms_of))
         power = p0 ** u
         target = {col_of[mono]: c for mono, c in power.terms.items()}
         solution = solve_combination([row for _, _, row in tagged], target, len(cols))
@@ -379,15 +400,35 @@ class PositionReport(NamedTuple):
         return [s for s in self.subsets if not s.verdict.certified_empty]
 
 
+# A resource guard on the position walk: it visits at most this many
+# (N+1)-subsets.  A subset walk took 0.07-0.8 ms with lines and conics as
+# divisors (2 vCPUs, Python 3.11.7), so a walk at the limit takes about 0.2
+# to 1.6 s.
+MAX_POSITION_SUBSETS = 2000
+
+
+def check_position_subsets(q: int, N: int):
+    """Refuse a position walk over the C(q, N+1) subsets of q divisors when
+    there are more than MAX_POSITION_SUBSETS of them."""
+    count = comb(q, N + 1)
+    if count > MAX_POSITION_SUBSETS:
+        raise PreconditionViolated(
+            f"N = {N} gives C({q}, {N + 1}) = {count} subsets to check, "
+            f"more than {MAX_POSITION_SUBSETS}"
+        )
+
+
 def check_subgeneral_position(x_gens: IdealGenerators, qs, N: int) -> PositionReport:
     """Check N-subgeneral position of the divisors with respect to X.
 
     Runs `has_common_projective_zero` on X's generators joined with every
-    (N+1)-subset of the divisors, so each walk is bounded by POSITION_CAP.
-    One-sided like the certificate itself: a failing subset is reported,
-    not proven nonempty.
+    (N+1)-subset of the divisors, so each walk is bounded by POSITION_CAP;
+    more than MAX_POSITION_SUBSETS subsets are refused before any piece is
+    built.  One-sided like the certificate itself: a failing subset is
+    reported, not proven nonempty.
     """
     qs = list(qs)
+    check_position_subsets(len(qs), N)
     verdicts = []
     for indices in itertools.combinations(range(len(qs)), N + 1):
         joined = IdealGenerators.of(

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .chow import MultiHomForm, chow_height, multihomform_from_json
 from .effective_constants import ConstantInputs, EffectiveConstants, assemble_constants
-from .errors import SchemaError
+from .errors import PreconditionViolated, SchemaError
 from .function_field import (
     PlaceSet,
     Place,
@@ -30,7 +30,13 @@ from .function_field import (
     height_point,
     weil_rows,
 )
-from .graded_ideal import POSITION_CAP, IdealGenerators, check_subgeneral_position, hilbert_function
+from .graded_ideal import (
+    POSITION_CAP,
+    IdealGenerators,
+    check_position_subsets,
+    check_subgeneral_position,
+    hilbert_function,
+)
 from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
 from .multipoly import parse_poly, primitive_values
 from .parsing import parse_at, parse_rational
@@ -315,6 +321,10 @@ def load_scenario_dict(data: dict) -> Scenario:
         divisors.append(poly)
     if data["N"] >= len(divisors):  # as for `position --N`: an (N+1)-subset must exist
         raise SchemaError(f"N must lie in [1, {len(divisors) - 1}], got {data['N']}", "/N")
+    try:
+        check_position_subsets(len(divisors), data["N"])
+    except PreconditionViolated as exc:
+        raise SchemaError(str(exc), "/N") from None
 
     first = {}  # place -> index of its first entry, in entry order
     for j, text in enumerate(data["places"]):

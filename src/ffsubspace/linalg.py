@@ -1,17 +1,18 @@
 """Exact sparse echelon forms over K = Q(t).
 
 Rows live in sparse dicts {column index: entry}.  Forward elimination is
-fraction-free and runs over Z[t], where every element of K already keeps
-its numerator and denominator: an incoming row is scaled to a primitive
-row (the Z[t] lcm of its denominators cleared, content stripped) whose
-entries are integer `upoly` tuples, and is eliminated by cross-multiplication
-against the stored pivot rows with `upoly.mul`/`upoly.sub`, stripping the
-integer content after every combination to keep coefficients small.
-Pivoting is deterministic: rows in input order, the leftmost nonzero column
-pivots.  Entries become elements of Q(t) only in `rref_rows`, which
-recovers the reduced row-echelon form over K as the canonical pairs
-(entry, pivot entry); it is the canonical RREF of the row space, so every
-basis choice downstream is reproducible.
+fraction-free and runs over Z[t]: `Echelon.add_row` takes primitive rows
+(entries integer `upoly` tuples, content 1) and fixes their sign on entry
+(leading coefficient of the leftmost entry positive).  A row over K enters
+through `primitive_row`, which clears the Z[t] lcm of its denominators and
+strips the content; graded pieces build their rows over Z[t] directly.
+Rows are eliminated by cross-multiplication against the stored pivot rows
+with `upoly.mul`/`upoly.sub`, stripping the integer content after every
+combination to keep coefficients small.  Pivoting is deterministic: rows in
+input order, the leftmost nonzero column pivots.  Entries become elements
+of Q(t) only in `rref_rows`, which recovers the reduced row-echelon form
+over K as the canonical pairs (entry, pivot entry); it is the canonical RREF
+of the row space, so every basis choice downstream is reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .function_field import RationalFunction, clear_denominators
 from .multipoly import collect
 
 
-def _row_to_primitive(field_row: dict) -> dict:
+def primitive_row(field_row: dict) -> dict:
     """Clear denominators and strip content: {col: RationalFunction} -> {col: ints}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
     return _strip_content(dict(zip(entries, clear_denominators(entries.values())[0])))
@@ -47,6 +48,19 @@ def _strip_content(row: dict) -> dict:
     return {c: tuple(x // content for x in p) for c, p in row.items()}
 
 
+def _eliminate(row: dict, piv: dict, lead: int) -> dict:
+    """a*row - b*piv for a, b the entries of piv and row at `lead`, whose
+    own entry there cancels exactly and is left out; may hold zero entries."""
+    a, b = piv[lead], row[lead]
+    out = {c: upoly.mul(a, p) for c, p in row.items() if c != lead}
+    for c, p in piv.items():
+        if c != lead:
+            q = upoly.mul(b, p)
+            r = out.get(c)
+            out[c] = upoly.neg(q) if r is None else upoly.sub(r, q)
+    return out
+
+
 class Echelon:
     """Incremental echelon form with deterministic leftmost pivoting.
 
@@ -67,28 +81,25 @@ class Echelon:
     def pivot_cols(self) -> list:
         return sorted(self._pivots)
 
-    def add_row(self, field_row: dict) -> bool:
-        """Insert a row (as {col: RationalFunction}); True iff the rank grew."""
-        self._add_primitive(_row_to_primitive(field_row))
-        return self._last_grew
+    def add_row(self, row: dict) -> bool:
+        """Insert a primitive row over Z[t] ({col: nonzero upoly tuple} with
+        content 1, such as `primitive_row` gives); True iff the rank grew.
 
-    def _add_primitive(self, row: dict):
-        self._last_grew = False
+        The row's sign is fixed first by `_strip_content`'s rule, so a stored
+        pivot row does not depend on it."""
+        if row and row[min(row)][-1] < 0:
+            row = {c: upoly.neg(p) for c, p in row.items()}
         while row:
-            lead = min((c for c in row if c < self.pivot_limit), default=None)
-            if lead is None:
-                return  # no pivotable support left
+            lead = min(row)
+            if lead >= self.pivot_limit:
+                return False  # no pivotable support left
             piv = self._pivots.get(lead)
             if piv is None:
                 self._pivots[lead] = row
                 self._rref = None
-                self._last_grew = True
-                return
-            a, b = piv[lead], row[lead]
-            row = _strip_content({
-                c: upoly.sub(upoly.mul(a, row.get(c, ())), upoly.mul(b, piv.get(c, ())))
-                for c in set(row) | set(piv)
-            })
+                return True
+            row = _strip_content(_eliminate(row, piv, lead))
+        return False
 
     def rref_rows(self) -> dict:
         """{pivot col: fully reduced row over K with pivot entry 1}."""
@@ -135,7 +146,7 @@ def solve_combination(rows: list, target: dict, ncols: int):
     for i, row in enumerate(rows):
         aug = dict(row)
         aug[ncols + i] = RationalFunction(1)
-        ech.add_row(aug)
+        ech.add_row(primitive_row(aug))
     residual = ech.reduce(dict(target))
     if any(c < ncols for c in residual):
         return None

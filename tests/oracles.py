@@ -5,6 +5,8 @@ from typing import NamedTuple
 
 from ffsubspace.errors import ZeroPolynomial
 from ffsubspace.function_field import RationalFunction
+from ffsubspace.linalg import Echelon, primitive_row
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
 
 
 class LcmReduction(NamedTuple):
@@ -39,3 +41,19 @@ def lcm_reduction(qs) -> LcmReduction:
         scaled = q.scale(RationalFunction(1) / a)
         normalized.append(scaled ** (d // q.degree))
     return LcmReduction(tuple(normalized), tuple(scalars), d)
+
+
+def graded_piece_echelon(gens, m: int) -> Echelon:
+    """The degree-m piece of the ideal as an Echelon fed every product
+    x^gamma * g_i of degree m, by i and then gamma in glex order, each as a
+    row over K through `primitive_row`, with no stop at full rank."""
+    cols = monomial_basis(gens.num_vars, m)
+    col_of = {mono: i for i, mono in enumerate(cols)}
+    ech = Echelon(len(cols))
+    for g in gens.generators:
+        if g.degree > m:
+            continue
+        for gamma in monomial_basis(gens.num_vars, m - g.degree):
+            product = g * HomogeneousPoly.monomial(gens.num_vars, gamma, 1)
+            ech.add_row(primitive_row({col_of[mono]: c for mono, c in product.terms.items()}))
+    return ech

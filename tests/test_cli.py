@@ -121,6 +121,19 @@ def test_bounds_command_refuses_a_negative_window(capsys):
     assert capsys.readouterr() == ("", "error: --window must be at least 0, got -5\n")
 
 
+@pytest.mark.parametrize("window, code", [(100, 0), (1000, 0), (1001, 2), (10**6, 2)])
+def test_bounds_command_bounds_the_window(capsys, window, code):
+    assert main(
+        ["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", "1",
+         "--window", str(window)]
+    ) == code
+    captured = capsys.readouterr()
+    if code == 0:
+        assert "a_eps = " in captured.out and captured.err == ""
+    else:
+        assert captured == ("", f"error: --window must be at most 1000, got {window}\n")
+
+
 def test_chow_command(capsys, tmp_path):
     assert main(["chow", "--input", SCENARIO]) == 0
     out = capsys.readouterr().out
@@ -532,6 +545,24 @@ def test_scenario_N_must_leave_a_subset_to_check(capsys, tmp_path, N):
         assert capsys.readouterr().err == f"error: N must lie in [1, 3], got {N} (at /N)\n"
     # `chow` parses only the variety
     assert main(["chow", "--input", path]) == 0
+
+
+def test_scenario_with_too_many_position_subsets_is_refused(monkeypatch, capsys, tmp_path):
+    # 20 lines on the conic: N = 4 would walk C(20, 5) = 15504 subsets, past
+    # MAX_POSITION_SUBSETS (2000); it exits 2 before any graded piece is built,
+    # as the scenario's N (at /N) and as `position --N`
+    built = []
+    monkeypatch.setattr(graded_ideal, "graded_piece", lambda gens, m: built.append(m))
+    lines = [{"poly": f"X0 + {k}*X1 + {k * k + 1}*X2", "degree": 1} for k in range(20)]
+    refusal = "error: N = 4 gives C(20, 5) = 15504 subsets to check, more than 2000"
+    path = _conic_with(tmp_path, divisors=lines, N=4)
+    for command in (["check", path], ["position", "--file", path]):
+        assert main(command) == 2
+        assert capsys.readouterr() == ("", f"{refusal} (at /N)\n")
+    path = _conic_with(tmp_path, divisors=lines, N=1)  # C(20, 2) = 190 subsets
+    assert main(["position", "--file", path, "--N", "4"]) == 2
+    assert capsys.readouterr() == ("", f"{refusal}\n")
+    assert built == []
 
 
 P1_REFUSAL = "error: hypersurface variety needs ambient_dim >= 2 (at /ambient_dim)\n"

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffsubspace import graded_ideal
-from ffsubspace.errors import InvariantViolated, NoCertificateWithinCap, ZeroPolynomial
+from ffsubspace.errors import (
+    InvariantViolated,
+    NoCertificateWithinCap,
+    PreconditionViolated,
+    ZeroPolynomial,
+)
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.graded_ideal import (
+    MAX_POSITION_SUBSETS,
     POSITION_CAP,
     certificate_exponent_bound,
     hermann_cofactor_bound,
@@ -22,8 +28,10 @@ from ffsubspace.graded_ideal import (
     quotient_monomial_basis,
     reduce_to_quotient_basis,
 )
+from ffsubspace.linalg import Echelon
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
+from oracles import graded_piece_echelon
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
 LINES = [parse_poly(s, 3) for s in ["X0", "X1", "X2", "X0 + X1 + X2"]]
@@ -34,6 +42,70 @@ def test_graded_piece_examples():
     assert graded_piece(IdealGenerators.of(3, ()), 2).rank == 0
     full = graded_piece(IdealGenerators.parse(2, ["X0", "X1"]), 1)
     assert full.rank == 2 and len(full.monomials) == 2
+
+
+_coefficients = st.builds(
+    lambda num, den: RationalFunction(num, den) if any(den) else RationalFunction(num),
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).filter(any),
+    st.lists(st.integers(-3, 3), max_size=2),
+)
+
+
+@st.composite
+def _ideal_pieces(draw):
+    """(gens, m, full): 1-3 forms of degree <= 3 in 2-4 variables with Q(t)
+    coefficients, some with denominators.  With `full`, the powers
+    c_i * X_i^(e_i) with sum (e_i - 1) < m come first: every monomial of
+    degree m is a multiple of one of them, so the piece is full."""
+    num_vars, m = draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    gens, full = [], draw(st.booleans())
+    if full:
+        budget = m - 1
+        for i in range(num_vars):
+            e = draw(st.integers(1, 1 + budget))
+            budget -= e - 1
+            power = [e * (j == i) for j in range(num_vars)]
+            gens.append(HomogeneousPoly.monomial(num_vars, power, draw(_coefficients)))
+    for _ in range(draw(st.integers(1, 3))):
+        basis = monomial_basis(num_vars, draw(st.integers(1, 3)))
+        terms = draw(st.dictionaries(st.sampled_from(basis), _coefficients,
+                                     min_size=1, max_size=3))
+        gens.append(HomogeneousPoly(num_vars, sum(basis[0]), terms))
+    return IdealGenerators.of(num_vars, tuple(gens)), m, full
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_ideal_pieces())
+def test_graded_piece_matches_the_k_row_reference(case):
+    # the rows enter over Z[t] and stop at full rank; the reference feeds
+    # every K-row through primitive_row and never stops
+    gens, m, full = case
+    piece = graded_piece(gens, m)
+    ref = graded_piece_echelon(gens, m)
+    ech = piece.echelon
+    assert not full or ech.rank == len(piece.monomials)
+    assert (ech.rank, ech.pivot_cols(), ech.rref_rows()) == (
+        ref.rank, ref.pivot_cols(), ref.rref_rows()
+    )
+    assert ech._pivots == ref._pivots
+
+
+def test_a_full_piece_takes_no_row_past_full_rank(monkeypatch):
+    # the twisted cubic and three of ideal-session's planes: the degree-2
+    # piece is full after 11 of its 15 rows, and the last 4 are not built
+    ranks, real = [], Echelon.add_row
+
+    def spy(self, row):
+        ranks.append(self.rank)
+        return real(self, row)
+
+    monkeypatch.setattr(Echelon, "add_row", spy)
+    gens = IdealGenerators.parse(
+        4, ["X0*X2 - X1^2", "X1*X3 - X2^2", "X0*X3 - X1*X2", "X0", "X3", "X1 + X2"]
+    )
+    piece = graded_piece.__wrapped__(gens, 2)
+    assert piece.rank == len(piece.monomials) == 10
+    assert len(ranks) == 11 and max(ranks) < 10
 
 
 def test_graded_piece_cache_is_bounded():
@@ -188,6 +260,16 @@ def test_certificate_examples():
         nullstellensatz_certificate(parse_poly("X0", 2), IdealGenerators.parse(2, ["X1"]))
 
 
+def test_certificate_cofactors_are_for_the_generators_themselves():
+    # generators with content 2 and a denominator t + 1: the cofactors must
+    # combine the g_i as given, not their primitive Z[t] multiples
+    gens = IdealGenerators.parse(2, ["2*X0^2", "X1^2/(t + 1)"])
+    p0 = parse_poly("X0 + X1", 2)
+    cert = nullstellensatz_certificate(p0, gens)
+    assert cert.exponent == 3
+    assert cert.verify(p0, gens)
+
+
 def test_failed_re_verification_raises(monkeypatch):
     monkeypatch.setattr(
         graded_ideal.NullstellensatzCertificate, "verify", lambda self, p0, gens: False
@@ -265,6 +347,19 @@ def test_position_examples():
     assert len(failing) == 2
     zero = IdealGenerators.of(3, ())
     assert check_subgeneral_position(zero, LINES[:3], 2).in_position
+
+
+def test_position_walk_refuses_too_many_subsets(monkeypatch):
+    def no_piece(gens, m):
+        raise AssertionError("a graded piece was built")
+
+    lines = [parse_poly(f"X0 + {k}*X1 + {k * k + 1}*X2", 3) for k in range(20)]
+    assert comb(20, 3) <= MAX_POSITION_SUBSETS < comb(20, 5)
+    graded_ideal.check_position_subsets(20, 2)  # accepted
+    monkeypatch.setattr(graded_ideal, "graded_piece", no_piece)
+    message = r"N = 4 gives C\(20, 5\) = 15504 subsets to check, more than 2000"
+    with pytest.raises(PreconditionViolated, match=message):
+        check_subgeneral_position(CONIC, lines, 4)
 
 
 def test_row_space_membership_properties():

@@ -3,7 +3,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from ffsubspace.function_field import RationalFunction
-from ffsubspace.linalg import Echelon, _row_to_primitive, solve_combination
+from ffsubspace.linalg import Echelon, primitive_row, solve_combination
 from helpers import rand_k, rand_qpoly
 
 T = RationalFunction.t()
@@ -39,7 +39,7 @@ def gauss_jordan(rows, ncols):
 def echelon_of(rows, ncols):
     ech = Echelon(ncols)
     for r in rows:
-        ech.add_row(dict(r))
+        ech.add_row(primitive_row(r))
     return ech
 
 
@@ -50,9 +50,9 @@ def row(*vals):
 
 def test_rank_and_pivots_constant():
     ech = Echelon(3)
-    assert ech.add_row(row(1, 2, 3))
-    assert ech.add_row(row(2, 4, 6)) is False  # dependent
-    assert ech.add_row(row(0, 1, 1))
+    assert ech.add_row(primitive_row(row(1, 2, 3)))
+    assert ech.add_row(primitive_row(row(2, 4, 6))) is False  # dependent
+    assert ech.add_row(primitive_row(row(0, 1, 1)))
     assert ech.rank == 2
     assert ech.pivot_cols() == [0, 1]
     rref = ech.rref_rows()
@@ -69,7 +69,7 @@ def test_rref_is_canonical_under_row_order():
         rng.shuffle(shuffled)
         ech = Echelon(3)
         for r in shuffled:
-            ech.add_row(dict(r))
+            ech.add_row(primitive_row(r))
         if base is None:
             base = ech.rref_rows()
         else:
@@ -78,10 +78,10 @@ def test_rref_is_canonical_under_row_order():
 
 def test_polynomial_entries():
     ech = Echelon(2)
-    ech.add_row(row(T, 1))
-    ech.add_row(row(T * T, T))  # multiple of the first
+    ech.add_row(primitive_row(row(T, 1)))
+    ech.add_row(primitive_row(row(T * T, T)))  # multiple of the first
     assert ech.rank == 1
-    ech.add_row(row(0, T - 1))
+    ech.add_row(primitive_row(row(0, T - 1)))
     assert ech.rank == 2
     rref = ech.rref_rows()
     assert rref[0] == {0: RationalFunction(1)}
@@ -90,8 +90,8 @@ def test_polynomial_entries():
 
 def test_reduce_and_contains():
     ech = Echelon(3)
-    ech.add_row(row(1, 0, -1))
-    ech.add_row(row(0, 1, -1))
+    ech.add_row(primitive_row(row(1, 0, -1)))
+    ech.add_row(primitive_row(row(0, 1, -1)))
     assert ech.contains(row(1, 1, -2))
     residual = ech.reduce(row(1, 1, 0))
     assert residual == {2: RationalFunction(2)}
@@ -220,8 +220,8 @@ def test_row_to_primitive_reads_numerators_and_denominators():
         3: ZERO,
         5: RationalFunction.parse("-3/2"),
     }
-    prim = _row_to_primitive(row)
+    prim = primitive_row(row)
     assert prim == {0: (9, 12, 4), 2: (0, 3), 5: (-27, -18)}
     ratio = RationalFunction.reduced(prim[0]) / row[0]
     assert all(RationalFunction.reduced(p) == ratio * row[c] for c, p in prim.items())
-    assert _row_to_primitive({1: RationalFunction(-2), 4: -T}) == {1: (2,), 4: (0, 1)}
+    assert primitive_row({1: RationalFunction(-2), 4: -T}) == {1: (2,), 4: (0, 1)}
