@@ -2,6 +2,8 @@
 Hilbert bounds, filtrations, effective constants, and the subspace
 inequality checker."""
 
+from .chow import generalized_cross_product, multihomform_to_json
+from .filtration import height_sandwich_check, order_by_vanishing
 from .function_field import (
     INFINITY,
     Place,
@@ -29,6 +31,7 @@ from .graded_ideal import (
     reduce_to_quotient_basis,
 )
 from .harness import Scenario, emit_report, load_scenario, run_check
+from .hilbert_bounds import T_lower_bound, power_sum_bounds, ratio_check
 from .multipoly import HomogeneousPoly, monomial_basis, parse_poly
 
 __all__ = [
@@ -40,23 +43,30 @@ __all__ = [
     "ProjectivePoint",
     "RationalFunction",
     "Scenario",
+    "T_lower_bound",
     "check_subgeneral_position",
     "divisor",
     "emit_report",
     "gauss_order_point",
     "gauss_order_poly",
+    "generalized_cross_product",
     "graded_piece",
     "has_common_projective_zero",
     "height_elem",
     "height_point",
     "height_poly_family",
+    "height_sandwich_check",
     "hilbert_function",
     "load_scenario",
     "monomial_basis",
+    "multihomform_to_json",
     "nullstellensatz_certificate",
     "order_at",
+    "order_by_vanishing",
     "parse_poly",
+    "power_sum_bounds",
     "quotient_monomial_basis",
+    "ratio_check",
     "reduce_to_quotient_basis",
     "run_check",
     "weil",

@@ -3,8 +3,9 @@
 Two exact constructors cover the desk-scale varieties: linear subvarieties
 (a block determinant) and hypersurfaces (the defining form applied to the
 generalized cross product of the hyperplane coefficient vectors).  Chow
-forms of anything else can be supplied as data; the expansion machinery
-below does not care where the form came from.
+forms of anything else can be supplied as data (`multihomform_to_json`
+writes that format); the expansion machinery below does not care where the
+form came from.  h(X) is the largest degree of F_X's primitive form.
 
 The skew expansion substitutes u_i = S^(i) x for generic skew-symmetric
 matrices S^(i) and collects the result as sum_sigma P_sigma(x) * sigma over
@@ -42,6 +43,7 @@ skew table.  A form's keys are nested per block only in its JSON format.
 """
 
 import itertools
+from fractions import Fraction
 from functools import reduce
 from math import comb, prod
 from typing import NamedTuple
@@ -56,14 +58,7 @@ from .errors import (
     VarCountMismatch,
     ZeroPolynomial,
 )
-from .function_field import (
-    ProjectivePoint,
-    RationalFunction,
-    clear_denominators,
-    gauss_order_coeffs,
-    height_point,
-    support,
-)
+from .function_field import RationalFunction, clear_denominators
 from .linalg import Echelon, primitive_row
 from .multipoly import (
     HomogeneousPoly,
@@ -289,16 +284,6 @@ def _skew_rows(pairs, nv: int) -> list:
     return rows
 
 
-def apply_skew_to_point(pairs, skew_values, x):
-    """u = Sx for one skew matrix with the given upper-triangle entries."""
-    coords = x.coordinates if hasattr(x, "coordinates") else [_coerce_coeff(c) for c in x]
-    s = [_coerce_coeff(v) for v in skew_values]
-    return [
-        sum((sign * s[p] * coords[col] for p, col, sign in row), RationalFunction(0))
-        for row in _skew_rows(pairs, len(coords))
-    ]
-
-
 # Limits on one skew expansion, checked before any product is formed.  The
 # work and the output grow with the number of block-term products (bounded
 # by `skew_product_count`), and each product's integer with the degree
@@ -496,27 +481,6 @@ def _psigma_forms(expansion: SkewExpansion) -> dict:
     }
 
 
-def coefficient_bound_report(form: MultiHomForm, expansion: SkewExpansion) -> list:
-    """Per-place e_p(F_X) vs min_sigma e_p(P_sigma) over the support of F_X.
-
-    Every row is ok, so `expand_skew` does not run this: a coefficient of
-    P_sigma is a Z-linear combination of F_X's coefficients, and ord_p of a
-    sum is at least the least ord_p of its terms, at every place, inf
-    included.  No rows when no P_sigma is nonzero (X = P^M, which has no
-    equations): the bound holds over the empty family.
-    """
-    coeffs = form.poly.coefficients()
-    out = []
-    for p in support(coeffs) if expansion.entries else ():
-        e_form = gauss_order_coeffs(p, coeffs)
-        e_min = min(
-            gauss_order_coeffs(p, poly.coefficients())
-            for poly in expansion.entries.values()
-        )
-        out.append((p, e_form, e_min, e_min >= e_form))
-    return out
-
-
 class SigmaCountReport(NamedTuple):
     """Counts around (the number of) generating forms P_sigma.
 
@@ -539,14 +503,15 @@ def psigma_count_report(expansion: SkewExpansion) -> SigmaCountReport:
     return SigmaCountReport(expansion.sigma_count, stated, per_block ** (n + 1))
 
 
-def chow_height(form: MultiHomForm):
+def chow_height(form: MultiHomForm) -> Fraction:
     """h(X) := h(F_X), the height of the coefficient family of the Chow form."""
     if form.poly.is_zero():
         raise ZeroPolynomial("zero Chow form")
-    return height_point(ProjectivePoint(form.poly.coefficients()))
+    return Fraction(form.poly.primitive()[1])
 
 
 def multihomform_to_json(form: MultiHomForm) -> dict:
+    """The form in the `chow_form` input format, terms sorted."""
     return {
         "blocks": form.blocks,
         "vars_per_block": form.vars_per_block,

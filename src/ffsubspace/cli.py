@@ -130,10 +130,12 @@ def _cmd_hilbert(args) -> int:
     return 0
 
 
-# The scan's cost grows with the square of the window: 0.01 s at 100, 0.10 s
-# at 1000 and 0.29 s at 2000 for n = 1, delta = 2, d = 1, eps = 1 (Python
-# 3.11.7).
+# `scan_ratio_window` computes one H value per multiple of d up to
+# a_eps + window, which `bounds a-eps` refuses past MAX_SCAN_DEGREE before
+# computing any: at d = 1 a scan takes about 0.06 s per 10^5 degrees for
+# n <= 3 and 0.10 s for n = 4, so about 1 s at the limit (Python 3.11.7).
 MAX_SCAN_WINDOW = 1000
+MAX_SCAN_DEGREE = 10**6
 
 
 def _cmd_bounds_a_eps(args) -> int:
@@ -143,6 +145,11 @@ def _cmd_bounds_a_eps(args) -> int:
         raise ToolkitError(f"--window must be at most {MAX_SCAN_WINDOW}, got {args.window}")
     eps = args.eps
     a = threshold_a_eps(args.n, args.delta, args.d, eps)
+    if a + args.window > MAX_SCAN_DEGREE:
+        raise ToolkitError(
+            f"a_eps = {a}: a scan to degree {a + args.window} exceeds the limit "
+            f"{MAX_SCAN_DEGREE}"
+        )
     ok = scan_ratio_window(args.n, args.delta, args.d, eps, a, args.window)
     print(f"a_eps = {a}")
     print(

@@ -155,9 +155,7 @@ def exponent_sum(basis: FiltrationBasis, x_gens: IdealGenerators) -> ExponentSum
         hilbert_function(x_gens, basis.degree - i * basis.divisor_degree)
         for i in range(1, steps + 1)
     )
-    stated = sum(
-        hilbert_function(x_gens, i * basis.divisor_degree) for i in range(1, steps)
-    )
+    stated = hilbert_partial_sum(x_gens, steps - 1, basis.divisor_degree)
     if total != level_sum:
         raise InvariantViolated(f"exponent sum {total} != level sum {level_sum}")
     return ExponentSumReport(total, level_sum, stated, total - stated)

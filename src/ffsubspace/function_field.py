@@ -471,7 +471,7 @@ def gauss_order_point(p: Place, x: ProjectivePoint) -> int:
     Depends on the chosen coordinates of x; the heights and Weil values
     built from it do not.
     """
-    return min(order_at(c, p) for c in x.coordinates if not c.is_zero())
+    return gauss_order_coeffs(p, x.coordinates)
 
 
 def gauss_order_coeffs(p: Place, coeffs) -> int:

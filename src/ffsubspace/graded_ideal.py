@@ -277,12 +277,6 @@ def certificate_exponent_bound(d: int, num_vars: int) -> int:
     return (4 * d) ** (num_vars + 1)
 
 
-def hermann_cofactor_bound(d: int, num_vars: int) -> int:
-    """The classical (2d)^(2^M) degree bound for plain ideal-membership
-    cofactors; it feeds the M*2^M exponent inside b_const."""
-    return (2 * d) ** (2 ** (num_vars - 1))
-
-
 # The desk-scale limit the search clips the (4d)^(M+2) exponent bound to.
 CERTIFICATE_EXPONENT_LIMIT = 12
 

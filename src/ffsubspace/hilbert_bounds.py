@@ -1,15 +1,16 @@
 """Quantitative Hilbert-function bounds and the ratio threshold.
 
 Everything here is exact integer/rational arithmetic on closed forms: the
-Chardin upper bound, the Nesterenko-Sombra lower bound, power-sum
-sandwiches, the auxiliary G/T sums, the explicit lower bound for d*T(m/d-1)
-as a polynomial in m, and the effective threshold a_eps past which the
-ratio m(H(m)+1) / sum_{i<m/d} H(id) stays below d(n+1+eps) for every
-variety with the given dimension and degree.
+Chardin upper bound, the Nesterenko-Sombra lower bound G(z), the power-sum
+sandwich, the explicit lower bound for d*T(m/d-1) (T(t) the sum of G(i d)
+for i = 1..t) as a polynomial in m, and the effective threshold a_eps past
+which the ratio m(H(m)+1) / sum_{i<m/d} H(id) stays below d(n+1+eps) for
+every variety with the given dimension and degree.
 
 The threshold is extracted as a Cauchy root bound of an explicit difference
 polynomial, so it is certified for ALL m >= a_eps with d | m, not just a
-scanned window; the scan helpers exist to double-check the extraction.
+scanned window; `scan_ratio_window` double-checks the extraction on a
+window, keeping the denominator as a running sum.
 """
 
 from fractions import Fraction
@@ -68,26 +69,12 @@ def hypersurface_hilbert(m: int, ambient_dim: int, delta: int) -> int:
     return comb(m + M, M) - binom0(m - delta + M, M)
 
 
-def power_sum(k: int, l: int) -> int:
-    """S_k(l) = 1^k + ... + l^k, exactly."""
-    return sum(i**k for i in range(1, l + 1))
-
-
 def power_sum_bounds(k: int, l: int) -> tuple:
-    """The sandwich ((l+1)^{k+1}/(k+1) - (l+1)^k/2, (l+1)^{k+1}/(k+1))."""
+    """The sandwich ((l+1)^{k+1}/(k+1) - (l+1)^k/2, (l+1)^{k+1}/(k+1)) for
+    the power sum S_k(l) = 1^k + ... + l^k."""
     upper = Fraction((l + 1) ** (k + 1), k + 1)
     lower = upper - Fraction((l + 1) ** k, 2)
     return lower, upper
-
-
-def G_value(z: int, n: int, delta: int) -> int:
-    """G(z) = C(z+n+1, n+1) - C(z-delta+n+1, n+1)."""
-    return sombra_lower(z, n, delta)
-
-
-def T_value(t: int, n: int, delta: int, d: int) -> int:
-    """T(t) = sum_{i=1}^t G(i*d); empty sum for t = 0."""
-    return sum(G_value(i * d, n, delta) for i in range(1, t + 1))
 
 
 def t_lower_coefficients(n: int, delta: int, d: int) -> dict:
@@ -104,7 +91,8 @@ def _poly_eval(coeffs: dict, m: int) -> Fraction:
 
 
 def T_lower_bound(m: int, n: int, delta: int, d: int) -> Fraction:
-    """The polynomial lower bound for d*T(m/d - 1) at a multiple m of d."""
+    """The polynomial lower bound for d*T(m/d - 1) at a multiple m of d, where
+    T(t) = sum_{i=1}^t G(i d) and G(z) = `sombra_lower`(z, n, delta)."""
     if m % d != 0 or m < d:
         raise PreconditionViolated("need d | m and m >= d")
     return _poly_eval(t_lower_coefficients(n, delta, d), m)
@@ -169,28 +157,38 @@ class RatioCheck(NamedTuple):
     ok: bool
 
 
+def _ratio(m: int, h_m: int, denominator: int, d: int, n: int, epsilon) -> RatioCheck:
+    """m(H(m)+1)/denominator <= d(n+1+eps), exactly."""
+    lhs = Fraction(m * (h_m + 1), denominator)
+    rhs = d * (n + 1 + Fraction(epsilon))
+    return RatioCheck(lhs, rhs, lhs <= rhs)
+
+
 def ratio_check(H, m: int, d: int, n: int, epsilon) -> RatioCheck:
     """Exact check of m(H(m)+1)/sum_{i=1}^{m/d-1} H(id) <= d(n+1+eps)."""
     if m % d != 0 or m < 2 * d:
         raise PreconditionViolated("need d | m and m >= 2d")
     try:
-        numerator = m * (H[m] + 1)
-        denominator = sum(H[i * d] for i in range(1, m // d))
+        h_m, denominator = H[m], sum(H[i * d] for i in range(1, m // d))
     except KeyError as missing:
         raise MissingTableEntry(f"H table has no entry at degree {missing}") from None
-    lhs = Fraction(numerator, denominator)
-    rhs = d * (n + 1 + Fraction(epsilon))
-    return RatioCheck(lhs, rhs, lhs <= rhs)
+    return _ratio(m, h_m, denominator, d, n, epsilon)
 
 
 def scan_ratio_window(
     n: int, delta: int, d: int, epsilon, a_eps: int, window: int = 100
 ) -> bool:
-    """Re-check the threshold on [a_eps, a_eps+window] against the extremal
-    Hilbert function (the Sombra-equality hypersurface in P^{n+1})."""
-    top = a_eps + window
-    H = {k: hypersurface_hilbert(k, n + 1, delta) for k in range(1, top + 1)}
-    for m in range(a_eps, top + 1):
-        if m % d == 0 and not ratio_check(H, m, d, n, epsilon).ok:
+    """Re-check the threshold at every multiple m of d in [a_eps, a_eps+window]
+    against the extremal Hilbert function (the Sombra-equality hypersurface
+    in P^{n+1}), one H value per multiple of d: the denominator
+    sum_{i=1}^{m/d-1} H(id) is a running sum.  Needs a_eps >= 2d."""
+    first = -(-a_eps // d) * d  # the least multiple of d >= a_eps
+    if first < 2 * d:
+        raise PreconditionViolated("need a_eps >= 2d")
+    denominator = sum(hypersurface_hilbert(i * d, n + 1, delta) for i in range(1, first // d))
+    for m in range(first, a_eps + window + 1, d):
+        h_m = hypersurface_hilbert(m, n + 1, delta)
+        if not _ratio(m, h_m, denominator, d, n, epsilon).ok:
             return False
+        denominator += h_m
     return True

@@ -320,28 +320,6 @@ class HomogeneousPoly:
         return f"HomogeneousPoly({self})"
 
 
-def dehomogenize(q: HomogeneousPoly, axis: int) -> dict:
-    """Substitute X_axis = 1; the result is a term map, possibly inhomogeneous."""
-    return collect(
-        (tuple(0 if i == axis else e for i, e in enumerate(mono)), c)
-        for mono, c in q.terms.items()
-    )
-
-
-def homogenize(terms: dict, num_vars: int, axis: int) -> HomogeneousPoly:
-    """Restore homogeneity with the minimal power of X_axis per term."""
-    if not terms:
-        return HomogeneousPoly.zero(num_vars)
-    target = max(monomial_degree(m) for m in terms)
-
-    def lift(mono):
-        gap = target - monomial_degree(mono)
-        return tuple(e + gap if i == axis else e for i, e in enumerate(mono))
-
-    out = collect((lift(mono), c) for mono, c in terms.items())
-    return HomogeneousPoly(num_vars, target, out)
-
-
 def _format_terms(terms) -> str:
     if not terms:
         return "0"

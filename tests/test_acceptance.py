@@ -15,10 +15,8 @@ from pathlib import Path
 
 from ffsubspace.chow import (
     MultiHomForm,
-    apply_skew_to_point,
     chow_height,
     chow_of_hypersurface,
-    coefficient_bound_report,
     expand_skew,
     psigma_count_report,
 )
@@ -54,10 +52,8 @@ from ffsubspace.graded_ideal import (
 from ffsubspace.harness import emit_report, load_scenario, run_check
 from ffsubspace.hilbert_bounds import (
     T_lower_bound,
-    T_value,
     binom0,
     chardin_upper,
-    power_sum,
     power_sum_bounds,
     ratio_check,
     sombra_lower,
@@ -65,6 +61,7 @@ from ffsubspace.hilbert_bounds import (
 )
 from ffsubspace.multipoly import HomogeneousPoly, parse_poly
 from helpers import rand_homog, rand_k, rand_point
+from oracles import T_value, apply_skew_to_point, coefficient_bound_report, power_sum
 
 T = RationalFunction.t()
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])

@@ -13,11 +13,9 @@ from ffsubspace.chow import (
     MAX_SKEW_PRODUCTS,
     MultiHomForm,
     _determinant,
-    apply_skew_to_point,
     chow_height,
     chow_of_hypersurface,
     chow_of_linear,
-    coefficient_bound_report,
     expand_skew,
     generalized_cross_product,
     multihomform_from_json,
@@ -38,6 +36,7 @@ from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from ffsubspace.parsing import parse_rational
 from helpers import rand_k
+from oracles import apply_skew_to_point, coefficient_bound_report
 from test_twisted_cubic import twisted_cubic_chow
 
 T = RationalFunction.t()

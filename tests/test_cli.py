@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -132,6 +133,31 @@ def test_bounds_command_bounds_the_window(capsys, window, code):
         assert "a_eps = " in captured.out and captured.err == ""
     else:
         assert captured == ("", f"error: --window must be at most 1000, got {window}\n")
+
+
+def test_bounds_command_refuses_a_huge_a_eps_at_once(capsys, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("no H value may be computed past the scan limit")
+
+    monkeypatch.setattr(cli, "scan_ratio_window", unbuilt)
+    start = time.perf_counter()
+    assert main(["bounds", "a-eps", "--n", "3", "--delta", "4", "--d", "3", "--eps", "1/10"]) == 2
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr() == (
+        "", "error: a_eps = 64488507: a scan to degree 64488607 exceeds the limit 1000000\n"
+    )
+
+
+@pytest.mark.parametrize("limit, code", [(385 + 99, 2), (385 + 100, 0)])
+def test_bounds_command_scan_limit_is_inclusive(capsys, monkeypatch, limit, code):
+    # n = 1, delta = 2, d = 1, eps = 1 gives a_eps = 385; the default window is 100
+    monkeypatch.setattr(cli, "MAX_SCAN_DEGREE", limit)
+    assert main(["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", "1"]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert out.startswith("a_eps = 385\n") and err == ""
+    else:
+        assert (out, err) == ("", f"error: a_eps = 385: a scan to degree 485 exceeds the limit {limit}\n")
 
 
 def test_chow_command(capsys, tmp_path):

@@ -16,7 +16,6 @@ from ffsubspace.graded_ideal import (
     MAX_POSITION_SUBSETS,
     POSITION_CAP,
     certificate_exponent_bound,
-    hermann_cofactor_bound,
     IdealGenerators,
     check_subgeneral_position,
     graded_piece,
@@ -389,8 +388,6 @@ def test_certificate_exponent_is_minimal():
 
 def test_degree_bound_constants():
     assert certificate_exponent_bound(2, 3) == 8**4  # (4d)^(M+2), M = 2
-    assert hermann_cofactor_bound(2, 3) == 4**4      # (2d)^(2^M)
-    assert hermann_cofactor_bound(4, 4) == 8**8
 
 
 def test_generator_validation():

@@ -1,21 +1,20 @@
+import random
 from fractions import Fraction
 
 import pytest
 
 from ffsubspace.errors import MissingTableEntry, PreconditionViolated
 from ffsubspace.hilbert_bounds import (
-    G_value,
     T_lower_bound,
-    T_value,
     chardin_upper,
     hypersurface_hilbert,
-    power_sum,
     power_sum_bounds,
     ratio_check,
     scan_ratio_window,
     sombra_lower,
     threshold_a_eps,
 )
+from oracles import T_value, power_sum
 
 
 def test_chardin_examples():
@@ -50,9 +49,9 @@ def test_power_sum_examples():
 
 
 def test_g_t_examples():
-    assert G_value(3, 1, 2) == 7
+    assert sombra_lower(3, 1, 2) == 7
     assert T_value(3, 1, 2, 1) == 3 + 5 + 7
-    assert T_value(1, 2, 3, 2) == G_value(2, 2, 3)
+    assert T_value(1, 2, 3, 2) == sombra_lower(2, 2, 3)
     assert T_value(0, 1, 1, 1) == 0
 
 
@@ -78,6 +77,26 @@ def test_threshold_scan_various():
         a = threshold_a_eps(n, delta, d, eps)
         assert a % d == 0 and a >= 2 * d
         assert scan_ratio_window(n, delta, d, eps, a, 100)
+
+
+def test_scan_matches_ratio_check_at_every_m():
+    # the running-sum scan against ratio_check on a full H table, from
+    # starts below and above the threshold, so both outcomes occur
+    rng = random.Random(2025)
+    outcomes = set()
+    for _ in range(60):
+        n, delta, d = rng.randint(1, 3), rng.randint(1, 4), rng.randint(1, 3)
+        eps = Fraction(rng.randint(1, 20), rng.randint(1, 10))
+        a_eps, window = rng.randint(2 * d, 60), rng.randint(0, 30)
+        H = {k: hypersurface_hilbert(k, n + 1, delta) for k in range(1, a_eps + window + 1)}
+        expected = all(
+            ratio_check(H, m, d, n, eps).ok
+            for m in range(a_eps, a_eps + window + 1)
+            if m % d == 0
+        )
+        assert scan_ratio_window(n, delta, d, eps, a_eps, window) == expected
+        outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_threshold_monotone_in_eps():

@@ -16,8 +16,6 @@ from ffsubspace.function_field import ProjectivePoint, RationalFunction, height_
 from ffsubspace.multipoly import (
     MAX_PIECE_MONOMIALS,
     HomogeneousPoly,
-    dehomogenize,
-    homogenize,
     monomial_basis,
     parse_poly,
     primitive_values,
@@ -67,20 +65,6 @@ def test_monomial_basis_limit():
     for num_vars, degree, count in [(3, 109, 6105), (4, 32, 6545), (3, 10**5, 5000150001)]:
         with pytest.raises(PreconditionViolated, match=f"has {count} monomials"):
             monomial_basis(num_vars, degree)
-
-
-def test_dehom_hom_round_trip():
-    conic = parse_poly("X0*X2 - X1^2", 3)
-    d = dehomogenize(conic, 0)
-    assert d == {(0, 0, 1): RationalFunction(1), (0, 2, 0): RationalFunction(-1)}
-    assert homogenize(d, 3, 0) == conic
-    assert dehomogenize(parse_poly("X0^3", 2), 0) == {(0, 0): RationalFunction(1)}
-    rng = random.Random(5)
-    for _ in range(25):
-        q = rand_homog(rng, 3, rng.randint(1, 3))
-        if all(m[0] for m in q.terms):
-            continue  # divisible by the axis: round trip loses the X0 power
-        assert homogenize(dehomogenize(q, 0), 3, 0) == q
 
 
 def test_parse_examples():
