@@ -25,7 +25,6 @@ is checked for irreducibility without sympy.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import lcm
 
 from . import upoly
@@ -251,11 +250,7 @@ def clear_denominators(elements) -> tuple:
 def primitive_polys(elements) -> list:
     """The elements, not all zero, times one element of K* that makes them
     coprime integer polynomials: no common factor in Z[t], no common content."""
-    polys, _ = clear_denominators(elements)
-    g = reduce(upoly.gcd, polys, upoly.ZERO)
-    if g != upoly.ONE:
-        polys = [upoly.quo(p, g) for p in polys]
-    return polys
+    return upoly.divide_content(clear_denominators(elements)[0])
 
 
 class Place:

@@ -4,11 +4,13 @@ A degree-m graded piece of an ideal <g_1..g_k> is the row space of the
 Macaulay-style matrix of all monomial multiples x^gamma * g_i of degree m,
 with columns indexed by the degree-m monomials in glex order.  Its rows are
 built over Z[t] from each g_i's primitive coefficients (denominators
-cleared, content stripped), and building stops once the rank reaches the
-number of columns.  Everything downstream (Hilbert values, quotient
-monomial bases, membership reductions, emptiness and position checks) is
-built on that one exact kernel; Nullstellensatz certificates solve over the
-rows of the g_i themselves, with coefficients in K.
+cleared, content 1 in Z[t], no sign rule), elimination keeps every row's
+content in Z[t] at 1 so degrees in t do not double at each pivot, and
+building stops once the rank reaches the number of columns.  Everything
+downstream (Hilbert values, quotient monomial bases, membership
+reductions, emptiness and position checks) is built on that one exact
+kernel; Nullstellensatz certificates solve over the rows of the g_i
+themselves, with coefficients in K.
 """
 
 import itertools
@@ -24,7 +26,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .function_field import RationalFunction
-from .linalg import Echelon, primitive_row, solve_combination
+from .linalg import Echelon, solve_combination
 from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
 
 
@@ -132,30 +134,24 @@ def _macaulay_rows(gens: IdealGenerators, m: int, col_of: dict, terms_of):
             yield i, gamma, {col_of[monomial_mul(gamma, mono)]: c for mono, c in terms}
 
 
-@lru_cache(maxsize=256)
-def _integer_terms(g: HomogeneousPoly) -> tuple:
-    """g's (monomial, coefficient) pairs with its denominators cleared and
-    its integer content stripped: a primitive row over Z[t]."""
-    return tuple(primitive_row(g.terms).items())
-
-
 @lru_cache(maxsize=128)
 def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     """The degree-m slice of the ideal as an echelonized row space.
 
-    Each generator's coefficients are made primitive over Z[t] once, and a
-    monomial multiple of a primitive row is primitive, so the Macaulay rows
-    enter `Echelon.add_row` as they are built.  Once the rank reaches the
-    number of columns every further row would reduce to zero, so none is
-    built.
+    Each generator's coefficients are made primitive over Z[t] once (content
+    1 in Z[t], no sign rule; `HomogeneousPoly.primitive` caches them on the
+    form), and a monomial multiple of a primitive row is primitive, so the
+    Macaulay rows enter `Echelon.add_row` as they are built.  Once the rank
+    reaches the number of columns every further row would reduce to zero,
+    so none is built.
     """
     if m < 0:
         raise PreconditionViolated("degree must be >= 0")
     cols = monomial_basis(gens.num_vars, m)
     col_of = {mono: i for i, mono in enumerate(cols)}
     ech = Echelon(len(cols))
-    integer = [_integer_terms(g) for g in gens.generators]
-    for _, _, row in _macaulay_rows(gens, m, col_of, integer):
+    primitive = [g.primitive()[0].items() for g in gens.generators]
+    for _, _, row in _macaulay_rows(gens, m, col_of, primitive):
         if ech.rank == len(cols):
             break
         ech.add_row(row)

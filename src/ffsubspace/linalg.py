@@ -1,51 +1,42 @@
 """Exact sparse echelon forms over K = Q(t).
 
 Rows live in sparse dicts {column index: entry}.  Forward elimination is
-fraction-free and runs over Z[t]: `Echelon.add_row` takes primitive rows
-(entries integer `upoly` tuples, content 1) and fixes their sign on entry
-(leading coefficient of the leftmost entry positive).  A row over K enters
-through `primitive_row`, which clears the Z[t] lcm of its denominators and
-strips the content; graded pieces build their rows over Z[t] directly.
-Rows are eliminated by cross-multiplication against the stored pivot rows
-with `upoly.mul`/`upoly.sub`, stripping the integer content after every
-combination to keep coefficients small.  Pivoting is deterministic: rows in
-input order, the leftmost nonzero column pivots.  Entries become elements
-of Q(t) only in `rref_rows`, which recovers the reduced row-echelon form
-over K as the canonical pairs (entry, pivot entry); it is the canonical RREF
-of the row space, so every basis choice downstream is reproducible.
+fraction-free and runs over Z[t]: `Echelon.add_row` takes primitive rows,
+whose entries are integer `upoly` tuples with content 1 in Z[t] (no sign
+rule).  A row over K enters through `primitive_row`, which clears the Z[t]
+lcm of its denominators and divides by the entries' gcd in Z[t]; graded
+pieces build their rows over Z[t] directly.  Rows are eliminated by
+cross-multiplication against the stored pivot rows with
+`upoly.mul`/`upoly.sub`, and every combination is divided by its content
+in Z[t] (`upoly.divide_content`), so a common factor in t does not survive
+the step and the degrees in t do not double at each pivot (fraction-free
+elimination with content removal: Bareiss 1968; Geddes, Czapor and Labahn,
+Algorithms for Computer Algebra, Ch. 9).  Pivoting is deterministic: rows
+in input order, the leftmost nonzero column pivots.  Entries become
+elements of Q(t) only in `rref_rows`, which recovers the reduced
+row-echelon form over K as the canonical pairs (entry, pivot entry); it is
+the canonical RREF of the row space, whatever the stored rows are, so
+every basis choice downstream is reproducible.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import upoly
-from .function_field import RationalFunction, clear_denominators
+from .function_field import RationalFunction, primitive_polys
 from .multipoly import collect
 
 
 def primitive_row(field_row: dict) -> dict:
-    """Clear denominators and strip content: {col: RationalFunction} -> {col: ints}."""
+    """Clear denominators and divide by the content in Z[t]:
+    {col: RationalFunction} -> {col: nonzero upoly tuple}."""
     entries = {c: f for c, f in field_row.items() if not f.is_zero()}
-    return _strip_content(dict(zip(entries, clear_denominators(entries.values())[0])))
+    return dict(zip(entries, primitive_polys(entries.values())))
 
 
 def _strip_content(row: dict) -> dict:
-    """Divide an integer-polynomial row by its content, dropping zero entries.
-
-    Sign convention: the leading coefficient of the leftmost entry is positive.
-    """
+    """Drop a row's zero entries and divide the rest by their gcd in Z[t]."""
     row = {c: p for c, p in row.items() if p}
-    if not row:
-        return {}
-    content = 0
-    for p in row.values():
-        content = gcd(content, *p)
-    if row[min(row)][-1] < 0:
-        content = -content
-    if content == 1:
-        return row
-    return {c: tuple(x // content for x in p) for c, p in row.items()}
+    return dict(zip(row, upoly.divide_content(row.values())))
 
 
 def _eliminate(row: dict, piv: dict, lead: int) -> dict:
@@ -83,12 +74,9 @@ class Echelon:
 
     def add_row(self, row: dict) -> bool:
         """Insert a primitive row over Z[t] ({col: nonzero upoly tuple} with
-        content 1, such as `primitive_row` gives); True iff the rank grew.
-
-        The row's sign is fixed first by `_strip_content`'s rule, so a stored
-        pivot row does not depend on it."""
-        if row and row[min(row)][-1] < 0:
-            row = {c: upoly.neg(p) for c, p in row.items()}
+        content 1 in Z[t], such as `primitive_row` gives); True iff the rank
+        grew.  No sign rule: a stored pivot row is the row as it came, or as
+        elimination left it, up to its content in Z[t]."""
         while row:
             lead = min(row)
             if lead >= self.pivot_limit:

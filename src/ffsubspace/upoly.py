@@ -17,6 +17,8 @@ at t = 2^20, since p | a in Z[t] forces p(2^20) | a(2^20), and most places
 are rejected by that one integer remainder.  `gcd` is the heuristic GCD
 of Char, Geddes and Gonnet (one integer gcd at an evaluation point, then
 two exact divisions), with the primitive PRS as its fallback.
+`divide_content` is the one normal form of a vector over K once its
+denominators are cleared: points, forms and echelon rows all use it.
 Factorization into irreducibles is delegated to sympy and cached, since
 that is the one genuinely hard primitive here.  sympy is imported on the
 first call that needs it: a factorization with a factor of degree >= 2
@@ -120,6 +122,20 @@ def primitive(a) -> tuple:
     if c == 1:
         return a
     return tuple(x // c for x in a)
+
+
+def divide_content(polys) -> list:
+    """The polynomials divided by their gcd in Z[t], zeros kept: a family
+    with content 1 and no sign rule.  The gcd fold stops once it reaches 1."""
+    polys = list(polys)
+    g = ZERO
+    for p in polys:
+        g = gcd(g, p)
+        if g == ONE:
+            return polys
+    if not g:
+        return polys
+    return [quo(p, g) for p in polys]
 
 
 def power(base, n: int, one, mul):

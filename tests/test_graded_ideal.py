@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from math import comb
 
 import pytest
@@ -182,6 +184,25 @@ def test_persistence_builds_no_piece_past_the_certificate(monkeypatch):
     built.clear()
     assert hilbert_function(IdealGenerators.parse(4, NOT_PERSISTING[1]), 8) == 18
     assert built == list(range(3, 9))
+
+
+# the twisted cubic under X0 -> X0 + t*X1, X1 -> X1 + (t+1)*X2,
+# X2 -> X2 + t^2*X3, X3 fixed: its rows share factors in t
+TWIST = {"X0": "(X0 + t*X1)", "X1": "(X1 + (t + 1)*X2)", "X2": "(X2 + t^2*X3)"}
+
+
+def test_t_twisted_cubic_piece_does_not_blow_up_in_t():
+    # A linear change of coordinates keeps the Hilbert function, 3k + 1.
+    # Unless elimination removes each row's content in Z[t], not only its
+    # integer content, the degree in t doubles at each pivot and this piece
+    # takes more than 30 s.
+    texts = [re.sub(r"X[0-2]", lambda v: TWIST[v.group()], s) for s in PERSISTING[0][1]]
+    gens = IdealGenerators.parse(4, texts)
+    start = time.perf_counter()
+    assert graded_piece(gens, 6).rank == 65
+    assert time.perf_counter() - start < 1.0
+    for k in range(1, 7):
+        assert hilbert_function(gens, k) == 3 * k + 1
 
 
 @st.composite

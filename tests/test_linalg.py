@@ -213,7 +213,7 @@ def test_rref_depends_only_on_the_row_space(rows, data):
 
 def test_row_to_primitive_reads_numerators_and_denominators():
     # (2t+3)/6, t/(4t+6), 0, -3/2: the Z[t] lcm of the denominators is
-    # 6(2t+3), and the scaled row has content 1 and a positive leading entry
+    # 6(2t+3), and the scaled row has content 1 in Z[t]
     row = {
         0: RationalFunction.parse("(2*t + 3)/6"),
         2: RationalFunction.parse("t/(4*t + 6)"),
@@ -224,4 +224,5 @@ def test_row_to_primitive_reads_numerators_and_denominators():
     assert prim == {0: (9, 12, 4), 2: (0, 3), 5: (-27, -18)}
     ratio = RationalFunction.reduced(prim[0]) / row[0]
     assert all(RationalFunction.reduced(p) == ratio * row[c] for c, p in prim.items())
-    assert primitive_row({1: RationalFunction(-2), 4: -T}) == {1: (2,), 4: (0, 1)}
+    # entries sharing the factor t lose it, not only their integer content
+    assert primitive_row({0: T * T + T, 2: T}) == {0: (1, 1), 2: (1,)}

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 import sympy
@@ -274,6 +275,25 @@ def test_gcd_matches_sympy():
         assert upoly.gcd(b, a) == g
     assert upoly.gcd(a, upoly.ZERO) == (a if a[-1] > 0 else upoly.neg(a))
     assert upoly.gcd(upoly.ZERO, upoly.ZERO) == upoly.ZERO
+
+
+_small_polys = st.lists(st.integers(-6, 6), max_size=4).map(upoly.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    common=_small_polys.filter(bool),
+    members=st.lists(_small_polys, min_size=1, max_size=5).filter(any),
+)
+def test_divide_content_leaves_content_one(common, members):
+    # a family with a planted common factor (integer, in t, or both) and zeros
+    p = [upoly.mul(common, f) for f in members]
+    out = upoly.divide_content(p)
+    i = next(i for i, q in enumerate(out) if q)
+    g = upoly.quo(p[i], out[i])
+    assert g and p == [upoly.mul(q, g) for q in out]
+    assert reduce(upoly.gcd, out, upoly.ZERO) == upoly.ONE
+    assert upoly.divide_content([(), ()]) == [(), ()]
 
 
 def test_gcd_prs_fallback_matches_sympy(monkeypatch):
