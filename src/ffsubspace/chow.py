@@ -52,7 +52,9 @@ from . import upoly
 from .errors import (
     DegreeMismatch,
     DependentSpan,
+    Frozen,
     InvariantViolated,
+    NotHomogeneous,
     PreconditionViolated,
     SchemaError,
     VarCountMismatch,
@@ -75,14 +77,16 @@ def _bump(exps: tuple, j: int) -> tuple:
     return exps[:j] + (exps[j] + 1,) + exps[j + 1 :]
 
 
-class MultiHomForm:
+class MultiHomForm(Frozen):
     """A form of the same degree in each of `blocks` blocks of
     `vars_per_block` variables.
 
     poly is a HomogeneousPoly in blocks * vars_per_block variables; block i
     is the variables i * vars_per_block, ..., (i + 1) * vars_per_block - 1,
     so a flat key of poly splits into per-block exponent tuples (`split`).
-    A form is immutable and checked once, when it is built.
+    A form is immutable and checked once, when it is built: a
+    DegreeMismatch names the first term whose block degrees differ from the
+    first term's, or the first term when its block degrees are unequal.
     """
 
     __slots__ = ("blocks", "vars_per_block", "poly")
@@ -100,19 +104,15 @@ class MultiHomForm:
         for key in poly.terms:
             this = tuple(monomial_degree(b) for b in self.split(key))
             if profile is None:
-                profile = this
+                profile, first = this, key
             elif profile != this:
                 raise DegreeMismatch(
-                    f"mixed block degrees {profile} vs {this} in multihomogeneous form"
+                    f"mixed block degrees {profile} vs {this} in multihomogeneous form", key
                 )
         if profile and len(set(profile)) > 1:
-            raise DegreeMismatch(f"unequal block degrees {profile} in multihomogeneous form")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+            raise DegreeMismatch(
+                f"unequal block degrees {profile} in multihomogeneous form", first
+            )
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -215,7 +215,7 @@ def chow_of_hypersurface(f: HomogeneousPoly) -> MultiHomForm:
     return MultiHomForm(nv - 1, nv, eval_terms(f.terms, power_table(w), zero))
 
 
-class SkewExpansion:
+class SkewExpansion(Frozen):
     """The collected expansion F_X(S^(0)x,...,S^(n)x) = sum_sigma P_sigma(x) sigma.
 
     pairs lists the skew index pairs (j, k), j < k, one block of them per
@@ -238,12 +238,6 @@ class SkewExpansion:
         object.__setattr__(self, "sigma_count", sigma_count)
         object.__setattr__(self, "_sums", sums)
         object.__setattr__(self, "_entries", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def entries(self) -> dict:
@@ -524,16 +518,16 @@ def multihomform_to_json(form: MultiHomForm) -> dict:
 
 def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
     """The form of `multihomform_to_json`'s output.  A SchemaError names the
-    term at fault: a bad block shape, or a degree or block degrees other
-    than the first nonzero term's, or unequal from block to block in the
-    first nonzero term, at `pointer`/terms/<i>/exponents;
+    term at fault: a bad block shape at `pointer`/terms/<i>/exponents;
     exponents that repeat an earlier term's at `pointer`/terms/<i>; a
-    coefficient that does not parse at `pointer`/terms/<i>/coeff."""
+    coefficient that does not parse at `pointer`/terms/<i>/coeff.  Degrees
+    are checked by `HomogeneousPoly.from_terms` and `MultiHomForm`, and the
+    pointer `pointer`/terms/<i>/exponents is that of the term whose key
+    their error reports."""
     from .parsing import parse_at, parse_rational
 
     blocks, nv = data["blocks"], data["vars_per_block"]
-    # degree_at, profile_at: total degree, block degrees -> first nonzero term
-    terms, first, degree_at, profile_at = {}, {}, {}, {}
+    terms, first = {}, {}
     for i, item in enumerate(data["terms"]):
         exponents = item["exponents"]
         if len(exponents) != blocks or any(len(b) != nv for b in exponents):
@@ -548,24 +542,7 @@ def multihomform_from_json(data: dict, pointer: str = "") -> MultiHomForm:
             )
         first[key] = i
         terms[key] = parse_at(parse_rational, item["coeff"], f"{pointer}/terms/{i}/coeff")
-        if terms[key]:
-            degree_at.setdefault(monomial_degree(key), i)
-            profile_at.setdefault(tuple(map(sum, exponents)), i)
-    if len(degree_at) > 1:
-        raise SchemaError(
-            f"mixed term degrees {sorted(degree_at)}",
-            f"{pointer}/terms/{sorted(degree_at.values())[1]}/exponents",
-        )
-    if len(profile_at) > 1:
-        (profile, _), (this, i) = list(profile_at.items())[:2]
-        raise SchemaError(
-            f"mixed block degrees {profile} vs {this} in multihomogeneous form",
-            f"{pointer}/terms/{i}/exponents",
-        )
-    for profile, i in profile_at.items():
-        if len(set(profile)) > 1:
-            raise SchemaError(
-                f"unequal block degrees {profile} in multihomogeneous form",
-                f"{pointer}/terms/{i}/exponents",
-            )
-    return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))
+    try:
+        return MultiHomForm(blocks, nv, HomogeneousPoly.from_terms(blocks * nv, terms))
+    except (DegreeMismatch, NotHomogeneous) as exc:
+        raise SchemaError(str(exc), f"{pointer}/terms/{first[exc.key]}/exponents") from None

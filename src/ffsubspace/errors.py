@@ -1,4 +1,21 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and `Frozen`, the base of its
+immutable value types."""
+
+
+class Frozen:
+    """Base of the immutable value types (points, places, forms, Chow forms,
+    ideals).  A subclass lists its fields in `__slots__` and sets each with
+    `object.__setattr__`, when built or when a cached field is first
+    computed; assigning or deleting a field afterwards raises AttributeError.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class ToolkitError(Exception):
@@ -14,7 +31,11 @@ class ZeroPolynomial(ToolkitError):
 
 
 class DegreeMismatch(ToolkitError):
-    pass
+    """Degrees that must agree do not; `key` is the monomial at fault, if any."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class VarCountMismatch(ToolkitError):
@@ -22,7 +43,11 @@ class VarCountMismatch(ToolkitError):
 
 
 class NotHomogeneous(ToolkitError):
-    pass
+    """A form is not homogeneous; `key` is the monomial at fault, if any."""
+
+    def __init__(self, message, key=None):
+        super().__init__(message)
+        self.key = key
 
 
 class ParseError(ToolkitError):

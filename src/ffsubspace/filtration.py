@@ -183,20 +183,17 @@ def filtration_inequality_check(
         raise PointOnDivisor("point lies on the filtration divisor")
     m, d = basis.degree, basis.divisor_degree
     e_x = gauss_order_point(p, x)
-    rhs = hilbert_partial_sum(x_gens, m // d - 1, d) * (order_at(q_value, p) - d * e_x)
+    q_order = order_at(q_value, p)
+    rhs = hilbert_partial_sum(x_gens, m // d - 1, d) * (q_order - d * e_x)
 
-    nv = x_gens.num_vars
+    # ord_p(Q(x)^i g(x)) = i ord_p Q(x) + sum_j g_j ord_p x_j, infinite
+    # when g uses a zero coordinate
+    orders = [order_at(c, p) if c else None for c in x.coordinates]
     lhs = 0
-    finite = True
     for i, g in basis.entries:
-        g_value = HomogeneousPoly.monomial(nv, g, 1).evaluate(x)
-        psi_value = q_value**i * g_value
-        if psi_value.is_zero():
-            finite = False
-            break
-        lhs += order_at(psi_value, p) - m * e_x
-    if not finite:
-        return FiltrationInequality(math.inf, rhs, True, False)
+        if any(e and orders[j] is None for j, e in enumerate(g)):
+            return FiltrationInequality(math.inf, rhs, True, False)
+        lhs += i * q_order + sum(e * orders[j] for j, e in enumerate(g) if e) - m * e_x
     return FiltrationInequality(lhs, rhs, lhs >= rhs, True)
 
 
@@ -247,7 +244,8 @@ def height_sandwich_check(
     h_fx = Fraction(h_fx)
     correction = b * h_fx
     rows = []
-    places = support(list(x.coordinates) + list(phi.coordinates))
+    # each coordinate of Phi(x) is a monomial in those of x: no new places
+    places = support(x.coordinates)
     for p in places:
         lower = Fraction(m * gauss_order_point(p, x) * p.degree)
         value = Fraction(gauss_order_point(p, phi) * p.degree)

@@ -29,6 +29,7 @@ from math import lcm
 
 from . import upoly
 from .errors import (
+    Frozen,
     InvariantViolated,
     ParseError,
     PointOnDivisor,
@@ -54,7 +55,7 @@ def _integer_pair(num, den) -> tuple:
     )
 
 
-class RationalFunction:
+class RationalFunction(Frozen):
     """An element of Q(t) in canonical form.
 
     num/den are integer upoly tuples, coprime in Z[t], with lc(den) > 0; zero
@@ -70,9 +71,6 @@ class RationalFunction:
         num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("RationalFunction is immutable")
 
     @classmethod
     def _canonical(cls, num, den=_ONE) -> "RationalFunction":
@@ -253,7 +251,7 @@ def primitive_polys(elements) -> list:
     return upoly.divide_content(clear_denominators(elements)[0])
 
 
-class Place:
+class Place(Frozen):
     """A place of Q(t): a monic irreducible of Q[t], or infinity.
 
     `poly` is the primitive integer form (positive leading coefficient) of
@@ -265,9 +263,6 @@ class Place:
     def __init__(self, poly):
         # poly=None means the place at infinity; use the classmethods.
         object.__setattr__(self, "poly", poly)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Place is immutable")
 
     @classmethod
     def finite(cls, poly) -> "Place":
@@ -333,7 +328,7 @@ class Place:
 INFINITY = Place.infinity()
 
 
-class ProjectivePoint:
+class ProjectivePoint(Frozen):
     """A point of P^M(K) given by M+1 coordinates, not all zero.
 
     Heights and Weil values computed from a point are invariant under
@@ -352,9 +347,6 @@ class ProjectivePoint:
             raise ZeroElement("projective point needs a nonzero coordinate")
         object.__setattr__(self, "coordinates", coords)
         object.__setattr__(self, "_primitive", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ProjectivePoint is immutable")
 
     @property
     def num_vars(self) -> int:
@@ -388,7 +380,7 @@ class ProjectivePoint:
         return f"ProjectivePoint({self})"
 
 
-class PlaceSet:
+class PlaceSet(Frozen):
     """A finite set of places with its cardinality and total degree."""
 
     __slots__ = ("places",)
@@ -398,9 +390,6 @@ class PlaceSet:
         if len(set(places)) != len(places):
             raise SchemaError("duplicate places in place set")
         object.__setattr__(self, "places", places)
-
-    def __setattr__(self, *a):
-        raise AttributeError("PlaceSet is immutable")
 
     def __iter__(self):
         return iter(self.places)

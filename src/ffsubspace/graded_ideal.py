@@ -19,6 +19,7 @@ from math import comb
 from typing import NamedTuple
 
 from .errors import (
+    Frozen,
     InvariantViolated,
     NoCertificateWithinCap,
     NotHomogeneous,
@@ -30,7 +31,7 @@ from .linalg import Echelon, solve_combination
 from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
 
 
-class IdealGenerators:
+class IdealGenerators(Frozen):
     """Homogeneous generators in num_vars variables: an immutable value,
     checked when built.  `graded_piece` caches on it, so its hash is
     computed once, on first use."""
@@ -50,12 +51,6 @@ class IdealGenerators:
         object.__setattr__(self, "num_vars", num_vars)
         object.__setattr__(self, "generators", generators)
         object.__setattr__(self, "_hash", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

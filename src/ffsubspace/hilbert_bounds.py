@@ -59,8 +59,9 @@ def chardin_upper(m: int, n: int, delta: int) -> int:
 
 
 def sombra_lower(m: int, n: int, delta: int) -> int:
-    """Lower bound C(m+n+1, n+1) - C(m-delta+n+1, n+1) for H_X(m), m >= 1."""
-    return binom0(m + n + 1, n + 1) - binom0(m - delta + n + 1, n + 1)
+    """Lower bound C(m+n+1, n+1) - C(m-delta+n+1, n+1) for H_X(m), m >= 1:
+    the Hilbert function of a degree-delta hypersurface in P^{n+1}."""
+    return hypersurface_hilbert(m, n + 1, delta)
 
 
 def hypersurface_hilbert(m: int, ambient_dim: int, delta: int) -> int:

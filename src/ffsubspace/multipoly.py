@@ -18,6 +18,7 @@ from math import comb
 
 from .errors import (
     DegreeMismatch,
+    Frozen,
     NotHomogeneous,
     PreconditionViolated,
     VarCountMismatch,
@@ -142,7 +143,7 @@ def primitive_values(forms, x: ProjectivePoint) -> list:
     return [eval_terms(q.primitive()[0], powers, (), upoly.mul, upoly.add) for q in forms]
 
 
-class HomogeneousPoly:
+class HomogeneousPoly(Frozen):
     """A homogeneous form of fixed degree; zero coefficients never stored.
 
     The zero form of a given degree is allowed (empty term map) so that
@@ -173,9 +174,6 @@ class HomogeneousPoly:
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_primitive", None)
 
-    def __setattr__(self, *a):
-        raise AttributeError("HomogeneousPoly is immutable")
-
     @classmethod
     def _trusted(cls, num_vars: int, degree: int, terms: dict) -> "HomogeneousPoly":
         """Wrap a term map already clean, skipping the per-term checks: tuple
@@ -204,14 +202,17 @@ class HomogeneousPoly:
 
     @classmethod
     def from_terms(cls, num_vars: int, terms: dict) -> "HomogeneousPoly":
-        """Build from a term map, inferring and checking the common degree."""
+        """Build from a term map, inferring and checking the common degree.
+        A NotHomogeneous names the first nonzero term whose degree differs
+        from the first nonzero term's."""
         terms = {m: _coerce_coeff(c) for m, c in terms.items() if _coerce_coeff(c)}
         if not terms:
             return cls.zero(num_vars)
-        degrees = {monomial_degree(m) for m in terms}
-        if len(degrees) != 1:
-            raise NotHomogeneous(f"mixed term degrees {sorted(degrees)}")
-        return cls(num_vars, degrees.pop(), terms)
+        degrees = [monomial_degree(m) for m in terms]
+        if len(set(degrees)) != 1:
+            key = next(m for m, e in zip(terms, degrees) if e != degrees[0])
+            raise NotHomogeneous(f"mixed term degrees {sorted(set(degrees))}", key)
+        return cls(num_vars, degrees[0], terms)
 
     def _with_terms(self, terms) -> "HomogeneousPoly":
         return HomogeneousPoly(self.num_vars, self.degree, terms)

@@ -362,7 +362,7 @@ def is_irreducible(p) -> bool:
     return bool(_to_sympy(p).is_irreducible)
 
 
-def format_poly(p, var: str = "t", den: int = 1) -> str:
+def format_poly(p, den: int = 1) -> str:
     """Render p / den in the input grammar, highest degree first:
     '2*t^3 - t + 1/2'.  den is a positive int."""
     if not p:
@@ -379,7 +379,7 @@ def format_poly(p, var: str = "t", den: int = 1) -> str:
         if e == 0:
             body = coeff
         else:
-            v = var if e == 1 else f"{var}^{e}"
+            v = "t" if e == 1 else f"t^{e}"
             body = v if coeff == "1" else f"{coeff}*{v}"
         parts.append((sign, body))
     first_sign, first_body = parts[0]

@@ -1,7 +1,7 @@
 """Every name a module of the package (or the tests' oracles) imports is
 used in that module, every private module-level name it defines is read
-there, and every public function or class of the package is read by its
-code or exported."""
+there, every public function or class of the package is read by its
+code or exported, and only the frozen base guards attribute assignment."""
 
 import ast
 from pathlib import Path
@@ -94,6 +94,29 @@ def orphaned_public(sources: dict, exported) -> list:
     )
 
 
+def attribute_guards(sources: dict) -> list:
+    """Classes, as (module, line, name), whose body defines or assigns
+    __setattr__ or __delattr__, nested classes included."""
+    guards = {"__setattr__", "__delattr__"}
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names = {item.name}
+                elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                    targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                    names = {t.id for t in targets if isinstance(t, ast.Name)}
+                else:
+                    continue
+                if names & guards:
+                    found.append((module, node.lineno, node.name))
+                    break
+    return sorted(found)
+
+
 PACKAGE_MODULES = sorted(PACKAGE.glob("*.py"))
 MODULES = PACKAGE_MODULES + [ORACLES]
 
@@ -111,6 +134,14 @@ def test_no_orphaned_private_names(path):
 def test_no_orphaned_public_names():
     sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_MODULES}
     assert orphaned_public(sources, set(ffsubspace.__all__)) == []
+
+
+def test_only_the_frozen_base_guards_attributes():
+    # every immutable value type inherits errors.Frozen instead of its own guard
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in PACKAGE_MODULES}
+    assert [(module, name) for module, _, name in attribute_guards(sources)] == [
+        ("errors", "Frozen")
+    ]
 
 
 def test_unused_imports_finds_them():
@@ -170,3 +201,30 @@ def test_orphaned_public_finds_them():
         ),
     }
     assert orphaned_public(sources, {"Exported"}) == [("a", 4, "unread"), ("b", 3, "lonely")]
+
+
+def test_attribute_guards_finds_them():
+    sources = {
+        "a": (
+            "class Frozen:\n"
+            "    def __setattr__(self, name, value):\n"
+            "        raise AttributeError(name)\n"
+            "class Deleting:\n"
+            "    def __delattr__(self, name):\n"
+            "        pass\n"
+            "class Building:\n"
+            "    def __init__(self):\n"
+            "        object.__setattr__(self, 'x', 1)\n"
+        ),
+        "b": (
+            "def make():\n"
+            "    class Nested:\n"
+            "        __setattr__ = None\n"
+            "    return Nested\n"
+            "class Plain:\n"
+            "    setattr = None\n"
+        ),
+    }
+    assert attribute_guards(sources) == [
+        ("a", 1, "Frozen"), ("a", 4, "Deleting"), ("b", 2, "Nested")
+    ]

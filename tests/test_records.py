@@ -1,6 +1,7 @@
 """The records' contract: fields are read-only, the four validating records
 check every construction, and IdealGenerators, the key of `graded_piece`'s
-cache, compares and hashes by value."""
+cache, compares and hashes by value.  The value types that are not records
+(field elements, places, points, forms) are read-only too."""
 
 import re
 from fractions import Fraction
@@ -20,7 +21,7 @@ from ffsubspace.filtration import (
     height_sandwich_check,
     order_by_vanishing,
 )
-from ffsubspace.function_field import Place, ProjectivePoint, RationalFunction
+from ffsubspace.function_field import Place, PlaceSet, ProjectivePoint, RationalFunction
 from ffsubspace.graded_ideal import (
     IdealGenerators,
     graded_piece,
@@ -105,6 +106,23 @@ def test_fields_are_read_only(name):
         with pytest.raises(AttributeError):
             delattr(record, field)
         assert getattr(record, field) is value
+
+
+def test_value_types_are_frozen():
+    values = [
+        RationalFunction([1, 2], [3, 0, 1]), Place.parse("t^2 + 1"),
+        ProjectivePoint([1, T, T**2]), PlaceSet([Place.parse("t"), Place.parse("inf")]),
+        parse_poly("X0*X2 - X1^2", 3),
+    ]
+    for value in values:
+        assert _fields(value)
+        for field in _fields(value):
+            before = getattr(value, field)
+            with pytest.raises(AttributeError):
+                setattr(value, field, before)
+            with pytest.raises(AttributeError):
+                delattr(value, field)
+            assert getattr(value, field) is before
 
 
 def test_record_fields_are_annotated_with_objects():

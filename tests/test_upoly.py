@@ -210,7 +210,6 @@ def _polys_over_a_denominator(draw):
 def test_format_poly_matches_the_fraction_rendering(p_den):
     p, den = p_den
     assert upoly.format_poly(p, den=den) == _format_poly_with_fractions(p, den=den)
-    assert upoly.format_poly(p, "s", den) == _format_poly_with_fractions(p, "s", den)
 
 
 def test_parser_edges():
