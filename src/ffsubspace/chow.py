@@ -61,7 +61,6 @@ from .errors import (
     ZeroPolynomial,
 )
 from .function_field import RationalFunction, clear_denominators
-from .linalg import Echelon, primitive_row
 from .multipoly import (
     HomogeneousPoly,
     _coerce_coeff,
@@ -171,14 +170,14 @@ def _determinant(vectors) -> HomogeneousPoly:
 
 
 def chow_of_linear(span_points) -> MultiHomForm:
-    """Chow form of the linear span of n+1 independent points: det(u_i . b_j)."""
+    """Chow form of the linear span of n+1 independent points: det(u_i . b_j).
+    It is sum_S det(u_S) det(b_S) over column sets S (Cauchy-Binet), and no
+    two det(u_S) share a monomial, so it is zero exactly for dependent points."""
     points = [p.coordinates for p in span_points]
-    ech = Echelon(len(points[0]))
-    for coords in points:
-        ech.add_row(primitive_row(dict(enumerate(coords))))
-    if ech.rank != len(points):
+    det = _determinant(points)
+    if det.is_zero():
         raise DependentSpan("span points are linearly dependent")
-    return MultiHomForm(len(points), len(points[0]), _determinant(points))
+    return MultiHomForm(len(points), len(points[0]), det)
 
 
 def generalized_cross_product(blocks: int, nv: int) -> list:

@@ -34,8 +34,7 @@ from .graded_ideal import (
     graded_piece,
     hilbert_function,
 )
-from .linalg import Echelon, primitive_row
-from .multipoly import HomogeneousPoly, monomial_basis
+from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul
 
 
 class VanishingOrderPermutation(NamedTuple):
@@ -85,7 +84,9 @@ def build_filtration(
 
     With d the degree of Q, level i runs from m/d down to 0; candidate
     monomials g of degree m - i*d are scanned in glex order and accepted when
-    Q^i * g extends the current independent set modulo the ideal slice.
+    Q^i * g extends the current independent set modulo the ideal slice,
+    seeded by a copy of the degree-m piece's pivot rows; a candidate's row
+    is Q^i's primitive terms shifted by g, itself primitive over Z[t].
     Level dimensions are checked against H_X(m - i*d) as they complete; a
     mismatch raises InvariantViolated.
     """
@@ -99,24 +100,19 @@ def build_filtration(
 
     nv = x_gens.num_vars
     piece = graded_piece(x_gens, m)
-    ech = Echelon(len(piece.monomials))
-    for col, row in piece.echelon.rref_rows().items():
-        ech.add_row(primitive_row(row))
+    ech = piece.echelon.copy()
     ideal_rank = ech.rank
 
     entries = []
     level_dims = {}
-    q_power = {}
-    power = HomogeneousPoly(nv, 0, {(0,) * nv: 1})
-    for i in range(m // d + 1):
-        q_power[i] = power
-        power = power * q_poly
+    q_power = [HomogeneousPoly(nv, 0, {(0,) * nv: 1})]
+    for _ in range(m // d):
+        q_power.append(q_power[-1] * q_poly)
 
     for i in range(m // d, -1, -1):
-        qi = q_power[i]
+        qi = q_power[i].primitive()[0].items()
         for g in monomial_basis(nv, m - i * d):
-            candidate = qi * HomogeneousPoly.monomial(nv, g, 1)
-            if ech.add_row(primitive_row(piece.vector_of(candidate))):
+            if ech.add_row({piece.col_of[monomial_mul(g, mono)]: c for mono, c in qi}):
                 entries.append((i, g))
         dim_w_i = ech.rank - ideal_rank
         level_dims[i] = dim_w_i

@@ -355,13 +355,15 @@ class ProjectivePoint(Frozen):
     def scaled(self, alpha: RationalFunction) -> "ProjectivePoint":
         return ProjectivePoint([c * alpha for c in self.coordinates])
 
-    def primitive(self) -> "ProjectivePoint":
-        """The same point with coprime coordinates in Z[t]; computed once."""
+    def primitive(self) -> tuple:
+        """(coords, h): the coordinates, scaled by K* to be coprime in Z[t],
+        as `upoly` tuples, and h(x), their largest degree; computed once,
+        as `HomogeneousPoly.primitive` is for a form."""
         if self._primitive is None:
-            polys = primitive_polys(self.coordinates)
-            prim = ProjectivePoint([RationalFunction._canonical(p) for p in polys])
-            object.__setattr__(prim, "_primitive", prim)
-            object.__setattr__(self, "_primitive", prim)
+            coords = tuple(primitive_polys(self.coordinates))
+            object.__setattr__(
+                self, "_primitive", (coords, max(map(upoly.degree, coords)))
+            )
         return self._primitive
 
     def __eq__(self, other):
@@ -484,7 +486,7 @@ def height_point(x: ProjectivePoint) -> Fraction:
 
     Nonnegative and scaling-invariant.
     """
-    return Fraction(max(upoly.degree(c.num) for c in x.primitive().coordinates))
+    return Fraction(x.primitive()[1])
 
 
 def height_elem(f: RationalFunction) -> Fraction:
@@ -509,14 +511,14 @@ def height_poly_family(qs) -> Fraction:
 
 
 def weil_rows(places, qs, x: ProjectivePoint, values) -> tuple:
-    """weil_table's rows, for x primitive and values[i] = Q_i(x), nonzero,
-    computed on the primitive form of Q_i (`multipoly.primitive_values`).
+    """weil_table's rows, for values[i] = Q_i(x), nonzero, computed on the
+    primitive forms of Q_i and x (`multipoly.primitive_values`).
 
     With Q and x primitive, e_p(Q) = e_p(x) = 0 at every finite place, so
     lambda_{p,Q}(x) = ord_p Q(x) * deg p; at infinity e_p(Q) = -h(Q) and
     e_p(x) = -h(x), so lambda = d*h(x) + h(Q) - deg Q(x).
     """
-    h = max(upoly.degree(c.num) for c in x.coordinates)
+    h = x.primitive()[1]
     rows = []
     for p in places:
         if p.is_infinite:
@@ -541,7 +543,6 @@ def weil_table(places, qs, x: ProjectivePoint) -> tuple:
     """
     from .multipoly import primitive_values  # multipoly imports this module
 
-    x = x.primitive()
     values = primitive_values(qs, x)
     for i, value in enumerate(values):
         if not value:

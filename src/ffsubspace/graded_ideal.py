@@ -74,7 +74,8 @@ class IdealGenerators(Frozen):
 class GradedPieceBasis:
     """Echelonized degree-m slice of an ideal.
 
-    monomials: the degree-m monomial basis in glex order (the columns).
+    monomials: the degree-m monomial basis in glex order (the columns);
+    col_of maps each monomial to its column.
     The reduced row-echelon form over K is canonical, so pivot monomials
     and everything derived from them are deterministic.
     """
@@ -83,7 +84,7 @@ class GradedPieceBasis:
         self.degree = degree
         self.monomials = monomials
         self.echelon = echelon
-        self._col_of = {m: i for i, m in enumerate(monomials)}
+        self.col_of = {m: i for i, m in enumerate(monomials)}
 
     @property
     def rank(self) -> int:
@@ -101,7 +102,7 @@ class GradedPieceBasis:
             raise NotHomogeneous(
                 f"degree {poly.degree} polynomial in a degree-{self.degree} slice"
             )
-        return {self._col_of[m]: c for m, c in poly.terms.items()}
+        return {self.col_of[m]: c for m, c in poly.terms.items()}
 
     def contains(self, poly: HomogeneousPoly) -> bool:
         return self.echelon.contains(self.vector_of(poly))
@@ -240,9 +241,7 @@ def reduce_to_quotient_basis(
     coeffs = tuple(coeff_of.pop(m, RationalFunction(0)) for m in basis.monomials)
     if coeff_of:
         raise ValueError("quotient basis does not match the echelon of the ideal")
-    combo = HomogeneousPoly.zero(gens.num_vars, q.degree)
-    for mono, c in zip(basis.monomials, coeffs):
-        combo = combo + HomogeneousPoly.monomial(gens.num_vars, mono, 1).scale(c)
+    combo = HomogeneousPoly(gens.num_vars, q.degree, dict(zip(basis.monomials, coeffs)))
     if not piece.contains(q - combo):
         raise InvariantViolated("reduction residual escaped the ideal")
     return ReductionResult(RationalFunction(1), coeffs, basis)
@@ -301,16 +300,13 @@ def nullstellensatz_certificate(
         solution = solve_combination([row for _, _, row in tagged], target, len(cols))
         if solution is None:
             continue
-        cofactors = []
-        for i, g in enumerate(gens.generators):
-            terms = {}
-            for y, (gi, gamma, _) in zip(solution, tagged):
-                if gi == i and not y.is_zero():
-                    terms[gamma] = terms.get(gamma, RationalFunction(0)) + y
-            cofactors.append(
-                HomogeneousPoly(nv, target_degree - g.degree, terms)
-            )
-        cert = NullstellensatzCertificate(u, RationalFunction(1), tuple(cofactors))
+        # each (i, gamma) is one Macaulay row, so one entry of the solution
+        cofactors = tuple(
+            HomogeneousPoly(nv, target_degree - g.degree,
+                            {gamma: y for y, (gi, gamma, _) in zip(solution, tagged) if gi == i})
+            for i, g in enumerate(gens.generators)
+        )
+        cert = NullstellensatzCertificate(u, RationalFunction(1), cofactors)
         if not cert.verify(p0, gens):
             raise InvariantViolated("certificate failed re-verification")
         return cert

@@ -501,12 +501,11 @@ def run_check(scenario: Scenario) -> Report:
     for idx, x in enumerate(scenario.points):
         # Checks and values use primitive coordinates and primitive forms, in
         # Z[t]; records keep x as given.
-        prim = x.primitive()
-        if any(primitive_values(scenario.x_gens.generators, prim)):
+        if any(primitive_values(scenario.x_gens.generators, x)):
             warnings.append(f"NotOnVariety: point {idx} skipped")
             records.append(PointRecord(idx, x, "not_on_variety"))
             continue
-        values = primitive_values(scenario.divisors, prim)
+        values = primitive_values(scenario.divisors, x)
         vanishing = tuple(i for i, value in enumerate(values) if not value)
         if vanishing:
             records.append(
@@ -514,11 +513,11 @@ def run_check(scenario: Scenario) -> Report:
                             verdict="OnDivisor")
             )
             continue
-        rows = weil_rows(scenario.places, scenario.divisors, prim, values)
+        rows = weil_rows(scenario.places, scenario.divisors, x, values)
         lhs = Fraction(
             sum(lam * w for _, row in rows for lam, w in zip(row, weights)), d
         )
-        h = height_point(prim)
+        h = height_point(x)
         rhs_main = factor * h
         rhs_full = rhs_main + constants.c_prime_eps
         if lhs <= rhs_full:

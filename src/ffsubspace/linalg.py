@@ -5,7 +5,7 @@ fraction-free and runs over Z[t]: `Echelon.add_row` takes primitive rows,
 whose entries are integer `upoly` tuples with content 1 in Z[t] (no sign
 rule).  A row over K enters through `primitive_row`, which clears the Z[t]
 lcm of its denominators and divides by the entries' gcd in Z[t]; graded
-pieces build their rows over Z[t] directly.  Rows are eliminated by
+pieces and filtrations build their rows over Z[t] directly.  Rows are eliminated by
 cross-multiplication against the stored pivot rows with
 `upoly.mul`/`upoly.sub`, and every combination is divided by its content
 in Z[t] (`upoly.divide_content`), so a common factor in t does not survive
@@ -64,6 +64,13 @@ class Echelon:
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         self._pivots = {}  # pivot col -> primitive row over Z[t]
         self._rref = None
+
+    def copy(self) -> "Echelon":
+        """The same pivot rows in a new echelon, to extend without touching
+        this one; stored rows are never changed in place, so they are shared."""
+        out = Echelon(self.ncols, self.pivot_limit)
+        out._pivots = dict(self._pivots)
+        return out
 
     @property
     def rank(self) -> int:

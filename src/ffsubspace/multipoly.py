@@ -139,7 +139,7 @@ def primitive_values(forms, x: ProjectivePoint) -> list:
     HomogeneousPoly.primitive) at the primitive coordinates of x, with one
     power table for all of them.  A value is () exactly when x lies on
     {Q = 0}."""
-    powers = power_table([c.num for c in x.primitive().coordinates])
+    powers = power_table(x.primitive()[0])
     return [eval_terms(q.primitive()[0], powers, (), upoly.mul, upoly.add) for q in forms]
 
 
@@ -205,7 +205,7 @@ class HomogeneousPoly(Frozen):
         """Build from a term map, inferring and checking the common degree.
         A NotHomogeneous names the first nonzero term whose degree differs
         from the first nonzero term's."""
-        terms = {m: _coerce_coeff(c) for m, c in terms.items() if _coerce_coeff(c)}
+        terms = {m: k for m, c in terms.items() if (k := _coerce_coeff(c))}
         if not terms:
             return cls.zero(num_vars)
         degrees = [monomial_degree(m) for m in terms]

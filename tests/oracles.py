@@ -12,6 +12,7 @@ from ffsubspace.function_field import (
     gauss_order_coeffs,
     support,
 )
+from ffsubspace.graded_ideal import graded_piece
 from ffsubspace.hilbert_bounds import sombra_lower
 from ffsubspace.linalg import Echelon, primitive_row
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
@@ -65,6 +66,29 @@ def graded_piece_echelon(gens, m: int) -> Echelon:
             product = g * HomogeneousPoly.monomial(gens.num_vars, gamma, 1)
             ech.add_row(primitive_row({col_of[mono]: c for mono, c in product.terms.items()}))
     return ech
+
+
+def filtration_reference(gens, m: int, q_poly) -> tuple:
+    """(entries, level_dims) of the compatible basis psi_j = Q^{i_j} g_j,
+    built as `build_filtration` once did: the echelon is seeded with the
+    degree-m piece's RREF rows over K, each made primitive again, and each
+    candidate Q^i * g is a product of forms over K made primitive by
+    `primitive_row`.  No dimension checks."""
+    nv, d = gens.num_vars, q_poly.degree
+    piece = graded_piece(gens, m)
+    ech = Echelon(len(piece.monomials))
+    for row in piece.echelon.rref_rows().values():
+        ech.add_row(primitive_row(row))
+    ideal_rank = ech.rank
+    entries, dims = [], {}
+    for i in range(m // d, -1, -1):
+        qi = q_poly**i
+        for g in monomial_basis(nv, m - i * d):
+            candidate = qi * HomogeneousPoly.monomial(nv, g, 1)
+            if ech.add_row(primitive_row(piece.vector_of(candidate))):
+                entries.append((i, g))
+        dims[i] = ech.rank - ideal_rank
+    return tuple(entries), tuple(dims[i] for i in range(m // d + 1))
 
 
 def power_sum(k: int, l: int) -> int:

@@ -60,6 +60,11 @@ def test_chow_of_linear_examples():
     assert p1.block_degree == 1 and len(p1.terms) == 2
     with pytest.raises(DependentSpan):
         chow_of_linear([e(0, 3), e(0, 3)])
+    # dependence over Q(t), not over Q
+    with pytest.raises(DependentSpan):
+        chow_of_linear([ProjectivePoint([1, T, T**2]), ProjectivePoint([T, T**2, T**3])])
+    plane = chow_of_linear([ProjectivePoint([1, T, 0]), ProjectivePoint([T, 1, 0])])
+    assert len(plane.terms) == 2
 
 
 def test_chow_of_linear_vanishing_property():

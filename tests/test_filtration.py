@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ffsubspace.chow import chow_height, chow_of_hypersurface
 from ffsubspace.effective_constants import b_const
@@ -34,14 +35,17 @@ from ffsubspace.function_field import (
 from ffsubspace.graded_ideal import (
     IdealGenerators,
     QuotientBasis,
+    graded_piece,
     hilbert_function,
     quotient_monomial_basis,
 )
-from ffsubspace.multipoly import parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
+from oracles import filtration_reference
 
 T = RationalFunction.t()
 P1 = IdealGenerators.of(2, ())
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
+TWISTED_CUBIC = IdealGenerators.parse(4, ["X0*X2 - X1^2", "X1*X3 - X2^2", "X0*X3 - X1*X2"])
 
 
 def test_order_by_vanishing_examples():
@@ -82,6 +86,33 @@ def test_build_filtration_errors():
         build_filtration(P1, 3, parse_poly("X0^2", 2))
     with pytest.raises(DivisorInIdeal):
         build_filtration(CONIC, 2, parse_poly("X0*X2 - X1^2", 3))
+
+
+@st.composite
+def _divisor_forms(draw, nv, max_terms):
+    """A form of degree 1 or 2 on up to max_terms monomials, with
+    coefficients in {0, +-1, t, t + 1}."""
+    d = draw(st.integers(1, 2))
+    monos = draw(st.lists(st.sampled_from(monomial_basis(nv, d)), min_size=1,
+                          max_size=max_terms, unique=True))
+    coeffs = st.sampled_from([0, 1, -1, T, T + 1])
+    return HomogeneousPoly(nv, d, {mono: draw(coeffs) for mono in monos})
+
+
+# The twisted cubic's Q take at most two terms: at m = 6 a three-term Q with
+# t in its coefficients takes over a second per build.
+@pytest.mark.parametrize("m", [2, 4, 6])
+@pytest.mark.parametrize("gens, max_terms", [(CONIC, 3), (TWISTED_CUBIC, 2)],
+                         ids=["conic", "twisted_cubic"])
+def test_filtration_matches_the_rref_seeded_reference(gens, max_terms, m):
+    @settings(max_examples=10, deadline=None)
+    @given(q=_divisor_forms(gens.num_vars, max_terms))
+    def check(q):
+        assume(q and not graded_piece(gens, q.degree).contains(q))
+        basis = build_filtration(gens, m, q)
+        assert (basis.entries, basis.level_dims) == filtration_reference(gens, m, q)
+
+    check()
 
 
 def test_level_dims_match_hilbert():

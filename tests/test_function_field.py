@@ -290,15 +290,16 @@ def test_primitive_coordinates():
     rng = random.Random(18)
     for _ in range(40):
         x = _raw_point(rng, 3)
-        prim = x.primitive()
-        assert all(c.den == upoly.ONE for c in prim.coordinates)
+        coords, h = x.primitive()
         g = upoly.ZERO
-        for c in prim.coordinates:
-            g = upoly.gcd(g, c.num)
+        for c in coords:
+            g = upoly.gcd(g, c)
         assert g == upoly.ONE
-        for a, b in zip(x.coordinates, prim.coordinates):
-            assert a * prim.coordinates[0] == b * x.coordinates[0]
-        assert prim.primitive() is prim and x.primitive() is prim
+        prim = [RationalFunction(c) for c in coords]
+        for a, b in zip(x.coordinates, prim):
+            assert a * prim[0] == b * x.coordinates[0]
+        assert h == max(upoly.degree(c) for c in coords)
+        assert x.primitive() is x.primitive()
 
 
 def test_height_point_matches_factoring_formula():

@@ -127,7 +127,7 @@ def test_primitive_values_are_scaled_values():
         mono = next(iter(q.terms))
         beta = RationalFunction(terms[mono]) / q.terms[mono]
         i = next(i for i, c in enumerate(x.coordinates) if c)
-        alpha = x.primitive().coordinates[i] / x.coordinates[i]
+        alpha = RationalFunction(x.primitive()[0][i]) / x.coordinates[i]
         (value,) = primitive_values([q], x)
         assert RationalFunction(value) == beta * alpha**d * q.evaluate(x)
     with pytest.raises(ZeroPolynomial):
