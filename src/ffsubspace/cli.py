@@ -10,7 +10,6 @@ Violation verdict, 2 on input errors.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -37,6 +36,7 @@ from .harness import (
     emit_report,
     fmt_q,
     has_violation,
+    json_text,
     load_scenario,
     load_variety_dict,
     parse_fraction,
@@ -92,11 +92,14 @@ CONSTANTS_SCHEMA = {
 }
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _emit(payload: dict, args) -> None:
     if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
+        _write(args.report, json_text(payload) + "\n")
 
 
 def _cmd_check(args) -> int:
@@ -105,7 +108,11 @@ def _cmd_check(args) -> int:
     text = emit_report(report, args.format)
     sys.stdout.write(text)
     if args.report:
-        emit_report(report, "json", args.report)
+        # with --format json, stdout already holds the report's text
+        if args.format == "json":
+            _write(args.report, text)
+        else:
+            emit_report(report, "json", args.report)
     return 1 if has_violation(report) else 0
 
 

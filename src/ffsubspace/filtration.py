@@ -18,6 +18,7 @@ from .errors import (
     DivisorInIdeal,
     InvariantViolated,
     PointOnDivisor,
+    PreconditionViolated,
     ZeroPolynomial,
 )
 from .function_field import (
@@ -87,8 +88,10 @@ def build_filtration(
     Q^i * g extends the current independent set modulo the ideal slice,
     seeded by a copy of the degree-m piece's pivot rows; a candidate's row
     is Q^i's primitive terms shifted by g, itself primitive over Z[t].
-    Level dimensions are checked against H_X(m - i*d) as they complete; a
-    mismatch raises InvariantViolated.
+    Level dimensions are checked against H_X(m - i*d) as they complete: one
+    below it means Q is a zero divisor modulo the ideal, Q vanishing on a
+    component of X, and raises PreconditionViolated; one above it raises
+    InvariantViolated.
     """
     if q_poly.is_zero():
         raise ZeroPolynomial("divisor form must be nonzero")
@@ -116,7 +119,15 @@ def build_filtration(
                 entries.append((i, g))
         dim_w_i = ech.rank - ideal_rank
         level_dims[i] = dim_w_i
-        if dim_w_i != hilbert_function(x_gens, m - i * d):
+        h = hilbert_function(x_gens, m - i * d)
+        if dim_w_i < h:
+            # multiplication by Q^i is not injective on the quotient
+            raise PreconditionViolated(
+                f"divisor form {q_poly} is a zero divisor modulo the ideal (it "
+                f"vanishes on a component of the variety): dim W_{i} = {dim_w_i} "
+                f"< H({m - i * d}) = {h}"
+            )
+        if dim_w_i != h:
             raise InvariantViolated(f"dim W_{i} = {dim_w_i} != H({m - i * d})")
 
     if len(entries) != hilbert_function(x_gens, m):

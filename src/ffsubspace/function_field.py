@@ -124,15 +124,12 @@ class RationalFunction(Frozen):
             return RationalFunction._canonical(upoly.add(a, upoly.mul(c, b)), b)
         if b == _ONE:
             return RationalFunction._canonical(upoly.add(upoly.mul(a, d), c), d)
-        g = upoly.gcd(b, d)
-        b_g, d_g = upoly.quo(b, g), upoly.quo(d, g)
+        g, b_g, d_g = upoly.gcd(b, d)
         num = upoly.add(upoly.mul(a, d_g), upoly.mul(c, b_g))
         if not num:
             return RationalFunction._canonical((), _ONE)
-        h = upoly.gcd(num, g)
-        return RationalFunction._canonical(
-            upoly.quo(num, h), upoly.mul(upoly.mul(b_g, d_g), upoly.quo(g, h))
-        )
+        _, num_h, g_h = upoly.gcd(num, g)
+        return RationalFunction._canonical(num_h, upoly.mul(upoly.mul(b_g, d_g), g_h))
 
     __radd__ = __add__
 
@@ -208,9 +205,7 @@ def _reduce(num, den) -> tuple:
     if not num:
         return (), _ONE
     if den != _ONE:
-        g = upoly.gcd(num, den)
-        if g != _ONE:
-            num, den = upoly.quo(num, g), upoly.quo(den, g)
+        _, num, den = upoly.gcd(num, den)
         if den[-1] < 0:
             num, den = upoly.neg(num), upoly.neg(den)
     return num, den
@@ -221,28 +216,28 @@ def _times(a, b, c, d) -> RationalFunction:
     if not a or not c:
         return RationalFunction._canonical((), _ONE)
     if d != _ONE:
-        g = upoly.gcd(a, d)
-        if g != _ONE:
-            a, d = upoly.quo(a, g), upoly.quo(d, g)
+        _, a, d = upoly.gcd(a, d)
     if b != _ONE:
-        g = upoly.gcd(c, b)
-        if g != _ONE:
-            c, b = upoly.quo(c, g), upoly.quo(b, g)
+        _, c, b = upoly.gcd(c, b)
     den = b if d == _ONE else d if b == _ONE else upoly.mul(b, d)
     return RationalFunction._canonical(upoly.mul(a, c), den)
 
 
 def clear_denominators(elements) -> tuple:
     """(polys, D): the integer polynomials f * D, for D the lcm in Z[t] of
-    the denominators."""
-    den = _ONE
+    the denominators.  Each f keeps its multiplier D / den(f), read off the
+    gcd's cofactors; the multipliers of earlier f grow with D."""
+    den, factors = _ONE, []
     for f in elements:
-        if f.den != den:
-            den = upoly.mul(den, upoly.quo(f.den, upoly.gcd(den, f.den)))
-    return [
-        f.num if f.den == den else upoly.mul(f.num, upoly.quo(den, f.den))
-        for f in elements
-    ], den
+        if f.den == den:
+            factors.append(_ONE)
+            continue
+        _, den_g, grow = upoly.gcd(den, f.den)
+        if grow != _ONE:
+            den = upoly.mul(den, grow)
+            factors = [upoly.mul(k, grow) for k in factors]
+        factors.append(den_g)
+    return [upoly.mul(f.num, k) for f, k in zip(elements, factors)], den
 
 
 def primitive_polys(elements) -> list:
@@ -516,9 +511,11 @@ def weil_rows(places, qs, x: ProjectivePoint, values) -> tuple:
 
     With Q and x primitive, e_p(Q) = e_p(x) = 0 at every finite place, so
     lambda_{p,Q}(x) = ord_p Q(x) * deg p; at infinity e_p(Q) = -h(Q) and
-    e_p(x) = -h(x), so lambda = d*h(x) + h(Q) - deg Q(x).
+    e_p(x) = -h(x), so lambda = d*h(x) + h(Q) - deg Q(x).  Each value, and
+    each finite place, is evaluated at t = 2^20 (`upoly.probe`) once.
     """
     h = x.primitive()[1]
+    probes = [upoly.probe(value) for value in values]
     rows = []
     for p in places:
         if p.is_infinite:
@@ -527,7 +524,11 @@ def weil_rows(places, qs, x: ProjectivePoint, values) -> tuple:
                 for q, value in zip(qs, values)
             )
         else:
-            row = tuple(upoly.multiplicity(value, p.poly) * p.degree for value in values)
+            p_at = upoly.probe(p.poly)
+            row = tuple(
+                upoly.multiplicity(value, p.poly, v_at, p_at) * p.degree
+                for value, v_at in zip(values, probes)
+            )
         rows.append((p, row))
     return tuple(rows)
 

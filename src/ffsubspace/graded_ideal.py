@@ -107,17 +107,6 @@ class GradedPieceBasis:
     def contains(self, poly: HomogeneousPoly) -> bool:
         return self.echelon.contains(self.vector_of(poly))
 
-    def rows(self) -> list:
-        """Dense RREF rows (pivot order), mostly for display and tests."""
-        rref = self.echelon.rref_rows()
-        zero = RationalFunction(0)
-        out = []
-        for col in sorted(rref):
-            out.append(
-                [rref[col].get(i, zero) for i in range(len(self.monomials))]
-            )
-        return out
-
 
 def _macaulay_rows(gens: IdealGenerators, m: int, col_of: dict, terms_of):
     """(i, gamma, row) for each multiple x^gamma * g_i of degree m, by i and

@@ -5,6 +5,9 @@ A scenario file fixes the ambient space, the variety (projective space, a
 hypersurface, or explicit generators plus a supplied Chow form), the divisor
 family, the place set S, epsilon, and the sample points.  The run is fully
 deterministic: identical scenario files produce byte-identical JSON reports.
+Every JSON document the package writes goes through `json_text`, which gives
+the bytes of `json.dumps(obj, indent=2)` with strings escaped by the C
+escaper.
 
 Scenarios (and `constants` inputs) are checked against a JSON schema before
 any work, by a small stdlib validator for the keywords those schemas use.  It
@@ -384,6 +387,41 @@ def read_json(path):
             raise SchemaError(f"invalid JSON: {exc}", "") from None
 
 
+_escape = json.encoder.encode_basestring_ascii  # CPython's C escaper
+
+
+def json_text(obj, indent: str = "\n") -> str:
+    """json.dumps(obj, indent=2), byte for byte, for str-keyed dicts, lists,
+    tuples, str, int, bool and None; `indent` is the newline and indentation
+    of obj's own line.  Strings go through the C escaper, while
+    `json.dumps` runs its pure-Python encoder whenever indent is set."""
+    if isinstance(obj, str):
+        return _escape(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [
+            _escape(k) + ": " + (_escape(v) if type(v) is str else json_text(v, inner))
+            for k, v in obj.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_escape(v) if type(v) is str else json_text(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + indent + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def load_scenario(path) -> Scenario:
     return load_scenario_dict(read_json(path))
 
@@ -724,7 +762,7 @@ def report_to_text(report: Report) -> str:
 def emit_report(report: Report, format: str = "json", path=None) -> str:
     """Serialize a report; writes to path when given, returns the text."""
     if format == "json":
-        text = json.dumps(report_to_dict(report), indent=2) + "\n"
+        text = json_text(report_to_dict(report)) + "\n"
     elif format == "text":
         text = report_to_text(report)
     else:

@@ -30,7 +30,11 @@ precedence changes, and its value, the stripped sum of the c*t^k over Z[t],
 is the tuple the descent would build over `upoly.ONE`.  A group with an
 exponent past MAX_EXPONENT is not folded, so the descent raises its error.
 In messages a `poly` token shows as '(' at the position of its '(', as the
-descent's first token would.
+descent's first token would.  `parse_rational` reads a text whose tokens are
+exactly `poly / poly`, with a nonzero denominator, as the reduced quotient
+of the two tuples, without the descent: that is the form `str` prints.  Any
+other text, a zero denominator included, is descended, so every error
+message and position is the descent's.
 
 An integer literal may have at most MAX_LITERAL_DIGITS digits, checked
 before it is converted, on both paths.
@@ -151,8 +155,8 @@ class _Parser:
     in `num_vars` variables as its values; a map whose only key is the zero
     tuple is a constant."""
 
-    def __init__(self, text: str, num_vars: int):
-        self.tokens = _tokenize(text)
+    def __init__(self, tokens: list, num_vars: int):
+        self.tokens = tokens
         self.i = 0
         self.num_vars = num_vars
         self.zero = (0,) * num_vars
@@ -349,12 +353,22 @@ def _coefficient_cost(base: dict, e: int, bits: int) -> int:
 
 def parse_terms(text: str, num_vars: int) -> dict:
     """Parse into a sparse {exponents: coefficient} map (possibly mixed degree)."""
-    return _Parser(text, num_vars).parse()
+    return _Parser(_tokenize(text), num_vars).parse()
 
 
 def parse_rational(text: str) -> RationalFunction:
-    """Parse a coefficient-level expression into an element of Q(t)."""
-    terms = _Parser(text, 0).parse()
+    """Parse a coefficient-level expression into an element of Q(t).
+
+    A text that tokenizes to exactly `poly / poly`, the form `str` prints,
+    with a nonzero denominator is the quotient of the two folded tuples;
+    any other text, a zero denominator included, goes through the descent.
+    """
+    tokens = _tokenize(text)
+    if len(tokens) == 4:
+        (k0, p, _), (k1, op, _), (k2, q, _), _ = tokens
+        if k0 == k2 == "poly" and k1 == "op" and op == "/" and q:
+            return RationalFunction.reduced(p, q)
+    terms = _Parser(tokens, 0).parse()
     return terms[()] if terms else RationalFunction(0)
 
 

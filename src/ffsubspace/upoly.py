@@ -13,12 +13,16 @@ Division over Z comes in two forms: `divmod_` is pseudo-division
 `quo` is exact division, which answers whether b divides a.  By Gauss's
 lemma a primitive p divides a in Q[t] exactly when it divides it in Z[t],
 so `multiplicity` at a place needs only `quo`; it first compares the values
-at t = 2^20, since p | a in Z[t] forces p(2^20) | a(2^20), and most places
-are rejected by that one integer remainder.  `gcd` is the heuristic GCD
-of Char, Geddes and Gonnet (one integer gcd at an evaluation point, then
-two exact divisions), with the primitive PRS as its fallback.
-`divide_content` is the one normal form of a vector over K once its
-denominators are cleared: points, forms and echelon rows all use it.
+at t = 2^20 (`probe`), since p | a in Z[t] forces p(2^20) | a(2^20), and
+most places are rejected by that one integer remainder; a caller that tests
+one value at several places passes the probes in, so each is computed once.
+`gcd` is the heuristic GCD of Char, Geddes and Gonnet (one integer gcd at an
+evaluation point, then two exact divisions), with the primitive PRS as its
+fallback.  It returns (g, a/g, b/g): the exact divisions of its check are
+the cofactors, so no caller divides by g again, and for g = 1 the cofactors
+are a and b themselves.  `divide_content` is the one normal form of a vector
+over K once its denominators are cleared: points, forms and echelon rows all
+use it.
 Factorization into irreducibles is delegated to sympy and cached, since
 that is the one genuinely hard primitive here.  sympy is imported on the
 first call that needs it: a factorization with a factor of degree >= 2
@@ -126,16 +130,19 @@ def primitive(a) -> tuple:
 
 def divide_content(polys) -> list:
     """The polynomials divided by their gcd in Z[t], zeros kept: a family
-    with content 1 and no sign rule.  The gcd fold stops once it reaches 1."""
+    with content 1 and no sign rule.  The gcd fold stops once it reaches 1;
+    until then each step's cofactors are the quotients, and those of earlier
+    polynomials are multiplied by how much the gcd shrank."""
     polys = list(polys)
-    g = ZERO
+    g, out = ZERO, []
     for p in polys:
-        g = gcd(g, p)
+        g, shrink, q = gcd(g, p)
         if g == ONE:
             return polys
-    if not g:
-        return polys
-    return [quo(p, g) for p in polys]
+        if shrink != ONE:
+            out = [mul(c, shrink) for c in out]
+        out.append(q)
+    return out if g else polys
 
 
 def power(base, n: int, one, mul):
@@ -249,54 +256,84 @@ def _prs_gcd(a, b) -> tuple:
 
 
 def gcd(a, b) -> tuple:
-    """The gcd in Z[t]: content gcd times primitive gcd, leading coefficient > 0.
+    """(g, a/g, b/g): the gcd in Z[t], content gcd times primitive gcd with
+    leading coefficient > 0, and the cofactors; for g = 1 the cofactors are
+    a and b themselves.  gcd(0, 0) is (0, 0, 0).
 
     Heuristic GCD (Char, Geddes and Gonnet, 1989): the integer gcd of a(x)
     and b(x), read back in balanced base x, is the gcd as soon as its
     primitive part divides both, for any x > 2 * min(|a|, |b|) + 1 in the
-    max norm.  After a few evaluation points it gives way to the PRS.
+    max norm; the two exact quotients of that check are the cofactors.
+    After a few evaluation points it gives way to the PRS.
     """
     if not a:
-        return b if not b or b[-1] > 0 else neg(b)
+        if not b or b[-1] > 0:
+            return b, ZERO, (ONE if b else ZERO)
+        return neg(b), ZERO, (-1,)
     if not b:
-        return a if a[-1] > 0 else neg(a)
+        return (a, ONE, ZERO) if a[-1] > 0 else (neg(a), (-1,), ZERO)
     ca, cb = igcd(*a), igcd(*b)
     c = igcd(ca, cb)
     if len(a) == 1 or len(b) == 1:
-        return (c,)
-    a = tuple(v // ca for v in a)
-    b = tuple(v // cb for v in b)
-    if a == b or a == neg(b):
-        return scale(primitive(a), c)
+        if c == 1:
+            return ONE, a, b
+        return (c,), tuple(v // c for v in a), tuple(v // c for v in b)
+    a0, b0 = a, b
+    if ca != 1:
+        a = tuple(v // ca for v in a)
+    if cb != 1:
+        b = tuple(v // cb for v in b)
+    # The cofactors are the quotients of these primitive parts times ca/c, cb/c.
+    ka, kb = ca // c, cb // c
+    if len(a) == len(b) and (a == b or a == neg(b)):
+        g = primitive(a)
+        return scale(g, c), (ka if a == g else -ka,), (kb if b == g else -kb,)
     x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(_HEU_GCD_TRIES):
         va, vb = _evaluate(a, x), _evaluate(b, x)
         if va and vb:
             g = primitive(_interpolate(igcd(va, vb), x))
             if len(g) == 1:
-                return (c,)
-            if quo(a, g) is not None and quo(b, g) is not None:
-                return scale(g, c)
+                break
+            qa = quo(a, g)
+            if qa is not None and (qb := quo(b, g)) is not None:
+                return scale(g, c), scale(qa, ka), scale(qb, kb)
         x = 73794 * x * isqrt(isqrt(x)) // 27011
-    if len(a) < len(b):
-        a, b = b, a
-    return scale(_prs_gcd(primitive(a), primitive(b)), c)
+    else:
+        g = _prs_gcd(primitive(a), primitive(b))
+        if len(g) > 1:
+            return scale(g, c), scale(quo(a, g), ka), scale(quo(b, g), kb)
+    if c == 1:
+        return ONE, a0, b0
+    return (c,), scale(a, ka), scale(b, kb)
 
 
-def multiplicity(a, p) -> int:
+def probe(a) -> int:
+    """a(2^20), the integer on which `multiplicity` tests divisibility."""
+    return _evaluate(a, _REJECT_AT)
+
+
+def multiplicity(a, p, a_at=None, p_at=None) -> int:
     """Largest k with p^k | a; a nonzero, p primitive of degree >= 1.
+    a_at and p_at, when given, are probe(a) and probe(p).
 
     p | a in Z[t] forces p(X) | a(X) at the integer X = 2^20, so a nonzero
     remainder there answers without a division; when p(X) = 0 the test
-    says nothing and is skipped.
+    says nothing and is skipped.  After a division the quotient's value is
+    a(X) / p(X), so nothing is evaluated twice.
     """
     if not a:
         raise ZeroDivisionError("multiplicity in zero polynomial")
-    p_at = _evaluate(p, _REJECT_AT)
+    if p_at is None:
+        p_at = probe(p)
+    if a_at is None and p_at:
+        a_at = probe(a)
     k = 0
     while True:
-        if p_at and _evaluate(a, _REJECT_AT) % p_at:
-            return k
+        if p_at:
+            a_at, r = divmod(a_at, p_at)
+            if r:
+                return k
         q = quo(a, p)
         if q is None:
             return k

@@ -1,7 +1,21 @@
 """Shared sampling helpers for the test suite; everything is seeded."""
 
+import sys
+from pathlib import Path
+
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
+
+
+def workload_scenario(name: str, seed: int) -> dict:
+    """The scenario dict the benchmark generates for a workload and seed."""
+    perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+    sys.path.insert(0, perfbench)
+    try:
+        import workloads
+    finally:
+        sys.path.remove(perfbench)
+    return workloads.generate(name, seed).scenario
 
 
 def rand_qpoly(rng, max_degree=3, nonzero=True):

@@ -68,6 +68,16 @@ def graded_piece_echelon(gens, m: int) -> Echelon:
     return ech
 
 
+def piece_rows(piece) -> list:
+    """The dense RREF rows of a graded piece, in pivot order."""
+    rref = piece.echelon.rref_rows()
+    zero = RationalFunction(0)
+    return [
+        [rref[col].get(i, zero) for i in range(len(piece.monomials))]
+        for col in sorted(rref)
+    ]
+
+
 def filtration_reference(gens, m: int, q_poly) -> tuple:
     """(entries, level_dims) of the compatible basis psi_j = Q^{i_j} g_j,
     built as `build_filtration` once did: the echelon is seeded with the

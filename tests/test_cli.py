@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from ffsubspace import chow, cli, graded_ideal
+from ffsubspace import chow, cli, graded_ideal, harness
 from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
 from ffsubspace.function_field import ProjectivePoint
@@ -435,6 +435,38 @@ def test_filtration_refuses_a_bad_point_or_place_first(capsys, point, place, mes
          "--point", point, "--place", place]
     ) == 2
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+_ZERO_DIVISOR = ["filtration", "--gens", "X0*X1", "--num-vars", "2", "--m", "2",
+                 "--point", "1,0", "--place", "t", "--q-poly"]
+
+
+def test_filtration_refuses_a_divisor_that_vanishes_on_a_component(capsys):
+    # X = {X0*X1 = 0} is two lines and Q = X0 vanishes on one of them without
+    # lying in the ideal: multiplication by Q is not injective on the quotient
+    assert main(_ZERO_DIVISOR + ["X0"]) == 2
+    assert capsys.readouterr() == ("", (
+        "error: divisor form X0 is a zero divisor modulo the ideal (it vanishes "
+        "on a component of the variety): dim W_1 = 1 < H(1) = 2\n"
+    ))
+
+
+def test_filtration_of_a_reducible_variety_by_a_non_zero_divisor(capsys):
+    assert main(_ZERO_DIVISOR + ["X0 + X1"]) == 0
+    out = capsys.readouterr().out
+    assert "level dims W_i: [2, 2, 1]" in out
+    assert "lhs 0 >= rhs 0: ok" in out
+
+
+def test_check_json_report_file_is_stdout(capsys, tmp_path, monkeypatch):
+    # with --format json the report is built and serialized once
+    built = []
+    to_dict = harness.report_to_dict
+    monkeypatch.setattr(harness, "report_to_dict", lambda r: built.append(r) or to_dict(r))
+    report = tmp_path / "out.json"
+    assert main(["check", SCENARIO, "--format", "json", "--report", str(report)]) == 0
+    assert report.read_bytes() == capsys.readouterr().out.encode()
+    assert len(built) == 1
 
 
 def test_position_command(capsys, tmp_path):

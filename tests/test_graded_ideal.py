@@ -32,7 +32,7 @@ from ffsubspace.graded_ideal import (
 from ffsubspace.linalg import Echelon
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
-from oracles import graded_piece_echelon
+from oracles import graded_piece_echelon, piece_rows
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
 LINES = [parse_poly(s, 3) for s in ["X0", "X1", "X2", "X0 + X1 + X2"]]
@@ -226,7 +226,7 @@ def test_macaulay_bounds_the_growth_of_ranks(gens):
 
 def test_rref_rows_shape():
     piece = graded_piece(CONIC, 2)
-    rows = piece.rows()
+    rows = piece_rows(piece)
     assert len(rows) == 1 and len(rows[0]) == 6
     # the single relation pivots on X0*X2 in glex order
     assert piece.pivot_monomials() == [(1, 0, 1)]

@@ -4,7 +4,7 @@ from math import lcm
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffsubspace.chow import chow_height, chow_of_hypersurface, multihomform_to_json
 from ffsubspace.errors import SchemaError
@@ -22,12 +22,14 @@ from ffsubspace.harness import (
     emit_report,
     fmt_q,
     has_violation,
+    json_text,
     load_scenario,
     load_scenario_dict,
     report_to_dict,
     run_check,
 )
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
+from helpers import workload_scenario
 from oracles import lcm_reduction
 
 SCENARIO_PATH = Path(__file__).resolve().parents[1] / (
@@ -327,6 +329,44 @@ def test_byte_stable_reports(tmp_path):
 def test_golden_report_bytes(fmt, name):
     report = run_check(load_scenario_dict(golden_scenario_dict()))
     assert emit_report(report, fmt).encode() == (GOLDEN_DIR / name).read_bytes()
+
+
+# --- the indent-2 writer against json.dumps(obj, indent=2)
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**200), 2**200) | st.text(),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.tuples(inner, inner)
+        | st.dictionaries(st.text(), inner, max_size=4)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=_json_values)
+@example(obj={"": [], "a": {}, '"\\': ["\x00\x1f\x7f", "\u00e9\u2028", "\U0001f600"]})
+@example(obj=[10**1000, -(10**1000), True, False, None, [[[]]], [{}]])
+@example(obj="tab\tnewline\n")
+def test_json_text_matches_json_dumps(obj):
+    assert json_text(obj) == json.dumps(obj, indent=2)
+
+
+def test_json_text_refuses_what_it_does_not_write():
+    for obj in (1.5, {1: 2}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+@pytest.mark.parametrize("data", [
+    lambda: json.loads(SCENARIO_PATH.read_text()),
+    golden_scenario_dict,
+    lambda: workload_scenario("conic-points", 1),
+], ids=["bundled-conic", "golden", "conic-50-points"])
+def test_json_text_matches_json_dumps_on_reports(data):
+    payload = report_to_dict(run_check(load_scenario_dict(data())))
+    assert json_text(payload) == json.dumps(payload, indent=2)
 
 
 def test_fmt_q():

@@ -122,7 +122,7 @@ def test_primitive_values_are_scaled_values():
         x = rand_point(rng, 3)
         terms, h = q.primitive()
         assert q.primitive() is q.primitive()
-        assert reduce(upoly.gcd, terms.values(), upoly.ZERO) == upoly.ONE
+        assert reduce(lambda g, c: upoly.gcd(g, c)[0], terms.values(), upoly.ZERO) == upoly.ONE
         assert h == height_poly_family([q])
         mono = next(iter(q.terms))
         beta = RationalFunction(terms[mono]) / q.terms[mono]

@@ -3,16 +3,14 @@ seeded workload inputs and random expression trees against a Fraction-tuple
 reference evaluator, hypothesis properties, and the limits of `^`."""
 
 import re
-import sys
 from fractions import Fraction
 from math import gcd
-from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from ffsubspace import upoly
+from ffsubspace import parsing, upoly
 from ffsubspace.errors import ParseError
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.parsing import (
@@ -22,8 +20,7 @@ from ffsubspace.parsing import (
     parse_rational,
     parse_terms,
 )
-
-ROOT = Path(__file__).resolve().parents[1]
+from helpers import workload_scenario
 
 
 # --- reference: elements of Q(t) as Fraction tuples with a monic denominator,
@@ -119,12 +116,7 @@ def _monic_pair(f):
 
 
 def _workload_points(name, seed):
-    sys.path.insert(0, str(ROOT / "perfbench"))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(ROOT / "perfbench"))
-    return workloads.generate(name, seed).scenario["points"]
+    return workload_scenario(name, seed)["points"]
 
 
 def test_parse_rational_matches_fraction_reference_on_workloads():
@@ -164,7 +156,7 @@ def _is_canonical(f):
     if not f.num:
         return f.den == upoly.ONE
     return (
-        upoly.gcd(f.num, f.den) == upoly.ONE
+        upoly.gcd(f.num, f.den)[0] == upoly.ONE
         and gcd(*f.num, *f.den) == 1
         and f.den[-1] > 0
         and all(type(c) is int for c in f.num + f.den)
@@ -372,6 +364,78 @@ def test_folded_and_descended_groups_agree(a, b):
     assert parse_terms(f"({a})*X0 + ({b})*X1", 2) == parse_terms(
         f"({a} + 0*1)*X0 + ({b} + 0*1)*X1", 2
     )
+
+
+# --- `(p)/(q)`: two folded polynomials and a slash are read without the descent
+
+def _descent(text):
+    """parse_rational's value by the descent alone (parse_terms has no
+    quotient shortcut)."""
+    terms = parse_terms(text, 0)
+    return terms[()] if terms else RationalFunction(0)
+
+
+def _same_outcome(text):
+    """parse_rational(text) and the descent give the same value, or raise
+    the same ParseError at the same position."""
+    try:
+        expected = _descent(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert (str(err.value), err.value.position) == (str(exc), exc.position), text
+        return None
+    got = parse_rational(text)
+    assert got == expected and (got.num, got.den) == (expected.num, expected.den), text
+    return got
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_expanded(), b=_expanded())
+def test_quotient_shortcut_agrees_with_the_descent(a, b):
+    text = f"({a})/({b})"
+    assert _kinds(text) == ["poly", "op", "poly", "end"]
+    _same_outcome(text)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=_elements())
+def test_quotient_shortcut_reads_str_output(f):
+    # str prints integer coefficients when lc(den) = 1, and then both fold
+    text = str(f)
+    if len(f.den) > 1 and f.den[-1] == 1:
+        assert _kinds(text) == ["poly", "op", "poly", "end"]
+    assert _same_outcome(text) == f
+
+
+def test_quotient_shortcut_keeps_the_descent_errors():
+    big = "1" * 5000
+    for text in [
+        "(t + 1)/(t - t)",
+        "(t)/(0)",
+        "(0)/(0)",
+        f"({big}*t + 1)/(t)",
+        f"(t + 1)/({big})",
+        "(t^1001)/(t)",
+        "(t^1001 + 1)/(t + 1)",
+        "(t + 1)/(t^1001 - 1)",
+    ]:
+        assert _same_outcome(text) is None, text
+    assert _same_outcome("(0)/(t + 1)") == 0
+    assert _same_outcome("(2*t + 2)/(-4*t^2 + 4)") == RationalFunction((-1,), (-2, 2))
+
+
+def test_quotient_shortcut_skips_the_descent(monkeypatch):
+    class NoDescent:
+        def __init__(self, *args):
+            raise AssertionError("descent run")
+
+    texts = [c for point in _workload_points("conic-points", 1) for c in point]
+    expected = [_descent(c) for c in texts]
+    monkeypatch.setattr(parsing, "_Parser", NoDescent)
+    assert [parse_rational(c) for c in texts] == expected
+    with pytest.raises(AssertionError):
+        parse_rational("(t + 1)/(t - t)")  # q = 0 goes to the descent
 
 
 def test_fold_fires_on_the_workload_coordinates():

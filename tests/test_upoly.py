@@ -39,8 +39,8 @@ def test_divmod_gcd():
     q, r = upoly.divmod_(a, b)
     assert q == (-1, 1) and r == ()
     assert upoly.quo(a, b) == (-1, 1)
-    assert upoly.gcd(a, b) == (1, 1)
-    assert upoly.gcd(a, (2,)) == upoly.ONE
+    assert upoly.gcd(a, b) == ((1, 1), (-1, 1), upoly.ONE)
+    assert upoly.gcd(a, (2,)) == (upoly.ONE, a, (2,))
     with pytest.raises(ZeroDivisionError):
         upoly.divmod_(a, ())
     with pytest.raises(ZeroDivisionError):
@@ -82,6 +82,8 @@ def test_multiplicity_matches_repeated_quo(p, k, r):
     m = upoly.multiplicity(a, p)
     assert m == _multiplicity_by_quo(a, p)
     assert m >= k
+    # values at 2^20 passed in, as weil_rows passes them, change nothing
+    assert upoly.multiplicity(a, p, upoly.probe(a), upoly.probe(p)) == m
 
 
 def test_factor_monic_reconstructs():
@@ -267,16 +269,47 @@ def test_gcd_matches_sympy():
         common = upoly.scale(rand_zpoly(rng, rng.randint(1, 4)), rng.randint(1, 6))
         a = upoly.mul(common, rand_zpoly(rng, rng.randint(8, 12) - upoly.degree(common)))
         b = upoly.mul(common, rand_zpoly(rng, rng.randint(8, 12) - upoly.degree(common)))
-        g = upoly.gcd(a, b)
+        g, qa, qb = upoly.gcd(a, b)
+        assert (upoly.mul(g, qa), upoly.mul(g, qb)) == (a, b)
         assert to_sympy(g) == _sympy_gcd(a, b)
         assert g[-1] > 0 and upoly.degree(g) >= upoly.degree(common)
         assert upoly.quo(g, common) is not None
-        assert upoly.gcd(b, a) == g
-    assert upoly.gcd(a, upoly.ZERO) == (a if a[-1] > 0 else upoly.neg(a))
-    assert upoly.gcd(upoly.ZERO, upoly.ZERO) == upoly.ZERO
+        assert upoly.gcd(b, a) == (g, qb, qa)
+    assert upoly.gcd(a, upoly.ZERO)[0] == (a if a[-1] > 0 else upoly.neg(a))
+    assert upoly.gcd(upoly.ZERO, upoly.ZERO) == (upoly.ZERO,) * 3
 
 
 _small_polys = st.lists(st.integers(-6, 6), max_size=4).map(upoly.strip)
+_zpolys = st.lists(st.integers(-40, 40), max_size=6).map(upoly.strip)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    common=_zpolys.filter(bool),
+    content=st.integers(-12, 12).filter(bool),
+    f=_zpolys,
+    g=_zpolys,
+)
+def test_gcd_cofactors(common, content, f, g):
+    # a planted factor in Z[t] with an integer content of either sign;
+    # constants, negative leading coefficients and zero operands included
+    a = upoly.mul(upoly.scale(common, content), f)
+    b = upoly.mul(upoly.scale(common, content), g)
+    h, qa, qb = upoly.gcd(a, b)
+    assert (upoly.mul(h, qa), upoly.mul(h, qb)) == (a, b)
+    if a or b:
+        assert h[-1] > 0 and to_sympy(h) == _sympy_gcd(a, b)
+        assert upoly.quo(h, upoly.primitive(common)) is not None
+    else:
+        assert h == qa == qb == upoly.ZERO
+    if h == upoly.ONE:
+        assert qa is a and qb is b  # a trivial gcd builds nothing
+    # the PRS alone gives the same triple
+    tries, upoly._HEU_GCD_TRIES = upoly._HEU_GCD_TRIES, 0
+    try:
+        assert upoly.gcd(a, b) == (h, qa, qb)
+    finally:
+        upoly._HEU_GCD_TRIES = tries
 
 
 @settings(max_examples=200, deadline=None)
@@ -291,7 +324,7 @@ def test_divide_content_leaves_content_one(common, members):
     i = next(i for i, q in enumerate(out) if q)
     g = upoly.quo(p[i], out[i])
     assert g and p == [upoly.mul(q, g) for q in out]
-    assert reduce(upoly.gcd, out, upoly.ZERO) == upoly.ONE
+    assert reduce(lambda g, c: upoly.gcd(g, c)[0], out, upoly.ZERO) == upoly.ONE
     assert upoly.divide_content([(), ()]) == [(), ()]
 
 
@@ -303,7 +336,7 @@ def test_gcd_prs_fallback_matches_sympy(monkeypatch):
         common = rand_zpoly(rng, rng.randint(0, 3))
         a = upoly.mul(common, rand_zpoly(rng, rng.randint(1, 6)))
         b = upoly.scale(upoly.mul(common, rand_zpoly(rng, rng.randint(1, 6))), 4)
-        assert to_sympy(upoly.gcd(a, b)) == _sympy_gcd(a, b)
+        assert to_sympy(upoly.gcd(a, b)[0]) == _sympy_gcd(a, b)
 
 
 def test_gcd_and_multiplicity_match_sympy_over_zz():
@@ -319,7 +352,7 @@ def test_gcd_and_multiplicity_match_sympy_over_zz():
             a = upoly.mul(a, upoly.pow_(p, ea))
             b = upoly.mul(b, upoly.pow_(p, eb))
         a = upoly.scale(a, rng.choice([1, 2, 6, -3]))
-        assert to_sympy(upoly.gcd(a, b)) == _sympy_gcd(a, b)
+        assert to_sympy(upoly.gcd(a, b)[0]) == _sympy_gcd(a, b)
         for p in places:
             k = upoly.multiplicity(a, p)
             qa = to_sympy(a).to_field()
