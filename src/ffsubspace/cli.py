@@ -17,7 +17,7 @@ from functools import cache
 
 from .chow import chow_of_hypersurface, chow_of_linear, expand_skew, psigma_count_report
 from .effective_constants import ConstantInputs, assemble_constants
-from .errors import SchemaError, ToolkitError
+from .errors import PointOnDivisor, SchemaError, ToolkitError
 from .filtration import (
     build_filtration,
     exponent_sum,
@@ -268,6 +268,8 @@ def _cmd_filtration(args) -> int:
         if x.num_vars != nv:
             raise ToolkitError(f"--point has {x.num_vars} coordinates, the ideal has {nv} variables")
         p = Place.parse(args.place)
+        if q_poly.evaluate(x).is_zero():
+            raise PointOnDivisor("point lies on the filtration divisor")
     basis = build_filtration(gens, args.m, q_poly)
     print(f"filtration of degree {args.m} by {args.q_poly} (d = {q_poly.degree}):")
     print(f"  level dims W_i: {list(basis.level_dims)}")

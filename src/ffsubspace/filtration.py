@@ -151,9 +151,6 @@ class ExponentSumReport(NamedTuple):
     stated_sum: int
     difference: int
 
-    def __int__(self):
-        return self.total
-
 
 def exponent_sum(basis: FiltrationBasis, x_gens: IdealGenerators) -> ExponentSumReport:
     total = sum(basis.exponents())

@@ -76,8 +76,9 @@ class GradedPieceBasis:
 
     monomials: the degree-m monomial basis in glex order (the columns);
     col_of maps each monomial to its column.
-    The reduced row-echelon form over K is canonical, so pivot monomials
-    and everything derived from them are deterministic.
+    Pivot columns and the residuals of `reduce` depend only on the row
+    space, not on the stored rows, so pivot monomials and everything
+    derived from them are deterministic.
     """
 
     def __init__(self, degree: int, monomials: tuple, echelon: Echelon):

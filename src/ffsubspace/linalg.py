@@ -12,18 +12,17 @@ in Z[t] (`upoly.divide_content`), so a common factor in t does not survive
 the step and the degrees in t do not double at each pivot (fraction-free
 elimination with content removal: Bareiss 1968; Geddes, Czapor and Labahn,
 Algorithms for Computer Algebra, Ch. 9).  Pivoting is deterministic: rows
-in input order, the leftmost nonzero column pivots.  Entries become
-elements of Q(t) only in `rref_rows`, which recovers the reduced
-row-echelon form over K as the canonical pairs (entry, pivot entry); it is
-the canonical RREF of the row space, whatever the stored rows are, so
-every basis choice downstream is reproducible.
+in input order, the leftmost nonzero column pivots.  `reduce` runs the
+same step on a row over K made primitive with a 1 in an extra scale
+column, and entries become elements of Q(t) only when it returns: each is
+read over the scale that elimination put on that column.  K values thus
+enter through `primitive_row` and leave through `RationalFunction.reduced`.
 """
 
 from __future__ import annotations
 
 from . import upoly
 from .function_field import RationalFunction, primitive_polys
-from .multipoly import collect
 
 
 def primitive_row(field_row: dict) -> dict:
@@ -63,7 +62,6 @@ class Echelon:
         self.ncols = ncols
         self.pivot_limit = ncols if pivot_limit is None else pivot_limit
         self._pivots = {}  # pivot col -> primitive row over Z[t]
-        self._rref = None
 
     def copy(self) -> "Echelon":
         """The same pivot rows in a new echelon, to extend without touching
@@ -91,41 +89,26 @@ class Echelon:
             piv = self._pivots.get(lead)
             if piv is None:
                 self._pivots[lead] = row
-                self._rref = None
                 return True
             row = _strip_content(_eliminate(row, piv, lead))
         return False
 
-    def rref_rows(self) -> dict:
-        """{pivot col: fully reduced row over K with pivot entry 1}."""
-        if self._rref is None:
-            reduced = {}
-            for col in sorted(self._pivots, reverse=True):
-                row = self._pivots[col]
-                frow = {c: RationalFunction.reduced(p, row[col]) for c, p in row.items()}
-                for c in sorted(k for k in frow if k != col and k in reduced):
-                    coeff = -frow.pop(c)
-                    # the pivot entry cancels exactly and is already popped
-                    collect(
-                        ((cc, coeff * v) for cc, v in reduced[c].items() if cc != c),
-                        frow,
-                    )
-                frow[col] = RationalFunction(1)
-                reduced[col] = frow
-            self._rref = reduced
-        return self._rref
-
     def reduce(self, field_row: dict) -> dict:
-        """Residual of a row modulo the row space; supported off the pivots."""
-        rref = self.rref_rows()
-        v = {c: f for c, f in field_row.items() if not f.is_zero()}
-        for col in sorted(rref):
-            coeff = v.get(col)
-            if coeff is None or coeff.is_zero():
-                continue
-            coeff = -coeff
-            collect(((cc, coeff * rv) for cc, rv in rref[col].items()), v)
-        return v
+        """Residual of a row over K modulo the row space: the one element of
+        row + span that is zero on every pivot column, {col: RationalFunction}.
+
+        The row goes to Z[t] with a 1 in the scale column `ncols`, which no
+        pivot row touches; eliminating the pivot columns in ascending order
+        (each step only adds columns right of its pivot) leaves s*(row + w)
+        for some w in the span, with s the scale column's entry."""
+        aug = dict(field_row)
+        aug[self.ncols] = RationalFunction(1)
+        row = primitive_row(aug)
+        for col, piv in sorted(self._pivots.items()):
+            if col in row:
+                row = _strip_content(_eliminate(row, piv, col))
+        scale = row.pop(self.ncols)
+        return {c: RationalFunction.reduced(p, scale) for c, p in row.items()}
 
     def contains(self, field_row: dict) -> bool:
         return not self.reduce(field_row)

@@ -266,12 +266,14 @@ def gcd(a, b) -> tuple:
     max norm; the two exact quotients of that check are the cofactors.
     After a few evaluation points it gives way to the PRS.
     """
-    if not a:
-        if not b or b[-1] > 0:
-            return b, ZERO, (ONE if b else ZERO)
-        return neg(b), ZERO, (-1,)
-    if not b:
-        return (a, ONE, ZERO) if a[-1] > 0 else (neg(a), (-1,), ZERO)
+    if not a or not b:
+        # gcd(0, c) = |c|, cofactors 0 and sign(c): c itself when |c| = 1
+        c = a or b
+        if not c:
+            return ZERO, ZERO, ZERO
+        g = c if c[-1] > 0 else neg(c)
+        unit = c if g == ONE else (ONE if g is c else (-1,))
+        return (g, a, unit) if b else (g, unit, b)
     ca, cb = igcd(*a), igcd(*b)
     c = igcd(ca, cb)
     if len(a) == 1 or len(b) == 1:

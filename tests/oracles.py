@@ -68,9 +68,23 @@ def graded_piece_echelon(gens, m: int) -> Echelon:
     return ech
 
 
+def rref_of(ech) -> dict:
+    """{pivot col: the reduced row-echelon row over K with pivot entry 1}.
+
+    The RREF row of pivot c is e_c minus the residual of e_c: it lies in the
+    row space, is 1 at c and is zero on every other pivot column."""
+    one = RationalFunction(1)
+    rref = {}
+    for c in ech.pivot_cols():
+        row = {k: -v for k, v in ech.reduce({c: one}).items()}
+        row[c] = one
+        rref[c] = row
+    return rref
+
+
 def piece_rows(piece) -> list:
     """The dense RREF rows of a graded piece, in pivot order."""
-    rref = piece.echelon.rref_rows()
+    rref = rref_of(piece.echelon)
     zero = RationalFunction(0)
     return [
         [rref[col].get(i, zero) for i in range(len(piece.monomials))]
@@ -87,7 +101,7 @@ def filtration_reference(gens, m: int, q_poly) -> tuple:
     nv, d = gens.num_vars, q_poly.degree
     piece = graded_piece(gens, m)
     ech = Echelon(len(piece.monomials))
-    for row in piece.echelon.rref_rows().values():
+    for row in rref_of(piece.echelon).values():
         ech.add_row(primitive_row(row))
     ideal_rank = ech.rank
     entries, dims = [], {}

@@ -427,6 +427,7 @@ def test_filtration_point_and_place_go_together(capsys, given, missing):
     ("1,t", "t^2", "finite place must be irreducible: t^2"),
     ("1,t,t^2", "t", "--point has 3 coordinates, the ideal has 2 variables"),
     ("0,0", "t", "projective point needs a nonzero coordinate"),
+    ("0,1", "t", "point lies on the filtration divisor"),
 ])
 def test_filtration_refuses_a_bad_point_or_place_first(capsys, point, place, message):
     # refused before the filtration is built or printed

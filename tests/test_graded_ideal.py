@@ -32,7 +32,7 @@ from ffsubspace.graded_ideal import (
 from ffsubspace.linalg import Echelon
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
-from oracles import graded_piece_echelon, piece_rows
+from oracles import graded_piece_echelon, piece_rows, rref_of
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
 LINES = [parse_poly(s, 3) for s in ["X0", "X1", "X2", "X0 + X1 + X2"]]
@@ -85,8 +85,8 @@ def test_graded_piece_matches_the_k_row_reference(case):
     ref = graded_piece_echelon(gens, m)
     ech = piece.echelon
     assert not full or ech.rank == len(piece.monomials)
-    assert (ech.rank, ech.pivot_cols(), ech.rref_rows()) == (
-        ref.rank, ref.pivot_cols(), ref.rref_rows()
+    assert (ech.rank, ech.pivot_cols(), rref_of(ech)) == (
+        ref.rank, ref.pivot_cols(), rref_of(ref)
     )
     assert ech._pivots == ref._pivots
 

@@ -5,24 +5,28 @@ from hypothesis import given, settings, strategies as st
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.linalg import Echelon, primitive_row, solve_combination
 from helpers import rand_k, rand_qpoly
+from oracles import rref_of
 
 T = RationalFunction.t()
 ZERO = RationalFunction(0)
 
 
-def gauss_jordan(rows, ncols):
+def gauss_jordan(rows, ncols, pivot_limit=None):
     """Reference: plain Gauss-Jordan over Q(t) on dense rows.
 
+    Only columns below pivot_limit may pivot, and the pivot row of a column
+    is the first remaining row, in input order, nonzero there, so the rows
+    kept are the ones `Echelon.add_row` keeps.
     Returns (rank, pivot columns, {pivot col: sparse reduced row}).
     """
     dense = [[r.get(j, ZERO) for j in range(ncols)] for r in rows]
     pivots = []
-    for col in range(ncols):
+    for col in range(ncols if pivot_limit is None else pivot_limit):
         rank = len(pivots)
         piv = next((i for i in range(rank, len(dense)) if dense[i][col]), None)
         if piv is None:
             continue
-        dense[rank], dense[piv] = dense[piv], dense[rank]
+        dense.insert(rank, dense.pop(piv))
         inv = RationalFunction(1) / dense[rank][col]
         dense[rank] = [v * inv for v in dense[rank]]
         for i in range(len(dense)):
@@ -34,6 +38,18 @@ def gauss_jordan(rows, ncols):
         col: {j: v for j, v in enumerate(dense[i]) if v} for i, col in enumerate(pivots)
     }
     return len(pivots), pivots, rref
+
+
+def gauss_jordan_residual(rref, target):
+    """target minus its combination of the reference's reduced rows, which
+    are zero on each other's pivot columns."""
+    v = {j: f for j, f in target.items() if f}
+    for col, r in rref.items():
+        f = v.get(col)
+        if f:
+            for j, a in r.items():
+                v[j] = v.get(j, ZERO) - f * a
+    return {j: f for j, f in v.items() if f}
 
 
 def echelon_of(rows, ncols):
@@ -55,7 +71,7 @@ def test_rank_and_pivots_constant():
     assert ech.add_row(primitive_row(row(0, 1, 1)))
     assert ech.rank == 2
     assert ech.pivot_cols() == [0, 1]
-    rref = ech.rref_rows()
+    rref = rref_of(ech)
     assert rref[0] == {0: RationalFunction(1), 2: RationalFunction(1)}
     assert rref[1] == {1: RationalFunction(1), 2: RationalFunction(1)}
 
@@ -71,9 +87,9 @@ def test_rref_is_canonical_under_row_order():
         for r in shuffled:
             ech.add_row(primitive_row(r))
         if base is None:
-            base = ech.rref_rows()
+            base = rref_of(ech)
         else:
-            assert ech.rref_rows() == base
+            assert rref_of(ech) == base
 
 
 def test_polynomial_entries():
@@ -83,7 +99,7 @@ def test_polynomial_entries():
     assert ech.rank == 1
     ech.add_row(primitive_row(row(0, T - 1)))
     assert ech.rank == 2
-    rref = ech.rref_rows()
+    rref = rref_of(ech)
     assert rref[0] == {0: RationalFunction(1)}
     assert rref[1] == {1: RationalFunction(1)}
 
@@ -163,7 +179,7 @@ def test_echelon_matches_gauss_jordan_reference():
         rows = _seeded_rows(rng, ncols)
         ech = echelon_of(rows, ncols)
         rank, pivots, rref = gauss_jordan(rows, ncols)
-        assert (ech.rank, ech.pivot_cols(), ech.rref_rows()) == (rank, pivots, rref)
+        assert (ech.rank, ech.pivot_cols(), rref_of(ech)) == (rank, pivots, rref)
         ranks.add((rank, len(rows)))
     assert any(rank < nrows for rank, nrows in ranks)  # dependent rows were seen
 
@@ -194,8 +210,8 @@ def _row_sets(draw, ncols=4):
 def test_rref_does_not_depend_on_row_order(rows, data):
     shuffled = data.draw(st.permutations(rows))
     ech = echelon_of(shuffled, 4)
-    assert ech.rref_rows() == echelon_of(rows, 4).rref_rows()
-    assert ech.rref_rows() == gauss_jordan(rows, 4)[2]
+    assert rref_of(ech) == rref_of(echelon_of(rows, 4))
+    assert rref_of(ech) == gauss_jordan(rows, 4)[2]
 
 
 @settings(max_examples=40, deadline=None)
@@ -208,7 +224,38 @@ def test_rref_depends_only_on_the_row_space(rows, data):
     duplicates = data.draw(st.lists(st.sampled_from(scaled), max_size=3))
     other = echelon_of(data.draw(st.permutations(scaled + duplicates)), 4)
     ech = echelon_of(rows, 4)
-    assert (other.pivot_cols(), other.rref_rows()) == (ech.pivot_cols(), ech.rref_rows())
+    assert (other.pivot_cols(), rref_of(other)) == (ech.pivot_cols(), rref_of(ech))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_row_sets(), data=st.data())
+def test_reduce_matches_the_gauss_jordan_residual(rows, data):
+    # a target with denominators, outside the span or inside it (a K-combination
+    # of dependent rows), against plain elimination over Q(t)
+    target = dict(enumerate(data.draw(st.lists(_entries, min_size=4, max_size=4))))
+    if data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_entries, min_size=len(rows), max_size=len(rows)))
+        target = {j: sum((c * r[j] for c, r in zip(coeffs, rows)), ZERO) for j in range(4)}
+    ech = echelon_of(rows, 4)
+    expected = gauss_jordan_residual(gauss_jordan(rows, 4)[2], target)
+    assert ech.reduce(target) == expected
+    assert ech.contains(target) == (not expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=_row_sets(ncols=3), target=st.lists(_entries, min_size=3, max_size=3))
+def test_reduce_with_tracking_columns_matches_the_gauss_jordan_residual(rows, target):
+    # the augmented echelon of solve_combination: row i carries a 1 in column
+    # 3 + i, and only the first 3 columns may pivot
+    ncols = 3 + len(rows)
+    aug = [{**r, 3 + i: RationalFunction(1)} for i, r in enumerate(rows)]
+    ech = Echelon(ncols, pivot_limit=3)
+    for r in aug:
+        ech.add_row(primitive_row(r))
+    target = dict(enumerate(target))
+    rank, pivots, rref = gauss_jordan(aug, ncols, pivot_limit=3)
+    assert (ech.rank, ech.pivot_cols()) == (rank, pivots)
+    assert ech.reduce(target) == gauss_jordan_residual(rref, target)
 
 
 def test_row_to_primitive_reads_numerators_and_denominators():

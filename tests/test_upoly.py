@@ -4,7 +4,7 @@ from functools import reduce
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffsubspace import upoly
 from ffsubspace.errors import ParseError
@@ -290,6 +290,11 @@ _zpolys = st.lists(st.integers(-40, 40), max_size=6).map(upoly.strip)
     f=_zpolys,
     g=_zpolys,
 )
+# a zero operand beside a unit: the unit is its own cofactor
+@example(common=(1,), content=1, f=(), g=(1,))
+@example(common=(1,), content=1, f=(1,), g=())
+@example(common=(1,), content=-1, f=(), g=(1,))
+@example(common=(1,), content=-1, f=(1,), g=())
 def test_gcd_cofactors(common, content, f, g):
     # a planted factor in Z[t] with an integer content of either sign;
     # constants, negative leading coefficients and zero operands included
