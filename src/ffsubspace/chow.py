@@ -406,11 +406,25 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     # acc[j]: key -> coefficient of t^j in the numerator over den
     acc = [{} for _ in range(max(map(len, numerators), default=0))]
     for key, num in zip(form.terms, numerators):
-        expanded = reduce(_mul_maps, map(block_map, range(blocks), form.split(key)))
-        for a, out in zip(num, acc):
-            if a:
-                for k, c in expanded.items():
-                    out[k] = out.get(k, 0) + a * c
+        *firsts, last = map(block_map, range(blocks), form.split(key))
+        head = reduce(_mul_maps, firsts) if firsts else {0: 1}
+        nonzero = [(a, out) for a, out in zip(num, acc) if a]
+        if len(nonzero) == 1:
+            # one t-coefficient: the last block's map multiplies straight
+            # into its sums
+            ((a, out),) = nonzero
+            last_items = last.items()
+            for ka, ca in head.items():
+                ca *= a
+                for kb, cb in last_items:
+                    k = ka + kb
+                    out[k] = out.get(k, 0) + ca * cb
+            continue
+        # several t-coefficients share the product, built once
+        expanded = _mul_maps(head, last)
+        for a, out in nonzero:
+            for k, c in expanded.items():
+                out[k] = out.get(k, 0) + a * c
 
     # a key's numerator is nonzero when one of its t-coefficients is
     prefixes = {k >> width * nv for out in acc for k, c in out.items() if c}

@@ -247,7 +247,10 @@ def _cmd_constants(args) -> int:
         # name for degree 1, which would silently replace the first
         if not key.isdigit() or (key.startswith("0") and key != "0"):
             raise SchemaError(f"{key!r} is not a canonical degree", f"/H_table/{key}")
-    rows = constants_rows(assemble_constants(inputs, lambda k: table.get(str(k))))
+    # P is the Sombra polynomial, and E the table's degrees: the table gives
+    # H where it has a key, and the Sombra bound stands in everywhere else
+    degrees = sorted(map(int, table))
+    rows = constants_rows(assemble_constants(inputs, lambda k: table.get(str(k)), degrees))
     width = max(len(k) for k, _ in rows)
     for k, v in rows:
         print(f"{k.rjust(width)} = {v}")

@@ -8,14 +8,19 @@ exact big integers or Fractions; nothing here rounds.
 The two Hilbert-value lookups fall back to the certified bounds (Chardin
 above, Sombra below) exactly where an upper bound on the final constants
 stays an upper bound, so huge degrees never force a rank computation.
+The sum S(m/d - 1) = sum_{i<m/d} H_X(i d) is taken in closed form: the
+Sombra polynomial over the whole progression, by Lagrange interpolation of
+n + 2 partial sums, corrected at the finitely many degrees where the
+Hilbert source gives another value.  Its cost does not grow with m.
 """
 
 from fractions import Fraction
-from math import lcm
+from functools import partial
+from math import factorial, lcm, prod
 from typing import NamedTuple
 
-from .errors import PreconditionViolated
-from .hilbert_bounds import chardin_upper, sombra_lower, threshold_a_eps
+from .errors import InvariantViolated, PreconditionViolated
+from .hilbert_bounds import chardin_upper, sombra_lower, sombra_polynomial, threshold_a_eps
 
 
 def b_const(m: int, n: int, M: int, delta: int) -> int:
@@ -114,7 +119,31 @@ class EffectiveConstants(NamedTuple):
     S_sum: int
 
 
-def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
+def progression_sum(poly, d: int, t: int, degree: int) -> int:
+    """sum_{i=1}^t poly(i d) for a polynomial poly of degree at most `degree`
+    with integer values, in closed form: the partial sums F(0), ...,
+    F(degree + 1), and their Lagrange interpolant (F has degree at most
+    degree + 1) evaluated at t over Fraction.  The work does not grow with t.
+    """
+    partial_sums = [0]
+    for i in range(1, degree + 2):
+        partial_sums.append(partial_sums[-1] + poly(i * d))
+    if t < len(partial_sums):
+        return partial_sums[t]
+    top = degree + 1
+    # the Lagrange weight of node j at t: prod_{l != j} (t - l) / (j - l)
+    full = prod(t - j for j in range(top + 1))
+    total = sum(
+        (Fraction(f * (full // (t - j)), (-1) ** (top - j) * factorial(j) * factorial(top - j))
+         for j, f in enumerate(partial_sums)),
+        Fraction(0),
+    )
+    if total.denominator != 1:
+        raise InvariantViolated(f"the progression sum {total} is not an integer")
+    return total.numerator
+
+
+def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> EffectiveConstants:
     """Evaluate a_eps, m, b, the per-place constant, b1..b3, c_eps and c'_eps
     exactly.
 
@@ -123,9 +152,20 @@ def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
 
     hilbert(k) gives H_X(k), or None where the value is not known.  A None
     falls back to the Chardin bound where the value multiplies (the H_X(m)
-    factor) and to the Sombra bound where it divides (the S(m/d - 1) sum),
-    keeping every reported constant a valid upper bound.  hilbert is asked
-    once at each degree, in ascending order.
+    factor) and to the Sombra bound G(k) where it divides (the S(m/d - 1)
+    sum), keeping every reported constant a valid upper bound.
+
+    The sum S(m/d - 1) over k = d, 2d, ..., m - d is taken in closed form.
+    P is the Sombra polynomial (`sombra_polynomial`) of degree n, which G
+    equals from k >= delta - n - 1 on.  E is `exceptions`, the degrees in
+    ascending order (any iterable, unbounded too) at which hilbert(k) may
+    be neither None nor P(k), together with the degrees below
+    delta - n - 1, which are added here.  S is `progression_sum` of P plus
+    H(k) - P(k) at each degree k of E in the progression, so its cost
+    grows with those degrees and not with m.
+
+    hilbert is asked at most once at each degree, in ascending order: at
+    the degrees of E in the progression, then at m.
     """
     n, delta, M, N, q, d = (
         inputs.n, inputs.delta, inputs.M, inputs.N, inputs.q, inputs.d
@@ -137,10 +177,21 @@ def assemble_constants(inputs: ConstantInputs, hilbert) -> EffectiveConstants:
 
     if m < 2 * d:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
-    s_sum = 0
-    for k in range(d, m, d):
+    asked = set(range(d, min(m, delta - n - 1), d))
+    last = 0
+    for k in exceptions:
+        if k < last:
+            raise PreconditionViolated(f"exception degrees must ascend, got {k} after {last}")
+        if k >= m:
+            break
+        if k >= d and k % d == 0:
+            asked.add(k)
+        last = k
+    poly = partial(sombra_polynomial, n=n, delta=delta)
+    s_sum = progression_sum(poly, d, m // d - 1, n)
+    for k in sorted(asked):
         h = hilbert(k)
-        s_sum += sombra_lower(k, n, delta) if h is None else h
+        s_sum += (sombra_lower(k, n, delta) if h is None else h) - poly(k)
     h_m = hilbert(m)
     if h_m is None:
         h_m = chardin_upper(m, n, delta)

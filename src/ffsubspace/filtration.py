@@ -88,6 +88,8 @@ def build_filtration(
     Q^i * g extends the current independent set modulo the ideal slice,
     seeded by a copy of the degree-m piece's pivot rows; a candidate's row
     is Q^i's primitive terms shifted by g, itself primitive over Z[t].
+    A level's scan stops once its dimension reaches H_X(m - i*d): every
+    later candidate would be dependent, and those are the costly rows.
     Level dimensions are checked against H_X(m - i*d) as they complete: one
     below it means Q is a zero divisor modulo the ideal, Q vanishing on a
     component of X, and raises PreconditionViolated; one above it raises
@@ -114,12 +116,14 @@ def build_filtration(
 
     for i in range(m // d, -1, -1):
         qi = q_power[i].primitive()[0].items()
+        h = hilbert_function(x_gens, m - i * d)
         for g in monomial_basis(nv, m - i * d):
+            if ech.rank - ideal_rank == h:
+                break
             if ech.add_row({piece.col_of[monomial_mul(g, mono)]: c for mono, c in qi}):
                 entries.append((i, g))
         dim_w_i = ech.rank - ideal_rank
         level_dims[i] = dim_w_i
-        h = hilbert_function(x_gens, m - i * d)
         if dim_w_i < h:
             # multiplication by Q^i is not injective on the quotient
             raise PreconditionViolated(

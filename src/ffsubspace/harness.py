@@ -451,6 +451,14 @@ class Report(NamedTuple):
 def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
     """H_X(k) where a closed form or a cheap rank gives it, else None.
 
+    As a source for `assemble_constants`, P is the Sombra polynomial of the
+    scenario's n and delta in every kind, and E is `_hilbert_exceptions`:
+    - P^M (n = M, delta = 1): C(k + M, M), which is P at every k >= 1;
+    - a hypersurface (n = M - 1): `hypersurface_hilbert`, which is the
+      Sombra bound itself, so it is P from k >= delta - M on;
+    - an ideal: the rank value up to the cutoff, then None (the Sombra
+      bound), which is P from k >= delta - n - 1 on.
+
     An ideal's exact value must lie within the Sombra and Chardin bounds of
     the dimension and degree its Chow form gives, or the bounds put in above
     the cutoff would not bound the same X: a SchemaError at the chow_form.
@@ -473,6 +481,15 @@ def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
             "/variety/chow_form",
         )
     return h
+
+
+def _hilbert_exceptions(scenario: Scenario):
+    """The degrees, ascending, at which `_exact_hilbert` may be neither None
+    nor the Sombra polynomial, apart from those below delta - n - 1: an
+    ideal's exact prefix, and none for P^M or a hypersurface."""
+    if scenario.variety_kind == "ideal":
+        return range(1, scenario.hilbert_exact_cutoff + 1)
+    return ()
 
 
 def _normalized_family(divisors, d: int) -> ProjectivePoint:
@@ -530,7 +547,9 @@ def run_check(scenario: Scenario) -> Report:
         c1_prime=scenario.c1_prime,
         m=scenario.m_override,
     )
-    constants = assemble_constants(inputs, partial(_exact_hilbert, scenario))
+    constants = assemble_constants(
+        inputs, partial(_exact_hilbert, scenario), _hilbert_exceptions(scenario)
+    )
 
     factor = scenario.N * (n + 1) + scenario.epsilon
     # lhs = sum lambda / d_i = (sum lambda * (d / d_i)) / d over the ints.

@@ -70,6 +70,17 @@ def hypersurface_hilbert(m: int, ambient_dim: int, delta: int) -> int:
     return comb(m + M, M) - binom0(m - delta + M, M)
 
 
+def sombra_polynomial(m: int, n: int, delta: int) -> int:
+    """The degree-n polynomial in m that `sombra_lower`(m, n, delta) equals
+    from m >= delta - n - 1 on, evaluated at any m >= 0.
+
+    Below that degree binom0(a, n+1) is 0 at a = m - delta + n + 1 < 0, but
+    the polynomial a(a-1)...(a-n)/(n+1)! is (-1)^(n+1) C(n - a, n+1)."""
+    a = m - delta + n + 1
+    tail = comb(a, n + 1) if a >= 0 else (-1) ** (n + 1) * comb(n - a, n + 1)
+    return comb(m + n + 1, n + 1) - tail
+
+
 def power_sum_bounds(k: int, l: int) -> tuple:
     """The sandwich ((l+1)^{k+1}/(k+1) - (l+1)^k/2, (l+1)^{k+1}/(k+1)) for
     the power sum S_k(l) = 1^k + ... + l^k."""

@@ -125,6 +125,17 @@ def T_value(t: int, n: int, delta: int, d: int) -> int:
     return sum(sombra_lower(i * d, n, delta) for i in range(1, t + 1))
 
 
+def s_sum_oracle(hilbert, n: int, delta: int, d: int, m: int) -> int:
+    """S(m/d - 1) = sum of H(k) over k = d, 2d, ..., m - d by the direct
+    loop, the Sombra bound standing in wherever hilbert(k) is None: the sum
+    `assemble_constants` takes in closed form."""
+    total = 0
+    for k in range(d, m, d):
+        h = hilbert(k)
+        total += sombra_lower(k, n, delta) if h is None else h
+    return total
+
+
 def apply_skew_to_point(pairs, skew_values, x) -> list:
     """u = S x, S the full skew-symmetric matrix with S[j][k] = s and
     S[k][j] = -s for each pair (j, k) of `pairs` and its entry s."""

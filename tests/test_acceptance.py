@@ -262,7 +262,7 @@ def test_criterion_09_constants():
         c1_prime=Fraction(5), m=12,
     )
     table = {k: 2 * k + 1 for k in range(1, 13)}
-    out = assemble_constants(inputs, table.get)
+    out = assemble_constants(inputs, table.get, sorted(table))
     assert out.b1 == 0 and out.b2 == 0 and out.b3 == 0 and out.c_eps == 0
     assert out.c_prime_eps == Fraction(2 * 5, out.S_sum)  # the c1' passthrough
 

@@ -14,6 +14,7 @@ from ffsubspace.function_field import ProjectivePoint
 from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
 from ffsubspace.hilbert_bounds import hypersurface_hilbert
 from ffsubspace.multipoly import HomogeneousPoly
+from oracles import s_sum_oracle
 from test_harness import conic_scenario_dict, golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -883,6 +884,51 @@ def test_huge_graded_piece_exits_fast(command):
     assert code == 2 and seconds < 1.0
     message = "degree 100000 in 3 variables has 5000150001 monomials, more than the limit 6000"
     assert message in stderr
+
+
+def _quadric_scenario(tmp_path, F, point):
+    """`check` input for the quadric {F = 0} in P^M, M + 1 = len(point),
+    with the M + 1 coordinate hyperplanes, three more in general position
+    and N = M."""
+    nv = len(point)
+    hyperplanes = [f"X{i}" for i in range(nv)] + [
+        " + ".join(f"{(i + 1) ** k}*X{i}" for i in range(nv)) for k in range(3)
+    ]
+    path = tmp_path / "quadric.json"
+    path.write_text(json.dumps({
+        "ambient_dim": nv - 1,
+        "variety": {"kind": "hypersurface", "F": F},
+        "divisors": [{"poly": h, "degree": 1} for h in hyperplanes],
+        "N": nv - 1, "places": ["t", "inf"], "epsilon": "1", "points": [point],
+    }))
+    return str(path)
+
+
+def test_p4_quadric_constants_are_fast_and_equal_the_direct_sum(tmp_path):
+    # m = 3342770: the direct sum asks H at 3342769 degrees, the closed form
+    # at none below m
+    path = _quadric_scenario(tmp_path, "X0*X1 - X2*X3 - X4^2", ["1", "t^2+1", "t", "t", "1"])
+    code, seconds, out, _ = _main_in_capped_child("check", path, "--format", "json")
+    assert code == 0 and seconds < 1.0
+    constants = json.loads(out)["constants"]
+    m = constants["m"]
+    assert m == 3342770
+    direct = s_sum_oracle(lambda k: hypersurface_hilbert(k, 4, 2), 3, 2, 1, m)
+    assert constants["S_sum"] == direct == 10405076012428540640432669
+
+
+def test_p5_quadric_check_finishes(tmp_path):
+    path = _quadric_scenario(tmp_path, "X0*X1 - X2*X3 - X4*X5", ["1", "t^2+1", "t", "t", "1", "1"])
+    code, seconds, _, _ = _main_in_capped_child("check", path, "--format", "json")
+    assert code == 0 and seconds < 5.0
+
+
+def test_filtration_with_t_in_the_divisor_is_fast():
+    # each level stops at H(m - i d); scanning every candidate took 18-24 s
+    command = ["filtration", "--gens", "X0*X2 - X1^2", "--q-poly", "X0 + t*X1 + X2", "--m", "16"]
+    code, seconds, out, _ = _main_in_capped_child(*command)
+    assert code == 0 and seconds < 8.0
+    assert "level dims W_i: [33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1]" in out
 
 
 def test_position_walk_stops_at_the_lazard_degree(monkeypatch, capsys):

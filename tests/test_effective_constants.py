@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffsubspace.effective_constants import (
     ConstantInputs,
@@ -11,18 +14,19 @@ from ffsubspace.effective_constants import (
     choose_m,
     excess_vanishing_const,
     excess_vanishing_power,
+    progression_sum,
 )
-from ffsubspace.errors import PreconditionViolated, ZeroPolynomial
+from ffsubspace.errors import InvariantViolated, PreconditionViolated, ZeroPolynomial
 from ffsubspace.function_field import (
     INFINITY,
     Place,
     RationalFunction,
     weil,
 )
-from ffsubspace.hilbert_bounds import threshold_a_eps
+from ffsubspace.hilbert_bounds import hypersurface_hilbert, threshold_a_eps
 from ffsubspace.multipoly import parse_poly
 from helpers import rand_point
-from oracles import lcm_reduction
+from oracles import lcm_reduction, s_sum_oracle
 
 T = RationalFunction.t()
 
@@ -33,6 +37,11 @@ CONIC_INPUTS = dict(
     c1_prime=Fraction(0), m=12,
 )
 CONIC_H = {k: 2 * k + 1 for k in range(1, 13)}
+
+
+def _assemble_conic(inputs):
+    """The ledger with the conic's table as the Hilbert source."""
+    return assemble_constants(inputs, CONIC_H.get, sorted(CONIC_H))
 
 
 def test_b_const():
@@ -61,7 +70,7 @@ def test_choose_m():
 
 
 def test_assemble_zero_heights():
-    out = assemble_constants(ConstantInputs(**CONIC_INPUTS), CONIC_H.get)
+    out = _assemble_conic(ConstantInputs(**CONIC_INPUTS))
     assert (out.b1, out.b2, out.b3) == (0, 0, 0)
     assert out.c_eps == 0 and out.c_prime_eps == 0
     assert out.S_sum == sum(2 * i + 1 for i in range(1, 12))
@@ -69,10 +78,10 @@ def test_assemble_zero_heights():
 
 def test_assemble_c1_prime_passthrough():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "c1_prime": Fraction(7)})
-    out = assemble_constants(inputs, CONIC_H.get)
+    out = _assemble_conic(inputs)
     assert out.c_prime_eps == Fraction(2 * 7, out.S_sum)
     ten = ConstantInputs(**{**CONIC_INPUTS, "c1_prime": Fraction(70)})
-    assert assemble_constants(ten, CONIC_H.get).c_prime_eps == 10 * out.c_prime_eps
+    assert _assemble_conic(ten).c_prime_eps == 10 * out.c_prime_eps
 
 
 def test_assemble_monotone_in_heights():
@@ -82,7 +91,7 @@ def test_assemble_monotone_in_heights():
         inputs = ConstantInputs(
             **{**CONIC_INPUTS, "h_fx": h, "h_q_family": h, "h_q_i": (h,) * 4}
         )
-        out = assemble_constants(inputs, CONIC_H.get)
+        out = _assemble_conic(inputs)
         if last_c is not None:
             assert out.c_eps >= last_c and out.c_prime_eps >= last_cp
         last_c, last_cp = out.c_eps, out.c_prime_eps
@@ -92,7 +101,7 @@ def test_assemble_monotone_in_c1():
     last = None
     for c1 in (Fraction(0), Fraction(1), Fraction(5)):
         inputs = ConstantInputs(**{**CONIC_INPUTS, "c1": c1, "h_fx": Fraction(1)})
-        out = assemble_constants(inputs, CONIC_H.get)
+        out = _assemble_conic(inputs)
         if last is not None:
             assert out.c_eps > last
         last = out.c_eps
@@ -100,39 +109,131 @@ def test_assemble_monotone_in_c1():
 
 def test_assemble_fallbacks():
     inputs = ConstantInputs(**CONIC_INPUTS)
-    loose = assemble_constants(inputs, {}.get)
+    loose = assemble_constants(inputs, {}.get, ())
     # Sombra equals the conic's H exactly, Chardin is an overestimate
     assert loose.S_sum == sum(2 * i + 1 for i in range(1, 12))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_assemble_asks_each_degree_once(d):
-    # S(m/d - 1) needs H at i*d for 1 <= i < m/d, and b1 needs H(m); m = 12
+    # hilbert is asked at most once at each degree, in ascending order: at
+    # the degrees of E among d, 2d, ..., m - d, then at m = 12.  The conic
+    # has delta - n - 1 = 0, so E holds only the degrees given.
     inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (d,) * 4})
+    for exceptions, expected in [
+        (sorted(CONIC_H), list(range(d, 13, d))),
+        ((), [12]),
+        ((0, 3, 6, 12, 13), [k for k in (3, 6) if k % d == 0] + [12]),
+    ]:
+        asked = []
+
+        def hilbert(k):
+            asked.append(k)
+            return CONIC_H.get(k)
+
+        assemble_constants(inputs, hilbert, exceptions)
+        assert asked == expected
+
+
+def test_assemble_asks_below_the_sombra_polynomial():
+    # a degree-7 curve (n = 1): G(k) is not yet the Sombra polynomial at
+    # k < delta - n - 1 = 5, so those degrees are asked with no E given
+    inputs = ConstantInputs(**{**CONIC_INPUTS, "delta": 7, "d_i": (2,) * 4, "m": 14})
     asked = []
 
     def hilbert(k):
         asked.append(k)
-        return CONIC_H.get(k)
 
-    assemble_constants(inputs, hilbert)
-    assert asked == list(range(d, 13, d))
+    out = assemble_constants(inputs, hilbert, itertools.count(1))
+    assert asked == [2, 4, 6, 8, 10, 12, 14]
+    assert out.S_sum == s_sum_oracle(lambda k: None, 1, 7, 2, 14)
+    asked.clear()
+    assert assemble_constants(inputs, hilbert, ()) == out
+    assert asked == [2, 4, 14]
+
+
+def test_assemble_refuses_exceptions_out_of_order():
+    with pytest.raises(PreconditionViolated, match="must ascend, got 2 after 5"):
+        assemble_constants(ConstantInputs(**CONIC_INPUTS), CONIC_H.get, [1, 5, 2])
+
+
+def test_progression_sum():
+    # sum_{i=1}^t (i d)^2 = d^2 t(t+1)(2t+1)/6 at every t, small and large
+    for d in (1, 2, 7):
+        for t in (0, 1, 3, 4, 50, 10**6):
+            expected = d * d * t * (t + 1) * (2 * t + 1) // 6
+            assert progression_sum(lambda k: k * k, d, t, 2) == expected
+    # a polynomial with values that are not integers has no integer sum
+    with pytest.raises(InvariantViolated, match="is not an integer"):
+        progression_sum(lambda k: Fraction(k, 2), 1, 5, 1)
+
+
+@st.composite
+def _hilbert_sources(draw):
+    """(inputs, hilbert, exceptions) as each caller of assemble_constants
+    builds them: P^M and a hypersurface with no E, an ideal's exact prefix
+    up to a cutoff, and a sparse H table, once with a key near 10^6."""
+    kind = draw(st.sampled_from(["projective_space", "hypersurface", "ideal", "table"]))
+    n = draw(st.integers(1, 4))
+    M = n if kind == "projective_space" else n + 1
+    delta = 1 if kind == "projective_space" else draw(st.integers(1, 3 * M))
+    far = kind == "table" and draw(st.booleans())
+    d = draw(st.integers(997, 2000) if far else st.integers(1, 6))
+    low = -(-max(3, (n + 1) * delta, 2 * d) // d)  # the least m / d
+    near = 10**6 // d if far else low
+    steps = draw(st.integers(near - 3, near + 30))
+    m = d * max(low, steps)
+    inputs = ConstantInputs(**{
+        **CONIC_INPUTS, "n": n, "delta": delta, "M": M, "N": n, "q": n + 1,
+        "d_i": (d,) * (n + 1), "h_q_i": (Fraction(0),) * (n + 1), "m": m,
+    })
+    if kind == "projective_space":
+        return inputs, lambda k: comb(k + M, M), ()
+    if kind == "hypersurface":
+        return inputs, lambda k: hypersurface_hilbert(k, M, delta), ()
+    degrees = st.integers(0, m + d)
+    values = draw(st.dictionaries(degrees, st.integers(1, 10**9), max_size=12))
+    if far:
+        values[draw(st.integers(10**6 - 2 * d, 10**6 + 2 * d))] = draw(st.integers(1, 10**9))
+    if kind == "table":
+        return inputs, values.get, sorted(values)
+    cutoff = draw(degrees.filter(bool))
+    return (
+        inputs,
+        lambda k: values.get(k, k + 1) if k <= cutoff else None,
+        range(1, cutoff + 1),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_hilbert_sources())
+def test_closed_form_sum_matches_the_direct_sum(source):
+    inputs, hilbert, exceptions = source
+    asked = []
+
+    def recording(k):
+        asked.append(k)
+        return hilbert(k)
+
+    out = assemble_constants(inputs, recording, exceptions)
+    assert out.S_sum == s_sum_oracle(hilbert, inputs.n, inputs.delta, inputs.d, out.m)
+    assert asked == sorted(set(asked)) and asked[-1] == out.m
 
 
 def test_assemble_determinism():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "h_fx": Fraction(2, 3)})
-    a = assemble_constants(inputs, CONIC_H.get)
-    b = assemble_constants(inputs, CONIC_H.get)
+    a = _assemble_conic(inputs)
+    b = _assemble_conic(inputs)
     assert a == b and isinstance(a, EffectiveConstants)
 
 
 def test_assemble_derives_a_eps_and_m():
     inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (1, 2, 1, 2), "m": None})
     assert inputs.d == 2
-    out = assemble_constants(inputs, {}.get)
+    out = assemble_constants(inputs, {}.get, ())
     assert out.a_eps == threshold_a_eps(1, 2, 2, Fraction(1, 2))  # at epsilon/N
     assert out.m == choose_m(out.a_eps, 2, 1, 2) == 644
-    given = assemble_constants(ConstantInputs(**{**CONIC_INPUTS, "d_i": (1, 2, 1, 2)}), {}.get)
+    given = assemble_constants(ConstantInputs(**{**CONIC_INPUTS, "d_i": (1, 2, 1, 2)}), {}.get, ())
     assert (given.a_eps, given.m) == (out.a_eps, 12)
 
 

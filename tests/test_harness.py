@@ -225,6 +225,32 @@ def test_ideal_kind_requires_and_uses_chow_form():
     assert report.points[0].lhs == 6
 
 
+@pytest.mark.parametrize("divisors, cutoff, error", [
+    (None, 12, "H(2) = 5"),
+    ([{"poly": f"X{i}^2", "degree": 2} for i in range(3)]
+     + [{"poly": "X0^2 + X1^2 + X2^2", "degree": 2}], 12, "H(2) = 5"),
+    (None, 1, None),
+])
+def test_ideal_values_must_lie_within_the_bounds_of_its_chow_form(divisors, cutoff, error):
+    # the conic's generator with a cubic's Chow form: H(k) = 2k + 1 leaves
+    # [3k, 3k + 3] at k = 2, the first degree asked that the cutoff ranks
+    base = conic_scenario_dict(constants_overrides={"hilbert_exact_cutoff": cutoff})
+    cubic = chow_of_hypersurface(parse_poly("X0^3 + X1^3 + X2^3", 3))
+    base["variety"] = {
+        "kind": "ideal", "generators": ["X0*X2 - X1^2"], "chow_form": multihomform_to_json(cubic),
+    }
+    if divisors:
+        base["divisors"] = divisors
+    scenario = load_scenario_dict(base)
+    if error is None:
+        assert run_check(scenario).constants.m == 962
+        return
+    with pytest.raises(SchemaError) as err:
+        run_check(scenario)
+    assert err.value.json_pointer == "/variety/chow_form"
+    assert str(err.value).startswith(f"{error} of the generators is outside [6, 9]")
+
+
 def test_h_fx_is_read_without_a_chow_form():
     # P^12's Chow form det(u_0, ..., u_12) has 13! terms, all +-1: h(X) = 0
     M = 12
