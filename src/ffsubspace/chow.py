@@ -407,24 +407,15 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     acc = [{} for _ in range(max(map(len, numerators), default=0))]
     for key, num in zip(form.terms, numerators):
         *firsts, last = map(block_map, range(blocks), form.split(key))
-        head = reduce(_mul_maps, firsts) if firsts else {0: 1}
         nonzero = [(a, out) for a, out in zip(num, acc) if a]
-        if len(nonzero) == 1:
-            # one t-coefficient: the last block's map multiplies straight
-            # into its sums
-            ((a, out),) = nonzero
-            last_items = last.items()
-            for ka, ca in head.items():
-                ca *= a
+        last_items = last.items()
+        # the last block's map multiplies straight into the sums
+        for ka, ca in reduce(_mul_maps, firsts, {0: 1}).items():
+            for a, out in nonzero:
+                ca_a = ca * a
                 for kb, cb in last_items:
                     k = ka + kb
-                    out[k] = out.get(k, 0) + ca * cb
-            continue
-        # several t-coefficients share the product, built once
-        expanded = _mul_maps(head, last)
-        for a, out in nonzero:
-            for k, c in expanded.items():
-                out[k] = out.get(k, 0) + a * c
+                    out[k] = out.get(k, 0) + ca_a * cb
 
     # a key's numerator is nonzero when one of its t-coefficients is
     prefixes = {k >> width * nv for out in acc for k, c in out.items() if c}

@@ -157,12 +157,12 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
 
     The sum S(m/d - 1) over k = d, 2d, ..., m - d is taken in closed form.
     P is the Sombra polynomial (`sombra_polynomial`) of degree n, which G
-    equals from k >= delta - n - 1 on.  E is `exceptions`, the degrees in
-    ascending order (any iterable, unbounded too) at which hilbert(k) may
-    be neither None nor P(k), together with the degrees below
-    delta - n - 1, which are added here.  S is `progression_sum` of P plus
-    H(k) - P(k) at each degree k of E in the progression, so its cost
-    grows with those degrees and not with m.
+    equals from k >= delta - n - 1 on.  E is `exceptions`, the degrees at
+    which hilbert(k) may be neither None nor P(k), which must ascend (they
+    are read only up to m, so the iterable may be unbounded), together
+    with the degrees below delta - n - 1, which are added here.  S is
+    `progression_sum` of P plus H(k) - P(k) at each degree k of E in the
+    progression, so its cost grows with those degrees and not with m.
 
     hilbert is asked at most once at each degree, in ascending order: at
     the degrees of E in the progression, then at m.
@@ -178,15 +178,11 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
     if m < 2 * d:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
     asked = set(range(d, min(m, delta - n - 1), d))
-    last = 0
     for k in exceptions:
-        if k < last:
-            raise PreconditionViolated(f"exception degrees must ascend, got {k} after {last}")
         if k >= m:
             break
         if k >= d and k % d == 0:
             asked.add(k)
-        last = k
     poly = partial(sombra_polynomial, n=n, delta=delta)
     s_sum = progression_sum(poly, d, m // d - 1, n)
     for k in sorted(asked):

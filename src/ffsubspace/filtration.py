@@ -89,11 +89,13 @@ def build_filtration(
     seeded by a copy of the degree-m piece's pivot rows; a candidate's row
     is Q^i's primitive terms shifted by g, itself primitive over Z[t].
     A level's scan stops once its dimension reaches H_X(m - i*d): every
-    later candidate would be dependent, and those are the costly rows.
-    Level dimensions are checked against H_X(m - i*d) as they complete: one
-    below it means Q is a zero divisor modulo the ideal, Q vanishing on a
-    component of X, and raises PreconditionViolated; one above it raises
-    InvariantViolated.
+    later candidate would be dependent, and those are the costly rows.  So
+    before level 0, H_X(m) is checked against the dimension of the degree-m
+    quotient, which the piece's rank gives, and level 0 then ends with the
+    whole quotient.  A level that stays below H_X(m - i*d) means Q is a zero
+    divisor modulo the ideal, Q vanishing on a component of X, and raises
+    PreconditionViolated; a mismatch at m, or a level that begins above
+    H_X(m - i*d), raises InvariantViolated.
     """
     if q_poly.is_zero():
         raise ZeroPolynomial("divisor form must be nonzero")
@@ -117,6 +119,12 @@ def build_filtration(
     for i in range(m // d, -1, -1):
         qi = q_power[i].primitive()[0].items()
         h = hilbert_function(x_gens, m - i * d)
+        if i == 0 and h != len(piece.col_of) - ideal_rank:
+            # level 0 is the whole quotient, whose dimension the piece knows
+            raise InvariantViolated(
+                f"H({m}) = {h} != {len(piece.col_of) - ideal_rank}, the "
+                f"dimension of the degree-{m} quotient"
+            )
         for g in monomial_basis(nv, m - i * d):
             if ech.rank - ideal_rank == h:
                 break
@@ -132,12 +140,9 @@ def build_filtration(
                 f"< H({m - i * d}) = {h}"
             )
         if dim_w_i != h:
+            # the level began above H(m - i*d), so the scan never stopped
             raise InvariantViolated(f"dim W_{i} = {dim_w_i} != H({m - i * d})")
 
-    if len(entries) != hilbert_function(x_gens, m):
-        raise InvariantViolated(
-            f"basis has {len(entries)} elements != H({m}) = {hilbert_function(x_gens, m)}"
-        )
     dims = tuple(level_dims[i] for i in range(m // d + 1))
     return FiltrationBasis(m, d, q_poly, tuple(entries), dims)
 

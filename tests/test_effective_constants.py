@@ -152,11 +152,6 @@ def test_assemble_asks_below_the_sombra_polynomial():
     assert asked == [2, 4, 14]
 
 
-def test_assemble_refuses_exceptions_out_of_order():
-    with pytest.raises(PreconditionViolated, match="must ascend, got 2 after 5"):
-        assemble_constants(ConstantInputs(**CONIC_INPUTS), CONIC_H.get, [1, 5, 2])
-
-
 def test_progression_sum():
     # sum_{i=1}^t (i d)^2 = d^2 t(t+1)(2t+1)/6 at every t, small and large
     for d in (1, 2, 7):

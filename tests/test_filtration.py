@@ -15,6 +15,7 @@ from ffsubspace.errors import (
     BaseLocusPoint,
     DegreeMismatch,
     DivisorInIdeal,
+    InvariantViolated,
     PointOnDivisor,
 )
 from ffsubspace.filtration import (
@@ -86,6 +87,18 @@ def test_build_filtration_errors():
         build_filtration(P1, 3, parse_poly("X0^2", 2))
     with pytest.raises(DivisorInIdeal):
         build_filtration(CONIC, 2, parse_poly("X0*X2 - X1^2", 3))
+
+
+def test_build_filtration_checks_the_hilbert_value_at_m(monkeypatch):
+    # levels stop at H(m - i d), so an H(m) one too low would stop level 0
+    # short of the quotient without this check
+    real = hilbert_function
+    monkeypatch.setattr(
+        "ffsubspace.filtration.hilbert_function",
+        lambda gens, k: real(gens, k) - (k == 4),
+    )
+    with pytest.raises(InvariantViolated, match=r"H\(4\) = 8 != 9"):
+        build_filtration(CONIC, 4, parse_poly("X0", 3))
 
 
 @st.composite
