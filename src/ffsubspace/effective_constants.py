@@ -9,18 +9,17 @@ The two Hilbert-value lookups fall back to the certified bounds (Chardin
 above, Sombra below) exactly where an upper bound on the final constants
 stays an upper bound, so huge degrees never force a rank computation.
 The sum S(m/d - 1) = sum_{i<m/d} H_X(i d) is taken in closed form: the
-Sombra polynomial over the whole progression, by Lagrange interpolation of
-n + 2 partial sums, corrected at the finitely many degrees where the
-Hilbert source gives another value.  Its cost does not grow with m.
+Sombra bound G over the whole progression (`sombra_sum`), corrected by
+H - G at E, the finitely many degrees where H may differ from G.  Its cost
+does not grow with m.
 """
 
 from fractions import Fraction
-from functools import partial
-from math import factorial, lcm, prod
+from math import lcm
 from typing import NamedTuple
 
-from .errors import InvariantViolated, PreconditionViolated
-from .hilbert_bounds import chardin_upper, sombra_lower, sombra_polynomial, threshold_a_eps
+from .errors import PreconditionViolated
+from .hilbert_bounds import chardin_upper, sombra_lower, sombra_sum, threshold_a_eps
 
 
 def b_const(m: int, n: int, M: int, delta: int) -> int:
@@ -119,30 +118,6 @@ class EffectiveConstants(NamedTuple):
     S_sum: int
 
 
-def progression_sum(poly, d: int, t: int, degree: int) -> int:
-    """sum_{i=1}^t poly(i d) for a polynomial poly of degree at most `degree`
-    with integer values, in closed form: the partial sums F(0), ...,
-    F(degree + 1), and their Lagrange interpolant (F has degree at most
-    degree + 1) evaluated at t over Fraction.  The work does not grow with t.
-    """
-    partial_sums = [0]
-    for i in range(1, degree + 2):
-        partial_sums.append(partial_sums[-1] + poly(i * d))
-    if t < len(partial_sums):
-        return partial_sums[t]
-    top = degree + 1
-    # the Lagrange weight of node j at t: prod_{l != j} (t - l) / (j - l)
-    full = prod(t - j for j in range(top + 1))
-    total = sum(
-        (Fraction(f * (full // (t - j)), (-1) ** (top - j) * factorial(j) * factorial(top - j))
-         for j, f in enumerate(partial_sums)),
-        Fraction(0),
-    )
-    if total.denominator != 1:
-        raise InvariantViolated(f"the progression sum {total} is not an integer")
-    return total.numerator
-
-
 def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> EffectiveConstants:
     """Evaluate a_eps, m, b, the per-place constant, b1..b3, c_eps and c'_eps
     exactly.
@@ -156,13 +131,11 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
     sum), keeping every reported constant a valid upper bound.
 
     The sum S(m/d - 1) over k = d, 2d, ..., m - d is taken in closed form.
-    P is the Sombra polynomial (`sombra_polynomial`) of degree n, which G
-    equals from k >= delta - n - 1 on.  E is `exceptions`, the degrees at
-    which hilbert(k) may be neither None nor P(k), which must ascend (they
-    are read only up to m, so the iterable may be unbounded), together
-    with the degrees below delta - n - 1, which are added here.  S is
-    `progression_sum` of P plus H(k) - P(k) at each degree k of E in the
-    progression, so its cost grows with those degrees and not with m.
+    E is `exceptions`, where H may differ from G: the degrees at which
+    hilbert(k) may be neither None nor G(k), strictly ascending (read only
+    up to m, so the iterable may be unbounded).  S is `sombra_sum` plus
+    H(k) - G(k) at each degree k of E in the progression where H(k) is not
+    None, so its cost grows with those degrees and not with m.
 
     hilbert is asked at most once at each degree, in ascending order: at
     the degrees of E in the progression, then at m.
@@ -177,17 +150,12 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
 
     if m < 2 * d:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
-    asked = set(range(d, min(m, delta - n - 1), d))
+    s_sum = sombra_sum(m // d - 1, n, delta, d)
     for k in exceptions:
         if k >= m:
             break
-        if k >= d and k % d == 0:
-            asked.add(k)
-    poly = partial(sombra_polynomial, n=n, delta=delta)
-    s_sum = progression_sum(poly, d, m // d - 1, n)
-    for k in sorted(asked):
-        h = hilbert(k)
-        s_sum += (sombra_lower(k, n, delta) if h is None else h) - poly(k)
+        if k >= d and k % d == 0 and (h := hilbert(k)) is not None:
+            s_sum += h - sombra_lower(k, n, delta)
     h_m = hilbert(m)
     if h_m is None:
         h_m = chardin_upper(m, n, delta)

@@ -161,22 +161,14 @@ class ExponentSumReport(NamedTuple):
     difference: int
 
 
-def exponent_sum(basis: FiltrationBasis, x_gens: IdealGenerators) -> ExponentSumReport:
+def exponent_sum(basis: FiltrationBasis) -> ExponentSumReport:
+    """The sums off `basis.level_dims`, which `build_filtration` has checked
+    to be H(m - i d) at every level i: H(i d) = dim W_{m/d - i}, so
+    S(m/d - 1) is the sum of dim W_i over 0 < i < m/d."""
     total = sum(basis.exponents())
-    steps = basis.degree // basis.divisor_degree
-    level_sum = sum(
-        hilbert_function(x_gens, basis.degree - i * basis.divisor_degree)
-        for i in range(1, steps + 1)
-    )
-    stated = hilbert_partial_sum(x_gens, steps - 1, basis.divisor_degree)
-    if total != level_sum:
-        raise InvariantViolated(f"exponent sum {total} != level sum {level_sum}")
+    level_sum = sum(basis.level_dims[1:])
+    stated = sum(basis.level_dims[1:-1])
     return ExponentSumReport(total, level_sum, stated, total - stated)
-
-
-def hilbert_partial_sum(x_gens: IdealGenerators, t: int, d: int) -> int:
-    """S(t) = sum_{i=1}^t H_X(i d)."""
-    return sum(hilbert_function(x_gens, i * d) for i in range(1, t + 1))
 
 
 class FiltrationInequality(NamedTuple):
@@ -187,17 +179,17 @@ class FiltrationInequality(NamedTuple):
 
 
 def filtration_inequality_check(
-    p: Place, x: ProjectivePoint, basis: FiltrationBasis, x_gens: IdealGenerators
+    p: Place, x: ProjectivePoint, basis: FiltrationBasis
 ) -> FiltrationInequality:
     """The key inequality: the basis vanishing sum dominates S(m/d-1) times
-    the divisor's excess vanishing at x."""
+    the divisor's excess vanishing at x, with S from `exponent_sum`."""
     q_value = basis.divisor.evaluate(x)
     if q_value.is_zero():
         raise PointOnDivisor("point lies on the filtration divisor")
     m, d = basis.degree, basis.divisor_degree
     e_x = gauss_order_point(p, x)
     q_order = order_at(q_value, p)
-    rhs = hilbert_partial_sum(x_gens, m // d - 1, d) * (q_order - d * e_x)
+    rhs = exponent_sum(basis).stated_sum * (q_order - d * e_x)
 
     # ord_p(Q(x)^i g(x)) = i ord_p Q(x) + sum_j g_j ord_p x_j, infinite
     # when g uses a zero coordinate

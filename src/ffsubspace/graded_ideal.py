@@ -213,9 +213,7 @@ class ReductionResult(NamedTuple):
     basis: QuotientBasis
 
 
-def reduce_to_quotient_basis(
-    q: HomogeneousPoly, gens: IdealGenerators, basis: QuotientBasis | None = None
-) -> ReductionResult:
+def reduce_to_quotient_basis(q: HomogeneousPoly, gens: IdealGenerators) -> ReductionResult:
     """Express q modulo the ideal in the quotient monomial basis.
 
     Solves with alpha0 = 1; the congruence is re-verified by an independent
@@ -224,13 +222,11 @@ def reduce_to_quotient_basis(
     but this deterministic solver does not promise to find one.
     """
     piece = graded_piece(gens, q.degree)
-    if basis is None:
-        basis = quotient_monomial_basis(gens, q.degree)
+    basis = quotient_monomial_basis(gens, q.degree)
     residual = piece.echelon.reduce(piece.vector_of(q))
+    # reduce leaves entries only on non-pivot columns, the basis's monomials
     coeff_of = {piece.monomials[c]: v for c, v in residual.items()}
-    coeffs = tuple(coeff_of.pop(m, RationalFunction(0)) for m in basis.monomials)
-    if coeff_of:
-        raise ValueError("quotient basis does not match the echelon of the ideal")
+    coeffs = tuple(coeff_of.get(m, RationalFunction(0)) for m in basis.monomials)
     combo = HomogeneousPoly(gens.num_vars, q.degree, dict(zip(basis.monomials, coeffs)))
     if not piece.contains(q - combo):
         raise InvariantViolated("reduction residual escaped the ideal")

@@ -388,6 +388,26 @@ def read_json(path):
 
 
 _escape = json.encoder.encode_basestring_ascii  # CPython's C escaper
+_CHUNK_DIGITS = 4000
+_CHUNK = 10**_CHUNK_DIGITS
+
+
+def int_text(n: int) -> str:
+    """The exact decimal digits of n at any size.  Past the interpreter's
+    digit limit (4300 by default) int.__repr__ raises ValueError, so such
+    an n is written in zero-padded chunks of 4000 digits; the limit itself
+    is left as it is."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    sign, n = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while n >= _CHUNK:
+        n, low = divmod(n, _CHUNK)
+        chunks.append(int.__repr__(low).zfill(_CHUNK_DIGITS))
+    chunks.append(int.__repr__(n))
+    return sign + "".join(reversed(chunks))
 
 
 def json_text(obj, indent: str = "\n") -> str:
@@ -404,7 +424,7 @@ def json_text(obj, indent: str = "\n") -> str:
     if obj is False:
         return "false"
     if isinstance(obj, int):
-        return int.__repr__(obj)
+        return int_text(obj)
     inner = indent + "  "
     if isinstance(obj, dict):
         if not obj:
@@ -451,13 +471,12 @@ class Report(NamedTuple):
 def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
     """H_X(k) where a closed form or a cheap rank gives it, else None.
 
-    As a source for `assemble_constants`, P is the Sombra polynomial of the
-    scenario's n and delta in every kind, and E is `_hilbert_exceptions`:
-    - P^M (n = M, delta = 1): C(k + M, M), which is P at every k >= 1;
-    - a hypersurface (n = M - 1): `hypersurface_hilbert`, which is the
-      Sombra bound itself, so it is P from k >= delta - M on;
-    - an ideal: the rank value up to the cutoff, then None (the Sombra
-      bound), which is P from k >= delta - n - 1 on.
+    As a source for `assemble_constants`, with G the Sombra bound of the
+    scenario's n and delta and E (`_hilbert_exceptions`) where H may differ
+    from G:
+    - P^M (n = M, delta = 1): C(k + M, M), which is G at every k >= 1;
+    - a hypersurface (n = M - 1): `hypersurface_hilbert`, which is G itself;
+    - an ideal: the rank value up to the cutoff, then None (G stands in).
 
     An ideal's exact value must lie within the Sombra and Chardin bounds of
     the dimension and degree its Chow form gives, or the bounds put in above
@@ -484,9 +503,9 @@ def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
 
 
 def _hilbert_exceptions(scenario: Scenario):
-    """The degrees, ascending, at which `_exact_hilbert` may be neither None
-    nor the Sombra polynomial, apart from those below delta - n - 1: an
-    ideal's exact prefix, and none for P^M or a hypersurface."""
+    """E for `assemble_constants`, the degrees, ascending, where
+    `_exact_hilbert` may differ from the Sombra bound G: an ideal's exact
+    prefix, and none for P^M or a hypersurface, which are G at every k >= 1."""
     if scenario.variety_kind == "ideal":
         return range(1, scenario.hilbert_exact_cutoff + 1)
     return ()
@@ -609,9 +628,10 @@ def run_check(scenario: Scenario) -> Report:
 
 def fmt_q(x) -> str:
     """An int or a Fraction as 'numerator/denominator'."""
-    if isinstance(x, int):
-        return f"{x}/1"
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # past the digit limit of int.__repr__
+        return f"{int_text(x.numerator)}/{int_text(x.denominator)}"
 
 
 def position_to_dict(position) -> dict:
@@ -743,7 +763,7 @@ def report_to_text(report: Report) -> str:
         lines.append(f"  subset {list(sub.indices)}: {sub.verdict}")
     lines.append("constants:")
     for k, v in constants_rows(report.constants):
-        lines.append(f"  {k:>12} = {v}")
+        lines.append(f"  {k:>12} = {v if isinstance(v, str) else int_text(v)}")
     lines.append(f"  note: {C1_CAVEAT}")
     evaluated = [r for r in report.points if r.status == "evaluated"]
     if evaluated:

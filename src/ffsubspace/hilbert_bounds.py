@@ -10,11 +10,13 @@ every variety with the given dimension and degree.
 The threshold is extracted as a Cauchy root bound of an explicit difference
 polynomial, so it is certified for ALL m >= a_eps with d | m, not just a
 scanned window; `scan_ratio_window` double-checks the extraction on a
-window, keeping the denominator as a running sum.
+window.  Sums of G over a progression, there and in the constants ledger,
+are `sombra_sum`, a closed form whose cost does not grow with the number
+of terms.
 """
 
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 from typing import NamedTuple
 
 from .errors import InvariantViolated, MissingTableEntry, PreconditionViolated
@@ -25,32 +27,6 @@ def binom0(a: int, b: int) -> int:
     if a < b or b < 0:
         return 0
     return comb(a, b)
-
-
-class _BoundFields(NamedTuple):
-    n: int
-    delta: int
-    d: int
-    epsilon: Fraction
-
-
-class BoundInputs(_BoundFields):
-    """The inputs of `threshold_a_eps`, checked on every construction
-    (`_replace` included)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.n < 1 or self.delta < 1 or self.d < 1:
-            raise PreconditionViolated("need n, delta, d >= 1")
-        if self.epsilon <= 0:
-            raise PreconditionViolated("need epsilon > 0")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
 
 def chardin_upper(m: int, n: int, delta: int) -> int:
@@ -70,15 +46,44 @@ def hypersurface_hilbert(m: int, ambient_dim: int, delta: int) -> int:
     return comb(m + M, M) - binom0(m - delta + M, M)
 
 
-def sombra_polynomial(m: int, n: int, delta: int) -> int:
-    """The degree-n polynomial in m that `sombra_lower`(m, n, delta) equals
-    from m >= delta - n - 1 on, evaluated at any m >= 0.
+def progression_sum(f, t: int, degree: int) -> int:
+    """f(1) + ... + f(t) for f with integer values at i >= 1 given there by a
+    polynomial of degree at most `degree`, in closed form: the partial sums
+    F(0), ..., F(degree + 1), and their Lagrange interpolant (F has degree
+    at most degree + 1) evaluated at t over Fraction.  The work does not
+    grow with t."""
+    partial_sums = [0]
+    for i in range(1, degree + 2):
+        partial_sums.append(partial_sums[-1] + f(i))
+    if t < len(partial_sums):
+        return partial_sums[t]
+    top = degree + 1
+    # the Lagrange weight of node j at t: prod_{l != j} (t - l) / (j - l)
+    full = prod(t - j for j in range(top + 1))
+    total = sum(
+        (Fraction(s * (full // (t - j)), (-1) ** (top - j) * factorial(j) * factorial(top - j))
+         for j, s in enumerate(partial_sums)),
+        Fraction(0),
+    )
+    if total.denominator != 1:
+        raise InvariantViolated(f"the progression sum {total} is not an integer")
+    return total.numerator
 
-    Below that degree binom0(a, n+1) is 0 at a = m - delta + n + 1 < 0, but
-    the polynomial a(a-1)...(a-n)/(n+1)! is (-1)^(n+1) C(n - a, n+1)."""
-    a = m - delta + n + 1
-    tail = comb(a, n + 1) if a >= 0 else (-1) ** (n + 1) * comb(n - a, n + 1)
-    return comb(m + n + 1, n + 1) - tail
+
+def sombra_sum(t: int, n: int, delta: int, d: int) -> int:
+    """sum_{i=1}^t G(i d), G(z) = `sombra_lower`(z, n, delta), in closed form:
+    the sum of C(i d + n + 1, n + 1) minus that of C(i d - delta + n + 1,
+    n + 1) from the first i with i d >= delta, where the second binomial
+    starts to count.  Each is a polynomial in i of degree n + 1, so the
+    work grows with n only."""
+    r = n + 1
+    total = progression_sum(lambda i: comb(i * d + r, r), t, r)
+    first = -(-delta // d)  # the least i with i d >= delta
+    if t >= first:
+        total -= progression_sum(
+            lambda j: comb((first - 1 + j) * d - delta + r, r), t - first + 1, r
+        )
+    return total
 
 
 def power_sum_bounds(k: int, l: int) -> tuple:
@@ -148,8 +153,11 @@ def threshold_a_eps(n: int, delta: int, d: int, epsilon) -> int:
     with positive leading coefficient, and a Cauchy root bound localizes
     where it (and the positivity of the denominator bound) is definitive.
     """
-    inputs = BoundInputs(n, delta, d, Fraction(epsilon))
-    eps = inputs.epsilon
+    eps = Fraction(epsilon)
+    if n < 1 or delta < 1 or d < 1:
+        raise PreconditionViolated("need n, delta, d >= 1")
+    if eps <= 0:
+        raise PreconditionViolated("need epsilon > 0")
     t_low = t_lower_coefficients(n, delta, d)
     diff = {p: (n + 1 + eps) * c for p, c in t_low.items()}
     for p, c in _numerator_bound_coefficients(n, delta).items():
@@ -192,12 +200,13 @@ def scan_ratio_window(
 ) -> bool:
     """Re-check the threshold at every multiple m of d in [a_eps, a_eps+window]
     against the extremal Hilbert function (the Sombra-equality hypersurface
-    in P^{n+1}), one H value per multiple of d: the denominator
-    sum_{i=1}^{m/d-1} H(id) is a running sum.  Needs a_eps >= 2d."""
+    in P^{n+1}), whose H is G itself: the denominator
+    sum_{i=1}^{m/d-1} G(id) starts as `sombra_sum` and runs over the window
+    one G value per multiple of d.  Needs a_eps >= 2d."""
     first = -(-a_eps // d) * d  # the least multiple of d >= a_eps
     if first < 2 * d:
         raise PreconditionViolated("need a_eps >= 2d")
-    denominator = sum(hypersurface_hilbert(i * d, n + 1, delta) for i in range(1, first // d))
+    denominator = sombra_sum(first // d - 1, n, delta, d)
     for m in range(first, a_eps + window + 1, d):
         h_m = hypersurface_hilbert(m, n + 1, delta)
         if not _ratio(m, h_m, denominator, d, n, epsilon).ok:

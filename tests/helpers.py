@@ -1,6 +1,7 @@
 """Shared sampling helpers for the test suite; everything is seeded."""
 
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from ffsubspace.function_field import ProjectivePoint, RationalFunction
@@ -16,6 +17,19 @@ def workload_scenario(name: str, seed: int) -> dict:
     finally:
         sys.path.remove(perfbench)
     return workloads.generate(name, seed).scenario
+
+
+@contextmanager
+def int_digits_unlimited():
+    """Lift the interpreter's limit on int-to-str digits inside the block
+    only, so that a test can build its expected text; the code under test
+    runs outside it."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def rand_qpoly(rng, max_degree=3, nonzero=True):

@@ -12,7 +12,7 @@ from ffsubspace.function_field import (
     gauss_order_coeffs,
     support,
 )
-from ffsubspace.graded_ideal import graded_piece
+from ffsubspace.graded_ideal import graded_piece, hilbert_function
 from ffsubspace.hilbert_bounds import sombra_lower
 from ffsubspace.linalg import Echelon, primitive_row
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
@@ -121,8 +121,15 @@ def power_sum(k: int, l: int) -> int:
 
 
 def T_value(t: int, n: int, delta: int, d: int) -> int:
-    """T(t) = sum_{i=1}^t G(i*d) with G = sombra_lower; empty sum for t = 0."""
+    """T(t) = sum_{i=1}^t G(i*d) with G = sombra_lower; empty sum for t = 0.
+    The direct loop `hilbert_bounds.sombra_sum` takes in closed form."""
     return sum(sombra_lower(i * d, n, delta) for i in range(1, t + 1))
+
+
+def hilbert_partial_sum(x_gens, t: int, d: int) -> int:
+    """S(t) = sum_{i=1}^t H_X(i d) by `hilbert_function`: the sum the
+    filtration reads off its level dimensions."""
+    return sum(hilbert_function(x_gens, i * d) for i in range(1, t + 1))
 
 
 def s_sum_oracle(hilbert, n: int, delta: int, d: int, m: int) -> int:

@@ -216,15 +216,13 @@ def test_criterion_06_chow():
 def test_criterion_07_filtration():
     p1 = IdealGenerators.of(2, ())
     basis = build_filtration(p1, 4, parse_poly("X0", 2))
-    rep = exponent_sum(basis, p1)
+    rep = exponent_sum(basis)
     assert rep.total == 10
     assert rep.total == hilbert_function(p1, 0) + sum(
         hilbert_function(p1, i) for i in range(1, 4)
     )
     assert rep.stated_sum == 9 and rep.difference == 1
-    chk = filtration_inequality_check(
-        Place.parse("t"), ProjectivePoint([T, 1]), basis, p1
-    )
+    chk = filtration_inequality_check(Place.parse("t"), ProjectivePoint([T, 1]), basis)
     assert (chk.lhs, chk.rhs, chk.ok) == (10, 9, True)
     for gens, nv in ((p1, 2), (CONIC, 3)):
         q = parse_poly("X0", nv)

@@ -10,10 +10,12 @@ import pytest
 from ffsubspace import chow, cli, graded_ideal, harness
 from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
+from ffsubspace.effective_constants import b_const
 from ffsubspace.function_field import ProjectivePoint
 from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
-from ffsubspace.hilbert_bounds import hypersurface_hilbert
+from ffsubspace.hilbert_bounds import hypersurface_hilbert, threshold_a_eps
 from ffsubspace.multipoly import HomogeneousPoly
+from helpers import int_digits_unlimited
 from oracles import s_sum_oracle
 from test_harness import conic_scenario_dict, golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
@@ -159,6 +161,19 @@ def test_bounds_command_scan_limit_is_inclusive(capsys, monkeypatch, limit, code
         assert out.startswith("a_eps = 385\n") and err == ""
     else:
         assert (out, err) == ("", f"error: a_eps = 385: a scan to degree 485 exceeds the limit {limit}\n")
+
+
+def test_bounds_command_writes_a_huge_a_eps_in_its_refusal(capsys):
+    # a_eps has 5,016 digits, past int.__repr__'s default limit of 4300
+    delta = 10**500
+    argv = ["bounds", "a-eps", "--n", "10", "--delta", str(delta), "--d", "1", "--eps", "1"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    a = threshold_a_eps(10, delta, 1, 1)
+    with int_digits_unlimited():
+        assert (out, err) == (
+            "", f"error: a_eps = {a}: a scan to degree {a + 100} exceeds the limit 1000000\n"
+        )
 
 
 def test_chow_command(capsys, tmp_path):
@@ -326,6 +341,24 @@ def _constants_inputs(tmp_path, **changes):
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps(inputs))
     return str(path)
+
+
+def test_constants_with_a_huge_delta(capsys, tmp_path):
+    # delta = 10^500: b has 5,011 digits, past int.__repr__'s default limit
+    assert main(["constants", "--inputs", _constants_inputs(tmp_path, delta=10**500)]) == 0
+    rows = dict(line.split(" = ") for line in capsys.readouterr().out.splitlines())
+    with int_digits_unlimited():
+        m, b = int(rows["m".rjust(12)]), int(rows["b".rjust(12)])
+        assert b == b_const(m, 1, 2, 10**500) and len(str(b)) == 5011
+
+
+def test_constants_at_a_large_delta_are_fast(tmp_path):
+    # the Sombra bound's second binomial starts at k = delta = 3 * 10^6;
+    # summing G term by term below it took 3.5 s
+    inputs = _constants_inputs(tmp_path, delta=3 * 10**6)
+    code, seconds, out, _ = _main_in_capped_child("constants", "--inputs", inputs)
+    assert code == 0 and seconds < 1.0
+    assert "S_sum = 1378084508626500012999999\n" in out
 
 
 def test_constants_with_n_zero_is_a_schema_error(capsys, tmp_path):
@@ -915,6 +948,28 @@ def test_p4_quadric_constants_are_fast_and_equal_the_direct_sum(tmp_path):
     assert m == 3342770
     direct = s_sum_oracle(lambda k: hypersurface_hilbert(k, 4, 2), 3, 2, 1, m)
     assert constants["S_sum"] == direct == 10405076012428540640432669
+
+
+def test_check_writes_integers_past_the_digit_limit(capsys, tmp_path):
+    # P^9 with its 10 coordinate hyperplanes and their sum: b has 8,441
+    # digits, past int.__repr__'s default limit of 4300, in both formats
+    nv = 10
+    path = tmp_path / "p9.json"
+    path.write_text(json.dumps(conic_scenario_dict(
+        ambient_dim=nv - 1, variety={"kind": "projective_space"}, N=nv - 1,
+        divisors=[{"poly": f"X{i}", "degree": 1} for i in range(nv)]
+        + [{"poly": " + ".join(f"X{i}" for i in range(nv)), "degree": 1}],
+        points=[["1"] + [f"t + {i}" for i in range(1, nv)]],
+    )))
+    outs = {}
+    for fmt in ("json", "text"):
+        assert main(["check", str(path), "--format", fmt]) == 0
+        outs[fmt] = capsys.readouterr().out
+    with int_digits_unlimited():
+        constants = json.loads(outs["json"])["constants"]
+        b = b_const(constants["m"], 9, 9, 1)
+        assert constants["b"] == b and len(str(b)) == 8441
+        assert f"             b = {b}\n" in outs["text"]
 
 
 def test_p5_quadric_check_finishes(tmp_path):

@@ -14,7 +14,6 @@ from ffsubspace.effective_constants import (
     choose_m,
     excess_vanishing_const,
     excess_vanishing_power,
-    progression_sum,
 )
 from ffsubspace.errors import InvariantViolated, PreconditionViolated, ZeroPolynomial
 from ffsubspace.function_field import (
@@ -23,7 +22,7 @@ from ffsubspace.function_field import (
     RationalFunction,
     weil,
 )
-from ffsubspace.hilbert_bounds import hypersurface_hilbert, threshold_a_eps
+from ffsubspace.hilbert_bounds import hypersurface_hilbert, progression_sum, threshold_a_eps
 from ffsubspace.multipoly import parse_poly
 from helpers import rand_point
 from oracles import lcm_reduction, s_sum_oracle
@@ -117,8 +116,7 @@ def test_assemble_fallbacks():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_assemble_asks_each_degree_once(d):
     # hilbert is asked at most once at each degree, in ascending order: at
-    # the degrees of E among d, 2d, ..., m - d, then at m = 12.  The conic
-    # has delta - n - 1 = 0, so E holds only the degrees given.
+    # the degrees of E among d, 2d, ..., m - d, then at m = 12
     inputs = ConstantInputs(**{**CONIC_INPUTS, "d_i": (d,) * 4})
     for exceptions, expected in [
         (sorted(CONIC_H), list(range(d, 13, d))),
@@ -135,9 +133,10 @@ def test_assemble_asks_each_degree_once(d):
         assert asked == expected
 
 
-def test_assemble_asks_below_the_sombra_polynomial():
-    # a degree-7 curve (n = 1): G(k) is not yet the Sombra polynomial at
-    # k < delta - n - 1 = 5, so those degrees are asked with no E given
+def test_assemble_asks_below_delta_only_at_e():
+    # a degree-7 curve (n = 1), where G(k) has no second binomial below
+    # k = delta: G is summed in closed form there too, so hilbert is asked
+    # only at E's degrees in the progression, then at m
     inputs = ConstantInputs(**{**CONIC_INPUTS, "delta": 7, "d_i": (2,) * 4, "m": 14})
     asked = []
 
@@ -149,7 +148,11 @@ def test_assemble_asks_below_the_sombra_polynomial():
     assert out.S_sum == s_sum_oracle(lambda k: None, 1, 7, 2, 14)
     asked.clear()
     assert assemble_constants(inputs, hilbert, ()) == out
-    assert asked == [2, 4, 14]
+    assert asked == [14]
+    # a value at a degree of E replaces G there; off E it is never read
+    table = {4: 20, 6: 30, 8: 40}
+    out = assemble_constants(inputs, table.get, (3, 4, 8))
+    assert out.S_sum == s_sum_oracle({4: 20, 8: 40}.get, 1, 7, 2, 14)
 
 
 def test_progression_sum():
@@ -157,10 +160,10 @@ def test_progression_sum():
     for d in (1, 2, 7):
         for t in (0, 1, 3, 4, 50, 10**6):
             expected = d * d * t * (t + 1) * (2 * t + 1) // 6
-            assert progression_sum(lambda k: k * k, d, t, 2) == expected
+            assert progression_sum(lambda i: (i * d) ** 2, t, 2) == expected
     # a polynomial with values that are not integers has no integer sum
     with pytest.raises(InvariantViolated, match="is not an integer"):
-        progression_sum(lambda k: Fraction(k, 2), 1, 5, 1)
+        progression_sum(lambda i: Fraction(i, 2), 5, 1)
 
 
 @st.composite

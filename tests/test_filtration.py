@@ -31,7 +31,10 @@ from ffsubspace.function_field import (
     Place,
     ProjectivePoint,
     RationalFunction,
+    gauss_order_point,
     height_point,
+    order_at,
+    support,
 )
 from ffsubspace.graded_ideal import (
     IdealGenerators,
@@ -41,7 +44,8 @@ from ffsubspace.graded_ideal import (
     quotient_monomial_basis,
 )
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
-from oracles import filtration_reference
+from helpers import rand_homog
+from oracles import filtration_reference, hilbert_partial_sum
 
 T = RationalFunction.t()
 P1 = IdealGenerators.of(2, ())
@@ -143,30 +147,54 @@ def test_level_dims_match_hilbert():
 
 
 def test_exponent_sum_examples():
-    rep = exponent_sum(build_filtration(P1, 4, parse_poly("X0", 2)), P1)
+    rep = exponent_sum(build_filtration(P1, 4, parse_poly("X0", 2)))
     assert (rep.total, rep.stated_sum, rep.difference) == (10, 9, 1)
-    rep2 = exponent_sum(build_filtration(CONIC, 2, parse_poly("X0", 3)), CONIC)
+    rep2 = exponent_sum(build_filtration(CONIC, 2, parse_poly("X0", 3)))
     assert (rep2.total, rep2.stated_sum) == (4, 3)
-    rep3 = exponent_sum(build_filtration(CONIC, 2, parse_poly("X1^2", 3)), CONIC)
+    rep3 = exponent_sum(build_filtration(CONIC, 2, parse_poly("X1^2", 3)))
     assert rep3.total == 1
+
+
+def test_sums_off_the_levels_match_the_hilbert_function():
+    # exponent_sum and the key inequality read the level sum and S(m/d - 1)
+    # off level_dims; the hilbert_function sums they replaced are the
+    # reference, on random divisors Q = A + t B, at the place where Q(x)
+    # vanishes most beyond d e_p(x)
+    rng = random.Random(32)
+    excesses = []
+    for _ in range(6):
+        d = rng.choice([1, 2])
+        m = d * rng.randint(1, 6 // d)
+        q = rand_homog(rng, 3, d) + rand_homog(rng, 3, d).scale(T)
+        basis = build_filtration(CONIC, m, q)
+        level_sum = sum(hilbert_function(CONIC, m - i * d) for i in range(1, m // d + 1))
+        stated = hilbert_partial_sum(CONIC, m // d - 1, d)
+        rep = exponent_sum(basis)
+        assert (rep.total, rep.level_sum, rep.stated_sum) == (level_sum, level_sum, stated)
+        s = RationalFunction([rng.randint(-4, 4), rng.randint(1, 4)])
+        x = ProjectivePoint([1, s, s * s])
+        value = q.evaluate(x)
+        excess, place = max(
+            ((order_at(value, p) - d * gauss_order_point(p, x), p) for p in support([value])),
+            key=lambda pair: pair[0],
+        )
+        assert filtration_inequality_check(place, x, basis).rhs == stated * excess
+        excesses.append(excess)
+    assert min(excesses) > 0
 
 
 def test_inequality_examples():
     basis = build_filtration(P1, 4, parse_poly("X0", 2))
     x = ProjectivePoint([T, 1])
-    chk = filtration_inequality_check(Place.parse("t"), x, basis, P1)
+    chk = filtration_inequality_check(Place.parse("t"), x, basis)
     assert (chk.lhs, chk.rhs, chk.ok) == (10, 9, True)
-    chk2 = filtration_inequality_check(Place.parse("t-1"), x, basis, P1)
+    chk2 = filtration_inequality_check(Place.parse("t-1"), x, basis)
     assert (chk2.lhs, chk2.rhs, chk2.ok) == (0, 0, True)
     cb = build_filtration(CONIC, 2, parse_poly("X0", 3))
-    chk3 = filtration_inequality_check(
-        Place.parse("t"), ProjectivePoint([1, T, T**2]), cb, CONIC
-    )
+    chk3 = filtration_inequality_check(Place.parse("t"), ProjectivePoint([1, T, T**2]), cb)
     assert chk3.ok and chk3.lhs >= chk3.rhs
     with pytest.raises(PointOnDivisor):
-        filtration_inequality_check(
-            Place.parse("t"), ProjectivePoint([0, T]), basis, P1
-        )
+        filtration_inequality_check(Place.parse("t"), ProjectivePoint([0, T]), basis)
 
 
 def test_inequality_random_points():
@@ -182,7 +210,7 @@ def test_inequality_random_points():
         if basis.divisor.evaluate(x).is_zero():
             continue
         for p in places:
-            chk = filtration_inequality_check(p, x, basis, CONIC)
+            chk = filtration_inequality_check(p, x, basis)
             assert chk.ok
         trials += 1
 
@@ -190,7 +218,7 @@ def test_inequality_random_points():
 def test_inequality_vanishing_monomial_goes_infinite():
     basis = build_filtration(P1, 2, parse_poly("X0", 2))
     x = ProjectivePoint([1, 0])  # X1 monomials vanish here
-    chk = filtration_inequality_check(Place.parse("t"), x, basis, P1)
+    chk = filtration_inequality_check(Place.parse("t"), x, basis)
     assert chk.lhs == math.inf and chk.ok and not chk.finite
 
 

@@ -1,4 +1,5 @@
 import json
+import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -22,6 +23,7 @@ from ffsubspace.harness import (
     emit_report,
     fmt_q,
     has_violation,
+    int_text,
     json_text,
     load_scenario,
     load_scenario_dict,
@@ -29,7 +31,7 @@ from ffsubspace.harness import (
     run_check,
 )
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
-from helpers import workload_scenario
+from helpers import int_digits_unlimited, workload_scenario
 from oracles import lcm_reduction
 
 SCENARIO_PATH = Path(__file__).resolve().parents[1] / (
@@ -456,3 +458,19 @@ def test_scalar_family_matches_the_lcm_reduction(qs):
     assert height_point(family) == height_poly_family(reduction.normalized)
     for p in FAMILY_PLACES + [INFINITY]:
         assert gauss_order_point(p, family) == gauss_order_poly(p, reduction.normalized)
+
+
+@pytest.mark.parametrize("n", [
+    0, -7, 10**4000 - 1, 10**4000, -(10**4000), 10**4000 + 1, 10**8000 + 10**3999,
+    -(3 * 10**12345 + 10**4000 - 1), 2**30000,
+], ids=range(9))  # the default ids would write the ints
+def test_int_text_writes_every_digit_at_any_size(n):
+    # past 4300 digits int.__repr__ raises ValueError; the interpreter's
+    # limit is left as it was
+    limit = sys.get_int_max_str_digits()
+    text = int_text(n)
+    assert sys.get_int_max_str_digits() == limit
+    assert json_text([n]) == "[\n  " + text + "\n]"
+    assert fmt_q(n) == fmt_q(Fraction(n)) == text + "/1"
+    with int_digits_unlimited():
+        assert text == str(n)

@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from ffsubspace.errors import MissingTableEntry, PreconditionViolated
 from ffsubspace.hilbert_bounds import (
@@ -12,6 +14,7 @@ from ffsubspace.hilbert_bounds import (
     ratio_check,
     scan_ratio_window,
     sombra_lower,
+    sombra_sum,
     threshold_a_eps,
 )
 from oracles import T_value, power_sum
@@ -97,6 +100,23 @@ def test_scan_matches_ratio_check_at_every_m():
         assert scan_ratio_window(n, delta, d, eps, a_eps, window) == expected
         outcomes.add(expected)
     assert outcomes == {True, False}
+
+
+@given(
+    n=st.integers(1, 6), delta=st.integers(1, 60), d=st.integers(1, 7), t=st.integers(0, 2000)
+)
+def test_sombra_sum_matches_the_direct_sum(n, delta, d, t):
+    assert sombra_sum(t, n, delta, d) == T_value(t, n, delta, d)
+
+
+def test_scan_takes_its_prefix_in_closed_form():
+    # n = 3, delta = 2, d = 1, eps = 1: a_eps = 983149, just under the CLI's
+    # scan limit; summing the prefix term by term took 0.5-0.6 s
+    a_eps = threshold_a_eps(3, 2, 1, 1)
+    assert a_eps == 983149
+    start = time.perf_counter()
+    assert scan_ratio_window(3, 2, 1, 1, a_eps, 100)
+    assert time.perf_counter() - start < 0.25
 
 
 def test_threshold_monotone_in_eps():

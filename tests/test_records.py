@@ -1,4 +1,4 @@
-"""The records' contract: fields are read-only, the four validating records
+"""The records' contract: fields are read-only, the validating records
 check every construction, and IdealGenerators, the key of `graded_piece`'s
 cache, compares and hashes by value.  The value types that are not records
 (field elements, places, points, forms) are read-only too."""
@@ -30,7 +30,7 @@ from ffsubspace.graded_ideal import (
     reduce_to_quotient_basis,
 )
 from ffsubspace.harness import load_scenario, run_check
-from ffsubspace.hilbert_bounds import BoundInputs, ratio_check, threshold_a_eps
+from ffsubspace.hilbert_bounds import ratio_check, threshold_a_eps
 from ffsubspace.multipoly import parse_poly
 
 SCENARIO = Path(__file__).resolve().parents[1] / "src/ffsubspace/scenarios/conic.json"
@@ -48,7 +48,7 @@ RECORDS = {
         "NullstellensatzCertificate", "EmptinessVerdict", "SubsetVerdict", "PositionReport",
     ],
     "harness": ["Scenario", "PointRecord", "Report"],
-    "hilbert_bounds": ["BoundInputs", "RatioCheck"],
+    "hilbert_bounds": ["RatioCheck"],
 }
 
 
@@ -70,12 +70,12 @@ def _instances():
         report.position, report.position.subsets[0], report.position.subsets[0].verdict,
         conic, chow_form, expansion, psigma_count_report(expansion),
         order_by_vanishing(place, scenario.divisors, x),
-        filtration, exponent_sum(filtration, conic),
-        filtration_inequality_check(place, x, filtration, conic),
+        filtration, exponent_sum(filtration),
+        filtration_inequality_check(place, x, filtration),
         sandwich, sandwich.per_place[0], quotient,
         reduce_to_quotient_basis(parse_poly("X0*X1", 3), conic),
         nullstellensatz_certificate(parse_poly("X0", 2), line),
-        BoundInputs(1, 2, 1, Fraction(1)), ratio_check({2: 5, 1: 3}, 2, 1, 1, 1),
+        ratio_check({2: 5, 1: 3}, 2, 1, 1, 1),
     ]
     return {type(r).__name__: r for r in found}
 
@@ -89,7 +89,7 @@ def _fields(record):
 
 def test_every_record_is_covered():
     expected = {name for names in RECORDS.values() for name in names}
-    assert len(expected) == 23 and set(_instances()) == expected
+    assert len(expected) == 22 and set(_instances()) == expected
     for module, names in RECORDS.items():
         for name in names:
             assert type(_instances()[name]).__module__ == f"ffsubspace.{module}"
@@ -177,9 +177,5 @@ def test_constant_inputs_check_every_construction(changes, message):
     ((1, 2, 1, Fraction(0)), "need epsilon > 0"),
 ])
 def test_bound_inputs_check_every_construction(args, message):
-    with pytest.raises(PreconditionViolated, match=re.escape(message)):
-        BoundInputs(*args)
-    with pytest.raises(PreconditionViolated, match=re.escape(message)):
-        BoundInputs(1, 2, 1, Fraction(1))._replace(**dict(zip(BoundInputs._fields, args)))
     with pytest.raises(PreconditionViolated, match=re.escape(message)):
         threshold_a_eps(*args)
