@@ -331,73 +331,91 @@ def _cmd_position(args) -> int:
     return 0
 
 
+_COMMAND_HELP = {
+    "check": "run a scenario file end to end",
+    "hilbert": "Hilbert function of a graded slice",
+    "bounds": "quantitative Hilbert bounds",
+    "chow": "Chow form expansion statistics",
+    "constants": "effective constants ledger",
+    "filtration": "divisor filtration of a graded quotient",
+    "position": "N-subgeneral position check",
+}
+
+
+def _command_parser(name, sub=None) -> argparse.ArgumentParser:
+    """Command `name`'s parser: a subparser of `sub`, or with None its own."""
+    p = (argparse.ArgumentParser(prog=f"ffsubspace {name}") if sub is None
+         else sub.add_parser(name, help=_COMMAND_HELP[name]))
+    if name == "check":
+        p.add_argument("file")
+        p.add_argument("--format", choices=["text", "json"], default="text")
+        p.add_argument("--report", help="also write a JSON report here")
+        p.set_defaults(func=_cmd_check)
+    elif name == "hilbert":
+        p.add_argument("--gens", required=True, help="semicolon-separated generators")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--num-vars", type=int)
+        p.add_argument("--report")
+        p.set_defaults(func=_cmd_hilbert)
+    elif name == "bounds":
+        bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
+        pa = bounds_sub.add_parser("a-eps", help="ratio threshold a_eps")
+        pa.add_argument("--n", type=int, required=True)
+        pa.add_argument("--delta", type=int, required=True)
+        pa.add_argument("--d", type=int, required=True)
+        pa.add_argument("--eps", type=Fraction, required=True)
+        pa.add_argument("--window", type=int, default=100)
+        pa.add_argument("--report")
+        pa.set_defaults(func=_cmd_bounds_a_eps)
+    elif name == "chow":
+        p.add_argument("--input", required=True, help="scenario or variety JSON")
+        p.add_argument("--report")
+        p.set_defaults(func=_cmd_chow)
+    elif name == "constants":
+        p.add_argument("--inputs", required=True, help="JSON file of constant inputs")
+        p.add_argument("--report")
+        p.set_defaults(func=_cmd_constants)
+    elif name == "filtration":
+        p.add_argument("--gens", required=True, help="semicolon-separated generators ('' for the zero ideal)")
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--q-poly", required=True)
+        p.add_argument("--num-vars", type=int)
+        p.add_argument("--point", help="comma-separated coordinates for the key inequality")
+        p.add_argument("--place", help="place for the key inequality")
+        p.add_argument("--report")
+        p.set_defaults(func=_cmd_filtration)
+    elif name == "position":
+        p.add_argument("--file", required=True)
+        p.add_argument("--N", type=int, help="override the scenario's N")
+        p.add_argument("--report")
+        p.set_defaults(func=_cmd_position)
+    return p
+
+
 @cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built once per process however often `main` runs;
-    every caller shares it, so none may change it."""
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI's full parser, or a command's own, each built once per process
+    however often `main` runs; every caller shares it, so none may change it."""
+    if command is not None:
+        return _command_parser(command)
     parser = argparse.ArgumentParser(
         prog="ffsubspace",
         description="Exact heights, Chow expansions, Hilbert bounds and "
         "subspace-inequality checks over Q(t)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="run a scenario file end to end")
-    p.add_argument("file")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--report", help="also write a JSON report here")
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("hilbert", help="Hilbert function of a graded slice")
-    p.add_argument("--gens", required=True, help="semicolon-separated generators")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--num-vars", type=int)
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_hilbert)
-
-    p = sub.add_parser("bounds", help="quantitative Hilbert bounds")
-    bounds_sub = p.add_subparsers(dest="bounds_command", required=True)
-    pa = bounds_sub.add_parser("a-eps", help="ratio threshold a_eps")
-    pa.add_argument("--n", type=int, required=True)
-    pa.add_argument("--delta", type=int, required=True)
-    pa.add_argument("--d", type=int, required=True)
-    pa.add_argument("--eps", type=Fraction, required=True)
-    pa.add_argument("--window", type=int, default=100)
-    pa.add_argument("--report")
-    pa.set_defaults(func=_cmd_bounds_a_eps)
-
-    p = sub.add_parser("chow", help="Chow form expansion statistics")
-    p.add_argument("--input", required=True, help="scenario or variety JSON")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_chow)
-
-    p = sub.add_parser("constants", help="effective constants ledger")
-    p.add_argument("--inputs", required=True, help="JSON file of constant inputs")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_constants)
-
-    p = sub.add_parser("filtration", help="divisor filtration of a graded quotient")
-    p.add_argument("--gens", required=True, help="semicolon-separated generators ('' for the zero ideal)")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--q-poly", required=True)
-    p.add_argument("--num-vars", type=int)
-    p.add_argument("--point", help="comma-separated coordinates for the key inequality")
-    p.add_argument("--place", help="place for the key inequality")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_filtration)
-
-    p = sub.add_parser("position", help="N-subgeneral position check")
-    p.add_argument("--file", required=True)
-    p.add_argument("--N", type=int, help="override the scenario's N")
-    p.add_argument("--report")
-    p.set_defaults(func=_cmd_position)
-
+    for name in _COMMAND_HELP:
+        _command_parser(name, sub)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # the full parser reads a call that names no command or leaves arguments over
+    command = argv[0] if argv and argv[0] in _COMMAND_HELP else None
+    args, rest = build_parser(command).parse_known_args(argv[1:] if command else argv)
+    if rest:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ToolkitError, OSError) as exc:

@@ -22,19 +22,45 @@ from .errors import PreconditionViolated
 from .hilbert_bounds import chardin_upper, sombra_lower, sombra_sum, threshold_a_eps
 
 
+# Largest bit length b and the excess vanishing power may have, estimated
+# from the exponent before any power is raised.  The ledger and its decimal
+# text cost about the square of their size: with n = 1 and delta = 1, M = 13
+# (b of 354,291 bits) takes 0.6 s, and M = 10 with delta = 10^500 (b of
+# about 17 million bits) was stopped after a minute (Python 3.11.7, 2 vCPUs).
+MAX_CONSTANT_BITS = 1 << 19
+
+
+def _bounded_power(base: int, exponent: int, name: str) -> int:
+    """base ** exponent, refused before it is raised when it could have more
+    than MAX_CONSTANT_BITS bits."""
+    bits = exponent * base.bit_length()
+    if bits > MAX_CONSTANT_BITS:
+        raise PreconditionViolated(
+            f"{name} of up to {bits} bits exceeds the limit {MAX_CONSTANT_BITS}"
+        )
+    return base**exponent
+
+
 def b_const(m: int, n: int, M: int, delta: int) -> int:
     """(4m)^(n+1) + (5(n+1)delta)^((n+1)M(M-1)/2 + M 2^M), for m >= max(3, (n+1)delta)."""
     if m < max(3, (n + 1) * delta):
         raise PreconditionViolated(
             f"need m >= max(3, (n+1)*delta) = {max(3, (n + 1) * delta)}, got {m}"
         )
+    if M >= MAX_CONSTANT_BITS.bit_length():
+        # 2^M, a factor of the exponent, is past the limit already: not built
+        raise PreconditionViolated(
+            f"b of more than 2^{M} bits exceeds the limit {MAX_CONSTANT_BITS}"
+        )
     exponent = (n + 1) * M * (M - 1) // 2 + M * 2**M
-    return (4 * m) ** (n + 1) + (5 * (n + 1) * delta) ** exponent
+    return _bounded_power(4 * m, n + 1, "b") + _bounded_power(5 * (n + 1) * delta, exponent, "b")
 
 
 def excess_vanishing_power(n: int, M: int, N: int, delta: int, d: int) -> int:
     """(6 max((N+1)delta, d))^((n+1)(M^2+M))."""
-    return (6 * max((N + 1) * delta, d)) ** ((n + 1) * (M * M + M))
+    return _bounded_power(
+        6 * max((N + 1) * delta, d), (n + 1) * (M * M + M), "the excess vanishing power"
+    )
 
 
 def excess_vanishing_const(

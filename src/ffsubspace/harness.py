@@ -672,6 +672,8 @@ def report_to_dict(report: Report) -> dict:
     s = report.scenario
     c = report.constants
     i = report.inputs
+    # each place is formatted once, however many Weil rows name it
+    place_text = {p: str(p) for p in s.places}
     out = {
         "schema": "ffsubspace-report/1",
         "scenario": {
@@ -682,7 +684,7 @@ def report_to_dict(report: Report) -> dict:
             "q": len(s.divisors),
             "N": s.N,
             "divisors": [str(q) for q in s.divisors],
-            "places": [str(p) for p in s.places],
+            "places": list(place_text.values()),
             "epsilon": fmt_q(s.epsilon),
             "num_points": len(s.points),
         },
@@ -725,7 +727,7 @@ def report_to_dict(report: Report) -> dict:
         elif rec.status == "evaluated":
             entry["height"] = fmt_q(rec.height)
             entry["weil"] = [
-                {"place": str(p), "values": [fmt_q(v) for v in vals]}
+                {"place": place_text[p], "values": [fmt_q(v) for v in vals]}
                 for p, vals in rec.weil_table
             ]
             entry["lhs"] = fmt_q(rec.lhs)
@@ -749,6 +751,7 @@ def _text_table(rows, header) -> str:
 
 def report_to_text(report: Report) -> str:
     s = report.scenario
+    place_text = {p: str(p) for p in s.places}  # once, as in report_to_dict
     lines = []
     lines.append(
         f"variety: {s.variety_kind} in P^{s.ambient_dim} "
@@ -780,7 +783,7 @@ def report_to_text(report: Report) -> str:
             lines.append(f"  point {r.index} {r.point}:")
             header = ["place"] + [f"Q{i}" for i in range(len(s.divisors))]
             rows = [
-                [str(p)] + [fmt_q(v) for v in vals] for p, vals in r.weil_table
+                [place_text[p]] + [fmt_q(v) for v in vals] for p, vals in r.weil_table
             ]
             lines.append(
                 "\n".join("    " + ln for ln in _text_table(rows, header).splitlines())

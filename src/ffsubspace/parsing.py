@@ -24,11 +24,15 @@ The tokenizer reads an expanded polynomial in t with integer coefficients,
 a sum of terms `c`, `c*t`, `c*t^k`, `t` and `t^k`, each with an optional
 sign, as one `poly` token when it fills a parenthesized group or the whole
 text.  `str(RationalFunction)` prints its numerator and denominator in this
-form when lc(den) = 1, and generated scenarios write their points so.  The
-fold is exact: parentheses already make such a group an atom, so no
-precedence changes, and its value, the stripped sum of the c*t^k over Z[t],
-is the tuple the descent would build over `upoly.ONE`.  A group with an
-exponent past MAX_EXPONENT is not folded, so the descent raises its error.
+form when lc(den) = 1, and generated scenarios write their points so.  One
+regex (`_poly_pattern`) finds such a body and so checks its form; the fold
+then reads it with string methods alone: whitespace removed, the text split
+at its signs, and each term cut at `t` into its coefficient and its
+exponent.  The fold is exact: parentheses already make such a group an
+atom, so no precedence changes, and its value, the stripped sum of the
+c*t^k over Z[t], is the tuple the descent would build over `upoly.ONE`.  A
+group with an exponent past MAX_EXPONENT is not folded, so the descent
+raises its error.
 In messages a `poly` token shows as '(' at the position of its '(', as the
 descent's first token would.  `parse_rational` reads a text whose tokens are
 exactly `poly / poly`, with a nonzero denominator, as the reduced quotient
@@ -83,38 +87,41 @@ _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z]\w*)|([()+\-*/^]))")
 
 
 @cache
-def _poly_patterns():
-    """(poly, term): `poly` matches an expanded polynomial in t with integer
+def _poly_pattern():
+    """A regex that matches an expanded polynomial in t with integer
     coefficients, its body as group 1, followed by the `)` that closes its
-    group (group 2) or by the end of the text; `term` finds the terms of a
-    body as (sign, c, t, k, t, k).  Compiled on first use, not at import."""
+    group (group 2) or by the end of the text.  Compiled on first use, not
+    at import."""
     lit = rf"\d{{1,{MAX_LITERAL_DIGITS}}}"
-    mono = rf"(?:({lit})(?:\s*\*\s*(t)(?:\s*\^\s*({lit}))?)?|(t)(?:\s*\^\s*({lit}))?)"
-    bare = re.sub(r"\((?!\?)", "(?:", mono)  # mono without its groups
-    poly = re.compile(
-        rf"\s*((?:[+-]\s*)?{bare}(?:\s*[+-]\s*{bare})*)\s*(?:(\))|\Z)"
-    )
-    return poly, re.compile(rf"([+-]?)\s*{mono}")
+    mono = rf"(?:{lit}(?:\s*\*\s*t(?:\s*\^\s*{lit})?)?|t(?:\s*\^\s*{lit})?)"
+    return re.compile(rf"\s*((?:[+-]\s*)?{mono}(?:\s*[+-]\s*{mono})*)\s*(?:(\))|\Z)")
 
 
-def _fold(term, text: str, start: int, end: int):
-    """The Z[t] tuple of the polynomial body text[start:end], or None when
+def _fold(body: str):
+    """The Z[t] tuple of a body that `_poly_pattern` matched, or None when
     one of its exponents exceeds MAX_EXPONENT."""
     sums = {}
-    for sign, c, t1, k1, t2, k2 in term.findall(text, start, end):
-        k = int(k1 or k2 or 1) if t1 or t2 else 0
-        if k > MAX_EXPONENT:
-            return None
-        c = int(c) if c else 1
-        sums[k] = sums.get(k, 0) + (-c if sign == "-" else c)
+    for term in "".join(body.split()).replace("-", "+-").split("+"):
+        if not term:
+            continue  # before a leading sign
+        c, t, k = term.partition("t")
+        if t:
+            k = int(k[1:]) if k else 1
+            if k > MAX_EXPONENT:
+                return None
+            c = c.rstrip("*")
+            c = -1 if c == "-" else int(c) if c else 1
+        else:
+            c, k = int(c), 0
+        sums[k] = sums.get(k, 0) + c
     return upoly.strip(sums.get(k, 0) for k in range(max(sums) + 1))
 
 
 def _tokenize(text: str):
-    poly, term = _poly_patterns()
+    poly = _poly_pattern()
     m = poly.match(text)
     if m and m.end() == len(text) and m.group(2) is None:
-        coeffs = _fold(term, text, *m.span(1))
+        coeffs = _fold(m.group(1))
         if coeffs is not None:
             return [("poly", coeffs, 0), ("end", None, len(text))]
     tokens = []
@@ -138,7 +145,7 @@ def _tokenize(text: str):
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2), m.start(2)))
         elif m.group(3) == "(" and (g := poly.match(text, pos)) and g.group(2):
-            coeffs = _fold(term, text, *g.span(1))
+            coeffs = _fold(g.group(1))
             if coeffs is None:
                 tokens.append(("op", "(", m.start(3)))
             else:

@@ -411,18 +411,14 @@ def format_poly(p, den: int = 1) -> str:
         c = p[e]
         if c == 0:
             continue
-        sign = "-" if c < 0 else "+"
         g = igcd(c, den)
         num, q = abs(c) // g, den // g
         coeff = str(num) if q == 1 else f"{num}/{q}"
+        parts.append(" - " if c < 0 else " + ")
         if e == 0:
-            body = coeff
+            parts.append(coeff)
         else:
             v = "t" if e == 1 else f"t^{e}"
-            body = v if coeff == "1" else f"{coeff}*{v}"
-        parts.append((sign, body))
-    first_sign, first_body = parts[0]
-    text = ("-" if first_sign == "-" else "") + first_body
-    for sign, body in parts[1:]:
-        text += f" {sign} {body}"
-    return text
+            parts.append(v if coeff == "1" else f"{coeff}*{v}")
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)

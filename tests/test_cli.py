@@ -35,11 +35,91 @@ def test_check_ok(capsys, tmp_path):
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
     assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser("check") is cli.build_parser("check") is not cli.build_parser()
     assert main(["check", SCENARIO, "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["schema"] == "ffsubspace-report/1"
     # the default format comes back on the next call
     assert main(["check", SCENARIO]) == 0
     assert capsys.readouterr().out.startswith("variety: hypersurface in P^2")
+
+
+def _main_on_the_full_parser(argv):
+    """main as it was when the full parser read every call."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except (cli.ToolkitError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _outcome(run, argv, capsys):
+    """(exit code, stdout, stderr) of run(argv), argparse's exits included."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+# Each command's valid call, a required argument it misses, and the same
+# command with a bad --format (an unknown option where it has none).
+_CALLS = {
+    "check": ([SCENARIO, "--format", "json"], [], [SCENARIO, "--format", "xml"]),
+    "hilbert": (["--gens", "X0*X2 - X1^2", "--m", "3"], ["--m", "3"], None),
+    "bounds a-eps": (["--n", "1", "--delta", "2", "--d", "1", "--eps", "1"], ["--n", "1"], None),
+    "chow": (["--input", SCENARIO], [], None),
+    "constants": (None, [], None),  # the valid call's inputs file is made per test
+    "filtration": (
+        ["--gens", "X0*X2 - X1^2", "--m", "4", "--q-poly", "X0 + X2", "--point", "1,t,t^2",
+         "--place", "t"],
+        ["--gens", "X0*X2 - X1^2", "--m", "4"],
+        None,
+    ),
+    "position": (["--file", SCENARIO, "--N", "2"], ["--N", "2"], None),
+}
+
+
+@pytest.mark.parametrize("name", list(_CALLS))
+def test_a_command_parser_reads_as_the_full_parser(capsys, tmp_path, name, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "100")  # both parsers wrap help alike
+    valid, missing, bad_format = _CALLS[name]
+    valid = valid or ["--inputs", _constants_inputs(tmp_path)]
+    command = name.split()
+    argvs = [
+        command + valid,
+        command + ["-h"],
+        command + valid + ["-h"],
+        command + missing,
+        command + (bad_format or valid + ["--format", "xml"]),
+        command + valid + ["--bogus", "1"],
+        command[:1] + ["--bogus"],
+    ]
+    for argv in argvs:
+        assert _outcome(main, argv, capsys) == _outcome(_main_on_the_full_parser, argv, capsys), argv
+    # the valid call succeeds, with the full parser's namespace but its `command`
+    assert _outcome(main, argvs[0], capsys)[0] == 0
+    args, rest = cli.build_parser(command[0]).parse_known_args(argvs[0][1:])
+    full = vars(cli.build_parser().parse_args(argvs[0]))
+    assert rest == [] and full.pop("command") == command[0] and vars(args) == full
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["nope"], ["--", "check"], ["-x", "check"]])
+def test_calls_without_a_command_go_to_the_full_parser(capsys, argv):
+    assert _outcome(main, argv, capsys) == _outcome(_main_on_the_full_parser, argv, capsys)
+
+
+def test_main_reads_sys_argv_when_argv_is_none(capsys):
+    # the console script and `python -m ffsubspace.cli` call main()
+    argv = ["check", SCENARIO, "--format", "json"]
+    # not -I, which would ignore PYTHONPATH and so the checkout's src/
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-s", "-m", "ffsubspace.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == main(argv) == 0
+    assert proc.stdout == capsys.readouterr().out and proc.stderr == ""
 
 
 def test_check_missing_file(capsys):
@@ -359,6 +439,14 @@ def test_constants_at_a_large_delta_are_fast(tmp_path):
     code, seconds, out, _ = _main_in_capped_child("constants", "--inputs", inputs)
     assert code == 0 and seconds < 1.0
     assert "S_sum = 1378084508626500012999999\n" in out
+
+
+def test_constants_refuse_a_huge_b_before_building_it(tmp_path):
+    # b would have about 17 million bits; its digits alone took minutes
+    inputs = _constants_inputs(tmp_path, M=10, delta=10**500)
+    code, seconds, out, stderr = _main_in_capped_child("constants", "--inputs", inputs)
+    assert code == 2 and seconds < 1.0 and out == ""
+    assert stderr == "error: b of up to 17199450 bits exceeds the limit 524288\n"
 
 
 def test_constants_with_n_zero_is_a_schema_error(capsys, tmp_path):

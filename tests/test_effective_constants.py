@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffsubspace.effective_constants import (
+    MAX_CONSTANT_BITS,
     ConstantInputs,
     EffectiveConstants,
     assemble_constants,
@@ -50,11 +52,24 @@ def test_b_const():
         b_const(3, 1, 2, 2)  # needs m >= (n+1)*delta = 4
     values = [b_const(m, 1, 2, 2) for m in range(4, 12)]
     assert values == sorted(values) and len(set(values)) == len(values)
+    # refused from the exponent, before any power is raised: at M = 13 b has
+    # 354,291 bits, at M = 14 up to 918,232, and past M = 19 2^M alone is
+    # past the limit
+    assert b_const(3, 1, 13, 1).bit_length() == 354_291 <= MAX_CONSTANT_BITS
+    for M, message in [
+        (14, "b of up to 918232 bits"),
+        (10**9, "b of more than 2^1000000000 bits"),
+    ]:
+        with pytest.raises(PreconditionViolated, match=re.escape(message)):
+            b_const(3, 1, M, 1)
 
 
 def test_excess_vanishing_const():
     assert excess_vanishing_const(1, 2, 2, 2, 1, 0, 0) == 0
     assert excess_vanishing_power(1, 2, 2, 2, 1) == 4_738_381_338_321_616_896
+    # 36^180600: 6 bits per factor
+    with pytest.raises(PreconditionViolated, match="^the excess vanishing power of up to 1083600 bits"):
+        excess_vanishing_power(1, 300, 2, 2, 1)
     one = excess_vanishing_const(1, 2, 2, 2, 1, Fraction(1, 2), Fraction(1, 2))
     two = excess_vanishing_const(1, 2, 2, 2, 1, 1, 1)
     assert two == 2 * one

@@ -419,10 +419,24 @@ def test_quotient_shortcut_keeps_the_descent_errors():
         "(t^1001)/(t)",
         "(t^1001 + 1)/(t + 1)",
         "(t + 1)/(t^1001 - 1)",
+        "(+t^1001)/(\tt\n)",
+        f"(t)/({big[:MAX_LITERAL_DIGITS + 1]})",
     ]:
         assert _same_outcome(text) is None, text
     assert _same_outcome("(0)/(t + 1)") == 0
+    assert _same_outcome("(0*t + 0*t^3)/(t)") == 0
     assert _same_outcome("(2*t + 2)/(-4*t^2 + 4)") == RationalFunction((-1,), (-2, 2))
+    # whitespace inside a group, t^0, 0*t, repeated exponents, a leading +,
+    # the largest exponent and the longest literal
+    lit = "9" * MAX_LITERAL_DIGITS
+    for text, expected in [
+        ("(\tt^2 -\n3*t\t+ 2)/(t\n-\t1)", RationalFunction((-2, 1))),
+        ("(t^0 + 0*t + 2*t - t + t^2 - t^2)/(t^1 + 1*t^0)", RationalFunction(1)),
+        ("(+t + 1)/(+2)", RationalFunction((1, 1), (2,))),
+        ("(t^1000 - t^999)/(t - 1)", RationalFunction((0,) * 999 + (1,))),
+        (f"({lit}*t^2 - {lit})/({lit})", RationalFunction((-1, 0, 1))),
+    ]:
+        assert _same_outcome(text) == expected, text
 
 
 def test_quotient_shortcut_skips_the_descent(monkeypatch):
@@ -458,6 +472,12 @@ def test_fold_keeps_the_descent_messages():
         ("t +", "unexpected end of input (at position 3)"),
         ("(t - 1) * ", "unexpected end of input (at position 10)"),
         ("-", "unexpected end of input (at position 1)"),
+        ("(t\t+\n1)(t - 1)", "unexpected trailing '(' (at position 7)"),
+        ("(\tt^2 -\n3*t^0\t)\n(t)", "unexpected trailing '(' (at position 16)"),
+        ("(+t^1001 + 1)", "exponent 1001 exceeds the limit 1000 (at position 4)"),
+        ("(+t^1000 + 0*t)(t)", "unexpected trailing '(' (at position 15)"),
+        (f"({'9' * MAX_LITERAL_DIGITS}*t - 1)(t)",
+         f"unexpected trailing '(' (at position {MAX_LITERAL_DIGITS + 8})"),
     ]:
         with pytest.raises(ParseError) as err:
             parse_rational(text)
