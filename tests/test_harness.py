@@ -270,19 +270,24 @@ def test_h_fx_is_read_without_a_chow_form():
     assert load_scenario_dict(conic_scenario_dict(variety=ideal)).h_fx == 2
 
 
-def test_violation_when_out_of_position():
-    # Four copies of the same divisor: the position warning fires, the run
-    # continues, and the unprotected sum exceeds the main term.
-    data = {
+def out_of_position_scenario_dict(points=(["1", "t"],)):
+    """Four copies of the divisor X1 on P^1, which no degree up to the cap
+    certifies in 1-subgeneral position."""
+    return {
         "ambient_dim": 1,
         "variety": {"kind": "projective_space"},
         "divisors": [{"poly": "X1", "degree": 1}] * 4,
         "N": 1,
         "places": ["t", "inf"],
         "epsilon": "1",
-        "points": [["1", "t"]],
+        "points": list(points),
     }
-    report = run_check(load_scenario_dict(data))
+
+
+def test_violation_when_out_of_position():
+    # Four copies of the same divisor: the position warning fires, the run
+    # continues, and the unprotected sum exceeds the main term.
+    report = run_check(load_scenario_dict(out_of_position_scenario_dict()))
     assert not report.position.in_position
     assert any("PositionCheckFailed" in w for w in report.warnings)
     assert report.points[0].verdict == "Violation"
@@ -353,9 +358,20 @@ def test_byte_stable_reports(tmp_path):
     assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
 
-@pytest.mark.parametrize("fmt, name", [("json", "golden_report.json"), ("text", "golden_report.txt")])
+GOLDEN_SCENARIOS = {
+    "golden_report": golden_scenario_dict,
+    # a NOT certified position, a Violation and a point on every divisor
+    "golden_out_of_position": lambda: out_of_position_scenario_dict([["1", "t"], ["1", "0"]]),
+}
+
+
+@pytest.mark.parametrize("fmt, name", [
+    (fmt, stem + suffix) for stem in GOLDEN_SCENARIOS
+    for fmt, suffix in [("json", ".json"), ("text", ".txt")]
+])
 def test_golden_report_bytes(fmt, name):
-    report = run_check(load_scenario_dict(golden_scenario_dict()))
+    scenario = GOLDEN_SCENARIOS[name.rpartition(".")[0]]()
+    report = run_check(load_scenario_dict(scenario))
     assert emit_report(report, fmt).encode() == (GOLDEN_DIR / name).read_bytes()
 
 
