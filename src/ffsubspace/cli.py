@@ -15,7 +15,13 @@ import sys
 from fractions import Fraction
 from functools import cache
 
-from .chow import chow_of_hypersurface, chow_of_linear, expand_skew, psigma_count_report
+from .chow import (
+    check_skew_floor,
+    chow_of_hypersurface,
+    chow_of_linear,
+    expand_skew,
+    psigma_count_report,
+)
 from .effective_constants import ConstantInputs, assemble_constants
 from .errors import PointOnDivisor, SchemaError, ToolkitError
 from .filtration import (
@@ -149,6 +155,15 @@ MAX_SCAN_WINDOW = 1000
 MAX_SCAN_DEGREE = 10**6
 
 
+def _fraction_arg(text: str) -> Fraction:
+    """A Fraction for argparse: '1/0' raises ZeroDivisionError, which argparse
+    would not turn into a usage error (exit 2)."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"invalid Fraction value: {text!r}") from None
+
+
 def _cmd_bounds_a_eps(args) -> int:
     if args.window < 0:
         raise ToolkitError(f"--window must be at least 0, got {args.window}")
@@ -181,8 +196,11 @@ def _cmd_chow(args) -> int:
         variety = parse_variety(data["variety"], data["ambient_dim"], "/variety")
     else:
         variety = load_variety_dict(data)
-    # `check` needs only an ideal's Chow form, so the others are built here
+    # `check` needs only an ideal's Chow form, so the others are built here,
+    # unless their shape alone makes `expand_skew` refuse them
     form, gens = variety.chow_form, variety.x_gens
+    if variety.kind != "ideal":
+        check_skew_floor(variety.dimension + 1, gens.num_vars)
     if variety.kind == "hypersurface":
         form = chow_of_hypersurface(gens.generators[0])
     elif variety.kind == "projective_space":
@@ -320,7 +338,7 @@ def _cmd_position(args) -> int:
     if args.N is not None and not 1 <= n_value <= top:
         # N >= 1 as in a scenario, and N <= q - 1 leaves an (N+1)-subset to check.
         raise ToolkitError(f"--N must lie in [1, {top}], got {n_value}")
-    report = check_subgeneral_position(scenario.x_gens, scenario.divisors, n_value)
+    report = check_subgeneral_position(scenario.variety.x_gens, scenario.divisors, n_value)
     print(
         f"N = {n_value}: {'in position' if report.in_position else 'NOT certified'} "
         f"(cap {POSITION_CAP})"
@@ -363,7 +381,7 @@ def _command_parser(name, sub=None) -> argparse.ArgumentParser:
         pa.add_argument("--n", type=int, required=True)
         pa.add_argument("--delta", type=int, required=True)
         pa.add_argument("--d", type=int, required=True)
-        pa.add_argument("--eps", type=Fraction, required=True)
+        pa.add_argument("--eps", type=_fraction_arg, required=True)
         pa.add_argument("--window", type=int, default=100)
         pa.add_argument("--report")
         pa.set_defaults(func=_cmd_bounds_a_eps)

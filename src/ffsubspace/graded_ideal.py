@@ -75,17 +75,17 @@ class GradedPieceBasis:
     """Echelonized degree-m slice of an ideal.
 
     monomials: the degree-m monomial basis in glex order (the columns);
-    col_of maps each monomial to its column.
+    col_of maps each monomial to its column (built once, by `graded_piece`).
     Pivot columns and the residuals of `reduce` depend only on the row
     space, not on the stored rows, so pivot monomials and everything
     derived from them are deterministic.
     """
 
-    def __init__(self, degree: int, monomials: tuple, echelon: Echelon):
+    def __init__(self, degree: int, monomials: tuple, col_of: dict, echelon: Echelon):
         self.degree = degree
         self.monomials = monomials
+        self.col_of = col_of
         self.echelon = echelon
-        self.col_of = {m: i for i, m in enumerate(monomials)}
 
     @property
     def rank(self) -> int:
@@ -141,7 +141,7 @@ def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
         if ech.rank == len(cols):
             break
         ech.add_row(row)
-    return GradedPieceBasis(m, cols, ech)
+    return GradedPieceBasis(m, cols, col_of, ech)
 
 
 def macaulay_upper(a: int, k: int) -> int:

@@ -19,7 +19,7 @@ import json
 import re
 from fractions import Fraction
 from functools import partial
-from math import comb, lcm
+from math import lcm
 from typing import NamedTuple
 
 from .chow import MultiHomForm, chow_height, multihomform_from_json
@@ -141,13 +141,24 @@ VARIETY_FILE_SCHEMA = {
 }
 
 
-class Scenario(NamedTuple):
-    ambient_dim: int
-    variety_kind: str
+class Variety(NamedTuple):
+    """X in P^M as the report and the ledger read it: its kind, its ideal,
+    h(X) = h(F_X), dimension n and degree delta, each kept only here."""
+
+    kind: str
     x_gens: IdealGenerators
+    chow_form: MultiHomForm | None  # as given, for the ideal kind only
     h_fx: Fraction
     dimension: int
     degree: int
+
+
+class Scenario(NamedTuple):
+    """A checked scenario file: X as its `variety`, in P^ambient_dim, and
+    the divisors, places, epsilon, points and overrides of the run."""
+
+    ambient_dim: int
+    variety: Variety
     divisors: tuple
     N: int
     places: PlaceSet
@@ -245,15 +256,6 @@ def parse_fraction(text: str, pointer: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise SchemaError(f"not a rational: {text!r} ({exc})", pointer) from None
-
-
-class Variety(NamedTuple):
-    kind: str
-    x_gens: IdealGenerators
-    chow_form: MultiHomForm | None  # as given, for the ideal kind only
-    h_fx: Fraction
-    dimension: int
-    degree: int
 
 
 def parse_variety(variety: dict, M: int, at: str) -> Variety:
@@ -357,11 +359,7 @@ def load_scenario_dict(data: dict) -> Scenario:
 
     return Scenario(
         ambient_dim=M,
-        variety_kind=variety.kind,
-        x_gens=variety.x_gens,
-        h_fx=variety.h_fx,
-        dimension=variety.dimension,
-        degree=variety.degree,
+        variety=variety,
         divisors=tuple(divisors),
         N=data["N"],
         places=places,
@@ -471,26 +469,25 @@ class Report(NamedTuple):
 def _exact_hilbert(scenario: Scenario, k: int) -> int | None:
     """H_X(k) where a closed form or a cheap rank gives it, else None.
 
-    As a source for `assemble_constants`, with G the Sombra bound of the
-    scenario's n and delta and E (`_hilbert_exceptions`) where H may differ
-    from G:
-    - P^M (n = M, delta = 1): C(k + M, M), which is G at every k >= 1;
-    - a hypersurface (n = M - 1): `hypersurface_hilbert`, which is G itself;
+    As a source for `assemble_constants`, with G the Sombra bound of X's n
+    and delta, the Hilbert function of a degree-delta hypersurface in
+    P^(n+1), and E (`_hilbert_exceptions`) where H may differ from G:
+    - P^M (n = M, delta = 1) and a hypersurface (n = M - 1): G itself, as
+      `hypersurface_hilbert(k, n + 1, delta)`; for P^M, a hyperplane in
+      P^(M+1), that is C(k + M, M) at every k >= 0;
     - an ideal: the rank value up to the cutoff, then None (G stands in).
 
     An ideal's exact value must lie within the Sombra and Chardin bounds of
     the dimension and degree its Chow form gives, or the bounds put in above
     the cutoff would not bound the same X: a SchemaError at the chow_form.
     """
-    M = scenario.ambient_dim
-    if scenario.variety_kind == "projective_space":
-        return comb(k + M, M)
-    if scenario.variety_kind == "hypersurface":
-        return hypersurface_hilbert(k, M, scenario.degree)
+    X = scenario.variety
+    n, delta = X.dimension, X.degree
+    if X.kind != "ideal":
+        return hypersurface_hilbert(k, n + 1, delta)
     if k > scenario.hilbert_exact_cutoff:
         return None
-    h = hilbert_function(scenario.x_gens, k)
-    n, delta = scenario.dimension, scenario.degree
+    h = hilbert_function(X.x_gens, k)
     low, high = sombra_lower(k, n, delta), chardin_upper(k, n, delta)
     if not low <= h <= high:
         raise SchemaError(
@@ -506,7 +503,7 @@ def _hilbert_exceptions(scenario: Scenario):
     """E for `assemble_constants`, the degrees, ascending, where
     `_exact_hilbert` may differ from the Sombra bound G: an ideal's exact
     prefix, and none for P^M or a hypersurface, which are G at every k >= 1."""
-    if scenario.variety_kind == "ideal":
+    if scenario.variety.kind == "ideal":
         return range(1, scenario.hilbert_exact_cutoff + 1)
     return ()
 
@@ -528,8 +525,9 @@ def _normalized_family(divisors, d: int) -> ProjectivePoint:
 def run_check(scenario: Scenario) -> Report:
     """Full pipeline: position check, constants, per-point inequality."""
     warnings = []
+    X = scenario.variety
 
-    position = check_subgeneral_position(scenario.x_gens, scenario.divisors, scenario.N)
+    position = check_subgeneral_position(X.x_gens, scenario.divisors, scenario.N)
     if not position.in_position:
         failing = [list(s.indices) for s in position.failing_subsets()]
         warnings.append(
@@ -539,7 +537,7 @@ def run_check(scenario: Scenario) -> Report:
 
     degrees = tuple(q.degree for q in scenario.divisors)
     d = lcm(*degrees)
-    n = scenario.dimension
+    n = X.dimension
 
     h_q_i = tuple(Fraction(q.primitive()[1]) for q in scenario.divisors)
     family = _normalized_family(scenario.divisors, d)
@@ -550,7 +548,7 @@ def run_check(scenario: Scenario) -> Report:
 
     inputs = ConstantInputs(
         n=n,
-        delta=scenario.degree,
+        delta=X.degree,
         M=scenario.ambient_dim,
         N=scenario.N,
         q=len(scenario.divisors),
@@ -558,7 +556,7 @@ def run_check(scenario: Scenario) -> Report:
         epsilon=scenario.epsilon,
         s_card=scenario.places.cardinality,
         s_degree=scenario.places.total_degree,
-        h_fx=scenario.h_fx,
+        h_fx=X.h_fx,
         h_q_family=h_q_family,
         h_q_i=h_q_i,
         e_s_term=e_s_term,
@@ -577,7 +575,7 @@ def run_check(scenario: Scenario) -> Report:
     for idx, x in enumerate(scenario.points):
         # Checks and values use primitive coordinates and primitive forms, in
         # Z[t]; records keep x as given.
-        if any(primitive_values(scenario.x_gens.generators, x)):
+        if any(primitive_values(X.x_gens.generators, x)):
             warnings.append(f"NotOnVariety: point {idx} skipped")
             records.append(PointRecord(idx, x, "not_on_variety"))
             continue
@@ -651,25 +649,22 @@ def position_to_dict(position) -> dict:
     }
 
 
+# The constants ledger shown to users, row by row: the counts as ints, the
+# others as 'numerator/denominator'.
+_LEDGER = (
+    ("a_eps", int), ("m", int), ("b", int), ("excess_const", fmt_q), ("b1", fmt_q),
+    ("b2", fmt_q), ("b3", fmt_q), ("S_sum", int), ("c_eps", fmt_q), ("c_prime_eps", fmt_q),
+)
+
+
 def constants_rows(constants: EffectiveConstants) -> list:
     """The (name, value) rows of the constants ledger shown to users."""
-    c = constants
-    return [
-        ("a_eps", c.a_eps),
-        ("m", c.m),
-        ("b", c.b),
-        ("excess_const", fmt_q(c.excess_const)),
-        ("b1", fmt_q(c.b1)),
-        ("b2", fmt_q(c.b2)),
-        ("b3", fmt_q(c.b3)),
-        ("S_sum", c.S_sum),
-        ("c_eps", fmt_q(c.c_eps)),
-        ("c_prime_eps", fmt_q(c.c_prime_eps)),
-    ]
+    return [(k, text(getattr(constants, k))) for k, text in _LEDGER]
 
 
 def report_to_dict(report: Report) -> dict:
     s = report.scenario
+    X = s.variety
     c = report.constants
     i = report.inputs
     # each place is formatted once, however many Weil rows name it
@@ -678,9 +673,9 @@ def report_to_dict(report: Report) -> dict:
         "schema": "ffsubspace-report/1",
         "scenario": {
             "ambient_dim": s.ambient_dim,
-            "variety_kind": s.variety_kind,
-            "dimension": s.dimension,
-            "degree": s.degree,
+            "variety_kind": X.kind,
+            "dimension": X.dimension,
+            "degree": X.degree,
             "q": len(s.divisors),
             "N": s.N,
             "divisors": [str(q) for q in s.divisors],
@@ -750,54 +745,41 @@ def _text_table(rows, header) -> str:
 
 
 def report_to_text(report: Report) -> str:
-    s = report.scenario
-    place_text = {p: str(p) for p in s.places}  # once, as in report_to_dict
-    lines = []
-    lines.append(
-        f"variety: {s.variety_kind} in P^{s.ambient_dim} "
-        f"(dim {s.dimension}, degree {s.degree}); q = {len(s.divisors)}, N = {s.N}, "
-        f"epsilon = {fmt_q(s.epsilon)}"
-    )
-    pos = "certified" if report.position.in_position else "NOT certified"
-    lines.append(
-        f"position: N = {report.position.N} {pos} (cap {POSITION_CAP})"
-    )
-    for sub in report.position.subsets:
-        lines.append(f"  subset {list(sub.indices)}: {sub.verdict}")
+    """The strings and ints of `report_to_dict`, laid out for reading."""
+    out = report_to_dict(report)
+    s, pos, c = out["scenario"], out["position"], out["constants"]
+    lines = [
+        f"variety: {s['variety_kind']} in P^{s['ambient_dim']} "
+        f"(dim {s['dimension']}, degree {s['degree']}); q = {s['q']}, N = {s['N']}, "
+        f"epsilon = {s['epsilon']}",
+        f"position: N = {pos['N']} {'certified' if pos['in_position'] else 'NOT certified'} "
+        f"(cap {pos['degree_cap']})",
+    ]
+    # a verdict's text is its EmptinessVerdict's, which the JSON leaves out
+    lines += [f"  subset {list(sub.indices)}: {sub.verdict}" for sub in report.position.subsets]
     lines.append("constants:")
-    for k, v in constants_rows(report.constants):
-        lines.append(f"  {k:>12} = {v if isinstance(v, str) else int_text(v)}")
-    lines.append(f"  note: {C1_CAVEAT}")
-    evaluated = [r for r in report.points if r.status == "evaluated"]
+    for k, _ in _LEDGER:
+        lines.append(f"  {k:>12} = {c[k] if isinstance(c[k], str) else int_text(c[k])}")
+    lines.append(f"  note: {c['caveat']}")
+    evaluated = [p for p in out["points"] if p["status"] == "evaluated"]
     if evaluated:
         lines.append("points:")
         header = ["idx", "h(x)", "lhs", "rhs_main", "rhs_full", "verdict"]
-        rows = [
-            [r.index, fmt_q(r.height), fmt_q(r.lhs), fmt_q(r.rhs_main),
-             fmt_q(r.rhs_full), r.verdict]
-            for r in evaluated
-        ]
+        rows = [[p["index"], p["height"], p["lhs"], p["rhs_main"], p["rhs_full"], p["verdict"]]
+                for p in evaluated]
         lines.append(_text_table(rows, header))
         lines.append("per-place Weil tables (columns = divisors):")
-        for r in evaluated:
-            lines.append(f"  point {r.index} {r.point}:")
-            header = ["place"] + [f"Q{i}" for i in range(len(s.divisors))]
-            rows = [
-                [place_text[p]] + [fmt_q(v) for v in vals] for p, vals in r.weil_table
-            ]
-            lines.append(
-                "\n".join("    " + ln for ln in _text_table(rows, header).splitlines())
-            )
-    skipped = [r for r in report.points if r.status != "evaluated"]
-    for r in skipped:
-        extra = (
-            f" (divisors {list(r.vanishing_divisors)})"
-            if r.status == "on_divisor"
-            else ""
-        )
-        lines.append(f"point {r.index}: {r.status}{extra}")
-    for w in report.warnings:
-        lines.append(f"warning: {w}")
+        header = ["place"] + [f"Q{i}" for i in range(s["q"])]
+        for p in evaluated:
+            lines.append(f"  point {p['index']} [{' : '.join(p['coordinates'])}]:")
+            rows = [[w["place"], *w["values"]] for w in p["weil"]]
+            lines.extend("    " + ln for ln in _text_table(rows, header).splitlines())
+    for p in out["points"]:
+        if p["status"] == "on_divisor":
+            lines.append(f"point {p['index']}: on_divisor (divisors {p['vanishing_divisors']})")
+        elif p["status"] != "evaluated":
+            lines.append(f"point {p['index']}: {p['status']}")
+    lines += [f"warning: {w}" for w in out["warnings"]]
     return "\n".join(lines) + "\n"
 
 

@@ -274,7 +274,7 @@ def test_criterion_10_end_to_end(tmp_path, capsys):
     assert elapsed < 30.0, f"scenario run took {elapsed:.2f}s"
 
     assert report.position.in_position and report.position.N == 2
-    refute = check_subgeneral_position(scenario.x_gens, scenario.divisors, 1)
+    refute = check_subgeneral_position(scenario.variety.x_gens, scenario.divisors, 1)
     assert not refute.in_position
     assert (0, 1) in [s.indices for s in refute.failing_subsets()]
 

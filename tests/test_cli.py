@@ -695,6 +695,20 @@ def test_huge_skew_expansion_exits_fast(tmp_path):
     assert "skew expansion of up to 741321 products exceeds the limit 50000" in stderr
 
 
+@pytest.mark.parametrize("variety, floor", [
+    ({"ambient_dim": 9, "kind": "projective_space"}, "9^10"),
+    ({"ambient_dim": 8, "kind": "hypersurface", "F": "X0"}, "8^8"),
+])
+def test_huge_skew_shape_exits_fast(tmp_path, variety, floor):
+    # the Chow form of P^M or of a hypersurface is refused by its shape
+    # before it is built; built, P^9's ran out of memory
+    path = tmp_path / "variety.json"
+    path.write_text(json.dumps(variety))
+    code, seconds, _, stderr = _main_in_capped_child("chow", "--input", str(path))
+    assert code == 2 and seconds < 1.0
+    assert f"skew expansion of at least {floor} products exceeds the limit 50000" in stderr
+
+
 def _conic_with(tmp_path, **changes):
     scenario = json.loads(Path(SCENARIO).read_text())
     scenario.update(changes)
@@ -908,9 +922,11 @@ def test_malformed_inputs_exit_2(capsys, tmp_path):
     assert "(at /epsilon)" in capsys.readouterr().err
     assert main(["hilbert", "--gens", "X0*X2 - X1^2", "--m", "-1"]) == 2
     assert "degree must be >= 0" in capsys.readouterr().err
-    with pytest.raises(SystemExit) as exit_info:
-        main(["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", "x"])
-    assert exit_info.value.code == 2
+    for eps in ["x", "1/0"]:
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bounds", "a-eps", "--n", "1", "--delta", "2", "--d", "1", "--eps", eps])
+        assert exit_info.value.code == 2
+        assert f"invalid Fraction value: {eps!r}" in capsys.readouterr().err
     terms = [{"exponents": [[1, 0, 0]]}]
     path = _conic_with(tmp_path, variety={
         "kind": "ideal", "generators": ["X0"],
@@ -1161,7 +1177,7 @@ def test_import_does_not_load_sympy():
 
 
 def test_check_and_chow_do_not_load_sympy(tmp_path):
-    # places of degree <= 3 (t^2 + 1 among them) are checked without sympy,
+    # places of degree <= 2 (t^2 + 1 among them) are checked without sympy,
     # and `chow` factors no Chow-form coefficient, not even one with the
     # irreducible cubic t^3 + 2; constants too runs without sympy and
     # without jsonschema

@@ -368,7 +368,7 @@ def test_divisors_are_made_primitive_once(monkeypatch):
     scenario = load_scenario(SCENARIO_PATH)
     report = run_check(scenario)
     assert sum(r.status == "evaluated" for r in report.points) > 1
-    forms = scenario.divisors + scenario.x_gens.generators
+    forms = scenario.divisors + scenario.variety.x_gens.generators
     built = sorted(tuple(map(str, coeffs)) for coeffs, in calls)
     assert built == sorted(tuple(map(str, q.terms.values())) for q in forms)
     for q in scenario.divisors:

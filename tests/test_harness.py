@@ -87,8 +87,8 @@ def golden_scenario_dict():
 
 def test_load_bundled_scenario():
     sc = load_scenario(SCENARIO_PATH)
-    assert sc.ambient_dim == 2 and sc.variety_kind == "hypersurface"
-    assert sc.dimension == 1 and sc.degree == 2
+    assert sc.ambient_dim == 2 and sc.variety.kind == "hypersurface"
+    assert sc.variety.dimension == 1 and sc.variety.degree == 2
     assert len(sc.divisors) == 4 and sc.N == 2
     assert sc.places.cardinality == 2 and sc.epsilon == 1
     assert len(sc.points) == 20
@@ -207,7 +207,7 @@ def test_projective_space_scenario():
     }
     report = run_check(load_scenario_dict(data))
     assert report.position.in_position
-    assert report.scenario.dimension == 1 and report.scenario.degree == 1
+    assert report.scenario.variety.dimension == 1 and report.scenario.variety.degree == 1
     rec = report.points[0]
     assert rec.verdict == "InequalityHolds"
     assert rec.height == 3
@@ -222,7 +222,7 @@ def test_ideal_kind_requires_and_uses_chow_form():
     fx = chow_of_hypersurface(parse_poly("X0*X2 - X1^2", 3))
     base["variety"]["chow_form"] = multihomform_to_json(fx)
     sc = load_scenario_dict(base)
-    assert sc.dimension == 1 and sc.degree == 2
+    assert sc.variety.dimension == 1 and sc.variety.degree == 2
     report = run_check(sc)
     assert report.points[0].lhs == 6
 
@@ -260,14 +260,14 @@ def test_h_fx_is_read_without_a_chow_form():
         points=[], ambient_dim=M, variety={"kind": "projective_space"},
         divisors=[{"poly": f"X{i}", "degree": 1} for i in range(M + 1)], N=M,
     ))
-    assert sc.h_fx == 0 and (sc.dimension, sc.degree) == (M, 1)
+    assert sc.variety.h_fx == 0 and (sc.variety.dimension, sc.variety.degree) == (M, 1)
     # a hypersurface's h(X) is h(F); an ideal's is its given form's height
     text = "t*X0*X2 - X1^2 + X0^2/(t - 1)"
     sc = load_scenario_dict(conic_scenario_dict(variety={"kind": "hypersurface", "F": text}))
     fx = chow_of_hypersurface(parse_poly(text, 3))
-    assert sc.h_fx == chow_height(fx) == 2
+    assert sc.variety.h_fx == chow_height(fx) == 2
     ideal = {"kind": "ideal", "generators": [text], "chow_form": multihomform_to_json(fx)}
-    assert load_scenario_dict(conic_scenario_dict(variety=ideal)).h_fx == 2
+    assert load_scenario_dict(conic_scenario_dict(variety=ideal)).variety.h_fx == 2
 
 
 def out_of_position_scenario_dict(points=(["1", "t"],)):
@@ -335,7 +335,7 @@ def test_cubic_surface_scenario():
         "points": [["1", "-1", "t", "-t"], ["1", "-1", "t^4", "-t^4"]],
     }
     report = run_check(load_scenario_dict(data))
-    assert report.scenario.dimension == 2 and report.scenario.degree == 3
+    assert report.scenario.variety.dimension == 2 and report.scenario.variety.degree == 3
     assert report.position.in_position
     assert all(s.verdict.certified_degree == 3 for s in report.position.subsets)
     k1, k4 = report.points

@@ -57,7 +57,7 @@ def _instances():
     """One instance of every record, built by the code that returns it."""
     report = run_check(load_scenario(SCENARIO))
     scenario = report.scenario
-    conic = scenario.x_gens
+    conic = scenario.variety.x_gens
     chow_form = chow_of_hypersurface(conic.generators[0])
     expansion = expand_skew(chow_form)
     filtration = build_filtration(conic, 2, parse_poly("X0", 3))

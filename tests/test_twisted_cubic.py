@@ -150,7 +150,7 @@ def ideal_scenario_dict():
 
 def test_ideal_scenario_end_to_end():
     report = run_check(load_scenario_dict(ideal_scenario_dict()))
-    assert report.scenario.dimension == 1 and report.scenario.degree == 3
+    assert report.scenario.variety.dimension == 1 and report.scenario.variety.degree == 3
     assert report.position.in_position
     k1, k2 = report.points
     assert (k1.height, k1.lhs, k1.rhs_main) == (3, 6, 9)
@@ -181,7 +181,7 @@ def test_ideal_scenario_ranks_stop_at_persistence(monkeypatch):
     real = graded_ideal.graded_piece
 
     def spy(gens, m):
-        if gens == scenario.x_gens:
+        if gens == scenario.variety.x_gens:
             built.append(m)
         return real(gens, m)
 
