@@ -31,9 +31,9 @@ keys multiply by adding and sort as their sigma tuples do.
 
 A form is refused before expanding when its P_sigma would have degree
 above MAX_SKEW_DEGREE or it could form more than MAX_SKEW_PRODUCTS
-products (`skew_product_count`); `check_skew_floor` refuses the built
-forms of P^M and of a hypersurface by their shape alone, before building
-them.  The Chow form of P^M (M + 1 blocks of M + 1) expands to no P_sigma at
+products (`skew_product_count`); `check_skew_floor` refuses the forms of
+P^M and of a hypersurface by their shape alone, before they are built.  The
+Chow form of P^M (M + 1 blocks of M + 1) expands to no P_sigma at
 all: P^M has no equations.
 
 A Chow form is a `MultiHomForm`: one `HomogeneousPoly` in blocks * (M+1)
@@ -302,15 +302,16 @@ def skew_product_count(form: MultiHomForm) -> int:
 
 
 def check_skew_floor(blocks: int, vars_per_block: int) -> None:
-    """Refuse a form of `blocks` blocks of `vars_per_block` variables, each of
-    degree >= 1, whose every term `expand_skew` would count past
-    MAX_SKEW_PRODUCTS, before the form is built.
+    """Refuse, before it is built, a form of `blocks` blocks of
+    `vars_per_block` variables and degree >= 1 per block whose every term
+    `expand_skew` would count past MAX_SKEW_PRODUCTS.
 
-    In each block some row has exponent e >= 1, and C(e + nv - 2, e) >=
-    nv - 1, so a single term counts at least (nv - 1)^blocks in
-    `skew_product_count`: M^(M+1) for P^M, M^M for a hypersurface in P^M.
-    Any base >= 2 passes the limit within its bit length of blocks, so the
-    power taken stays small however many blocks there are.
+    Each block of a term has a row with exponent e >= 1, whose power alone
+    has C(e + nv - 2, e) >= nv - 1 terms, so each term counts at least
+    (nv - 1)^blocks in `skew_product_count`: M^(M+1) for P^M and M^M for a
+    hypersurface in P^M.  A base >= 2 passes the limit within
+    MAX_SKEW_PRODUCTS.bit_length() blocks, so the power taken stays small
+    however many blocks there are.
     """
     base = vars_per_block - 1
     if base ** min(blocks, MAX_SKEW_PRODUCTS.bit_length()) > MAX_SKEW_PRODUCTS:

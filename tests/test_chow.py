@@ -13,6 +13,7 @@ from ffsubspace.chow import (
     MAX_SKEW_PRODUCTS,
     MultiHomForm,
     _determinant,
+    check_skew_floor,
     chow_height,
     chow_of_hypersurface,
     chow_of_linear,
@@ -394,6 +395,23 @@ def test_skew_product_count():
     assert skew_product_count(twisted_cubic_chow()) == 13556 <= MAX_SKEW_PRODUCTS
     single = MultiHomForm(2, 4, HomogeneousPoly.monomial(8, (40, 0, 0, 0, 0, 40, 0, 0)))
     assert skew_product_count(single) == 861**2
+
+
+def test_skew_floor_refuses_only_what_expand_skew_refuses():
+    # (nv - 1)^blocks is at most the product count of the built forms of
+    # P^M and of a hypersurface in P^M
+    for M in range(1, 6):
+        units = [[int(i == j) for j in range(M + 1)] for i in range(M + 1)]
+        forms = [chow_of_linear(map(ProjectivePoint, units))]
+        if M >= 2:
+            forms.append(chow_of_hypersurface(parse_poly("X0^2 + X1*X2", M + 1)))
+        for form in forms:
+            assert (form.vars_per_block - 1) ** form.blocks <= skew_product_count(form)
+    check_skew_floor(6, 7)  # 6^6 = 46656, the hypersurface in P^6
+    check_skew_floor(10**9, 2)  # base 1: one product per term, however many blocks
+    for blocks, nv in [(7, 7), (7, 8), (10**9, 3)]:
+        with pytest.raises(PreconditionViolated, match=f"at least {nv - 1}\\^{blocks} products"):
+            check_skew_floor(blocks, nv)
 
 
 @pytest.mark.parametrize("key, message", [

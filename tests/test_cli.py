@@ -682,31 +682,29 @@ def test_unequal_block_degrees_in_chow_form(capsys, tmp_path, command, a, b, zer
     )
 
 
-def test_huge_skew_expansion_exits_fast(tmp_path):
+def _single_term_ideal():
     # a single term of degree 40 per block would expand into 741,321 products
     scenario = ideal_scenario_dict()
     scenario["variety"]["chow_form"]["terms"] = [
         {"exponents": [[40, 0, 0, 0], [0, 40, 0, 0]], "coeff": "1"}
     ]
-    path = tmp_path / "single_term.json"
-    path.write_text(json.dumps(scenario))
-    code, seconds, _, stderr = _main_in_capped_child("chow", "--input", str(path))
-    assert code == 2 and seconds < 1.0
-    assert "skew expansion of up to 741321 products exceeds the limit 50000" in stderr
+    return scenario
 
 
-@pytest.mark.parametrize("variety, floor", [
-    ({"ambient_dim": 9, "kind": "projective_space"}, "9^10"),
-    ({"ambient_dim": 8, "kind": "hypersurface", "F": "X0"}, "8^8"),
-])
-def test_huge_skew_shape_exits_fast(tmp_path, variety, floor):
+@pytest.mark.parametrize("document, count", [
+    pytest.param(_single_term_ideal(), "up to 741321", id="single_term"),
     # the Chow form of P^M or of a hypersurface is refused by its shape
     # before it is built; built, P^9's ran out of memory
-    path = tmp_path / "variety.json"
-    path.write_text(json.dumps(variety))
+    pytest.param({"ambient_dim": 9, "kind": "projective_space"}, "at least 9^10", id="P9"),
+    pytest.param({"ambient_dim": 8, "kind": "hypersurface", "F": "X0"}, "at least 8^8",
+                 id="X0_in_P8"),
+])
+def test_huge_skew_expansion_exits_fast(tmp_path, document, count):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
     code, seconds, _, stderr = _main_in_capped_child("chow", "--input", str(path))
     assert code == 2 and seconds < 1.0
-    assert f"skew expansion of at least {floor} products exceeds the limit 50000" in stderr
+    assert f"skew expansion of {count} products exceeds the limit 50000" in stderr
 
 
 def _conic_with(tmp_path, **changes):
