@@ -301,19 +301,22 @@ def skew_product_count(form: MultiHomForm) -> int:
     return sum(prod(comb(e + nv - 2, e) for e in key) for key in form.terms)
 
 
-def check_skew_floor(blocks: int, vars_per_block: int) -> None:
+def check_skew_floor(blocks: int, vars_per_block: int, block_degree: int) -> None:
     """Refuse, before it is built, a form of `blocks` blocks of
-    `vars_per_block` variables and degree >= 1 per block whose every term
-    `expand_skew` would count past MAX_SKEW_PRODUCTS.
+    `vars_per_block` variables and degree `block_degree` per block whose
+    every term `expand_skew` would count past MAX_SKEW_PRODUCTS.
 
-    Each block of a term has a row with exponent e >= 1, whose power alone
-    has C(e + nv - 2, e) >= nv - 1 terms, so each term counts at least
-    (nv - 1)^blocks in `skew_product_count`: M^(M+1) for P^M and M^M for a
-    hypersurface in P^M.  A base >= 2 passes the limit within
+    A block monomial of degree delta takes the e_r-th power of each row r
+    of S x, a power of C(e_r + nv - 2, e_r) terms.  The product of these
+    counts is at least C(delta + nv - 2, delta), the number of monomials of
+    degree delta in nv - 1 variables, onto which the products of the
+    powers' terms map.  So each term counts at least that to the power
+    `blocks` in `skew_product_count`: M^(M+1) for P^M, and
+    C(delta + M - 1, delta)^M for a degree-delta hypersurface in P^M.  A base >= 2 passes the limit within
     MAX_SKEW_PRODUCTS.bit_length() blocks, so the power taken stays small
     however many blocks there are.
     """
-    base = vars_per_block - 1
+    base = comb(block_degree + vars_per_block - 2, block_degree)
     if base ** min(blocks, MAX_SKEW_PRODUCTS.bit_length()) > MAX_SKEW_PRODUCTS:
         raise PreconditionViolated(
             f"skew expansion of at least {base}^{blocks} products exceeds the "

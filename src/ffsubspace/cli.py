@@ -200,7 +200,7 @@ def _cmd_chow(args) -> int:
     # unless their shape alone makes `expand_skew` refuse them
     form, gens = variety.chow_form, variety.x_gens
     if variety.kind != "ideal":
-        check_skew_floor(variety.dimension + 1, gens.num_vars)
+        check_skew_floor(variety.dimension + 1, gens.num_vars, variety.degree)
     if variety.kind == "hypersurface":
         form = chow_of_hypersurface(gens.generators[0])
     elif variety.kind == "projective_space":

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -398,20 +399,28 @@ def test_skew_product_count():
 
 
 def test_skew_floor_refuses_only_what_expand_skew_refuses():
-    # (nv - 1)^blocks is at most the product count of the built forms of
-    # P^M and of a hypersurface in P^M
-    for M in range(1, 6):
-        units = [[int(i == j) for j in range(M + 1)] for i in range(M + 1)]
-        forms = [chow_of_linear(map(ProjectivePoint, units))]
-        if M >= 2:
-            forms.append(chow_of_hypersurface(parse_poly("X0^2 + X1*X2", M + 1)))
-        for form in forms:
-            assert (form.vars_per_block - 1) ** form.blocks <= skew_product_count(form)
-    check_skew_floor(6, 7)  # 6^6 = 46656, the hypersurface in P^6
-    check_skew_floor(10**9, 2)  # base 1: one product per term, however many blocks
-    for blocks, nv in [(7, 7), (7, 8), (10**9, 3)]:
-        with pytest.raises(PreconditionViolated, match=f"at least {nv - 1}\\^{blocks} products"):
-            check_skew_floor(blocks, nv)
+    # C(delta + nv - 2, delta)^blocks is at most the product count of the
+    # built forms of P^M and of hypersurfaces in P^M
+    forms = [
+        chow_of_linear(ProjectivePoint([int(i == j) for j in range(M + 1)]) for i in range(M + 1))
+        for M in range(1, 6)
+    ]
+    forms += [
+        chow_of_hypersurface(parse_poly(f, M + 1))
+        for M in (2, 3, 4, 5)
+        for f in ["X0", "X0^2 + X1*X2", "X0^3 - t*X1*X2^2"][:6 - M]
+    ]
+    for form in forms:
+        nv, delta = form.vars_per_block, form.block_degree
+        floor = comb(delta + nv - 2, delta) ** form.blocks
+        assert floor <= skew_product_count(form)
+        if floor <= MAX_SKEW_PRODUCTS:
+            check_skew_floor(form.blocks, nv, delta)
+    check_skew_floor(6, 7, 1)  # 6^6 = 46656, the hyperplane in P^6
+    check_skew_floor(10**9, 2, 1)  # base 1: one product per term, however many blocks
+    for blocks, nv, delta, base in [(7, 7, 1, 6), (7, 8, 1, 7), (10**9, 3, 1, 2), (3, 4, 60, 1891)]:
+        with pytest.raises(PreconditionViolated, match=f"at least {base}\\^{blocks} products"):
+            check_skew_floor(blocks, nv, delta)
 
 
 @pytest.mark.parametrize("key, message", [

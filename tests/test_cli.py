@@ -698,6 +698,8 @@ def _single_term_ideal():
     pytest.param({"ambient_dim": 9, "kind": "projective_space"}, "at least 9^10", id="P9"),
     pytest.param({"ambient_dim": 8, "kind": "hypersurface", "F": "X0"}, "at least 8^8",
                  id="X0_in_P8"),
+    pytest.param({"ambient_dim": 3, "kind": "hypersurface", "F": "X0^60"}, "at least 1891^3",
+                 id="X0^60_in_P3"),
 ])
 def test_huge_skew_expansion_exits_fast(tmp_path, document, count):
     path = tmp_path / "input.json"
