@@ -505,6 +505,35 @@ def height_poly_family(qs) -> Fraction:
     return height_point(ProjectivePoint(_family_coefficients(qs)))
 
 
+def power_family_order(p: Place, family) -> int:
+    """e_p of the point whose coordinates are the powers f^k, for the pairs
+    (f, k) of family, f nonzero and k >= 1: min of k * ord_p(f), as ord_p is
+    additive.  No power is built."""
+    return min(k * order_at(f, p) for f, k in family)
+
+
+def power_family_height(family) -> Fraction:
+    """h of the point of `power_family_order`, -sum_p e_p deg p, with no
+    power built and nothing factored.
+
+    Over a coprime base of the numerators and denominators
+    (`upoly.coprime_base`), a finite place p that divides a base element b
+    has ord_p(f) = e_b(f) ord_p(b), with e_b(f) the multiplicity of b in f,
+    and sum_{p | b} ord_p(b) deg p = deg b; every other finite place has
+    e_p = 0.  So the sum is infinity's term plus deg b times
+    max of -k * e_b(f) for each b.
+    """
+    h = -power_family_order(INFINITY, family)
+    for b in upoly.coprime_base([g for f, _ in family for g in (f.num, f.den)]):
+        b_at = upoly.probe(b)
+        h += upoly.degree(b) * max(
+            k * (upoly.multiplicity(f.den, b, None, b_at)
+                 - upoly.multiplicity(f.num, b, None, b_at))
+            for f, k in family
+        )
+    return Fraction(h)
+
+
 def weil_rows(places, qs, x: ProjectivePoint, values) -> tuple:
     """weil_table's rows, for values[i] = Q_i(x), nonzero, computed on the
     primitive forms of Q_i and x (`multipoly.primitive_values`).

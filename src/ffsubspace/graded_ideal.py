@@ -6,11 +6,13 @@ with columns indexed by the degree-m monomials in glex order.  Its rows are
 built over Z[t] from each g_i's primitive coefficients (denominators
 cleared, content 1 in Z[t], no sign rule), elimination keeps every row's
 content in Z[t] at 1 so degrees in t do not double at each pivot, and
-building stops once the rank reaches the number of columns.  Everything
-downstream (Hilbert values, quotient monomial bases, membership
-reductions, emptiness and position checks) is built on that one exact
-kernel; Nullstellensatz certificates solve over the rows of the g_i
-themselves, with coefficients in K.
+building stops once the rank reaches the number of columns.  Hilbert
+values, quotient monomial bases and membership reductions are built on
+that one exact kernel; Nullstellensatz certificates solve over the rows of
+the g_i themselves, with coefficients in K.  Emptiness, and so position,
+is decided first from the linear generators alone (their rank, and at
+rank M their one common point) and from the shape of exactly M + 1 forms;
+only the other ideals walk the graded pieces.
 """
 
 import itertools
@@ -18,6 +20,7 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
+from . import upoly
 from .errors import (
     Frozen,
     InvariantViolated,
@@ -28,7 +31,14 @@ from .errors import (
 )
 from .function_field import RationalFunction
 from .linalg import Echelon, solve_combination
-from .multipoly import HomogeneousPoly, monomial_basis, monomial_mul, parse_poly
+from .multipoly import (
+    HomogeneousPoly,
+    eval_terms,
+    monomial_basis,
+    monomial_mul,
+    parse_poly,
+    power_table,
+)
 
 
 class IdealGenerators(Frozen):
@@ -337,17 +347,53 @@ def lazard_degree(gens: IdealGenerators) -> int:
 
 
 def has_common_projective_zero(gens: IdealGenerators) -> EmptinessVerdict:
-    """One-sided emptiness certificate over the algebraic closure.
+    """Whether the generators have a common projective zero over the
+    algebraic closure, decided up to min(POSITION_CAP, lazard_degree).
 
-    EmptyCertified(m) means the degree-m slice is everything, so the
-    generators have no common projective zero.  NonemptyAtCap only means no
-    full slice was found up to min(POSITION_CAP, lazard_degree): the walk
-    stops at `lazard_degree`, past which no first full piece can lie, so
-    when that degree is at most POSITION_CAP, NonemptyAtCap also proves a
-    common zero.
+    EmptyCertified(m) means the degree-m slice is everything, and no slice
+    below it is, so the generators have no common projective zero.
+    NonemptyAtCap means no slice is full up to min(POSITION_CAP,
+    lazard_degree); since no first full slice lies past `lazard_degree`,
+    when that degree is at most POSITION_CAP it also proves a common zero.
+
+    Two shapes are decided before, or instead of, the walk over the slices:
+    - The degree-1 generators have rank r >= M.  Modding out linear forms
+      is a graded isomorphism, R/(L) = K[y] in M + 1 - r variables.  For
+      r = M + 1 the degree-1 slice is full.  For r = M the linear forms cut
+      P^M to one point P, and the ideal's image in K[y] is (y^e), e the
+      least degree of a generator nonzero at P, so the first full slice has
+      degree max(1, e).  Here the verdict is two-sided: NonemptyAtCap means
+      P itself is a common zero, or e is past POSITION_CAP.  It prints as
+      every other NonemptyAtCap does, so reports do not tell the two apart.
+    - Exactly M + 1 generators, all of degree >= 1: without a common zero
+      they form a regular sequence, whose quotient has Hilbert series
+      prod (1 + s + ... + s^(d_i - 1)), nonzero up to degree D - 1 and zero
+      from D = `lazard_degree` on (Bruns-Herzog, Cohen-Macaulay Rings); with
+      one, no slice is ever full.  So the walk starts at D: only the slice
+      of degree D is built, and none when D is past POSITION_CAP.
+    Every other ideal walks the slices from degree 1.  All three give the
+    verdict of that walk.
     """
     M = gens.num_vars - 1
-    for m in range(1, min(POSITION_CAP, lazard_degree(gens)) + 1):
+    D = lazard_degree(gens)
+    cap = min(POSITION_CAP, D)
+    cut = Echelon(M + 1)  # the degree-1 generators, column i for X_i
+    for g in gens.generators:
+        if g.degree == 1:
+            cut.add_row({mono.index(1): c for mono, c in g.primitive()[0].items()})
+    if cut.rank == M + 1:
+        return EmptinessVerdict(True, 1)
+    if cut.rank == M:
+        powers = power_table(cut.kernel_vector())
+        others = sorted((g for g in gens.generators if g.degree != 1), key=lambda g: g.degree)
+        for g in others:
+            if g.degree > cap:
+                break
+            if eval_terms(g.primitive()[0], powers, (), upoly.mul, upoly.add):
+                return EmptinessVerdict(True, max(1, g.degree))
+        return EmptinessVerdict(False, None)
+    shape = len(gens.generators) == M + 1 and all(g.degree for g in gens.generators)
+    for m in range(D if shape else 1, cap + 1):
         if graded_piece(gens, m).rank == comb(m + M, M):
             return EmptinessVerdict(True, m)
     return EmptinessVerdict(False, None)
@@ -368,9 +414,11 @@ class PositionReport(NamedTuple):
 
 
 # A resource guard on the position walk: it visits at most this many
-# (N+1)-subsets.  A subset walk took 0.07-0.8 ms with lines and conics as
-# divisors (2 vCPUs, Python 3.11.7), so a walk at the limit takes about 0.2
-# to 1.6 s.
+# (N+1)-subsets.  It bounds their number, not the time they take: a subset
+# decided by its linear forms takes well under 1 ms, but one of three
+# t-dependent quadrics on a quadric surface in P^3 took 0.35-0.56 s (2 vCPUs,
+# Python 3.11.7), so a walk of such subsets at the limit takes 12 to 19
+# minutes.
 MAX_POSITION_SUBSETS = 2000
 
 
@@ -389,10 +437,10 @@ def check_subgeneral_position(x_gens: IdealGenerators, qs, N: int) -> PositionRe
     """Check N-subgeneral position of the divisors with respect to X.
 
     Runs `has_common_projective_zero` on X's generators joined with every
-    (N+1)-subset of the divisors, so each walk is bounded by POSITION_CAP;
+    (N+1)-subset of the divisors, so no piece above POSITION_CAP is built;
     more than MAX_POSITION_SUBSETS subsets are refused before any piece is
-    built.  One-sided like the certificate itself: a failing subset is
-    reported, not proven nonempty.
+    built.  A failing subset is reported, and proven nonempty only where
+    that check's verdict is two-sided.
     """
     qs = list(qs)
     check_position_subsets(len(qs), N)

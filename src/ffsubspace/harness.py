@@ -29,8 +29,9 @@ from .function_field import (
     PlaceSet,
     Place,
     ProjectivePoint,
-    gauss_order_point,
     height_point,
+    power_family_height,
+    power_family_order,
     weil_rows,
 )
 from .graded_ideal import (
@@ -508,18 +509,20 @@ def _hilbert_exceptions(scenario: Scenario):
     return ()
 
 
-def _normalized_family(divisors, d: int) -> ProjectivePoint:
-    """A point with the Gauss order of the family (Q_i/a_i)^(d/d_i) at every
-    place, a_i the leading coefficient of Q_i, without building the forms.
+def _normalized_family(divisors, d: int) -> tuple:
+    """The family (Q_i/a_i)^(d/d_i), a_i the leading coefficient of Q_i, as
+    the pairs (c/a_i, d/d_i) over the coefficients c of each Q_i: the point
+    of the powers, which `power_family_order` and `power_family_height`
+    read without building the forms or the powers.
 
     By Gauss's lemma e_p(F^k) = k e_p(F) at every place, infinity too, and
     k e_p(F) is e_p of the k-th powers of F's coefficients.
     """
-    return ProjectivePoint([
-        (c / q.leading_coefficient()) ** (d // q.degree)
+    return tuple(
+        (c / q.leading_coefficient(), d // q.degree)
         for q in divisors
         for c in q.coefficients()
-    ])
+    )
 
 
 def run_check(scenario: Scenario) -> Report:
@@ -541,9 +544,9 @@ def run_check(scenario: Scenario) -> Report:
 
     h_q_i = tuple(Fraction(q.primitive()[1]) for q in scenario.divisors)
     family = _normalized_family(scenario.divisors, d)
-    h_q_family = height_point(family)
+    h_q_family = power_family_height(family)
     e_s_term = Fraction(
-        sum(gauss_order_point(p, family) * p.degree for p in scenario.places)
+        sum(power_family_order(p, family) * p.degree for p in scenario.places)
     )
 
     inputs = ConstantInputs(

@@ -22,6 +22,7 @@ enter through `primitive_row` and leave through `RationalFunction.reduced`.
 from __future__ import annotations
 
 from . import upoly
+from .errors import PreconditionViolated
 from .function_field import RationalFunction, primitive_polys
 
 
@@ -92,6 +93,31 @@ class Echelon:
                 return True
             row = _strip_content(_eliminate(row, piv, lead))
         return False
+
+    def kernel_vector(self) -> list:
+        """For rank ncols - 1, the one line over K that every stored row
+        annihilates, as ncols coprime Z[t] entries (zeros are ()).
+
+        Fraction-free back-substitution: the free column starts at 1; each
+        pivot row, last pivot first, with entry a at its pivot and sum s of
+        its other entries times the known ones, scales the vector by a and
+        puts -s at its pivot (nothing to do when s = 0), and the content is
+        divided out after each step."""
+        if self.rank != self.ncols - 1:
+            raise PreconditionViolated(f"rank {self.rank} in {self.ncols} columns")
+        x = [upoly.ZERO] * self.ncols
+        x[next(c for c in range(self.ncols) if c not in self._pivots)] = upoly.ONE
+        for col, piv in sorted(self._pivots.items(), reverse=True):
+            s = upoly.ZERO
+            for c, p in piv.items():
+                if c != col and x[c]:
+                    s = upoly.add(s, upoly.mul(p, x[c]))
+            if s:
+                a = piv[col]
+                x = [upoly.mul(a, v) for v in x]
+                x[col] = upoly.neg(s)
+                x = upoly.divide_content(x)
+        return x
 
     def reduce(self, field_row: dict) -> dict:
         """Residual of a row over K modulo the row space: the one element of

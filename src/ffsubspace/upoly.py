@@ -145,6 +145,32 @@ def divide_content(polys) -> list:
     return out if g else polys
 
 
+def coprime_base(polys) -> list:
+    """Pairwise coprime primitive polynomials of degree >= 1, each with a
+    positive leading coefficient, such that every nonzero p in polys is an
+    integer times a product of their powers.
+
+    Factor refinement (Bach, Driscoll and Shallit, J. Algorithms 15, 1993)
+    by gcds alone: an element that shares a factor g with one of the base
+    leaves the base with it, and g and the two cofactors are refined in
+    their place.  Each such step lowers the total degree, so it ends.
+    """
+    base, pending = [], [primitive(p) for p in polys if len(p) > 1]
+    while pending:
+        x = pending.pop()
+        if len(x) < 2:
+            continue
+        for i, b in enumerate(base):
+            g, x_g, b_g = gcd(x, b)
+            if len(g) > 1:
+                del base[i]
+                pending += [g, x_g, b_g]
+                break
+        else:
+            base.append(x)
+    return base
+
+
 def power(base, n: int, one, mul):
     """base ** n by square-and-multiply, for any `mul` with identity `one`.
 

@@ -2,7 +2,7 @@
 sums, constructions the library no longer performs, and bounds that hold by
 construction and so are checked only here."""
 
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from ffsubspace.errors import ZeroPolynomial
@@ -12,7 +12,13 @@ from ffsubspace.function_field import (
     gauss_order_coeffs,
     support,
 )
-from ffsubspace.graded_ideal import graded_piece, hilbert_function
+from ffsubspace.graded_ideal import (
+    POSITION_CAP,
+    EmptinessVerdict,
+    graded_piece,
+    hilbert_function,
+    lazard_degree,
+)
 from ffsubspace.hilbert_bounds import sombra_lower
 from ffsubspace.linalg import Echelon, primitive_row
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis
@@ -66,6 +72,17 @@ def graded_piece_echelon(gens, m: int) -> Echelon:
             product = g * HomogeneousPoly.monomial(gens.num_vars, gamma, 1)
             ech.add_row(primitive_row({col_of[mono]: c for mono, c in product.terms.items()}))
     return ech
+
+
+def position_walk(gens) -> EmptinessVerdict:
+    """The verdict of `has_common_projective_zero` by the plain walk: the
+    graded pieces of degree 1 up to min(POSITION_CAP, lazard_degree), the
+    first full one certifying, with no shape decided first."""
+    M = gens.num_vars - 1
+    for m in range(1, min(POSITION_CAP, lazard_degree(gens)) + 1):
+        if graded_piece(gens, m).rank == comb(m + M, M):
+            return EmptinessVerdict(True, m)
+    return EmptinessVerdict(False, None)
 
 
 def rref_of(ech) -> dict:

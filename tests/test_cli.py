@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -12,11 +13,12 @@ from ffsubspace.chow import chow_of_linear, multihomform_to_json
 from ffsubspace.cli import main
 from ffsubspace.effective_constants import b_const
 from ffsubspace.function_field import ProjectivePoint
+from ffsubspace.graded_ideal import IdealGenerators
 from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
 from ffsubspace.hilbert_bounds import hypersurface_hilbert, threshold_a_eps
-from ffsubspace.multipoly import HomogeneousPoly
-from helpers import int_digits_unlimited
-from oracles import s_sum_oracle
+from ffsubspace.multipoly import HomogeneousPoly, parse_poly
+from helpers import int_digits_unlimited, workload_scenario
+from oracles import position_walk, s_sum_oracle
 from test_harness import conic_scenario_dict, golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -1090,42 +1092,132 @@ def test_filtration_with_t_in_the_divisor_is_fast():
     assert "level dims W_i: [33, 31, 29, 27, 25, 23, 21, 19, 17, 15, 13, 11, 9, 7, 5, 3, 1]" in out
 
 
-def test_position_walk_stops_at_the_lazard_degree(monkeypatch, capsys):
-    # the conic and any two of its four lines have Lazard degree 2, so the
-    # walk of each of the 6 subsets builds the pieces of degree 1 and 2 and
-    # no more, below the cap 6; the two failing subsets are decided there too
+def test_position_walk_stops_at_the_lazard_degree(monkeypatch, capsys, tmp_path):
+    # conic divisors leave no linear form to cut with.  With N = 2 each
+    # subset is the conic and three conics, Lazard degree 4, walked from
+    # degree 1: three stop at their full piece of degree 3, and the failing
+    # one, whose four conics meet at (1 : 0 : 0), at degree 4, below the cap
+    # 6.  With N = 1 each subset is exactly M + 1 = 3 conics, whose first
+    # full piece can only be the one of degree 4, so only that one is built.
     built, real = [], graded_ideal.graded_piece
 
     def spy(gens, m):
         built.append(m)
         return real(gens, m)
 
+    path = tmp_path / "conics.json"
+    path.write_text(json.dumps(conic_scenario_dict(divisors=[
+        {"poly": p, "degree": 2}
+        for p in ["X1*X2", "X2^2 + t*X0*X1", "X1^2 - X2^2 + X0*X2", "X0^2 + t*X1*X2"]
+    ])))
     monkeypatch.setattr(graded_ideal, "graded_piece", spy)
-    assert main(["position", "--file", SCENARIO, "--N", "1"]) == 0
-    assert sorted(built) == [1] * 6 + [2] * 6
-    assert capsys.readouterr().out.count("NonemptyAtCap(cap=6)") == 2
+    assert main(["position", "--file", str(path), "--N", "2"]) == 0
+    assert sorted(built) == [1] * 4 + [2] * 4 + [3] * 4 + [4]
+    assert capsys.readouterr().out.count("NonemptyAtCap(cap=6)") == 1
+    built.clear()
+    assert main(["position", "--file", str(path), "--N", "1"]) == 0
+    assert built == [4] * 6
+    assert capsys.readouterr().out.count("EmptyCertified(m=4)") == 2
 
 
 @pytest.mark.parametrize("n_value, subsets", [(-5, None), (0, None), (1, 6), (3, 1), (4, None), (10, None)])
 def test_position_n_must_leave_a_subset(monkeypatch, capsys, n_value, subsets):
-    # the conic has q = 4 divisors: --N in [1, 3] is walked, any other value
-    # exits 2 before any graded piece is built
-    built, real = [], graded_ideal.graded_piece
+    # the conic has q = 4 divisors: --N in [1, 3] is walked, one emptiness
+    # check per subset, and any other value exits 2 before any check
+    checked, real = [], graded_ideal.has_common_projective_zero
 
-    def spy(gens, m):
-        built.append(m)
-        return real(gens, m)
+    def spy(gens):
+        checked.append(gens)
+        return real(gens)
 
-    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    monkeypatch.setattr(graded_ideal, "has_common_projective_zero", spy)
     code = main(["position", "--file", SCENARIO, "--N", str(n_value)])
     captured = capsys.readouterr()
     if subsets is None:
-        assert (code, captured.out, built) == (2, "", [])
+        assert (code, captured.out, checked) == (2, "", [])
         assert captured.err == f"error: --N must lie in [1, 3], got {n_value}\n"
     else:
-        assert code == 0 and built
+        assert code == 0 and len(checked) == subsets
         assert captured.out.startswith(f"N = {n_value}: ")
         assert captured.out.count("  subset ") == subsets
+
+
+SCHMIDT_HYPERPLANES = ["X0 + t*X1", "X1 + t*X2", "X2 + t*X3", "t*X0 + X3",
+                       "X0 + X1 + X2 + (t^2 + 1)*X3"]
+
+
+def test_classical_schmidt_position_builds_no_graded_piece(monkeypatch, capsys, tmp_path):
+    # P^3 with five hyperplanes in general position over Q(t) and N = 3:
+    # each 4-subset has rank 4, so the linear cut certifies it at degree 1
+    # in `position` and in `check`, with no graded piece; the verdicts are
+    # those of the plain walk
+    path = tmp_path / "schmidt.json"
+    path.write_text(json.dumps(conic_scenario_dict(
+        ambient_dim=3, variety={"kind": "projective_space"}, N=3,
+        divisors=[{"poly": p, "degree": 1} for p in SCHMIDT_HYPERPLANES],
+        points=[["1", "t", "t^2 + 1", "t^3"], ["t", "1", "2", "t - 1"]],
+    )))
+    planes = [parse_poly(p, 4) for p in SCHMIDT_HYPERPLANES]
+    walked = [
+        (list(indices), position_walk(IdealGenerators.of(4, tuple(planes[i] for i in indices))))
+        for indices in itertools.combinations(range(5), 4)
+    ]
+    assert all(verdict == (True, 1) for _, verdict in walked)
+
+    def no_piece(gens, m):
+        raise AssertionError("a graded piece was built")
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", no_piece)
+    assert main(["position", "--file", str(path), "--N", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [f"  subset {indices}: {verdict}" for indices, verdict in walked]
+    assert main(["check", str(path), "--format", "json"]) == 0
+    subsets = json.loads(capsys.readouterr().out)["position"]["subsets"]
+    assert [(s["indices"], (s["empty_certified"], s["certified_degree"])) for s in subsets] == [
+        (indices, tuple(verdict)) for indices, verdict in walked
+    ]
+
+
+def test_ideal_session_position_builds_no_graded_piece(monkeypatch):
+    # each of the 20 subsets is the twisted cubic's three quadrics and three
+    # of the six planes, of rank 3 = M: the planes cut P^3 to one point and
+    # the quadrics are evaluated there.  Pieces are built only after the
+    # position stage, for the Hilbert values.
+    scenario = load_scenario_dict(workload_scenario("ideal-session", 1))
+    stage, built = ["before"], []
+    real_piece, real_position = graded_ideal.graded_piece, harness.check_subgeneral_position
+
+    def piece_spy(gens, m):
+        built.append(stage[0])
+        return real_piece(gens, m)
+
+    def position_spy(*args):
+        stage[0] = "position"
+        try:
+            return real_position(*args)
+        finally:
+            stage[0] = "after"
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", piece_spy)
+    monkeypatch.setattr(harness, "check_subgeneral_position", position_spy)
+    report = run_check(scenario)
+    assert len(report.position.subsets) == 20 and report.position.in_position
+    assert built and set(built) == {"after"}
+
+
+LCM_SCENARIO = str(Path(__file__).resolve().parent / "data" / "lcm_of_degrees.json")
+
+
+def test_large_lcm_of_degrees_exits_fast():
+    # degrees 1, 1, 23, 29 and 31 have lcm d = 20677, and the divisor
+    # X0 + (t+1)*X1 makes the family's height d: it is read off the orders
+    # of the coefficients, with no power (c/a_i)^(d/d_i) built
+    code, seconds, out, stderr = _main_in_capped_child("check", LCM_SCENARIO, "--format", "json")
+    assert code in (0, 1) and seconds < 1.0 and "Traceback" not in stderr
+    constants = json.loads(out)["constants"]
+    assert (constants["d"], constants["h_q_family"], constants["e_s_term"]) == (
+        20677, "20677/1", "-20677/1"
+    )
 
 
 def test_position_cap_is_not_an_option(capsys):

@@ -4,9 +4,9 @@ import time
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ffsubspace import graded_ideal
+from ffsubspace import graded_ideal, upoly
 from ffsubspace.errors import (
     InvariantViolated,
     NoCertificateWithinCap,
@@ -32,7 +32,7 @@ from ffsubspace.graded_ideal import (
 from ffsubspace.linalg import Echelon
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
-from oracles import graded_piece_echelon, piece_rows, rref_of
+from oracles import graded_piece_echelon, piece_rows, position_walk, rref_of
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
 LINES = [parse_poly(s, 3) for s in ["X0", "X1", "X2", "X0 + X1 + X2"]]
@@ -347,6 +347,106 @@ def test_walk_cut_at_the_lazard_degree_keeps_the_verdict(gens):
     assert verdict.certified_empty == bool(full)
     assert verdict.certified_degree == (full[0] if full else None)
     assert not full or full[0] <= lazard_degree(gens)
+
+
+_small_zpoly = st.lists(st.integers(-3, 3), max_size=2).map(upoly.strip)
+
+
+@st.composite
+def _position_subsets(draw):
+    """Generators in 2-3 variables over Q(t), drawn around a point P with
+    coordinates in Z[t]: linear forms through P or not, t-multiples and
+    sums of earlier linear forms, forms of degree 2, 3 or 7 through P or
+    not, and nonzero constants; or else exactly M + 1 forms of degree 2, 3
+    or 7, all through P or not.  So the degree-1 rank r is below, at or
+    above M, P may be a common zero, the least degree nonzero at P may lie
+    past POSITION_CAP, and some subsets are exactly M + 1 forms."""
+    nv = draw(st.integers(2, 3))
+    point = draw(st.lists(_small_zpoly, min_size=nv, max_size=nv).filter(any))
+    at = [RationalFunction(c) for c in point]
+    j = next(i for i, c in enumerate(point) if c)
+
+    def form(degree, through):
+        basis = monomial_basis(nv, degree)
+        terms = draw(st.dictionaries(st.sampled_from(basis), _coefficients,
+                                     min_size=1, max_size=3))
+        g = HomogeneousPoly(nv, degree, terms)
+        if through:  # subtract g(P) / P_j^degree * X_j^degree
+            power = tuple(degree * (i == j) for i in range(nv))
+            g = g - HomogeneousPoly.monomial(nv, power, g.evaluate(at) / at[j] ** degree)
+        return g
+
+    degrees = st.sampled_from([2, 2, 2, 3, 7])
+    if draw(st.integers(0, 3)) == 0:
+        through = draw(st.booleans())
+        forms = [form(draw(degrees), through) for _ in range(nv)]
+        return IdealGenerators.of(nv, tuple(g for g in forms if g))
+    gens = []
+    for _ in range(draw(st.integers(1, nv + 2))):
+        kind = draw(st.sampled_from(["line", "line", "copy", "form", "constant"]))
+        lines = [g for g in gens if g.degree == 1]
+        if kind == "copy" and lines:
+            g = draw(st.sampled_from(lines)) * draw(_coefficients)
+            if len(lines) > 1:
+                g = g + draw(st.sampled_from(lines))
+        elif kind == "constant":
+            g = HomogeneousPoly.monomial(nv, (0,) * nv, draw(_coefficients))
+        else:
+            g = form(1 if kind != "form" else draw(degrees), draw(st.booleans()))
+        if g:
+            gens.append(g)
+    return IdealGenerators.of(nv, tuple(gens))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gens=_position_subsets())
+# dependent linear forms: X0 + t*X1 = (X0 - t*X2) + t*(X1 + X2), r = M
+@example(gens=IdealGenerators.parse(3, ["X0 - t*X2", "X1 + X2", "X0 + t*X1", "X1^2 - X0*X2"]))
+# dependent linear forms with r < M, as exactly M + 1 forms with a common zero
+@example(gens=IdealGenerators.parse(3, ["X0 + t*X1", "(t+1)*X0 + (t^2+t)*X1", "X2^2 - t*X0*X1"]))
+# r = M + 1
+@example(gens=IdealGenerators.parse(3, ["X0 + t*X1", "X1 - X2", "X2 + (t^2+1)*X0", "X0*X1"]))
+# r = M, and every other generator vanishes at P = (1 : t : t^2)
+@example(gens=IdealGenerators.parse(3, ["t*X0 - X1", "t*X1 - X2", "X0*X2 - X1^2",
+                                        "X0^2*X2 - X0*X1^2"]))
+# r = M, the least degree nonzero at P = (t : 1 : 1) is 7, past the cap
+@example(gens=IdealGenerators.parse(3, ["X0 - t*X1", "X1 - X2", "X0*X2 - t*X1^2",
+                                        "X0^7 + t*X2^7"]))
+# a constant generator, with r < M and with r = M
+@example(gens=IdealGenerators.parse(3, ["t + 1", "X0*X1"]))
+@example(gens=IdealGenerators.parse(3, ["X0", "X1", "2*t"]))
+# exactly M + 1 forms: with no common zero, with (1 : 0 : 0), and with D = 7
+@example(gens=IdealGenerators.parse(3, ["X0^2 + t*X1^2", "X1^2 - X2^2 + X0*X1",
+                                        "X2^2 + (t+1)*X0*X2"]))
+@example(gens=IdealGenerators.parse(3, ["X1^2 + t*X0*X2", "X1*X2 + X0*X1", "X2^2 - t*X0*X1"]))
+@example(gens=IdealGenerators.parse(3, ["X0^3 + t*X1^3", "X1^3 - X2^3", "X2^3 + X0*X1*X2"]))
+def test_position_shapes_match_the_plain_walk(gens):
+    assert has_common_projective_zero(gens) == position_walk(gens)
+
+
+@pytest.mark.parametrize("texts, verdict, built", [
+    (["X0 + t*X1", "X1 - X2", "X2 + (t^2+1)*X0", "X0*X1"], (True, 1), []),  # r = M + 1
+    (["t*X0 - X1", "t*X1 - X2", "X0*X2 - X1^2"], (False, None), []),  # r = M, P on all
+    (["X0 - t*X1", "X1 - X2", "X0*X2 - X1^2"], (True, 2), []),  # r = M, conic off P
+    (["X0 - t*X1", "X1 - X2", "X0^7 + t*X2^7"], (False, None), []),  # r = M, degree 7
+    (["X0^2 + t*X1^2", "X1^2 - X2^2 + X0*X1", "X2^2 + (t+1)*X0*X2"], (True, 4), [4]),
+    (["X1^2 + t*X0*X2", "X1*X2 + X0*X1", "X2^2 - t*X0*X1"], (False, None), [4]),
+    (["X0^3 + t*X1^3", "X1^3 - X2^3", "X2^3 + X0*X1*X2"], (False, None), []),  # D = 7
+    (["X0*X2 - X1^2", "X0", "X1*X2", "X2^2"], (True, 2), [1, 2]),  # walked
+])
+def test_position_shapes_build_no_piece_below_their_degree(monkeypatch, texts, verdict, built):
+    # r >= M is decided by the linear forms alone; exactly M + 1 forms build
+    # only the piece at the Lazard degree D, and none when D > POSITION_CAP
+    pieces, real = [], graded_ideal.graded_piece
+
+    def spy(gens, m):
+        pieces.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    gens = IdealGenerators.parse(3, texts)
+    assert tuple(has_common_projective_zero(gens)) == verdict
+    assert pieces == built
 
 
 def test_lazard_degree_examples():

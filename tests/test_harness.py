@@ -13,10 +13,10 @@ from ffsubspace.function_field import (
     INFINITY,
     Place,
     RationalFunction,
-    gauss_order_point,
     gauss_order_poly,
-    height_point,
     height_poly_family,
+    power_family_height,
+    power_family_order,
 )
 from ffsubspace.harness import (
     _normalized_family,
@@ -471,9 +471,9 @@ def test_scalar_family_matches_the_lcm_reduction(qs):
     d = lcm(*(q.degree for q in qs))
     assert reduction.d == d
     family = _normalized_family(qs, d)
-    assert height_point(family) == height_poly_family(reduction.normalized)
+    assert power_family_height(family) == height_poly_family(reduction.normalized)
     for p in FAMILY_PLACES + [INFINITY]:
-        assert gauss_order_point(p, family) == gauss_order_poly(p, reduction.normalized)
+        assert power_family_order(p, family) == gauss_order_poly(p, reduction.normalized)
 
 
 @pytest.mark.parametrize("n", [

@@ -1,7 +1,10 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from ffsubspace import upoly
+from ffsubspace.errors import PreconditionViolated
 from ffsubspace.function_field import RationalFunction
 from ffsubspace.linalg import Echelon, primitive_row, solve_combination
 from helpers import rand_k, rand_qpoly
@@ -273,3 +276,22 @@ def test_row_to_primitive_reads_numerators_and_denominators():
     assert all(RationalFunction.reduced(p) == ratio * row[c] for c, p in prim.items())
     # entries sharing the factor t lose it, not only their integer content
     assert primitive_row({0: T * T + T, 2: T}) == {0: (1, 1), 2: (1,)}
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=_row_sets(ncols=3))
+def test_kernel_vector_spans_the_kernel(rows):
+    # rank 2 in 3 columns leaves a kernel line over K; the vector spans it,
+    # in coprime Z[t] entries
+    ech = Echelon(3)
+    for r in rows:
+        ech.add_row(primitive_row(r))
+    if ech.rank != 2:
+        with pytest.raises(PreconditionViolated):
+            ech.kernel_vector()
+        return
+    x = ech.kernel_vector()
+    assert any(x) and upoly.divide_content(x) == x
+    point = [RationalFunction.reduced(c) for c in x]
+    for r in rows:
+        assert sum((v * point[c] for c, v in r.items()), ZERO) == ZERO

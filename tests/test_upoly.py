@@ -426,3 +426,31 @@ def test_integer_kernels():
         assert upoly.mul(a, b) == schoolbook_mul(a, b)
         assert upoly.sub(a, b) == upoly.add(a, upoly.neg(b))
         assert upoly.sub(a, a) == ()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    factors=st.lists(_small_polys.filter(lambda p: len(p) > 1), min_size=1, max_size=4),
+    picks=st.lists(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 3)), max_size=3),
+                   min_size=1, max_size=4),
+    content=st.integers(1, 6),
+)
+def test_coprime_base_refines_products_of_shared_factors(factors, picks, content):
+    # products of powers of a few shared factors, times an integer: the base
+    # is pairwise coprime, and each input is an integer times a product of
+    # powers of its elements, read off by multiplicity
+    polys = [upoly.ONE] * len(picks)
+    for i, pick in enumerate(picks):
+        for k, e in pick:
+            polys[i] = upoly.mul(polys[i], upoly.pow_(factors[k % len(factors)], e))
+        polys[i] = upoly.scale(polys[i], content)
+    base = upoly.coprime_base(polys)
+    for i, b in enumerate(base):
+        assert len(b) > 1 and b[-1] > 0 and upoly.primitive(b) == b
+        assert all(len(upoly.gcd(b, c)[0]) == 1 for c in base[i + 1:])
+    for p in polys:
+        rest = p
+        for b in base:
+            rest = upoly.quo(rest, upoly.pow_(b, upoly.multiplicity(p, b)))
+        assert len(rest) == 1
+    assert upoly.coprime_base([(), (3,), (0, 2), (0, 0, 5)]) == [(0, 1)]
