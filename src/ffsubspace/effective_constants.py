@@ -63,22 +63,13 @@ def excess_vanishing_power(n: int, M: int, N: int, delta: int, d: int) -> int:
     )
 
 
-def excess_vanishing_const(
-    n: int, M: int, N: int, delta: int, d: int, h_fx, h_q_family
-) -> Fraction:
-    """The per-place constant: the power factor times (h(F_X) + h(Q_1..Q_q))."""
-    return excess_vanishing_power(n, M, N, delta, d) * (Fraction(h_fx) + Fraction(h_q_family))
-
-
 def choose_m(a_eps: int, d: int, n: int, delta: int) -> int:
-    """m := d([a_eps/d] + 1), lifted to a multiple of d at least max(3, (n+1)delta)."""
+    """m := d([a_eps/d] + 1), lifted to the least multiple of d at least
+    max(3, (n+1)delta)."""
     if a_eps < 1 or d < 1:
         raise PreconditionViolated("need a_eps >= 1 and d >= 1")
-    m = d * (a_eps // d + 1)
     floor = max(3, (n + 1) * delta)
-    while m < floor:
-        m += d
-    return m
+    return d * max(a_eps // d + 1, -(-floor // d))
 
 
 class _ConstantFields(NamedTuple):
@@ -172,7 +163,8 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
     a_eps = threshold_a_eps(n, delta, d, inputs.epsilon / N)
     m = choose_m(a_eps, d, n, delta) if inputs.m is None else inputs.m
     b = b_const(m, n, M, delta)
-    a = excess_vanishing_const(n, M, N, delta, d, inputs.h_fx, inputs.h_q_family)
+    power = excess_vanishing_power(n, M, N, delta, d)
+    a = power * (Fraction(inputs.h_fx) + Fraction(inputs.h_q_family))
 
     if m < 2 * d:
         raise PreconditionViolated("need m >= 2d so that S(m/d - 1) is nonempty")
@@ -198,7 +190,6 @@ def assemble_constants(inputs: ConstantInputs, hilbert, exceptions) -> Effective
     weighted_d = sum(
         (Fraction(d, di) * h for h, di in zip(inputs.h_q_i, inputs.d_i)), Fraction(0)
     )
-    power = excess_vanishing_power(n, M, N, delta, d)
     c_prime = (
         power * (Fraction(inputs.h_fx, d) + weighted) * (q - N) * inputs.s_card
         + q * weighted

@@ -154,13 +154,16 @@ def graded_piece(gens: IdealGenerators, m: int) -> GradedPieceBasis:
     return GradedPieceBasis(m, cols, col_of, ech)
 
 
-def macaulay_upper(a: int, k: int) -> int:
-    """Macaulay's bound a^<k>, for k >= 1.
+def macaulay_upper(a: int, k: int, steps: int = 1) -> int:
+    """Macaulay's bound a^<k>, for k >= 1, applied `steps` times.
 
     With a = C(a_k, k) + C(a_{k-1}, k-1) + ... + C(a_j, j), a_k > ... >
     a_j >= j >= 1 (the k-th Macaulay representation), a^<k> is
     C(a_k + 1, k + 1) + ... + C(a_j + 1, j + 1).  H(k+1) <= H(k)^<k> for
-    the Hilbert function of every homogeneous ideal.
+    the Hilbert function of every homogeneous ideal.  The shifted pairs
+    (a_i + 1, i + 1) are a^<k>'s own (k+1)-th representation, so s
+    applications, ((a^<k>)^<k+1>...)^<k+s-1>, give the sum of
+    C(a_i + s, i + s): one representation for any s, and a itself at s = 0.
     """
     total = 0
     i = k
@@ -169,7 +172,7 @@ def macaulay_upper(a: int, k: int) -> int:
         while comb(top + 1, i) <= a:
             top += 1
         a -= comb(top, i)
-        total += comb(top + 1, i + 1)
+        total += comb(top + steps, i + steps)
         i -= 1
     return total
 
@@ -181,10 +184,13 @@ def hilbert_function(gens: IdealGenerators, m: int) -> int:
     upwards only until Gotzmann's persistence theorem (Gotzmann 1978;
     Bruns-Herzog, Cohen-Macaulay Rings, Thm 4.3.3) applies: if the ideal is
     generated in degrees <= D and H(k+1) = H(k)^<k> for some k >= D, then
-    H(j+1) = H(j)^<j> for every j >= k.  The higher values are then
-    Macaulay's bound iterated up to m, which that theorem makes an equality,
-    so the result is the rank value, exactly.  Without such a k below m the
-    result is the rank at m; no piece above degree m is built.
+    H(j+1) = H(j)^<j> for every j >= k.  At the first such k, H(m) is
+    Macaulay's bound applied m - k times to H(k), which that theorem makes
+    an equality, read off H(k)'s one shifted representation
+    (`macaulay_upper(H(k), k, m - k)`), so the result is the rank value,
+    exactly, at a cost that does not grow with m.  Without such a k below m
+    the result is the rank at m.  No piece above degree m is built, nor any
+    above k + 1 for that first k.
     """
     M = gens.num_vars - 1
 
@@ -194,12 +200,12 @@ def hilbert_function(gens: IdealGenerators, m: int) -> int:
     k = max([1] + [g.degree for g in gens.generators])
     if m <= k + 1:
         return rank_value(m)
-    h, persists = rank_value(k), False
+    h = rank_value(k)
     while k < m:
-        upper = macaulay_upper(h, k)
-        h = upper if persists else rank_value(k + 1)
-        persists = h == upper
-        k += 1
+        h_next = rank_value(k + 1)
+        if h_next == macaulay_upper(h, k):
+            return macaulay_upper(h, k, m - k)
+        h, k = h_next, k + 1
     return h
 
 

@@ -132,6 +132,25 @@ def filtration_reference(gens, m: int, q_poly) -> tuple:
     return tuple(entries), tuple(dims[i] for i in range(m // d + 1))
 
 
+def macaulay_bound(a: int, k: int) -> int:
+    """a^<k>, Macaulay's bound applied once, for k >= 1: each top a_i of the
+    k-th Macaulay representation of a, the largest with C(a_i, i) <= a, is
+    found by doubling and bisection rather than by counting up."""
+    total = 0
+    for i in range(k, 0, -1):
+        if a == 0:
+            break
+        low, high = i, i + 1  # C(low, i) <= a, and C(high, i) > a once found
+        while comb(high, i) <= a:
+            low, high = high, 2 * high
+        while high - low > 1:
+            mid = (low + high) // 2
+            low, high = (mid, high) if comb(mid, i) <= a else (low, mid)
+        a -= comb(low, i)
+        total += comb(low + 1, i + 1)
+    return total
+
+
 def power_sum(k: int, l: int) -> int:
     """S_k(l) = 1^k + ... + l^k, exactly."""
     return sum(i**k for i in range(1, l + 1))

@@ -14,7 +14,13 @@ from ffsubspace.cli import main
 from ffsubspace.effective_constants import b_const
 from ffsubspace.function_field import ProjectivePoint
 from ffsubspace.graded_ideal import IdealGenerators
-from ffsubspace.harness import constants_rows, fmt_q, load_scenario_dict, run_check
+from ffsubspace.harness import (
+    MAX_EXACT_HILBERT_CUTOFF,
+    constants_rows,
+    fmt_q,
+    load_scenario_dict,
+    run_check,
+)
 from ffsubspace.hilbert_bounds import hypersurface_hilbert, threshold_a_eps
 from ffsubspace.multipoly import HomogeneousPoly, parse_poly
 from helpers import int_digits_unlimited, workload_scenario
@@ -27,12 +33,20 @@ SCENARIO = str(
 )
 
 
-def test_check_ok(capsys, tmp_path):
+@pytest.mark.parametrize("fmt", [["--format", "json"], []], ids=["json", "text"])
+def test_check_ok(capsys, tmp_path, fmt):
+    # the report file holds the JSON report whatever stdout's format
     report = tmp_path / "out.json"
-    assert main(["check", SCENARIO, "--format", "json", "--report", str(report)]) == 0
-    data = json.loads(report.read_text())
-    assert data["position"]["in_position"] is True
-    assert json.loads(capsys.readouterr().out) == data
+    assert main(["check", SCENARIO, *fmt, "--report", str(report)]) == 0
+    out = capsys.readouterr().out
+    assert main(["check", SCENARIO, "--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    assert report.read_text() == expected
+    assert json.loads(expected)["position"]["in_position"] is True
+    if fmt:
+        assert out == expected
+    else:
+        assert out.startswith("variety: hypersurface in P^2")
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys):
@@ -1054,6 +1068,40 @@ def test_p4_quadric_constants_are_fast_and_equal_the_direct_sum(tmp_path):
     assert m == 3342770
     direct = s_sum_oracle(lambda k: hypersurface_hilbert(k, 4, 2), 3, 2, 1, m)
     assert constants["S_sum"] == direct == 10405076012428540640432669
+
+
+def _ideal_with_overrides(tmp_path, **overrides):
+    """`check` input for the twisted cubic scenario with these
+    constants_overrides."""
+    path = tmp_path / "ideal.json"
+    path.write_text(json.dumps({**ideal_scenario_dict(), "constants_overrides": overrides}))
+    return str(path)
+
+
+def test_long_exact_hilbert_prefix_is_fast(tmp_path):
+    # m = cutoff = 8,000: every H(k) of the prefix past persistence is read
+    # off one shifted Macaulay representation; iterating the bound degree by
+    # degree up to each k took 46.5 s
+    path = _ideal_with_overrides(tmp_path, m=8000, hilbert_exact_cutoff=8000)
+    code, seconds, out, _ = _main_in_capped_child("check", path, "--format", "json")
+    assert code == 0 and seconds < 2.0
+    # the twisted cubic has H(k) = 3k + 1, exact here at every k < m
+    S_sum = json.loads(out)["constants"]["S_sum"]
+    assert S_sum == sum(3 * k + 1 for k in range(1, 8000)) == 95_995_999
+
+
+def test_exact_hilbert_cutoff_is_bounded(tmp_path):
+    # at the limit, with m as large, `check` stays under 1 s; one past it is
+    # a schema error before anything is computed
+    limit = MAX_EXACT_HILBERT_CUTOFF
+    path = _ideal_with_overrides(tmp_path, m=limit, hilbert_exact_cutoff=limit)
+    code, seconds, _, _ = _main_in_capped_child("check", path)
+    assert code == 0 and seconds < 1.0
+    path = _ideal_with_overrides(tmp_path, hilbert_exact_cutoff=limit + 1)
+    code, seconds, _, stderr = _main_in_capped_child("check", path)
+    assert code == 2 and seconds < 1.0
+    message = f"{limit + 1} is greater than the maximum of {limit}"
+    assert f"{message} (at /constants_overrides/hilbert_exact_cutoff)" in stderr
 
 
 def test_check_writes_integers_past_the_digit_limit(capsys, tmp_path):

@@ -14,7 +14,6 @@ from ffsubspace.effective_constants import (
     assemble_constants,
     b_const,
     choose_m,
-    excess_vanishing_const,
     excess_vanishing_power,
 )
 from ffsubspace.errors import InvariantViolated, PreconditionViolated, ZeroPolynomial
@@ -65,14 +64,18 @@ def test_b_const():
 
 
 def test_excess_vanishing_const():
-    assert excess_vanishing_const(1, 2, 2, 2, 1, 0, 0) == 0
-    assert excess_vanishing_power(1, 2, 2, 2, 1) == 4_738_381_338_321_616_896
+    # the per-place constant: the power factor times (h(F_X) + h(Q_1..Q_q))
+    power = excess_vanishing_power(1, 2, 2, 2, 1)
+    assert power == 4_738_381_338_321_616_896
     # 36^180600: 6 bits per factor
     with pytest.raises(PreconditionViolated, match="^the excess vanishing power of up to 1083600 bits"):
         excess_vanishing_power(1, 300, 2, 2, 1)
-    one = excess_vanishing_const(1, 2, 2, 2, 1, Fraction(1, 2), Fraction(1, 2))
-    two = excess_vanishing_const(1, 2, 2, 2, 1, 1, 1)
-    assert two == 2 * one
+    assert _assemble_conic(ConstantInputs(**CONIC_INPUTS)).excess_const == 0
+    one, two = (
+        _assemble_conic(ConstantInputs(**{**CONIC_INPUTS, "h_fx": h, "h_q_family": h})).excess_const
+        for h in (Fraction(1, 2), Fraction(1))
+    )
+    assert one == power and two == 2 * one
 
 
 def test_choose_m():
@@ -81,6 +84,15 @@ def test_choose_m():
     assert choose_m(5, 5, n=1, delta=1) == 10
     assert choose_m(1, 1, n=1, delta=2) == 4  # lifted to the compatibility floor
     assert choose_m(1, 3, n=2, delta=3) == 9
+
+
+def test_choose_m_is_the_least_multiple_past_both():
+    # the closed form equals stepping m up by d to the floor
+    for a_eps, d, n, delta in itertools.product(range(1, 25), range(1, 8), (1, 2, 3), range(1, 6)):
+        m = d * (a_eps // d + 1)
+        while m < max(3, (n + 1) * delta):
+            m += d
+        assert choose_m(a_eps, d, n, delta) == m
 
 
 def test_assemble_zero_heights():

@@ -32,7 +32,7 @@ from ffsubspace.graded_ideal import (
 from ffsubspace.linalg import Echelon
 from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
 from helpers import rand_homog
-from oracles import graded_piece_echelon, piece_rows, position_walk, rref_of
+from oracles import graded_piece_echelon, macaulay_bound, piece_rows, position_walk, rref_of
 
 CONIC = IdealGenerators.parse(3, ["X0*X2 - X1^2"])
 LINES = [parse_poly(s, 3) for s in ["X0", "X1", "X2", "X0 + X1 + X2"]]
@@ -150,6 +150,23 @@ def test_macaulay_upper_known_values():
         for M in range(1, 5):
             # the zero ideal: H(k) = C(k + M, M) is extremal at every degree
             assert macaulay_upper(comb(k + M, M), k) == comb(k + 1 + M, M)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.integers(0, 10**6), k=st.integers(1, 40), s=st.integers(0, 30))
+@example(a=10**6, k=1, s=30)
+@example(a=0, k=1, s=30)
+def test_macaulay_upper_steps_equal_single_applications(a, k, s):
+    # s steps read off one shifted representation equal s single
+    # applications at k, k + 1, ..., k + s - 1; a single application is
+    # checked against the bisection oracle, which also takes the later ones
+    # (counting up to a top near 10^6 thirty times over would take 30 s)
+    assert macaulay_upper(a, k) == macaulay_bound(a, k)
+    expected = a
+    for j in range(s):
+        expected = macaulay_bound(expected, k + j)
+    assert macaulay_upper(a, k, s) == expected
+    assert macaulay_upper(a, k, 0) == a
 
 
 @pytest.mark.parametrize("num_vars, texts", [

@@ -11,7 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from ffsubspace.cli import CONSTANTS_SCHEMA
 from ffsubspace.errors import SchemaError
-from ffsubspace.harness import SCENARIO_SCHEMA, VARIETY_FILE_SCHEMA, schema_validate
+from ffsubspace.harness import (
+    MAX_EXACT_HILBERT_CUTOFF,
+    SCENARIO_SCHEMA,
+    VARIETY_FILE_SCHEMA,
+    schema_validate,
+)
 from test_harness import golden_scenario_dict
 from test_twisted_cubic import ideal_scenario_dict
 
@@ -167,6 +172,14 @@ def test_stdlib_validator_matches_jsonschema(case):
 def test_messages_and_pointers(doc, schema, expected):
     pointer, message = expected
     assert _outcome(schema_validate, doc, schema) == (pointer, f"{message} (at {pointer})")
+
+
+@pytest.mark.parametrize("cutoff", [1, MAX_EXACT_HILBERT_CUTOFF, MAX_EXACT_HILBERT_CUTOFF + 1, 10**9])
+def test_maximum_matches_jsonschema(cutoff):
+    doc = {**ideal_scenario_dict(), "constants_overrides": {"hilbert_exact_cutoff": cutoff}}
+    got = _outcome(schema_validate, doc, SCENARIO_SCHEMA)
+    assert got == _outcome(draft_2020_12, doc, SCENARIO_SCHEMA)
+    assert (got is None) == (cutoff <= MAX_EXACT_HILBERT_CUTOFF)
 
 
 @pytest.mark.parametrize("path", [("variety", "chow_form"), ("variety", "chow_form", "terms", 0)])
