@@ -7,7 +7,6 @@ from .filtration import height_sandwich_check, order_by_vanishing
 from .function_field import (
     INFINITY,
     Place,
-    PlaceSet,
     ProjectivePoint,
     RationalFunction,
     divisor,
@@ -39,7 +38,6 @@ __all__ = [
     "HomogeneousPoly",
     "IdealGenerators",
     "Place",
-    "PlaceSet",
     "ProjectivePoint",
     "RationalFunction",
     "Scenario",

@@ -17,9 +17,9 @@ where e_p(x) is 0 at finite places and -max deg at infinity: no factoring.
 A divisor Q is made primitive the same way, once (`HomogeneousPoly.primitive`
 in `multipoly`), so a Weil value is read off the Z[t] polynomial Q(x) alone:
 its multiplicity at a finite place, its degree at infinity.
-Only divisor, support and height_elem factor, through `upoly.factor_monic`,
-which imports sympy on its first real factorization; a place of degree <= 2
-is checked for irreducibility without sympy.
+Only divisor and support factor, through `upoly.factor_monic`, which imports
+sympy on its first real factorization; a place of degree <= 2 is checked for
+irreducibility without sympy.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .errors import (
     InvariantViolated,
     ParseError,
     PointOnDivisor,
-    SchemaError,
     ZeroElement,
     ZeroPolynomial,
 )
@@ -256,7 +255,7 @@ class Place(Frozen):
     __slots__ = ("poly",)
 
     def __init__(self, poly):
-        # poly=None means the place at infinity; use the classmethods.
+        # poly=None is the place at infinity, INFINITY; use the classmethods.
         object.__setattr__(self, "poly", poly)
 
     @classmethod
@@ -277,13 +276,9 @@ class Place(Frozen):
         return cls(f.num)
 
     @classmethod
-    def infinity(cls) -> "Place":
-        return cls(None)
-
-    @classmethod
     def parse(cls, text: str) -> "Place":
         if text.strip() in ("inf", "infty", "infinity", "oo"):
-            return cls.infinity()
+            return INFINITY
         f = RationalFunction.parse(text)
         if len(f.den) != 1:
             raise ParseError(f"place must be a polynomial: {text}", 0)
@@ -320,7 +315,7 @@ class Place(Frozen):
         return f"Place({self})"
 
 
-INFINITY = Place.infinity()
+INFINITY = Place(None)
 
 
 class ProjectivePoint(Frozen):
@@ -375,32 +370,6 @@ class ProjectivePoint(Frozen):
 
     def __repr__(self):
         return f"ProjectivePoint({self})"
-
-
-class PlaceSet(Frozen):
-    """A finite set of places with its cardinality and total degree."""
-
-    __slots__ = ("places",)
-
-    def __init__(self, places):
-        places = tuple(places)
-        if len(set(places)) != len(places):
-            raise SchemaError("duplicate places in place set")
-        object.__setattr__(self, "places", places)
-
-    def __iter__(self):
-        return iter(self.places)
-
-    def __len__(self):
-        return len(self.places)
-
-    @property
-    def cardinality(self) -> int:
-        return len(self.places)
-
-    @property
-    def total_degree(self) -> int:
-        return sum(p.degree for p in self.places)
 
 
 def order_at(f: RationalFunction, p: Place) -> int:
@@ -485,19 +454,11 @@ def height_point(x: ProjectivePoint) -> Fraction:
 
 
 def height_elem(f: RationalFunction) -> Fraction:
-    """h(f) = sum_p max(0, ord_p f) deg p for nonzero f in K.
-
-    Computes both the zero-part and the pole-part formulas and checks they
-    agree, which is the sum formula in disguise.
-    """
+    """h(f) = sum_p max(0, ord_p f) deg p for nonzero f in K: the height of
+    [1 : f], max(deg num, deg den) of f's coprime pair.  Nothing is factored."""
     if f.is_zero():
         raise ZeroElement("height of the zero element is undefined")
-    div = divisor(f)
-    pos = sum(o * p.degree for p, o in div.items() if o > 0)
-    negated = -sum(o * p.degree for p, o in div.items() if o < 0)
-    if pos != negated:
-        raise InvariantViolated("sum formula violated in height_elem")
-    return Fraction(pos)
+    return Fraction(max(upoly.degree(f.num), upoly.degree(f.den)))
 
 
 def height_poly_family(qs) -> Fraction:

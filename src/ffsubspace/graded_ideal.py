@@ -188,9 +188,10 @@ def hilbert_function(gens: IdealGenerators, m: int) -> int:
     Macaulay's bound applied m - k times to H(k), which that theorem makes
     an equality, read off H(k)'s one shifted representation
     (`macaulay_upper(H(k), k, m - k)`), so the result is the rank value,
-    exactly, at a cost that does not grow with m.  Without such a k below m
-    the result is the rank at m.  No piece above degree m is built, nor any
-    above k + 1 for that first k.
+    exactly, at a cost that does not grow with m.  A full piece, H(k) = 0,
+    ends the walk at once: every piece above it is full too.  Without such a
+    k below m the result is the rank at m.  No piece above degree m is
+    built, nor any above k + 1 for that first k.
     """
     M = gens.num_vars - 1
 
@@ -201,7 +202,7 @@ def hilbert_function(gens: IdealGenerators, m: int) -> int:
     if m <= k + 1:
         return rank_value(m)
     h = rank_value(k)
-    while k < m:
+    while h and k < m:
         h_next = rank_value(k + 1)
         if h_next == macaulay_upper(h, k):
             return macaulay_upper(h, k, m - k)

@@ -26,7 +26,6 @@ from .chow import MultiHomForm, chow_height, multihomform_from_json
 from .effective_constants import ConstantInputs, EffectiveConstants, assemble_constants
 from .errors import PreconditionViolated, SchemaError
 from .function_field import (
-    PlaceSet,
     Place,
     ProjectivePoint,
     height_point,
@@ -164,13 +163,14 @@ class Variety(NamedTuple):
 
 class Scenario(NamedTuple):
     """A checked scenario file: X as its `variety`, in P^ambient_dim, and
-    the divisors, places, epsilon, points and overrides of the run."""
+    the divisors, places (the set S, in entry order), epsilon, points and
+    overrides of the run."""
 
     ambient_dim: int
     variety: Variety
     divisors: tuple
     N: int
-    places: PlaceSet
+    places: tuple
     epsilon: Fraction
     points: tuple
     c1: Fraction
@@ -348,7 +348,6 @@ def load_scenario_dict(data: dict) -> Scenario:
         p = parse_at(Place.parse, text, f"/places/{j}")
         if first.setdefault(p, j) != j:
             raise SchemaError(f"place {p} repeats /places/{first[p]}", f"/places/{j}")
-    places = PlaceSet(first)
     epsilon = parse_fraction(data["epsilon"], "/epsilon")
     if epsilon <= 0:
         raise SchemaError("epsilon must be positive", "/epsilon")
@@ -374,7 +373,7 @@ def load_scenario_dict(data: dict) -> Scenario:
         variety=variety,
         divisors=tuple(divisors),
         N=data["N"],
-        places=places,
+        places=tuple(first),
         epsilon=epsilon,
         points=tuple(points),
         c1=c1,
@@ -387,14 +386,17 @@ def load_scenario_dict(data: dict) -> Scenario:
 
 
 def read_json(path):
-    """The JSON document in the file at `path`.  Text that is not JSON, or
-    that has an integer literal too long for Python to convert (a bare
-    ValueError from `json`), is a SchemaError at the root."""
+    """The JSON document in the file at `path`.  Text that is not JSON, that
+    has an integer literal too long for Python to convert (a bare
+    ValueError from `json`), or that nests past the recursion limit of
+    `json`'s decoder is a SchemaError at the root."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # json.JSONDecodeError is a ValueError
             raise SchemaError(f"invalid JSON: {exc}", "") from None
+        except RecursionError:
+            raise SchemaError("invalid JSON: nested too deeply", "") from None
 
 
 _escape = json.encoder.encode_basestring_ascii  # CPython's C escaper
@@ -568,8 +570,8 @@ def run_check(scenario: Scenario) -> Report:
         q=len(scenario.divisors),
         d_i=degrees,
         epsilon=scenario.epsilon,
-        s_card=scenario.places.cardinality,
-        s_degree=scenario.places.total_degree,
+        s_card=len(scenario.places),
+        s_degree=sum(p.degree for p in scenario.places),
         h_fx=X.h_fx,
         h_q_family=h_q_family,
         h_q_i=h_q_i,

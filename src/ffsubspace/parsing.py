@@ -41,7 +41,8 @@ other text, a zero denominator included, is descended, so every error
 message and position is the descent's.
 
 An integer literal may have at most MAX_LITERAL_DIGITS digits, checked
-before it is converted, on both paths.
+before it is converted, on both paths.  The descent recurses only into
+groups, at most MAX_NESTING deep; a run of signs is read in a loop.
 """
 
 from __future__ import annotations
@@ -76,6 +77,11 @@ MAX_COEFFICIENT_BITS = 4000
 # 1,996,000 and takes over a second; (X0 + t*X1)^499 costs 6.2e10 and takes
 # seconds.
 MAX_POWER_COST = 1_000_000
+
+# Deepest nesting of parenthesized groups the descent opens.  Each level
+# costs five Python frames, so about 200 levels exhaust the default
+# recursion limit; a group past this one is refused at its '('.
+MAX_NESTING = 100
 
 # Most digits an integer literal may have: those of 2^MAX_COEFFICIENT_BITS
 # (1205), so any coefficient within the power limit can be written out.  It
@@ -165,6 +171,7 @@ class _Parser:
     def __init__(self, tokens: list, num_vars: int):
         self.tokens = tokens
         self.i = 0
+        self.depth = 0  # groups open around the current token
         self.num_vars = num_vars
         self.zero = (0,) * num_vars
 
@@ -214,14 +221,12 @@ class _Parser:
                 return value
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+        negate = False
+        while (tok := self.peek())[0] == "op" and tok[1] in ("+", "-"):
             self.advance()
-            return _neg(self.unary())
-        if kind == "op" and val == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            negate ^= tok[1] == "-"
+        value = self.power()
+        return _neg(value) if negate else value
 
     def power(self):
         base = self.atom()
@@ -279,8 +284,12 @@ class _Parser:
                 return self.var(int(m.group(1)), pos)
             raise ParseError(f"unknown name {val!r}", pos)
         if kind == "op" and val == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"groups nested deeper than the limit {MAX_NESTING}", pos)
+            self.depth += 1
             inner = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return inner
         if kind == "end":
             raise ParseError("unexpected end of input", pos)

@@ -1,7 +1,8 @@
 """Brute-force references the tests compare the library against: direct
-sums, constructions the library no longer performs, and bounds that hold by
-construction and so are checked only here."""
+sums, constructions the library no longer performs, bounds that hold by
+construction and so are checked only here, and Groebner bases from sympy."""
 
+from functools import cache
 from math import comb, lcm
 from typing import NamedTuple
 
@@ -83,6 +84,48 @@ def position_walk(gens) -> EmptinessVerdict:
         if graded_piece(gens, m).rank == comb(m + M, M):
             return EmptinessVerdict(True, m)
     return EmptinessVerdict(False, None)
+
+
+@cache
+def _leading_monomials(gens) -> tuple:
+    """The grevlex leading exponents of the reduced Groebner basis of the
+    ideal, computed by sympy over QQ, or over QQ(t) when a coefficient has t."""
+    import sympy
+
+    t = sympy.Symbol("t")
+    xs = sympy.symbols(f"X0:{gens.num_vars}")
+
+    def expr(p):
+        return sum(c * t**i for i, c in enumerate(p))
+
+    forms = [
+        sum(expr(c.num) / expr(c.den) * sympy.prod([x**e for x, e in zip(xs, mono)])
+            for mono, c in g.terms.items())
+        for g in gens.generators
+    ]
+    has_t = any(len(c.num) > 1 or len(c.den) > 1 for g in gens.generators for c in g.terms.values())
+    domain = sympy.QQ.frac_field(t) if has_t else sympy.QQ
+    basis = sympy.groebner(forms, *xs, order="grevlex", domain=domain)
+    return tuple(p.monoms(order="grevlex")[0] for p in basis.polys)
+
+
+def groebner_hilbert(gens, k: int) -> int:
+    """H(k) from a Groebner basis: the degree-k monomials divisible by no
+    leading monomial (Cox-Little-O'Shea, Ideals, Varieties, and Algorithms,
+    Ch. 9 Sec. 3)."""
+    leads = _leading_monomials(gens)
+    return sum(
+        1 for mono in monomial_basis(gens.num_vars, k)
+        if not any(all(a >= b for a, b in zip(mono, lead)) for lead in leads)
+    )
+
+
+def groebner_empty(gens) -> bool:
+    """Whether the forms have no common projective zero: the quotient is
+    finite-dimensional, so a power of every variable (the unit ideal's 1
+    among them) is a leading monomial."""
+    leads = _leading_monomials(gens)
+    return all(any(lead[i] == sum(lead) for lead in leads) for i in range(gens.num_vars))
 
 
 def rref_of(ech) -> dict:

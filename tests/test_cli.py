@@ -1039,6 +1039,60 @@ def test_huge_graded_piece_exits_fast(command):
     assert message in stderr
 
 
+def _conic_divisor_0(poly):
+    return {"divisors": [{"poly": poly, "degree": 1}] + json.loads(
+        Path(SCENARIO).read_text())["divisors"][1:]}
+
+
+@pytest.mark.parametrize("changes, message", [
+    pytest.param(_conic_divisor_0("(" * 200 + "X0" + ")" * 200),
+                 "groups nested deeper than the limit 100 (at position 100) "
+                 "(at /divisors/0/poly)", id="divisor"),
+    pytest.param({"points": [["1", "(" * 200 + "t" + ")" * 200, "t"]]},
+                 "groups nested deeper than the limit 100 (at position 100) "
+                 "(at /points/0/1)", id="coefficient"),
+    pytest.param(_conic_divisor_0("(" * 200 + "t*X0" + ")" * 200),
+                 "groups nested deeper than the limit 100 (at position 100) "
+                 "(at /divisors/0/poly)", id="divisor_coefficient"),
+    pytest.param(_conic_divisor_0("- " * 1000 + "X0 +"),
+                 "unexpected end of input (at position 2004) (at /divisors/0/poly)",
+                 id="signs"),
+])
+def test_deep_nesting_exits_2(tmp_path, changes, message):
+    # about 200 nested groups, or 1,000 signs, overflowed the stack of the
+    # recursive descent with a RecursionError traceback
+    code, seconds, out, stderr = _main_in_capped_child("check", _conic_with(tmp_path, **changes))
+    assert code == 2 and seconds < 1.0 and out == ""
+    assert stderr == f"error: {message}\n"
+
+
+def test_deep_but_allowed_nesting_checks(tmp_path):
+    path = _conic_with(
+        tmp_path,
+        points=[["1", "(" * 100 + "t*2/2" + ")" * 100, "t^2"]],
+        **_conic_divisor_0("- " * 1001 + "(" * 100 + "X0" + ")" * 100),
+    )
+    code, _, out, stderr = _main_in_capped_child("check", path, "--format", "json")
+    assert code == 0 and stderr == ""
+    report = json.loads(out)
+    assert report["scenario"]["divisors"][0] == "-X0"
+    assert [p["coordinates"] for p in report["points"]] == [["1", "t", "t^2"]]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param("[" * 100_000 + "]" * 100_000, id="arrays"),
+    pytest.param('{"a": ' * 3000 + "1" + "}" * 3000, id="objects"),
+])
+@pytest.mark.parametrize("command", [["check"], ["chow", "--input"], ["constants", "--inputs"]])
+def test_deeply_nested_json_exits_2(tmp_path, text, command):
+    # json's decoder raised a RecursionError past about 1,000 levels
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    code, seconds, out, stderr = _main_in_capped_child(*command, str(path))
+    assert code == 2 and seconds < 1.0 and out == ""
+    assert stderr == "error: invalid JSON: nested too deeply (at /)\n"
+
+
 def _quadric_scenario(tmp_path, F, point):
     """`check` input for the quadric {F = 0} in P^M, M + 1 = len(point),
     with the M + 1 coordinate hyperplanes, three more in general position

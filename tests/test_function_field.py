@@ -11,7 +11,6 @@ from hypothesis import assume, given, settings, strategies as st
 from ffsubspace.errors import (
     ParseError,
     PointOnDivisor,
-    SchemaError,
     ZeroElement,
     ZeroPolynomial,
 )
@@ -19,7 +18,6 @@ from ffsubspace import multipoly, upoly
 from ffsubspace.function_field import (
     INFINITY,
     Place,
-    PlaceSet,
     ProjectivePoint,
     RationalFunction,
     divisor,
@@ -184,6 +182,17 @@ def test_gauss_order_family_identities():
                 )
 
 
+def test_height_elem_factors_nothing(monkeypatch):
+    from ffsubspace import function_field
+
+    def refuse(*args):
+        raise AssertionError("height_elem factored")
+
+    monkeypatch.setattr(function_field, "divisor", refuse)
+    monkeypatch.setattr(upoly, "factor_monic", refuse)
+    assert height_elem(T**2 / (T - 1)) == 2
+
+
 def test_height_elem_matches_degree_oracle():
     # independent oracle: for coprime p, q the height of p/q is max(deg p, deg q)
     rng = random.Random(16)
@@ -233,10 +242,6 @@ def test_place_validation_and_set():
         Place.parse("3")
     assert Place.parse("t^2+2").degree == 2
     assert Place.parse("inf") == INFINITY
-    s = PlaceSet([Place.parse("t"), INFINITY])
-    assert s.cardinality == 2 and s.total_degree == 2
-    with pytest.raises(SchemaError, match="^duplicate places in place set$"):
-        PlaceSet([INFINITY, INFINITY])
 
 
 def test_place_with_rational_coefficients():
@@ -488,6 +493,13 @@ def test_divisor_satisfies_the_sum_formula(f, g):
         assert all(order_at(h, p) == o for p, o in div.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(f=_nonzero_elements())
+def test_height_elem_is_the_positive_part_of_the_divisor(f):
+    # the factoring oracle: h(f) = sum_p max(0, ord_p f) deg p
+    assert height_elem(f) == sum(o * p.degree for p, o in divisor(f).items() if o > 0)
+
+
 INVARIANTS_UNDER_O = """
 from fractions import Fraction
 
@@ -525,8 +537,6 @@ run("factor_monic", lambda: setattr(upoly, "_to_sympy", sympy_drops_factors),
     lambda: upoly.factor_monic((1, 0, 1)))
 run("divisor", lambda: setattr(upoly, "factor_monic", lambda p: (p[-1], ())),
     lambda: ff.divisor(T))
-run("height_elem", lambda: setattr(ff, "divisor", lambda f: {ff.INFINITY: -1}),
-    lambda: ff.height_elem(T))
 run("P_sigma degree", lambda: setattr(chow, "monomial_degree", lambda b: -1),
     lambda: chow.expand_skew(conic))
 run("Cauchy bound", lambda: None, lambda: hb._cauchy_positive_bound({1: Fraction(-1)}))
@@ -542,7 +552,6 @@ def test_invariant_checks_survive_optimize_flag():
     assert out.splitlines() == [
         "factor_monic InvariantViolated: factor normalization lost the unit",
         "divisor InvariantViolated: sum formula violated",
-        "height_elem InvariantViolated: sum formula violated in height_elem",
         "P_sigma degree InvariantViolated: s-monomial "
         "((0, 0, 2), (0, 2, 0)) is not of degree 2 in every block",
         "Cauchy bound InvariantViolated: Cauchy bound needs a positive leading coefficient",

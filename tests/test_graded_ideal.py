@@ -203,6 +203,22 @@ def test_persistence_builds_no_piece_past_the_certificate(monkeypatch):
     assert built == list(range(3, 9))
 
 
+def test_a_full_piece_ends_the_walk(monkeypatch):
+    # H(4) = 0: every piece above is full, so degree 5 is not ranked
+    built = []
+    real = graded_ideal.graded_piece
+
+    def spy(gens, m):
+        built.append(m)
+        return real(gens, m)
+
+    monkeypatch.setattr(graded_ideal, "graded_piece", spy)
+    gens = IdealGenerators.parse(3, ["X0^2", "X1^2", "X2^2"])
+    assert hilbert_function(gens, 10) == 0
+    assert built == [2, 3, 4]
+    assert [hilbert_function(gens, k) for k in range(1, 6)] == [3, 3, 1, 0, 0]
+
+
 # the twisted cubic under X0 -> X0 + t*X1, X1 -> X1 + (t+1)*X2,
 # X2 -> X2 + t^2*X3, X3 fixed: its rows share factors in t
 TWIST = {"X0": "(X0 + t*X1)", "X1": "(X1 + (t + 1)*X2)", "X2": "(X2 + t^2*X3)"}

@@ -90,7 +90,7 @@ def test_load_bundled_scenario():
     assert sc.ambient_dim == 2 and sc.variety.kind == "hypersurface"
     assert sc.variety.dimension == 1 and sc.variety.degree == 2
     assert len(sc.divisors) == 4 and sc.N == 2
-    assert sc.places.cardinality == 2 and sc.epsilon == 1
+    assert len(sc.places) == 2 and sc.epsilon == 1
     assert len(sc.points) == 20
 
 

@@ -16,6 +16,7 @@ from ffsubspace.function_field import RationalFunction
 from ffsubspace.parsing import (
     MAX_COEFFICIENT_BITS,
     MAX_LITERAL_DIGITS,
+    MAX_NESTING,
     _tokenize,
     parse_rational,
     parse_terms,
@@ -517,3 +518,30 @@ def test_integer_literals_are_limited_on_both_paths():
     # past Python's own 4300-digit limit of int() as well
     with pytest.raises(ParseError, match="integer literal of 5000 digits"):
         parse_terms("1" * 5000 + "*X0", 1)
+
+
+def test_nesting_is_limited_and_signs_are_read_in_a_loop():
+    # about 200 levels overflowed the stack; the descent stops at MAX_NESTING
+    assert MAX_NESTING == 100
+    x0 = parse_terms("X0", 1)
+    assert parse_terms("(" * 100 + "X0" + ")" * 100, 1) == x0
+    assert parse_rational("(" * 100 + "t/2" + ")" * 100) == RationalFunction.t() / 2
+    for text, position in [
+        ("(" * 101 + "X0" + ")" * 101, 100),
+        ("X0 * " + "(" * 200 + "X0" + ")" * 200, 105),
+        ("-(" * 150 + "X0" + ")" * 150, 201),
+    ]:
+        with pytest.raises(ParseError) as err:
+            parse_terms(text, 1)
+        assert str(err.value) == (
+            f"groups nested deeper than the limit 100 (at position {position})"
+        )
+    # a folded group is one token, and opens no level of the descent
+    assert parse_rational("(" * 100 + "(t + 1)" + ")" * 100).num == (1, 1)
+    # 1,000 signs: the same value and messages as one sign at a time
+    assert parse_terms("- " * 1000 + "X0", 1) == x0
+    assert parse_terms("+ -" * 999 + "X0", 1) == parse_terms("-X0", 1)
+    assert parse_rational("-" * 1001 + "(t + 1)") == -(RationalFunction.t() + 1)
+    for text, position in [("- " * 1000, 2000), ("-+" * 500 + "*", 1000)]:
+        with pytest.raises(ParseError, match=rf"\(at position {position}\)$"):
+            parse_terms(text, 1)
