@@ -3,7 +3,6 @@ Hilbert bounds, filtrations, effective constants, and the subspace
 inequality checker."""
 
 from .chow import generalized_cross_product, multihomform_to_json
-from .filtration import height_sandwich_check, order_by_vanishing
 from .function_field import (
     INFINITY,
     Place,
@@ -72,3 +71,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """The filtration's names, resolved on first use (PEP 562), so that
+    importing the package or running a CLI command other than `filtration`
+    does not load that module."""
+    if name in ("height_sandwich_check", "order_by_vanishing"):
+        from . import filtration
+
+        return getattr(filtration, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

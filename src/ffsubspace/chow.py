@@ -14,12 +14,16 @@ variety (Dalbec-Sturmfels, "Introduction to Chow forms", 1995).
 
 The expansion runs over Z.  F_X(u) enters linearly, so each block monomial
 prod_r ((S^(i) x)_r)^k_r is expanded once, as a map from packed keys to
-ints; a term of F_X multiplies the maps of its blocks and adds the result,
-times its numerator over the form's common denominator, into one int map
-per power of t.  The number of P_sigma is read off those maps: the distinct
-sigma prefixes among keys with a nonzero numerator.  Q(t) coefficients and
-the P_sigma forms are built from them only when `SkewExpansion.entries` is
-first read, so counting the P_sigma (`chow --input`) builds none.
+ints.  Only block 0's maps are multiplied out, from powers of its rows each
+raised once; block i's map is block 0's with every key's sigma digits moved
+down i blocks, since S^(i) x is S^(0) x with the entries of S^(i) in place
+of those of S^(0).  A term of F_X multiplies the maps of its blocks and
+adds the result, times its numerator over the form's common denominator,
+into one int map per power of t.  The number of P_sigma is read off those
+maps: the distinct sigma prefixes among keys with a nonzero numerator.
+Q(t) coefficients and the P_sigma forms are built from them only when
+`SkewExpansion.entries` is first read, so counting the P_sigma
+(`chow --input`) builds none.
 
 A key (sigma, x-monomial) is the digit string sigma_0, ..., sigma_n, x in
 base 2^width, most significant digit first, one digit per exponent.  Every
@@ -405,26 +409,33 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     def unit(digit):  # the key with a 1 in this digit, counted from the top
         return 1 << width * (sigma_digits + nv - 1 - digit)
 
-    # linear[i][r]: row r of S^(i) x as (key of s_p * x_col, sign) pairs
+    # linear[r]: row r of S^(0) x as (key of s_p * x_col, sign) pairs
     linear = [
-        [
-            [(unit(i * len(pairs) + p) | unit(sigma_digits + col), sign)
-             for p, col, sign in row]
-            for row in _skew_rows(pairs, nv)
-        ]
-        for i in range(blocks)
+        [(unit(p) | unit(sigma_digits + col), sign) for p, col, sign in row]
+        for row in _skew_rows(pairs, nv)
     ]
+    x_bits = width * nv
+    x_mask = (1 << x_bits) - 1
+    row_powers = {}
     block_maps = {}
 
     def block_map(i, exps):
-        """prod_r ((S^(i) x)_r)^exps[r] as {key: int}, built once."""
+        """prod_r ((S^(i) x)_r)^exps[r] as {key: int}, built once: block 0's
+        from the powers of its rows, each built once, and block i's from
+        block 0's, its sigma digits moved down i blocks."""
         got = block_maps.get((i, exps))
         if got is None:
-            got = block_maps[i, exps] = reduce(
-                _mul_maps,
-                (_power_of_sum(linear[i][r], e) for r, e in enumerate(exps) if e),
-                {0: 1},
-            )
+            if i:
+                shift = x_bits + width * len(pairs) * i
+                got = {k >> shift << x_bits | k & x_mask: c for k, c in block_map(0, exps).items()}
+            else:
+                for r, e in enumerate(exps):
+                    if e and (r, e) not in row_powers:
+                        row_powers[r, e] = _power_of_sum(linear[r], e)
+                got = reduce(
+                    _mul_maps, (row_powers[r, e] for r, e in enumerate(exps) if e), {0: 1}
+                )
+            block_maps[i, exps] = got
         return got
 
     numerators, den = clear_denominators(form.terms.values())
@@ -435,7 +446,7 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
         nonzero = [(a, out) for a, out in zip(num, acc) if a]
         last_items = last.items()
         # the last block's map multiplies straight into the sums
-        for ka, ca in reduce(_mul_maps, firsts, {0: 1}).items():
+        for ka, ca in (reduce(_mul_maps, firsts) if firsts else {0: 1}).items():
             for a, out in nonzero:
                 ca_a = ca * a
                 for kb, cb in last_items:
@@ -443,7 +454,7 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
                     out[k] = out.get(k, 0) + ca_a * cb
 
     # a key's numerator is nonzero when one of its t-coefficients is
-    prefixes = {k >> width * nv for out in acc for k, c in out.items() if c}
+    prefixes = {k >> x_bits for out in acc for k in itertools.compress(out, out.values())}
     _check_block_degrees(prefixes, width, blocks, len(pairs), delta)
     return SkewExpansion(blocks, nv, delta, pairs, len(prefixes), (acc, den, width))
 

@@ -24,11 +24,6 @@ from .chow import (
 )
 from .effective_constants import ConstantInputs, assemble_constants
 from .errors import PointOnDivisor, SchemaError, ToolkitError
-from .filtration import (
-    build_filtration,
-    exponent_sum,
-    filtration_inequality_check,
-)
 from .function_field import Place, ProjectivePoint
 from .graded_ideal import (
     POSITION_CAP,
@@ -281,6 +276,9 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_filtration(args) -> int:
+    # imported here, so that no other command loads the filtration module
+    from .filtration import build_filtration, exponent_sum, filtration_inequality_check
+
     if (args.point is None) != (args.place is None):
         missing = "--place" if args.place is None else "--point"
         raise ToolkitError(f"missing {missing}: the key inequality needs --point and --place")

@@ -20,7 +20,6 @@ from functools import lru_cache
 from math import comb
 from typing import NamedTuple
 
-from . import upoly
 from .errors import (
     Frozen,
     InvariantViolated,
@@ -33,11 +32,10 @@ from .function_field import RationalFunction
 from .linalg import Echelon, solve_combination
 from .multipoly import (
     HomogeneousPoly,
-    eval_terms,
     monomial_basis,
     monomial_mul,
     parse_poly,
-    power_table,
+    zero_test_values,
 )
 
 
@@ -369,7 +367,10 @@ def has_common_projective_zero(gens: IdealGenerators) -> EmptinessVerdict:
       r = M + 1 the degree-1 slice is full.  For r = M the linear forms cut
       P^M to one point P, and the ideal's image in K[y] is (y^e), e the
       least degree of a generator nonzero at P, so the first full slice has
-      degree max(1, e).  Here the verdict is two-sided: NonemptyAtCap means
+      degree max(1, e).  P is the kernel line of the linear forms, with
+      coprime Z[t] coordinates, and each generator of degree <= the cap is
+      tested for zero at P by one integer (`zero_test_values`), lowest
+      degree first.  Here the verdict is two-sided: NonemptyAtCap means
       P itself is a common zero, or e is past POSITION_CAP.  It prints as
       every other NonemptyAtCap does, so reports do not tell the two apart.
     - Exactly M + 1 generators, all of degree >= 1: without a common zero
@@ -391,12 +392,13 @@ def has_common_projective_zero(gens: IdealGenerators) -> EmptinessVerdict:
     if cut.rank == M + 1:
         return EmptinessVerdict(True, 1)
     if cut.rank == M:
-        powers = power_table(cut.kernel_vector())
-        others = sorted((g for g in gens.generators if g.degree != 1), key=lambda g: g.degree)
-        for g in others:
-            if g.degree > cap:
-                break
-            if eval_terms(g.primitive()[0], powers, (), upoly.mul, upoly.add):
+        within = sorted(
+            (g for g in gens.generators if g.degree != 1 and g.degree <= cap),
+            key=lambda g: g.degree,
+        )
+        at_p = zero_test_values([g.primitive()[0] for g in within], cut.kernel_vector())
+        for g, value in zip(within, at_p):
+            if value:
                 return EmptinessVerdict(True, max(1, g.degree))
         return EmptinessVerdict(False, None)
     shape = len(gens.generators) == M + 1 and all(g.degree for g in gens.generators)

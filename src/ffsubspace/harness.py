@@ -12,7 +12,8 @@ escaper.
 Scenarios (and `constants` inputs) are checked against a JSON schema before
 any work, by a small stdlib validator for the keywords those schemas use.  It
 follows Draft 2020-12, messages included, except that an integral float such
-as 2.0 is not an integer.
+as 2.0 is not an integer and that a message echoes at most 80 characters of
+the offending value.
 """
 
 import json
@@ -41,7 +42,7 @@ from .graded_ideal import (
     hilbert_function,
 )
 from .hilbert_bounds import chardin_upper, hypersurface_hilbert, sombra_lower
-from .multipoly import parse_poly, primitive_values
+from .multipoly import parse_poly, primitive_values, zero_test_values
 from .parsing import parse_at, parse_rational
 
 DEFAULT_EXACT_HILBERT_CUTOFF = 12
@@ -189,36 +190,50 @@ _TYPES = {
 }
 
 
+# The most characters of an offending value a message echoes; a longer repr
+# is cut there and marked with "...".
+_ECHO_LIMIT = 80
+
+
+def _echo(data) -> str:
+    """repr(data), cut at _ECHO_LIMIT characters."""
+    text = repr(data)
+    return text if len(text) <= _ECHO_LIMIT else text[:_ECHO_LIMIT] + "..."
+
+
 def _violations(data, schema, path=()):
     """Yield (path, at, message) for each violation of `schema` by `data`.
 
     Covers the keywords the scenario and constants schemas use, with the
     messages of the reference Draft 2020-12 validator, in schema-keyword
-    order, depth first.  `path` is the node the keyword applies to; `at` is
-    the node the message names, which differs only for `required`: there it
-    is the missing key.
+    order, depth first, except that an offending value is echoed cut at
+    _ECHO_LIMIT characters (`_echo`).  `path` is the node the keyword
+    applies to; `at` is the node the message names, which differs only for
+    `required`: there it is the missing key.
     """
     for keyword, value in schema.items():
         if keyword == "type":
-            types = [value] if isinstance(value, str) else value
-            if not any(_TYPES[t](data) for t in types):
-                yield path, path, f"{data!r} is not of type {', '.join(map(repr, types))}"
+            if isinstance(value, str):  # the one-type case, most nodes
+                if not _TYPES[value](data):
+                    yield path, path, f"{_echo(data)} is not of type {value!r}"
+            elif not any(_TYPES[t](data) for t in value):
+                yield path, path, f"{_echo(data)} is not of type {', '.join(map(repr, value))}"
         elif keyword == "enum":
             if data not in value:
-                yield path, path, f"{data!r} is not one of {value!r}"
+                yield path, path, f"{_echo(data)} is not one of {value!r}"
         elif keyword == "minimum":
             if isinstance(data, (int, float)) and not isinstance(data, bool) and data < value:
-                yield path, path, f"{data!r} is less than the minimum of {value!r}"
+                yield path, path, f"{_echo(data)} is less than the minimum of {value!r}"
         elif keyword == "maximum":
             if isinstance(data, (int, float)) and not isinstance(data, bool) and data > value:
-                yield path, path, f"{data!r} is greater than the maximum of {value!r}"
+                yield path, path, f"{_echo(data)} is greater than the maximum of {value!r}"
         elif keyword == "pattern":
             if isinstance(data, str) and not re.search(value, data):
-                yield path, path, f"{data!r} does not match {value!r}"
+                yield path, path, f"{_echo(data)} does not match {value!r}"
         elif keyword == "minItems":
             if isinstance(data, list) and len(data) < value:
                 short = "should be non-empty" if value == 1 else "is too short"
-                yield path, path, f"{data!r} {short}"
+                yield path, path, f"{_echo(data)} {short}"
         elif keyword == "items":
             if isinstance(data, list):
                 for i, item in enumerate(data):
@@ -587,11 +602,12 @@ def run_check(scenario: Scenario) -> Report:
     factor = scenario.N * (n + 1) + scenario.epsilon
     # lhs = sum lambda / d_i = (sum lambda * (d / d_i)) / d over the ints.
     weights = tuple(d // di for di in degrees)
+    x_terms = [g.primitive()[0] for g in X.x_gens.generators]
     records = []
     for idx, x in enumerate(scenario.points):
         # Checks and values use primitive coordinates and primitive forms, in
         # Z[t]; records keep x as given.
-        if any(primitive_values(X.x_gens.generators, x)):
+        if any(zero_test_values(x_terms, x.primitive()[0])):
             warnings.append(f"NotOnVariety: point {idx} skipped")
             records.append(PointRecord(idx, x, "not_on_variety"))
             continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb
+from math import comb, prod
 
 from .errors import (
     DegreeMismatch,
@@ -138,9 +138,37 @@ def primitive_values(forms, x: ProjectivePoint) -> list:
     """The values Q(x) in Z[t] of the primitive form of each Q (see
     HomogeneousPoly.primitive) at the primitive coordinates of x, with one
     power table for all of them.  A value is () exactly when x lies on
-    {Q = 0}."""
+    {Q = 0}; a caller that reads only that takes `zero_test_values`."""
     powers = power_table(x.primitive()[0])
     return [eval_terms(q.primitive()[0], powers, (), upoly.mul, upoly.add) for q in forms]
+
+
+def zero_test_values(term_maps, coords) -> list:
+    """One integer per form Q, given by its term map over Z[t] (`upoly`
+    coefficients), that is 0 exactly when Q(x) = 0 in Z[t], x the point
+    with the Z[t] coordinates `coords`: the value Q(x)(t0) at one
+    t0 = 2^L for all the forms.
+
+    With ||p||_1 the sum of the absolute coefficients of p, which is
+    submultiplicative, B = sum ||c||_1 * prod ||x_i||_1^e_i over the terms
+    c * X^e of Q bounds every coefficient of Q(x).  By Cauchy's bound, every
+    complex root z of a nonzero Q(x) has |z| <= 1 + B, since its leading
+    coefficient is a nonzero integer.  So t0 = 2^L > B + 1, L taken for the
+    largest B, is a root of none of them.  Callers that only test Q(x) for
+    zero read one integer per form, not its coefficients in Z[t].
+    """
+    norms = [sum(map(abs, x)) for x in coords]
+    bound = max(
+        (sum(sum(map(abs, c)) * prod(map(pow, norms, mono)) for mono, c in terms.items())
+         for terms in term_maps),
+        default=0,
+    )
+    t0 = 1 << (bound + 1).bit_length()
+    point = [upoly.evaluate(x, t0) for x in coords]
+    return [
+        sum(upoly.evaluate(c, t0) * prod(map(pow, point, mono)) for mono, c in terms.items())
+        for terms in term_maps
+    ]
 
 
 class HomogeneousPoly(Frozen):

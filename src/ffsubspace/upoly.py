@@ -255,7 +255,8 @@ def quo(a, b):
     return tuple(q)
 
 
-def _evaluate(a, x: int) -> int:
+def evaluate(a, x: int) -> int:
+    """a(x) for an integer x, by Horner's rule."""
     v = 0
     for c in reversed(a):
         v = v * x + c
@@ -318,7 +319,7 @@ def gcd(a, b) -> tuple:
         return scale(g, c), (ka if a == g else -ka,), (kb if b == g else -kb,)
     x = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
     for _ in range(_HEU_GCD_TRIES):
-        va, vb = _evaluate(a, x), _evaluate(b, x)
+        va, vb = evaluate(a, x), evaluate(b, x)
         if va and vb:
             g = primitive(_interpolate(igcd(va, vb), x))
             if len(g) == 1:
@@ -338,7 +339,7 @@ def gcd(a, b) -> tuple:
 
 def probe(a) -> int:
     """a(2^20), the integer on which `multiplicity` tests divisibility."""
-    return _evaluate(a, _REJECT_AT)
+    return evaluate(a, _REJECT_AT)
 
 
 def multiplicity(a, p, a_at=None, p_at=None) -> int:

@@ -441,6 +441,39 @@ def test_sigma_degree_is_still_checked(monkeypatch):
         expand_skew(conic)
 
 
+def test_row_powers_are_raised_once_and_for_block_0_only(monkeypatch):
+    # each distinct (row, exponent) of block 0 is raised once; block 1 takes
+    # block 0's maps with their sigma digits moved down, so it raises none
+    form = twisted_cubic_chow()
+    nv, blocks = form.vars_per_block, form.blocks
+    per_block = len(skew_pairs(nv))
+    width = (blocks * form.block_degree).bit_length()
+    digits = blocks * per_block + nv  # of a packed key, sigma digits first
+
+    def block_of(key):  # the block of a key's highest (its s-) digit
+        return (digits - 1 - (key.bit_length() - 1) // width) // per_block
+
+    calls, depth = [], 0
+    power_of_sum = chow._power_of_sum
+
+    def spy(terms, e):
+        nonlocal depth
+        if not depth:  # a top-level call; the recursion calls the spy too
+            calls.append((tuple(terms), e))
+        depth += 1
+        try:
+            return power_of_sum(terms, e)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(chow, "_power_of_sum", spy)
+    expansion = expand_skew(form)
+    block_0 = {(r, e) for key in form.terms for r, e in enumerate(form.split(key)[0]) if e}
+    assert len(set(calls)) == len(calls) <= len(block_0) == 12
+    assert {block_of(key) for terms, _ in calls for key, _ in terms} == {0}
+    assert expansion.sigma_count == 2424
+
+
 def test_repeated_term_is_a_schema_error():
     data = multihomform_to_json(chow_of_hypersurface(CONIC_F))
     data["terms"].append(dict(data["terms"][2], coeff="5"))

@@ -1093,6 +1093,15 @@ def test_deeply_nested_json_exits_2(tmp_path, text, command):
     assert stderr == "error: invalid JSON: nested too deeply (at /)\n"
 
 
+def test_a_long_offending_value_is_echoed_cut(tmp_path):
+    # json loads an array nested 900 deep; its repr alone is 1,800 characters
+    deep = json.loads("[" * 900 + "]" * 900)
+    code, seconds, out, stderr = _main_in_capped_child("check", _conic_with(tmp_path, epsilon=deep))
+    assert code == 2 and seconds < 1.0 and out == ""
+    assert stderr == "error: " + "[" * 80 + "... is not of type 'string' (at /epsilon)\n"
+    assert len(stderr) < 200 and stderr.count("\n") == 1
+
+
 def _quadric_scenario(tmp_path, F, point):
     """`check` input for the quadric {F = 0} in P^M, M + 1 = len(point),
     with the M + 1 coordinate hyperplanes, three more in general position
@@ -1330,10 +1339,12 @@ def test_position_cap_is_not_an_option(capsys):
 
 
 # modules a CLI run must not load: sympy is imported only to factor,
-# jsonschema (with its referencing chain) is a test dependency only, and
+# jsonschema (with its referencing chain) is a test dependency only,
 # records are NamedTuples or __slots__ classes, so neither `dataclasses` nor
-# the `inspect` it pulls in is loaded; both checks below cover all of them
-HEAVY = ("sympy", "mpmath", "jsonschema", "referencing", "dataclasses", "inspect")
+# the `inspect` it pulls in is loaded, and the filtration module is loaded
+# by the `filtration` command only; both checks below cover all of them
+HEAVY = ("sympy", "mpmath", "jsonschema", "referencing", "dataclasses", "inspect",
+         "ffsubspace.filtration")
 
 SYMPY_MODULES = f"""
 import sys
@@ -1355,6 +1366,8 @@ for path in paths:
 with contextlib.redirect_stdout(io.StringIO()):
     print("constants", main(["constants", "--inputs", inputs]), file=sys.stderr)
 print(" ".join(m for m in {HEAVY!r} if m in sys.modules) or "none")
+import ffsubspace  # the package still resolves the filtration's names
+print(ffsubspace.order_by_vanishing.__module__)
 """
 
 
@@ -1381,7 +1394,7 @@ def test_check_and_chow_do_not_load_sympy(tmp_path):
         paths.append(str(tmp_path / f"{name}.json"))
         Path(paths[-1]).write_text(json.dumps(scenario))
     proc = _isolated(SYMPY_MODULES_AFTER_RUNS, _constants_inputs(tmp_path), *paths)
-    assert proc.stdout == "none\n"
+    assert proc.stdout == "none\nffsubspace.filtration\n"
     runs = ["check", "0", "check", "0", "chow", "0"] * 4 + ["constants", "0"]
     assert proc.stderr.split() == runs
 

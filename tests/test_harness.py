@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from ffsubspace import harness
 from ffsubspace.chow import chow_height, chow_of_hypersurface, multihomform_to_json
 from ffsubspace.errors import SchemaError
 from ffsubspace.function_field import (
@@ -30,7 +31,7 @@ from ffsubspace.harness import (
     report_to_dict,
     run_check,
 )
-from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly
+from ffsubspace.multipoly import HomogeneousPoly, monomial_basis, parse_poly, primitive_values
 from helpers import int_digits_unlimited, workload_scenario
 from oracles import lcm_reduction
 
@@ -147,6 +148,24 @@ def test_run_check_on_divisor_and_off_variety():
     assert on_divisor.vanishing_divisors == (1, 2)
     assert off_variety.status == "not_on_variety" and off_variety.verdict is None
     assert any("NotOnVariety" in w for w in report.warnings)
+
+
+def test_points_are_placed_on_x_without_values_in_z_t(monkeypatch):
+    # X's generators are only tested for zero, one integer each
+    # (`zero_test_values`); Z[t] values are built for the divisors alone
+    scenario = load_scenario_dict(workload_scenario("ideal-session", 1))
+    reference = report_to_dict(run_check(scenario))
+    seen = []
+
+    def spy(forms, x):
+        seen.append(forms)
+        return primitive_values(forms, x)
+
+    monkeypatch.setattr(harness, "primitive_values", spy)
+    report = run_check(scenario)
+    assert report_to_dict(report) == reference
+    assert len(seen) == len(scenario.points) == 20
+    assert all(forms is scenario.divisors for forms in seen)
 
 
 def test_report_json_shape():

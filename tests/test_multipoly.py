@@ -2,6 +2,7 @@ import random
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffsubspace.errors import (
     DegreeMismatch,
@@ -19,6 +20,7 @@ from ffsubspace.multipoly import (
     monomial_basis,
     parse_poly,
     primitive_values,
+    zero_test_values,
 )
 from helpers import rand_homog, rand_k, rand_point
 
@@ -132,6 +134,83 @@ def test_primitive_values_are_scaled_values():
         assert RationalFunction(value) == beta * alpha**d * q.evaluate(x)
     with pytest.raises(ZeroPolynomial):
         HomogeneousPoly.zero(3, 1).primitive()
+
+
+_zpoly = st.lists(st.integers(-9, 9), min_size=1, max_size=4).map(upoly.strip)
+
+
+@st.composite
+def _point_and_forms(draw):
+    """A point with Z[t] coordinates in P^2 or P^3 and forms of degree <= 3
+    with Z[t] coefficients: random ones, mostly off the point, and sums of
+    multiples of linear forms through it, on it."""
+    nv = draw(st.sampled_from([3, 4]))
+    coords = draw(st.lists(_zpoly, min_size=nv, max_size=nv).filter(any))
+    x = ProjectivePoint([RationalFunction(c) for c in coords])
+    a = next(i for i, c in enumerate(coords) if c)
+
+    def unit(i):
+        return HomogeneousPoly.monomial(nv, [int(i == j) for j in range(nv)])
+
+    def random_form(degree):
+        monos = draw(st.lists(st.sampled_from(monomial_basis(nv, degree)),
+                              min_size=1, max_size=4, unique=True))
+        return HomogeneousPoly(nv, degree, {m: RationalFunction(draw(_zpoly)) for m in monos})
+
+    forms = []
+    for _ in range(draw(st.integers(1, 3))):
+        degree = draw(st.integers(1, 3))
+        form = random_form(degree)
+        if draw(st.booleans()):  # on x: sum of A_b * (x_b X_a - x_a X_b)
+            form = HomogeneousPoly.zero(nv, degree)
+            for b in draw(st.lists(st.sampled_from([b for b in range(nv) if b != a]),
+                                   min_size=1, max_size=2, unique=True)):
+                through = unit(a).scale(RationalFunction(coords[b])) - unit(b).scale(
+                    RationalFunction(coords[a]))
+                form = form + random_form(degree - 1) * through if degree > 1 else (
+                    form + through.scale(RationalFunction(draw(_zpoly))))
+        if not form.is_zero():
+            forms.append(form)
+    return x, forms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_point_and_forms())
+def test_zero_test_agrees_with_the_values_in_z_t(case):
+    x, forms = case
+    values = zero_test_values([q.primitive()[0] for q in forms], x.primitive()[0])
+    assert [not v for v in values] == [not v for v in primitive_values(forms, x)]
+    assert [not v for v in values] == [q.evaluate(x).is_zero() for q in forms]
+
+
+def test_zero_test_is_not_fooled_by_small_roots():
+    # p = 5 * t(t - 1)...(t - 9) vanishes at t = 1, 2, 4 and 8, so a test at
+    # t0 = 2^L <= 8 would call [1 : p] a zero of X1; t0 must pass the bound
+    p = reduce(upoly.mul, [(-k, 1) for k in range(10)], (5,))
+
+    def p_at(t0):
+        return sum(c * t0**j for j, c in enumerate(p))
+
+    assert [p_at(2**L) for L in range(4)] == [0, 0, 0, 0]
+    x = ProjectivePoint([RationalFunction(1), RationalFunction(p)])
+    x1 = parse_poly("X1", 2)
+    on_x = parse_poly("X0", 2).scale(RationalFunction(p)) - x1
+    forms = [x1, x1 * x1, on_x, x1 * on_x]
+    values = zero_test_values([q.primitive()[0] for q in forms], x.primitive()[0])
+    assert [bool(v) for v in values] == [True, True, False, False]
+    # the value of X1 is p at a power of two past Cauchy's bound 1 + ||p||_1
+    (t0,) = [2**L for L in range(200) if p_at(2**L) == values[0]]
+    assert t0 > 1 + sum(map(abs, p)) == 1 + 5 * 3628800
+
+
+def test_zero_test_reads_the_coefficients_into_its_bound():
+    # Q = (t - 2^19) X0 + X1 at [1 : -2^19] is t - 2^20, a root at the
+    # bound 2^20 + 1 of Q(x): the coordinates alone (2^19) and one bit less
+    # than the bound's both give t0 = 2^20
+    q = parse_poly("(t - 524288)*X0 + X1", 2)
+    x = ProjectivePoint([RationalFunction(1), RationalFunction(-(2**19))])
+    (value,) = zero_test_values([q.primitive()[0]], x.primitive()[0])
+    assert value == 2**21 - 2**20
 
 
 def test_homogeneity_enforced():
