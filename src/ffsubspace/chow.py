@@ -25,6 +25,19 @@ Q(t) coefficients and the P_sigma forms are built from them only when
 `SkewExpansion.entries` is first read, so counting the P_sigma
 (`chow --input`) builds none.
 
+A Chow form is a polynomial in the maximal minors of the matrix with rows
+u_0, ..., u_n (the bracket ring; Sturmfels, "Algorithms in Invariant
+Theory", ch. 3), so swapping two blocks multiplies it by (-1)^delta.  Then
+P_(..., b, a) = epsilon * P_(..., a, b), the same x-polynomial up to sign.
+`expand_skew` reads epsilon off the form's own terms: it holds when
+swapping the last two blocks maps every term to epsilon times a term, with
+one epsilon in {1, -1} for all of them.  Such a form is expanded only on
+the keys with sigma_(n-1) <= sigma_n, the other half being their signed
+mirror: a kept sigma prefix off that diagonal is counted for its mirror
+too, and `entries` adds the mirrored P_sigma.  A form without the symmetry
+(a t-scaled Chow form, a random test form) is expanded in full by the
+same loop.
+
 A key (sigma, x-monomial) is the digit string sigma_0, ..., sigma_n, x in
 base 2^width, most significant digit first, one digit per exponent.  Every
 exponent is at most blocks * delta (the degree of an x-monomial; a block's
@@ -49,6 +62,7 @@ skew table.  A form's keys are nested per block only in its JSON format.
 """
 
 import itertools
+from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
 from math import comb, prod
@@ -229,18 +243,25 @@ class SkewExpansion(Frozen):
     coefficient form P_sigma.  It is built from the packed sums over Z when
     first read, then kept (`_psigma_forms`), so a caller that only counts
     the P_sigma builds no coefficient of Q(t).
+
+    swap_sign is epsilon in {1, -1} when swapping the form's last two blocks
+    multiplies it by epsilon, and None otherwise.  With epsilon, the sums
+    hold only the sigma with sigma_(n-1) <= sigma_n, and `entries` adds the
+    others as P_(..., b, a) = epsilon * P_(..., a, b); sigma_count counts
+    both halves.
     """
 
     __slots__ = ("blocks", "vars_per_block", "block_degree", "pairs", "sigma_count",
-                 "_sums", "_entries")
+                 "swap_sign", "_sums", "_entries")
 
     def __init__(self, blocks: int, vars_per_block: int, block_degree: int, pairs: tuple,
-                 sigma_count: int, sums: tuple):
+                 sigma_count: int, sums: tuple, swap_sign: int | None):
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "vars_per_block", vars_per_block)
         object.__setattr__(self, "block_degree", block_degree)
         object.__setattr__(self, "pairs", pairs)
         object.__setattr__(self, "sigma_count", sigma_count)
+        object.__setattr__(self, "swap_sign", swap_sign)
         object.__setattr__(self, "_sums", sums)
         object.__setattr__(self, "_entries", None)
 
@@ -316,9 +337,9 @@ def check_skew_floor(blocks: int, vars_per_block: int, block_degree: int) -> Non
     degree delta in nv - 1 variables, onto which the products of the
     powers' terms map.  So each term counts at least that to the power
     `blocks` in `skew_product_count`: M^(M+1) for P^M, and
-    C(delta + M - 1, delta)^M for a degree-delta hypersurface in P^M.  A base >= 2 passes the limit within
-    MAX_SKEW_PRODUCTS.bit_length() blocks, so the power taken stays small
-    however many blocks there are.
+    C(delta + M - 1, delta)^M for a degree-delta hypersurface in P^M.
+    A base >= 2 passes the limit within MAX_SKEW_PRODUCTS.bit_length()
+    blocks, so the power taken stays small however many blocks there are.
     """
     base = comb(block_degree + vars_per_block - 2, block_degree)
     if base ** min(blocks, MAX_SKEW_PRODUCTS.bit_length()) > MAX_SKEW_PRODUCTS:
@@ -387,6 +408,16 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
     the P_sigma themselves when `entries` is first read.  Each coefficient
     of P_sigma is a Z-linear combination of F_X's numerators over their
     common denominator, so e_p(P_sigma) >= e_p(F_X) at every place.
+
+    When swapping the last two blocks multiplies the form by epsilon
+    (`_swap_sign`), only the keys with sigma_(n-1) <= sigma_n are formed:
+    each distinct last-block map is sorted once by its sigma_n field, and
+    each key of the earlier blocks' product starts at the bisection of its
+    sigma_(n-1) field.  Those sums are exact, since sigma_(n-1) comes from
+    the earlier blocks alone and sigma_n from the last block alone.  A kept
+    prefix counts twice when sigma_(n-1) != sigma_n, once otherwise, and
+    checking the block degrees of the kept prefixes checks their mirrors'.
+    Any other form starts every inner loop at 0 and is expanded in full.
     """
     nv = form.vars_per_block
     blocks = form.blocks
@@ -438,25 +469,65 @@ def expand_skew(form: MultiHomForm) -> SkewExpansion:
             block_maps[i, exps] = got
         return got
 
+    sign = _swap_sign(form)
+    # the sigma_n field of a key is its digits above x; sigma_(n-1)'s the next
+    block_bits = width * len(pairs)
+    block_mask = (1 << block_bits) - 1
+    prev_shift = x_bits + block_bits
+    ordered = {}
+
+    def last_block(exps):
+        """The last block's map as items sorted by their sigma_n field, and
+        those fields, built once per exponent tuple."""
+        got = ordered.get(exps)
+        if got is None:
+            items = sorted(block_map(blocks - 1, exps).items())
+            got = ordered[exps] = (items, [kb >> x_bits for kb, _ in items])
+        return got
+
     numerators, den = clear_denominators(form.terms.values())
     # acc[j]: key -> coefficient of t^j in the numerator over den
     acc = [{} for _ in range(max(map(len, numerators), default=0))]
     for key, num in zip(form.terms, numerators):
-        *firsts, last = map(block_map, range(blocks), form.split(key))
+        *head, exps = form.split(key)
+        firsts = list(map(block_map, range(blocks - 1), head))
         nonzero = [(a, out) for a, out in zip(num, acc) if a]
-        last_items = last.items()
+        last_items, fields = last_block(exps)
+        tail = last_items
         # the last block's map multiplies straight into the sums
         for ka, ca in (reduce(_mul_maps, firsts) if firsts else {0: 1}).items():
+            if sign:  # the keys with sigma_n >= sigma_(n-1) only
+                tail = last_items[bisect_left(fields, ka >> prev_shift & block_mask):]
             for a, out in nonzero:
                 ca_a = ca * a
-                for kb, cb in last_items:
+                for kb, cb in tail:
                     k = ka + kb
                     out[k] = out.get(k, 0) + ca_a * cb
 
     # a key's numerator is nonzero when one of its t-coefficients is
     prefixes = {k >> x_bits for out in acc for k in itertools.compress(out, out.values())}
     _check_block_degrees(prefixes, width, blocks, len(pairs), delta)
-    return SkewExpansion(blocks, nv, delta, pairs, len(prefixes), (acc, den, width))
+    count = len(prefixes)
+    if sign:  # a kept prefix off the diagonal stands for its mirror too
+        count += sum(p >> block_bits & block_mask != p & block_mask for p in prefixes)
+    return SkewExpansion(blocks, nv, delta, pairs, count, (acc, den, width), sign)
+
+
+def _swap_sign(form: MultiHomForm) -> int | None:
+    """epsilon when swapping the last two blocks maps every term of the form
+    to epsilon times a term, with one epsilon in {1, -1} for all of them;
+    None when it does not, or when the form has fewer than two blocks."""
+    if form.blocks < 2:
+        return None
+    nv, terms = form.vars_per_block, form.terms
+    sign = None
+    for key, c in terms.items():
+        mirror = terms.get(key[: -2 * nv] + key[-nv:] + key[-2 * nv : -nv])
+        this = 1 if mirror == c else -1 if mirror == -c else None
+        if this is None or sign not in (None, this):
+            return None
+        sign = this
+    return sign
 
 
 def _sigma_reader(width: int, blocks: int, per_block: int):
@@ -491,7 +562,11 @@ def _check_block_degrees(prefixes, width: int, blocks: int, per_block: int, delt
 
 def _psigma_forms(expansion: SkewExpansion) -> dict:
     """The P_sigma of an expansion from its packed sums: sigma -> the form
-    with Q(t) coefficients on its x-monomials, in sorted order of sigma."""
+    with Q(t) coefficients on its x-monomials, in sorted order of sigma.
+    For a block-symmetric form the sums hold sigma_(n-1) <= sigma_n only;
+    each kept sigma off that diagonal adds its mirror, the last two sigma
+    digit fields swapped, the x-monomials kept and the coefficients times
+    swap_sign."""
     acc, den, width = expansion._sums
     nv, blocks = expansion.vars_per_block, expansion.blocks
     degree = blocks * expansion.block_degree
@@ -508,6 +583,16 @@ def _psigma_forms(expansion: SkewExpansion) -> dict:
             if c is None:
                 c = coeffs[num] = RationalFunction.reduced(num, den)
             grouped.setdefault(k >> mono_bits, {})[mono_of(k)] = c
+    sign = expansion.swap_sign
+    if sign is not None:  # P_(..., b, a) = sign * P_(..., a, b), a != b
+        bits = width * len(expansion.pairs)
+        mask = (1 << bits) - 1
+        for packed, terms in list(grouped.items()):
+            a, b = packed >> bits & mask, packed & mask
+            if a != b:
+                grouped[packed >> 2 * bits << 2 * bits | b << bits | a] = (
+                    dict(terms) if sign == 1 else {m: -c for m, c in terms.items()}
+                )
     # nonzero coefficients on x-monomials of total degree blocks * delta
     return {
         sigma_of(packed): HomogeneousPoly._trusted(nv, degree, grouped[packed])

@@ -6,7 +6,7 @@ from math import comb
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ffsubspace import chow
 from ffsubspace.chow import (
@@ -193,18 +193,30 @@ def test_coefficient_bound_with_t_scaled_entry():
 _FACTORS = ["t", "t - 1", "2*t + 3", "t^2 + 1", "t^3 + 2"]
 
 
+def swap_last_blocks(form: MultiHomForm, key: tuple) -> tuple:
+    """A flat key of the form with its last two blocks swapped."""
+    nv = form.vars_per_block
+    return key[: -2 * nv] + key[-nv:] + key[-2 * nv : -nv]
+
+
 @st.composite
 def _t_scaled_forms(draw):
     """The conic's or the twisted cubic's Chow form with 1-3 coefficients
     times a nonconstant element of Q(t): distinct irreducible factors, each
-    to the power -1, 1 or 2, so nothing cancels."""
+    to the power -1, 1 or 2, so nothing cancels.  In the symmetric arm each
+    chosen coefficient's mirror (its key's last two blocks swapped) is
+    scaled alike, so swapping the blocks still multiplies the form by +-1."""
     form = draw(st.sampled_from([chow_of_hypersurface(CONIC_F), twisted_cubic_chow()]))
+    symmetric = draw(st.booleans())
     terms = dict(form.terms)
     keys = draw(st.lists(st.sampled_from(sorted(terms)), min_size=1, max_size=3, unique=True))
     for key in keys:
         factors = draw(st.lists(st.sampled_from(_FACTORS), min_size=1, max_size=3, unique=True))
+        scale = RationalFunction(1)
         for f in factors:
-            terms[key] = terms[key] * parse_rational(f) ** draw(st.sampled_from([-1, 1, 2]))
+            scale = scale * parse_rational(f) ** draw(st.sampled_from([-1, 1, 2]))
+        for k in {key, swap_last_blocks(form, key)} if symmetric else {key}:
+            terms[k] = terms[k] * scale
     return with_terms(form, terms)
 
 
@@ -327,10 +339,23 @@ def _block_monomials(draw, nv, delta):
 def _skew_forms(draw):
     """Chow-form shapes, 1-3 blocks in 2-4 variables (blocks < variables),
     with Q(t) coefficients: random terms, a determinant, whose P_sigma
-    cancel down to the span's ideal, or their sum."""
-    blocks = draw(st.integers(1, 3))
+    cancel down to the span's ideal, or their sum.  A third of the draws
+    are block-symmetric: the Chow form of a hypersurface in P^2 or P^3, or
+    a form of 2-3 blocks plus or minus its last-two-block swap."""
+    arm = draw(st.sampled_from(["hypersurface", "symmetric", "plain", "plain", "plain", "plain"]))
+    if arm == "hypersurface":
+        nv = draw(st.integers(3, 4))
+        degree = draw(st.integers(1, 3 if nv == 3 else 1))  # a P^3 quadric has 3786 P_sigma
+        keys = draw(st.lists(st.sampled_from(monomial_basis(nv, degree)),
+                             min_size=1, max_size=3, unique=True))
+        return chow_of_hypersurface(
+            HomogeneousPoly(nv, degree, {key: draw(_elements) for key in keys})
+        )
+    blocks = draw(st.integers(2 if arm == "symmetric" else 1, 3))
     nv = draw(st.integers(blocks + 1, 4))
-    delta = draw(st.integers(1, 2))
+    # as the P^3 quadric, a symmetric form of 3 blocks of degree 2 has
+    # thousands of P_sigma, each evaluated to reconstruct the substitution
+    delta = draw(st.integers(1, 1 if arm == "symmetric" and blocks == 3 else 2))
     keys = draw(st.lists(
         st.tuples(*[_block_monomials(nv, delta)] * blocks), min_size=1, max_size=4, unique=True,
     ))
@@ -341,7 +366,14 @@ def _skew_forms(draw):
                                 min_size=blocks, max_size=blocks))
         det = _determinant(vectors)
         poly = det if draw(st.booleans()) else poly + det
-    return MultiHomForm(blocks, nv, poly)
+    form = MultiHomForm(blocks, nv, poly)
+    if arm == "symmetric":
+        swapped = HomogeneousPoly(blocks * nv, blocks * delta,
+                                  {swap_last_blocks(form, k): c for k, c in poly.terms.items()})
+        poly = poly + swapped if draw(st.booleans()) else poly - swapped
+        assume(not poly.is_zero())
+        form = MultiHomForm(blocks, nv, poly)
+    return form
 
 
 @settings(max_examples=40, deadline=None)
@@ -351,6 +383,11 @@ def test_expansion_reconstructs_the_substitution(form, data):
     count = expansion.sigma_count  # read off the packed sums, before entries
     assert all(not p.is_zero() for p in expansion.entries.values())
     assert count == len(expansion.entries)
+    sign = expansion.swap_sign
+    if sign is not None:  # the mirrored half: P_(..., b, a) = sign * P_(..., a, b)
+        for sigma, p in expansion.entries.items():
+            assert sign == 1 or sigma[-2] != sigma[-1]  # P_(..., a, a) = -P_(..., a, a)
+            assert expansion.entries.get(sigma[:-2] + (sigma[-1], sigma[-2])) == sign * p
     x = data.draw(st.lists(_elements, min_size=form.vars_per_block,
                            max_size=form.vars_per_block))
     svals = data.draw(st.lists(
@@ -472,6 +509,37 @@ def test_row_powers_are_raised_once_and_for_block_0_only(monkeypatch):
     assert len(set(calls)) == len(calls) <= len(block_0) == 12
     assert {block_of(key) for terms, _ in calls for key, _ in terms} == {0}
     assert expansion.sigma_count == 2424
+
+
+def test_symmetric_forms_expand_the_ordered_half():
+    # a Chow form lies in the bracket ring, so swapping two blocks multiplies
+    # it by (-1)^delta; the expansion then forms only sigma_0 <= sigma_1
+    cubic = twisted_cubic_chow()
+    expansion = expand_skew(cubic)
+    acc, _, width = expansion._sums
+    bits = width * len(expansion.pairs)
+    mask = (1 << bits) - 1
+    x_bits = width * cubic.vars_per_block
+    assert not [k for out in acc for k in out
+                if k >> x_bits + bits & mask > k >> x_bits & mask]
+    assert expansion.swap_sign == -1 and expansion.sigma_count == 2424
+    p3 = [e(i, 4) for i in range(4)]
+    signs = {
+        "conic": expand_skew(chow_of_hypersurface(CONIC_F)).swap_sign,
+        "quadric": expand_skew(chow_of_hypersurface(parse_poly("X0*X3 - X1*X2", 4))).swap_sign,
+        "P^2": expand_skew(chow_of_linear([e(i, 3) for i in range(3)])).swap_sign,
+        "P^3 plane": expand_skew(chow_of_linear(p3[:3])).swap_sign,
+    }
+    assert signs == {"conic": 1, "quadric": 1, "P^2": -1, "P^3 plane": -1}
+    # no symmetry: one coefficient of the cubic times t^3 + 2, random terms
+    terms = dict(cubic.terms)
+    terms[min(terms)] *= parse_rational("t^3 + 2")
+    assert expand_skew(with_terms(cubic, terms)).swap_sign is None
+    rng = random.Random(5)
+    keys = {tuple(rng.choice(monomial_basis(3, 2))) + tuple(rng.choice(monomial_basis(3, 2)))
+            for _ in range(6)}
+    asymmetric = MultiHomForm(2, 3, HomogeneousPoly(6, 4, {k: rand_k(rng, 1) for k in keys}))
+    assert expand_skew(asymmetric).swap_sign is None
 
 
 def test_repeated_term_is_a_schema_error():

@@ -368,6 +368,12 @@ CHOW_STDOUT = {
         "skew expansion: 0 nonzero P_sigma; stated bound 64; "
         "combinatorial monomial count 27\n"
     ),
+    "quadric_surface": (
+        "Chow form: 3 blocks of 4 vars, degree 2 per block, 66 terms\n"
+        "height h(X) = 0/1\n"
+        "skew expansion: 3786 nonzero P_sigma; stated bound 592704; "
+        "combinatorial monomial count 9261\n"
+    ),
 }
 
 
@@ -376,6 +382,7 @@ CHOW_INPUTS = {
     "ideal": ideal_scenario_dict,
     "t_scaled": t_scaled_ideal_scenario,
     "projective_space": lambda: {"ambient_dim": 2, "kind": "projective_space"},
+    "quadric_surface": lambda: {"ambient_dim": 3, "kind": "hypersurface", "F": "X0*X3 - X1*X2"},
 }
 
 
